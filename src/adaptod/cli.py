@@ -139,6 +139,11 @@ def evaluate_modes(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1
     return results
 
 
+# head-tail --mode -> evaluate_modes result key
+HEAD_TAIL_MODES = {"doda": "doda", "frozen": "no_tta", "uncalibrated": "uncalibrated",
+                   "oracle": "oracle"}
+
+
 def head_tail_reports(model, datasets, *, head_classes=None, alpha=doda.DEFAULT_ALPHA,
                       virtual_count=1, ood_fraction=0.5, seed=0, mode="doda"):
     """Evaluate twice with ID restricted to the head half, then the tail half.
@@ -161,9 +166,7 @@ def head_tail_reports(model, datasets, *, head_classes=None, alpha=doda.DEFAULT_
         sub_datasets[data_mod.ID_TEST] = subset
         res = evaluate_modes(model, sub_datasets, alpha=alpha, virtual_count=virtual_count,
                              ood_fraction=ood_fraction, seed=seed)
-        key = {"doda": "doda", "frozen": "no_tta", "uncalibrated": "uncalibrated",
-               "oracle": "oracle"}[mode]
-        reports[name] = res[key]["report"]
+        reports[name] = res[HEAD_TAIL_MODES[mode]]["report"]
     return reports
 
 
@@ -521,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("head-tail", help="evaluate against head and tail classes separately")
     _add_eval_args(p)
-    p.add_argument("--mode", choices=["doda", "frozen", "uncalibrated"], default="doda")
+    p.add_argument("--mode", choices=list(HEAD_TAIL_MODES), default="doda")
     p.set_defaults(func=cmd_headtail)
 
     p = sub.add_parser("alpha-sweep", help="AUROC across the Z-score alpha grid")

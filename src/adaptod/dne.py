@@ -55,68 +55,62 @@ class LossBreakdown:
 
 
 def _hinges(batch: LogitBatch, cfg: DneConfig):
-    """Normalized energies and the active hinge values for both loss terms."""
+    """Normalized energies, the active hinge values of both loss terms, and the
+    unweighted class-wise and sample-wise losses."""
     cfg.check_batch(batch)
     norm = batch_energy_normalize(batch)
-    in_rows = norm[: batch.b_in]
-    out_rows = norm[batch.b_in :]
-    c_in = in_rows.sum(axis=0)  # per-class ID mass
-    c_out = out_rows.sum(axis=0)  # per-class outlier mass
+    c_in = norm[: batch.b_in].sum(axis=0)  # per-class ID mass
+    c_out = norm[batch.b_in :].sum(axis=0)  # per-class outlier mass
     s = norm.sum(axis=1)  # per-row mass
     h_c_in = np.maximum(0.0, cfg.m_in_c - c_in)
     h_c_out = np.maximum(0.0, c_out - cfg.m_out_c)
     h_s_in = np.maximum(0.0, cfg.m_in_s - s[: batch.b_in])
     h_s_out = np.maximum(0.0, s[batch.b_in :] - cfg.m_out_s)
-    return norm, h_c_in, h_c_out, h_s_in, h_s_out
+    dne_c = float((h_c_in**2).sum() + (h_c_out**2).sum())
+    dne_s = float((h_s_in**2).mean() + (h_s_out**2).mean())
+    return norm, (h_c_in, h_c_out, h_s_in, h_s_out), dne_c, dne_s
 
 
 def dne_c_loss(batch: LogitBatch, cfg: DneConfig) -> float:
     """Class-wise squared-hinge loss summed over classes."""
-    _, h_c_in, h_c_out, _, _ = _hinges(batch, cfg)
-    return float((h_c_in**2).sum() + (h_c_out**2).sum())
+    return _hinges(batch, cfg)[2]
 
 
 def dne_s_loss(batch: LogitBatch, cfg: DneConfig) -> float:
     """Sample-wise squared-hinge loss, averaged within the ID and outlier batches."""
-    _, _, _, h_s_in, h_s_out = _hinges(batch, cfg)
-    return float((h_s_in**2).mean() + (h_s_out**2).mean())
+    return _hinges(batch, cfg)[3]
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the rows and its gradient w.r.t. the
+    logits, (softmax - onehot) / n, from one exponentiation."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape[0] != logits.shape[0]:
+        raise InvalidInputError("one label per ID row required")
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise InvalidInputError("label out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    z = e.sum(axis=1, keepdims=True)
+    rows = np.arange(logits.shape[0])
+    ce = float((np.log(z[:, 0]) - shifted[rows, labels]).mean())
+    p = e / z
+    p[rows, labels] -= 1.0
+    return ce, p / logits.shape[0]
 
 
-def cross_entropy(id_logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy over the ID rows."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape[0] != id_logits.shape[0]:
-        raise InvalidInputError("one label per ID row required")
-    if labels.size and (labels.min() < 0 or labels.max() >= id_logits.shape[1]):
-        raise InvalidInputError("label out of range")
-    shifted = id_logits - id_logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(id_logits.shape[0])
-    return float((log_z - shifted[rows, labels]).mean())
+def loss_and_grad(batch: LogitBatch, id_labels,
+                  cfg: DneConfig) -> tuple[LossBreakdown, np.ndarray]:
+    """Cross-entropy on ID rows plus the (optionally weighted) dual energy terms,
+    and their gradient w.r.t. every logit, shape (b_in + b_out, k).
 
-
-def total_loss(batch: LogitBatch, id_labels, cfg: DneConfig) -> LossBreakdown:
-    """Cross-entropy on ID rows plus the (optionally weighted) dual energy terms."""
-    ce = cross_entropy(batch.id_rows, id_labels)
-    c = cfg.dne_weight * dne_c_loss(batch, cfg)
-    s = cfg.dne_weight * dne_s_loss(batch, cfg)
-    return LossBreakdown(total=ce + c + s, ce=ce, dne_c=c, dne_s=s)
-
-
-def total_loss_grad(batch: LogitBatch, id_labels, cfg: DneConfig) -> np.ndarray:
-    """Gradient of total_loss w.r.t. every logit, shape (b_in + b_out, k).
-
-    The energy terms backpropagate through the per-column normalization, which
-    couples all rows within a column: for G = dL/dF,
-    dL/df[i,j] = F[i,j] * (G[i,j] - sum_a G[a,j] * F[a,j]).
+    One batch normalization and one softmax serve both. Label errors are
+    raised before batch-geometry errors. The energy terms backpropagate
+    through the per-column normalization, which couples all rows within a
+    column: for G = dL/dF, dL/df[i,j] = F[i,j] * (G[i,j] - sum_a G[a,j] * F[a,j]).
     """
-    norm, h_c_in, h_c_out, h_s_in, h_s_out = _hinges(batch, cfg)
+    ce, d_ce = ce_and_grad(batch.id_rows, id_labels)
+    norm, (h_c_in, h_c_out, h_s_in, h_s_out), dne_c, dne_s = _hinges(batch, cfg)
     b_in, b_out = batch.b_in, batch.b_out
 
     g_f = np.zeros_like(norm)
@@ -127,13 +121,17 @@ def total_loss_grad(batch: LogitBatch, id_labels, cfg: DneConfig) -> np.ndarray:
     g_f *= cfg.dne_weight
 
     grad = norm * (g_f - (g_f * norm).sum(axis=0, keepdims=True))
+    grad[:b_in] += d_ce
+    c, s = cfg.dne_weight * dne_c, cfg.dne_weight * dne_s
+    return LossBreakdown(total=ce + c + s, ce=ce, dne_c=c, dne_s=s), grad
 
-    labels = np.asarray(id_labels, dtype=np.intp)
-    if labels.shape[0] != b_in:
-        raise InvalidInputError("one label per ID row required")
-    if labels.size and (labels.min() < 0 or labels.max() >= batch.k):
-        raise InvalidInputError("label out of range")
-    p = _softmax_rows(batch.id_rows)
-    p[np.arange(b_in), labels] -= 1.0
-    grad[:b_in] += p / b_in
-    return grad
+
+def total_loss(batch: LogitBatch, id_labels, cfg: DneConfig) -> LossBreakdown:
+    """The loss half of loss_and_grad."""
+    return loss_and_grad(batch, id_labels, cfg)[0]
+
+
+def total_loss_grad(batch: LogitBatch, id_labels, cfg: DneConfig) -> np.ndarray:
+    """The gradient half of loss_and_grad; geometry errors come before label errors."""
+    cfg.check_batch(batch)
+    return loss_and_grad(batch, id_labels, cfg)[1]

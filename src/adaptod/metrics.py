@@ -73,6 +73,8 @@ def average_precision(samples, positive: str = "id") -> float:
         raise InvalidInputError("positive must be 'id' or 'ood'")
     samples = list(samples)
     scores = np.asarray([s.score if positive == "id" else -s.score for s in samples])
+    if not np.isfinite(scores).all():
+        raise InvalidInputError("scores must be finite")
     is_pos = np.asarray([s.is_id == (positive == "id") for s in samples])
     if not is_pos.any():
         raise UndefinedMetricError(f"no positive ({positive}) samples")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dne import DneConfig, LossBreakdown, cross_entropy, total_loss, total_loss_grad
+from .dne import DneConfig, LossBreakdown, ce_and_grad, loss_and_grad
 from .energy import LogitBatch
 from .errors import InvalidInputError, ShapeError, TrainingDivergedError
 
@@ -65,8 +65,9 @@ class Mlp:
             activations.append(z)
         return activations[-1], activations
 
-    def backward(self, activations, upstream_grad: np.ndarray):
-        """Parameter gradients for an upstream dL/dlogits. Returns (dWs, dbs)."""
+    def backward(self, activations, upstream_grad: np.ndarray, first_layer: int = 0):
+        """Parameter gradients for an upstream dL/dlogits. Returns (dWs, dbs);
+        layers below first_layer are not backpropagated into and get None."""
         g = np.asarray(upstream_grad, dtype=np.float64)
         if g.shape != activations[-1].shape:
             raise ShapeError(
@@ -74,11 +75,11 @@ class Mlp:
             )
         d_ws = [None] * self.n_layers
         d_bs = [None] * self.n_layers
-        for i in range(self.n_layers - 1, -1, -1):
+        for i in range(self.n_layers - 1, first_layer - 1, -1):
             a_prev = activations[i]
             d_ws[i] = a_prev.T @ g
             d_bs[i] = g.sum(axis=0)
-            if i > 0:
+            if i > first_layer:
                 g = g @ self.weights[i].T
                 g = g * (activations[i] > 0.0)
         return d_ws, d_bs
@@ -126,9 +127,10 @@ class _SgdState:
         )
 
 
-def _sgd_step(model, state, d_ws, d_bs, lr, momentum, trainable, step):
+def _sgd_step(model, state, d_ws, d_bs, lr, momentum, step):
+    """Momentum update of every layer that has a gradient."""
     for i in range(model.n_layers):
-        if not trainable[i]:
+        if d_ws[i] is None:
             continue
         state.velocity_w[i] = momentum * state.velocity_w[i] - lr * d_ws[i]
         state.velocity_b[i] = momentum * state.velocity_b[i] - lr * d_bs[i]
@@ -161,21 +163,18 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     steps_per_epoch = max(1, id_x.shape[0] // b_in)
     total_steps = max(1, cfg.epochs_pretrain * steps_per_epoch)
     sgd = _SgdState.zeros_like(model)
-    trainable = [True] * model.n_layers
     for _ in range(cfg.epochs_pretrain):
         order = rng.permutation(id_x.shape[0])
         epoch_ce = []
         for s in range(steps_per_epoch):
             idx = order[s * b_in : (s + 1) * b_in]
             logits, acts = model.forward_cached(id_x[idx])
-            ce = cross_entropy(logits, id_y[idx])
+            ce, grad = ce_and_grad(logits, id_y[idx])
             if not np.isfinite(ce):
                 raise TrainingDivergedError(f"non-finite loss at step {step}", step)
-            p = _softmax(logits)
-            p[np.arange(idx.size), id_y[idx]] -= 1.0
-            d_ws, d_bs = model.backward(acts, p / idx.size)
+            d_ws, d_bs = model.backward(acts, grad)
             _sgd_step(model, sgd, d_ws, d_bs, cosine_lr(step, total_steps, cfg.lr_pretrain),
-                      cfg.momentum, trainable, step)
+                      cfg.momentum, step)
             step += 1
             epoch_ce.append(ce)
         mean_ce = float(np.mean(epoch_ce))
@@ -192,7 +191,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
         steps_per_epoch = max(1, id_x.shape[0] // b_in)
         total_steps = cfg.epochs_finetune * steps_per_epoch
         sgd = _SgdState.zeros_like(model)
-        trainable = [cfg.finetune_all_layers] * (model.n_layers - 1) + [True]
+        first_trainable = 0 if cfg.finetune_all_layers else model.n_layers - 1
         step = 0
         for _ in range(cfg.epochs_finetune):
             order = rng.permutation(id_x.shape[0])
@@ -204,14 +203,13 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
                 logits, acts = model.forward_cached(x)
                 batch = LogitBatch(id_rows=logits[:b_in], out_rows=logits[b_in:])
                 labels = id_y[idx]
-                breakdown = total_loss(batch, labels, dne_cfg)
+                breakdown, grad = loss_and_grad(batch, labels, dne_cfg)
                 if not np.isfinite(breakdown.total):
                     raise TrainingDivergedError(f"non-finite loss at step {step}", step)
-                grad = total_loss_grad(batch, labels, dne_cfg)
-                d_ws, d_bs = model.backward(acts, grad)
+                d_ws, d_bs = model.backward(acts, grad, first_trainable)
                 _sgd_step(model, sgd, d_ws, d_bs,
                           cosine_lr(step, total_steps, cfg.lr_finetune),
-                          cfg.momentum, trainable, step)
+                          cfg.momentum, step)
                 step += 1
                 epoch_losses.append(breakdown)
             log.append(
@@ -223,12 +221,6 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
                 )
             )
     return model, log
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def save_checkpoint(path, model: Mlp, seed: int, stage: str) -> None:

@@ -2,6 +2,10 @@
 adapt-eval, head-tail, alpha-sweep, exit codes, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,15 @@ class TestHeadTail:
                      "--mode", "sideways")
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("mode", list(cli.HEAD_TAIL_MODES))
+    def test_every_mode_exits_ok(self, small_run, tmp_path, mode):
+        data_dir, model_dir = small_run
+        out = tmp_path / "ht"
+        rc = run_cli("head-tail", "--data", data_dir, "--model",
+                     model_dir / "checkpoint.json", "--out", out, "--mode", mode)
+        assert rc == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["params"]["mode"] == mode
+
 
 class TestAlphaSweep:
     def test_one_row_per_alpha(self, small_run, tmp_path):
@@ -221,3 +234,14 @@ class TestStream:
         c = cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD], 0.5, seed=2)
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
+
+
+class TestModuleEntryPoint:
+    def test_help_runs_without_runpy_warning(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        proc = subprocess.run([sys.executable, "-m", "adaptod.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "usage:" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr

@@ -5,9 +5,11 @@ import pytest
 
 from adaptod.dne import (
     DneConfig,
-    cross_entropy,
+    LossBreakdown,
+    ce_and_grad,
     dne_c_loss,
     dne_s_loss,
+    loss_and_grad,
     total_loss,
     total_loss_grad,
 )
@@ -20,6 +22,9 @@ from oracles import (
     naive_cross_entropy,
     naive_dne_c,
     naive_dne_s,
+    prefusion_ce_step,
+    prefusion_total_loss,
+    prefusion_total_loss_grad,
 )
 
 
@@ -134,7 +139,7 @@ class TestTotalLoss:
         cfg = DneConfig(k=6, b_in=5, b_out=7)
         breakdown = total_loss(batch, labels, cfg)
         expected = (
-            cross_entropy(batch.id_rows, labels)
+            ce_and_grad(batch.id_rows, labels)[0]
             + dne_c_loss(batch, cfg)
             + dne_s_loss(batch, cfg)
         )
@@ -147,7 +152,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(25)
         rows = rng.standard_normal((10, 4)) * 3
         labels = rng.integers(0, 4, 10)
-        assert cross_entropy(rows, labels) == pytest.approx(
+        assert ce_and_grad(rows, labels)[0] == pytest.approx(
             naive_cross_entropy(rows, labels), rel=1e-12
         )
 
@@ -230,3 +235,62 @@ class TestTotalLossGrad:
         gp = total_loss_grad(permuted, labels[perm], cfg)
         np.testing.assert_allclose(gp[:b_in], g[:b_in][perm], rtol=1e-12)
         np.testing.assert_allclose(gp[b_in:], g[b_in:], rtol=1e-12)
+
+
+class TestFusedStep:
+    """loss_and_grad and ce_and_grad run the pre-fusion float ops in the same
+    order, so they equal the three-pass reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_three_pass_reference(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        for _ in range(25):
+            k, b_in, b_out = (int(v) for v in rng.integers([2, 1, 1], [12, 20, 40]))
+            weight = float(rng.choice([1.0, 0.0, 0.3, 2.5]))
+            batch = LogitBatch(rng.standard_normal((b_in, k)) * 3.0,
+                               rng.standard_normal((b_out, k)) * 3.0 - rng.uniform(0, 4))
+            labels = rng.integers(0, k, b_in)
+            cfg = DneConfig(k=k, b_in=b_in, b_out=b_out, dne_weight=weight)
+            want = LossBreakdown(*prefusion_total_loss(batch.id_rows, batch.out_rows, labels, cfg))
+            want_grad = prefusion_total_loss_grad(batch.id_rows, batch.out_rows, labels, cfg)
+            breakdown, grad = loss_and_grad(batch, labels, cfg)
+            for name in ("total", "ce", "dne_c", "dne_s"):
+                assert getattr(breakdown, name) == getattr(want, name), name
+            assert np.array_equal(grad, want_grad)
+            assert total_loss(batch, labels, cfg) == want
+            assert np.array_equal(total_loss_grad(batch, labels, cfg), want_grad)
+
+    def test_ce_and_grad_equals_stage_one_reference(self):
+        rng = np.random.default_rng(310)
+        for n, k in ((1, 2), (7, 3), (64, 10), (33, 5)):
+            logits = rng.standard_normal((n, k)) * 4.0
+            labels = rng.integers(0, k, n)
+            ce, grad = ce_and_grad(logits, labels)
+            want_ce, want_grad = prefusion_ce_step(logits, labels)
+            assert ce == want_ce
+            assert np.array_equal(grad, want_grad)
+
+    def test_label_errors(self):
+        batch = LogitBatch(np.zeros((2, 3)), np.zeros((1, 3)))
+        cfg = DneConfig(k=3, b_in=2, b_out=1)
+        for fn in (loss_and_grad, total_loss, total_loss_grad):
+            with pytest.raises(InvalidInputError, match="one label per ID row required"):
+                fn(batch, [0], cfg)
+            with pytest.raises(InvalidInputError, match="label out of range"):
+                fn(batch, [0, -1], cfg)
+        with pytest.raises(InvalidInputError, match="label out of range"):
+            ce_and_grad(np.zeros((2, 3)), [3, 0])
+
+    def test_geometry_error_and_precedence(self):
+        batch = LogitBatch(np.zeros((2, 3)), np.zeros((1, 3)))
+        wrong = DneConfig(k=3, b_in=2, b_out=4)
+        geometry = r"batch geometry \(3, 2, 1\) does not match config \(3, 2, 4\)"
+        for fn in (loss_and_grad, total_loss, total_loss_grad):
+            with pytest.raises(InvalidInputError, match=geometry):
+                fn(batch, [0, 1], wrong)
+        # both wrong: the loss reports the labels, the gradient the geometry
+        for fn in (loss_and_grad, total_loss):
+            with pytest.raises(InvalidInputError, match="label out of range"):
+                fn(batch, [0, 3], wrong)
+        with pytest.raises(InvalidInputError, match=geometry):
+            total_loss_grad(batch, [0, 3], wrong)

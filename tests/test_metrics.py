@@ -82,6 +82,14 @@ class TestAveragePrecision:
         with pytest.raises(UndefinedMetricError):
             average_precision([ScoredSample(0.5, False)], "id")
 
+    @pytest.mark.parametrize("positive", ["id", "ood"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, positive, bad):
+        # auroc and fpr_at_tpr raise on the same input
+        samples = make_samples([0.9, bad], [0.1, 0.2])
+        with pytest.raises(InvalidInputError, match="scores must be finite"):
+            average_precision(samples, positive)
+
 
 class TestFprAtTpr:
     def test_full_separation(self):

@@ -72,6 +72,22 @@ class TestBackward:
         np.testing.assert_allclose(d_ws[0], expected_w, rtol=1e-12)
         np.testing.assert_allclose(d_bs[0], np.full(2, 7.0), rtol=1e-12)
 
+    @pytest.mark.parametrize("dims", [[4, 3], [4, 16, 3], [4, 32, 32, 3], [5, 8, 7, 6, 2]])
+    def test_partial_backward_equals_full_on_trainable_layers(self, dims):
+        rng = np.random.default_rng(len(dims))
+        model = Mlp.init(dims, seed=9)
+        _, acts = model.forward_cached(rng.standard_normal((11, dims[0])))
+        upstream = rng.standard_normal((11, dims[-1]))
+        full_ws, full_bs = model.backward(acts, upstream)
+        for first in range(model.n_layers):
+            d_ws, d_bs = model.backward(acts, upstream, first)
+            for i in range(model.n_layers):
+                if i < first:
+                    assert d_ws[i] is None and d_bs[i] is None
+                else:
+                    assert np.array_equal(d_ws[i], full_ws[i])
+                    assert np.array_equal(d_bs[i], full_bs[i])
+
     @pytest.mark.parametrize("dims", [[4, 3], [4, 16, 3], [4, 32, 32, 3]])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_end_to_end_gradient_vs_finite_differences(self, dims, seed):
@@ -162,6 +178,15 @@ class TestTrain:
         trained, _ = train(model, x, y, outliers, cfg)
         assert np.array_equal(model.weights[0], trained.weights[0])
         assert not np.array_equal(model.weights[1], trained.weights[1])
+
+    def test_finetune_all_layers_touches_every_layer(self):
+        x, y, outliers = blob_task(3)
+        model = Mlp.init([4, 8, 2], seed=4)
+        cfg = TrainConfig(seed=4, epochs_pretrain=0, epochs_finetune=2, b_in=32, b_out=64,
+                          finetune_all_layers=True)
+        trained, _ = train(model, x, y, outliers, cfg)
+        for before, after in zip(model.weights, trained.weights):
+            assert not np.array_equal(before, after)
 
     def test_parameters_stay_finite(self):
         x, y, outliers = blob_task(4)
