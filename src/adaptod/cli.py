@@ -75,20 +75,6 @@ def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
     return feats[order], is_ood[order], labels[order]
 
 
-def scored_samples(stream_logits, stream_scores, is_ood, labels):
-    out = []
-    for logits, score, ood, lbl in zip(stream_logits, stream_scores, is_ood, labels):
-        out.append(
-            metrics.ScoredSample(
-                score=float(score),
-                is_id=not ood,
-                predicted_class=int(np.argmax(logits)),
-                true_class=int(lbl) if lbl >= 0 else None,
-            )
-        )
-    return out
-
-
 def evaluate_modes(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1,
                    ood_fraction=0.5, seed=0, oracle_fractions=(), record_events=False):
     """Run the no-TTA / DODA / oracle / sweep modes over one seeded stream.
@@ -110,15 +96,16 @@ def evaluate_modes(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1
 
     results = {"_stream": {"is_ood": is_ood, "labels": labels, "logits": stream_logits,
                            "stats": stats, "p0": p0}}
+    is_id = ~is_ood
+    predicted, true = stream_logits.argmax(axis=1)[is_id], labels[is_id]
 
     def run(mode_name, **kwargs):
         scores, events, final_state = doda.run_stream(
             kwargs.pop("state", p0), stats, stream_logits,
             record_events=record_events, **kwargs
         )
-        samples = scored_samples(stream_logits, scores, is_ood, labels)
         results[mode_name] = {
-            "report": metrics.metric_report(samples, with_acc=True),
+            "report": metrics.metric_report(np.asarray(scores), is_id, predicted, true),
             "scores": scores,
             "events": events,
             "final_state": final_state,
@@ -458,9 +445,7 @@ def cmd_alpha_sweep(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
+def _parse_grid(value: str) -> list[float]:
     value = value.strip()
     if not value:
         return []
@@ -534,25 +519,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _set_config_defaults(parser, command: str, path) -> None:
+    """Make the JSON object in path the defaults of one subcommand, so that
+    flags given on the command line win over it. ConfigError names the key
+    that is not a flag of the subcommand or whose value the flag rejects."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command_parser = subcommands.choices[command]
+    actions = {a.dest: a for a in command_parser._actions if a.dest != "help"}
+    defaults = {}
+    for key, value in config.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"config key {key!r} is not a flag of {command_parser.prog!r}")
+        try:
+            defaults[action.dest] = _config_value(action, value)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: bad value {value!r}: {exc}") from exc
+    command_parser.set_defaults(**defaults)
+
+
+def _config_value(action, value):
+    """value converted as the flag's command-line text would be."""
+    if action.nargs == 0:  # a store_true switch
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    if (action.nargs == "*") != isinstance(value, list):
+        raise ValueError("expected a list" if action.nargs == "*" else "expected one value")
+    items = value if action.nargs == "*" else [value]
+    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in items):
+        raise ValueError("expected strings or numbers")
+    converted = [action.type(str(v)) if action.type else str(v) for v in items]
+    if action.choices is not None and not set(converted) <= set(action.choices):
+        raise ValueError(f"expected one of {', '.join(action.choices)}")
+    return converted if action.nargs == "*" else converted[0]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _set_config_defaults(parser, args.command, args.config)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr):
-                setattr(args, attr, value)
-    try:
-        return args.func(args)
     except (ConfigError, InvalidInputError, ShapeError, InsufficientDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,6 +12,7 @@ cloud can occupy exactly the region the outliers never visited.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -277,3 +278,34 @@ def read_sample_set(path, provenance: str) -> SampleSet:
     feats = np.vstack([r.logits for r in records])
     labels = np.asarray([r.label for r in records])
     return SampleSet(feats, labels, provenance)
+
+
+def read_json_object(path) -> dict:
+    """The JSON object stored at path (a checkpoint); LogitFileError if it is not one."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise LogitFileError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise LogitFileError(f"{path}: expected a JSON object")
+    return payload
+
+
+def json_field(payload: dict, key: str, path, convert):
+    """convert(payload[key]); LogitFileError names the path and the key when
+    the key is missing or convert raises TypeError or ValueError."""
+    if key not in payload:
+        raise LogitFileError(f"{path}: missing key {key!r}")
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError) as exc:
+        raise LogitFileError(f"{path}: bad {key!r}: {exc}") from exc
+
+
+def float_array(value, shape) -> np.ndarray:
+    """value as a finite float64 array of the given shape, else ValueError."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape or not np.isfinite(arr).all():
+        raise ValueError(f"expected finite values of shape {shape}, got shape {arr.shape}")
+    return arr

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _as_logit_matrix, calibrated_energy, exp_logits, global_energy
-from .errors import InsufficientDataError, InvalidInputError, ShapeError
+from .data import float_array, json_field, read_json_object
+from .errors import (EnergyOverflowError, InsufficientDataError, InvalidInputError,
+                     LogitFileError, ShapeError)
 
 DEFAULT_ALPHA = 3.0
 
@@ -77,8 +79,12 @@ def fit_energy_stats(train_id_logits, alpha: float = DEFAULT_ALPHA) -> EnergySta
     if rows.shape[0] < 2:
         raise InsufficientDataError("need at least 2 samples to fit energy statistics")
     energies = np.array([global_energy(r) for r in rows])
-    mu = float(energies.mean())
-    sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / (energies.size - 1))
+    with np.errstate(over="ignore"):
+        mu = float(energies.mean())
+        sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / (energies.size - 1))
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise EnergyOverflowError(
+            f"energy statistics exceed float64 range (mu_in={mu}, sigma_in={sigma})")
     return EnergyStats.from_moments(mu, sigma, alpha)
 
 
@@ -218,11 +224,15 @@ def save_state(path, state: OutlierDistribution, stats: EnergyStats) -> None:
 
 
 def load_state(path) -> tuple[OutlierDistribution, EnergyStats]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    values = np.asarray(payload["values"], dtype=np.float64)
-    if values.shape[0] != payload["k"]:
-        raise ShapeError("snapshot k does not match its values length")
-    state = OutlierDistribution(values=values, m=int(payload["m"]))
-    stats = EnergyStats.from_moments(payload["mu_in"], payload["sigma_in"], payload["alpha"])
-    return state, stats
+    """Read a save_state file. LogitFileError names the path and the key that
+    is missing, malformed or out of range."""
+    payload = read_json_object(path)
+    k = json_field(payload, "k", path, int)
+    values = json_field(payload, "values", path, lambda v: float_array(v, (k,)))
+    m = json_field(payload, "m", path, int)
+    mu_in, sigma_in, alpha = (json_field(payload, key, path, lambda v: float(float_array(v, ())))
+                              for key in ("mu_in", "sigma_in", "alpha"))
+    try:
+        return OutlierDistribution(values, m), EnergyStats.from_moments(mu_in, sigma_in, alpha)
+    except InvalidInputError as exc:
+        raise LogitFileError(f"{path}: {exc}") from exc

@@ -74,12 +74,6 @@ class LogitBatch:
         """All rows, ID first, then outliers."""
         return np.vstack([self.id_rows, self.out_rows])
 
-    def id_indices(self) -> np.ndarray:
-        return np.arange(self.b_in)
-
-    def out_indices(self) -> np.ndarray:
-        return np.arange(self.b_in, self.b_in + self.b_out)
-
 
 def global_energy(logits) -> float:
     """Sum of exponentiated logits, Σ_j exp(f_j). Strictly positive."""
@@ -137,24 +131,3 @@ def batch_energy_normalize(batch) -> np.ndarray:
     shifted = rows - rows.max(axis=0, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=0, keepdims=True)
-
-
-def class_energy(norm: np.ndarray, row_subset, j: int) -> float:
-    """Sum of normalized energies of the given rows in class j."""
-    norm = np.asarray(norm, dtype=np.float64)
-    idx = np.asarray(row_subset, dtype=np.intp)
-    if j < 0 or j >= norm.shape[1]:
-        raise IndexError(f"class index {j} out of range for k={norm.shape[1]}")
-    if idx.size and (idx.min() < 0 or idx.max() >= norm.shape[0]):
-        raise IndexError("row subset contains out-of-range indices")
-    if idx.size == 0:
-        return 0.0
-    return float(norm[idx, j].sum())
-
-
-def sample_energy(norm: np.ndarray, i: int) -> float:
-    """Sum of normalized energies of row i across all classes."""
-    norm = np.asarray(norm, dtype=np.float64)
-    if i < 0 or i >= norm.shape[0]:
-        raise IndexError(f"row index {i} out of range for {norm.shape[0]} rows")
-    return float(norm[i].sum())

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedMetricError
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    score: float
-    is_id: bool
-    predicted_class: int | None = None
-    true_class: int | None = None
+from .errors import InvalidInputError, ShapeError, UndefinedMetricError
 
 
 @dataclass(frozen=True)
@@ -45,18 +37,22 @@ class MetricReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _split(samples):
-    id_scores, ood_scores = [], []
-    for s in samples:
-        if not math.isfinite(s.score):
-            raise InvalidInputError("scores must be finite")
-        (id_scores if s.is_id else ood_scores).append(s.score)
-    return np.asarray(id_scores), np.asarray(ood_scores)
+def _check(scores, is_id):
+    """Validate a score vector and its ID flags; return them as float/bool arrays."""
+    scores = np.asarray(scores, dtype=np.float64)
+    is_id = np.asarray(is_id, dtype=bool)
+    if scores.ndim != 1 or is_id.shape != scores.shape:
+        raise ShapeError(f"scores {scores.shape} and is_id {is_id.shape} must be 1-D "
+                         "and of equal length")
+    if not np.isfinite(scores).all():
+        raise InvalidInputError("scores must be finite")
+    return scores, is_id
 
 
-def auroc(samples) -> float:
+def auroc(scores, is_id) -> float:
     """P(ID score > OOD score) + half credit for ties."""
-    id_s, ood_s = _split(samples)
+    scores, is_id = _check(scores, is_id)
+    id_s, ood_s = scores[is_id], scores[~is_id]
     if id_s.size == 0 or ood_s.size == 0:
         raise UndefinedMetricError("AUROC needs at least one ID and one OOD sample")
     ood_sorted = np.sort(ood_s)
@@ -66,16 +62,14 @@ def auroc(samples) -> float:
     return numer / (id_s.size * ood_s.size)
 
 
-def average_precision(samples, positive: str = "id") -> float:
+def average_precision(scores, is_id, positive: str = "id") -> float:
     """Step AP with `positive` in {"id", "ood"}; for "ood" the ranking is by
     ascending score (OOD-likeness)."""
     if positive not in ("id", "ood"):
         raise InvalidInputError("positive must be 'id' or 'ood'")
-    samples = list(samples)
-    scores = np.asarray([s.score if positive == "id" else -s.score for s in samples])
-    if not np.isfinite(scores).all():
-        raise InvalidInputError("scores must be finite")
-    is_pos = np.asarray([s.is_id == (positive == "id") for s in samples])
+    scores, is_pos = _check(scores, is_id)
+    if positive == "ood":
+        scores, is_pos = -scores, ~is_pos
     if not is_pos.any():
         raise UndefinedMetricError(f"no positive ({positive}) samples")
     order = np.argsort(-scores, kind="stable")
@@ -86,12 +80,13 @@ def average_precision(samples, positive: str = "id") -> float:
     return math.fsum(precisions) / int(is_pos.sum())
 
 
-def fpr_at_tpr(samples, tpr_target: float = 0.95) -> float:
+def fpr_at_tpr(scores, is_id, tpr_target: float = 0.95) -> float:
     """Fraction of OOD samples at or above the tightest threshold that keeps
     the ID true-positive rate >= tpr_target."""
     if not 0.0 < tpr_target <= 1.0:
         raise InvalidInputError("tpr_target must lie in (0, 1]")
-    id_s, ood_s = _split(samples)
+    scores, is_id = _check(scores, is_id)
+    id_s, ood_s = scores[is_id], scores[~is_id]
     if id_s.size == 0 or ood_s.size == 0:
         raise UndefinedMetricError("FPR@TPR needs at least one ID and one OOD sample")
     need = math.ceil(tpr_target * id_s.size - 1e-12)
@@ -99,26 +94,24 @@ def fpr_at_tpr(samples, tpr_target: float = 0.95) -> float:
     return float((ood_s >= threshold).sum()) / ood_s.size
 
 
-def accuracy(samples) -> float:
-    """Fraction of ID samples with predicted_class == true_class."""
-    correct = total = 0
-    for s in samples:
-        if not s.is_id:
-            continue
-        if s.predicted_class is None or s.true_class is None:
-            raise InvalidInputError("ID samples need predicted_class and true_class for ACC")
-        total += 1
-        correct += int(s.predicted_class == s.true_class)
-    if total == 0:
+def accuracy(predicted, true) -> float:
+    """Fraction of labeled ID samples with predicted class == true class."""
+    predicted, true = np.asarray(predicted), np.asarray(true)
+    if predicted.ndim != 1 or true.shape != predicted.shape:
+        raise ShapeError(f"predicted {predicted.shape} and true {true.shape} must be 1-D "
+                         "and of equal length")
+    if predicted.size == 0:
         raise UndefinedMetricError("no labeled ID samples")
-    return correct / total
+    return int((predicted == true).sum()) / predicted.size
 
 
-def metric_report(samples, with_acc: bool = False) -> MetricReport:
+def metric_report(scores, is_id, predicted=None, true=None) -> MetricReport:
+    """All detection metrics of one scored stream; ACC only when the ID
+    samples' predicted and true classes are given."""
     return MetricReport(
-        auroc=auroc(samples),
-        ap_in=average_precision(samples, "id"),
-        ap_out=average_precision(samples, "ood"),
-        fpr_at_95tpr=fpr_at_tpr(samples, 0.95),
-        acc=accuracy(samples) if with_acc else None,
+        auroc=auroc(scores, is_id),
+        ap_in=average_precision(scores, is_id, "id"),
+        ap_out=average_precision(scores, is_id, "ood"),
+        fpr_at_95tpr=fpr_at_tpr(scores, is_id, 0.95),
+        acc=None if predicted is None and true is None else accuracy(predicted, true),
     )

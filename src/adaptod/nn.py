@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import float_array, json_field, read_json_object
 from .dne import DneConfig, LossBreakdown, ce_and_grad, loss_and_grad
 from .energy import LogitBatch
 from .errors import InvalidInputError, ShapeError, TrainingDivergedError
@@ -238,12 +239,14 @@ def save_checkpoint(path, model: Mlp, seed: int, stage: str) -> None:
 
 
 def load_checkpoint(path) -> tuple[Mlp, int, str]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    dims = [int(d) for d in payload["layer_dims"]]
-    weights = []
-    for flat, (fan_in, fan_out) in zip(payload["weights"], zip(dims[:-1], dims[1:])):
-        weights.append(np.asarray(flat, dtype=np.float64).reshape(fan_in, fan_out))
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+    """Read a save_checkpoint file. LogitFileError names the path and the key
+    that is missing, malformed or does not match layer_dims."""
+    payload = read_json_object(path)
+    dims = json_field(payload, "layer_dims", path, lambda v: [int(d) for d in v])
+    shapes = list(zip(dims[:-1], dims[1:]))
+    weights = json_field(payload, "weights", path, lambda v: [
+        float_array(w, (i * o,)).reshape(i, o) for w, (i, o) in zip(v, shapes, strict=True)])
+    biases = json_field(payload, "biases", path, lambda v: [
+        float_array(b, (o,)) for b, (_, o) in zip(v, shapes, strict=True)])
     model = Mlp(layer_dims=dims, weights=weights, biases=biases)
-    return model, int(payload["seed"]), str(payload["stage"])
+    return model, json_field(payload, "seed", path, int), json_field(payload, "stage", path, str)

@@ -15,7 +15,6 @@ import pytest
 
 from adaptod import cli, dne, doda, metrics, nn
 from adaptod.energy import LogitBatch, batch_energy_normalize, calibrated_energy, global_energy
-from adaptod.metrics import ScoredSample
 
 from oracles import (
     central_difference,
@@ -151,17 +150,15 @@ def test_metrics_equal_bruteforce_oracles_exactly():
         else:
             id_scores = rng.integers(0, 6, n_id).astype(float)
             ood_scores = rng.integers(0, 6, n_ood).astype(float)
-        samples = [ScoredSample(float(s), True) for s in id_scores]
-        samples += [ScoredSample(float(s), False) for s in ood_scores]
-
-        assert metrics.auroc(samples) == pair_count_auroc(id_scores, ood_scores)
         scores = np.concatenate([id_scores, ood_scores])
         is_id = np.concatenate([np.ones(n_id, bool), np.zeros(n_ood, bool)])
-        assert metrics.average_precision(samples, positive="id") == \
+
+        assert metrics.auroc(scores, is_id) == pair_count_auroc(id_scores, ood_scores)
+        assert metrics.average_precision(scores, is_id, positive="id") == \
             rank_walk_ap(scores, is_id)
-        assert metrics.average_precision(samples, positive="ood") == \
+        assert metrics.average_precision(scores, is_id, positive="ood") == \
             rank_walk_ap(-scores, ~is_id)
-        assert metrics.fpr_at_tpr(samples, 0.95) == \
+        assert metrics.fpr_at_tpr(scores, is_id, 0.95) == \
             threshold_scan_fpr(id_scores, ood_scores, 0.95)
 
 
@@ -214,10 +211,8 @@ def test_zero_calibration_reduces_to_global_energy():
     assert (np.abs(cal - raw) / np.abs(raw)).max() <= 1e-12
 
     is_id = rng.random(200) < 0.5
-    rep_raw = metrics.metric_report(
-        [ScoredSample(float(s), bool(i)) for s, i in zip(raw, is_id)])
-    rep_cal = metrics.metric_report(
-        [ScoredSample(float(s), bool(i)) for s, i in zip(cal, is_id)])
+    rep_raw = metrics.metric_report(raw, is_id)
+    rep_cal = metrics.metric_report(cal, is_id)
     assert rep_raw == rep_cal
 
 

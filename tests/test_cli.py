@@ -132,6 +132,19 @@ class TestAdaptEval:
                      tmp_path / "bad.json", "--out", tmp_path / "e")
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text, key", [
+        ("{not json", "not valid JSON"),
+        ('{"layer_dims": [8, 10]}', "'weights'"),
+    ])
+    def test_malformed_checkpoint_exits_data(self, small_run, tmp_path, capsys, text, key):
+        data_dir, _ = small_run
+        (tmp_path / "bad.json").write_text(text)
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model",
+                     tmp_path / "bad.json", "--out", tmp_path / "e")
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(tmp_path / "bad.json") in err and key in err
+
     def test_bad_ood_fraction_exits_config(self, small_run, tmp_path):
         data_dir, model_dir = small_run
         rc = run_cli("adapt-eval", "--data", data_dir, "--model",
@@ -207,6 +220,57 @@ class TestConfigFile:
     def test_malformed_config_exits_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
+        assert run_cli("--config", cfg, "generate", "--out", tmp_path / "d") == EXIT_CONFIG
+
+    def test_command_line_flags_win_over_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9, "n_max": 60}))
+        out = tmp_path / "d"
+        assert run_cli("--config", cfg, "generate", "--out", out, "--seed", 4) == EXIT_OK
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert (params["seed"], params["n_max"]) == (4, 60)
+
+    def test_unknown_config_key_exits_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sed": 9}))
+        assert run_cli("--config", cfg, "generate", "--out", tmp_path / "d") == EXIT_CONFIG
+        assert "'sed'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_values_are_converted_by_the_flag_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "9", "rho": 50, "n-max": 60}))
+        out = tmp_path / "d"
+        assert run_cli("--config", cfg, "generate", "--out", out) == EXIT_OK
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert (params["seed"], params["rho"]) == (9, 50.0)
+        assert isinstance(params["rho"], float)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("generate", "seed", "nine"),
+        ("generate", "seed", 9.5),
+        ("generate", "seed", True),
+        ("generate", "seed", None),
+        ("generate", "rho", [1.0]),
+        ("generate", "out", {"a": 1}),
+        ("train", "hidden", 8),
+        ("train", "hidden", ["x"]),
+        ("train", "ce_only", "yes"),
+        ("head-tail", "mode", "sideways"),
+    ])
+    def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = {"generate": ["--out", tmp_path / "d"],
+                "train": ["--data", tmp_path / "d", "--out", tmp_path / "m"],
+                "head-tail": ["--data", tmp_path / "d", "--model", tmp_path / "c.json",
+                              "--out", tmp_path / "h"]}[command]
+        assert run_cli("--config", cfg, command, *argv) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
         assert run_cli("--config", cfg, "generate", "--out", tmp_path / "d") == EXIT_CONFIG
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,13 @@ from adaptod.doda import (
     save_state,
 )
 from adaptod.energy import calibrated_energy, global_energy
-from adaptod.errors import InsufficientDataError, InvalidInputError, ShapeError
+from adaptod.errors import (
+    EnergyOverflowError,
+    InsufficientDataError,
+    InvalidInputError,
+    LogitFileError,
+    ShapeError,
+)
 
 from oracles import mean_std_threshold, running_mean_closed_form
 
@@ -52,6 +59,15 @@ class TestFitEnergyStats:
     def test_needs_two_samples(self):
         with pytest.raises(InsufficientDataError):
             fit_energy_stats([logits_with_energy(5)])
+
+    @pytest.mark.parametrize("rows", [
+        [[708.0, 700.0, 1.0], [705.0, 2.0, 1.0], [700.0, 1.0, 1.0]],  # sigma overflows
+        [[709.0, 0.0], [709.0, 0.0], [709.0, 0.0]],  # the energies' sum overflows
+    ])
+    def test_overflowing_moments_raise(self, rows):
+        with np.errstate(over="raise"):  # no overflow warning escapes either
+            with pytest.raises(EnergyOverflowError, match="sigma_in=inf"):
+                fit_energy_stats(rows)
 
     def test_threshold_identity(self):
         stats = EnergyStats.from_moments(5.0, 2.0, alpha=2.5)
@@ -269,3 +285,32 @@ class TestSnapshot:
         assert np.array_equal(loaded_state.values, state.values)
         assert loaded_state.m == state.m
         assert loaded_stats == stats
+
+    @pytest.mark.parametrize("edit, key", [
+        pytest.param(lambda s: s.pop("values"), "'values'", id="missing-values"),
+        pytest.param(lambda s: s.pop("sigma_in"), "'sigma_in'", id="missing-sigma"),
+        pytest.param(lambda s: s.update(k=7), "'values'", id="k-mismatch"),
+        pytest.param(lambda s: s["values"].append(1.0), "'values'", id="long-values"),
+        pytest.param(lambda s: s.update(m="two"), "'m'", id="bad-m"),
+        pytest.param(lambda s: s.update(alpha=None), "'alpha'", id="null-alpha"),
+        pytest.param(lambda s: s.update(mu_in=float("nan")), "'mu_in'", id="nan-mu"),
+        pytest.param(lambda s: s["values"].__setitem__(0, -1.0), "values must", id="negative-value"),
+        pytest.param(lambda s: s.update(m=-1), "count m must", id="negative-m"),
+        pytest.param(lambda s: s.update(sigma_in=-1.0), "sigma_in must", id="negative-sigma"),
+    ])
+    def test_malformed_state_names_path_and_key(self, tmp_path, edit, key):
+        path = tmp_path / "state.json"
+        rng = np.random.default_rng(10)
+        save_state(path, init_outlier_distribution(rng.standard_normal((5, 6))),
+                   fit_energy_stats(rng.standard_normal((30, 6))))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LogitFileError, match=f"{path}.*{key}"):
+            load_state(path)
+
+    def test_non_json_state(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("{not json")
+        with pytest.raises(LogitFileError, match=str(path)):
+            load_state(path)

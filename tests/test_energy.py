@@ -7,9 +7,7 @@ from adaptod.energy import (
     LogitBatch,
     batch_energy_normalize,
     calibrated_energy,
-    class_energy,
     global_energy,
-    sample_energy,
 )
 from adaptod.errors import EnergyOverflowError, InvalidInputError, ShapeError
 
@@ -131,47 +129,6 @@ class TestBatchEnergyNormalize:
         assert np.allclose(batch_energy_normalize(batch), 0.25)
 
 
-class TestClassAndSampleEnergy:
-    def test_full_subset_is_one(self):
-        rng = np.random.default_rng(6)
-        norm = batch_energy_normalize(rng.standard_normal((8, 5)))
-        for j in range(5):
-            assert class_energy(norm, range(8), j) == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_subset(self):
-        norm = batch_energy_normalize(np.zeros((3, 2)))
-        assert class_energy(norm, [], 0) == 0.0
-
-    def test_single_element_subset(self):
-        norm = np.array([[0.25, 0.5], [0.75, 0.5]])
-        assert class_energy(norm, [0], 0) == 0.25
-
-    def test_out_of_range(self):
-        norm = np.zeros((2, 2))
-        with pytest.raises(IndexError):
-            class_energy(norm, [0], 5)
-        with pytest.raises(IndexError):
-            class_energy(norm, [9], 0)
-        with pytest.raises(IndexError):
-            sample_energy(norm, 7)
-
-    def test_sample_energy_symmetry(self):
-        norm = batch_energy_normalize(np.ones((4, 6)))
-        for i in range(4):
-            assert sample_energy(norm, i) == pytest.approx(6 / 4, rel=1e-12)
-
-    def test_single_row_sample_energy_is_k(self):
-        norm = batch_energy_normalize(np.array([[1.0, -1.0, 0.0]]))
-        assert sample_energy(norm, 0) == pytest.approx(3.0, rel=1e-12)
-
-    def test_sample_energies_sum_to_k(self):
-        rng = np.random.default_rng(8)
-        rows = rng.standard_normal((37, 9)) * 2
-        norm = batch_energy_normalize(rows)
-        total = sum(sample_energy(norm, i) for i in range(37))
-        assert total == pytest.approx(9.0, abs=1e-9)
-
-
 class TestLogitBatch:
     def test_requires_rows(self):
         with pytest.raises(InvalidInputError):
@@ -184,5 +141,4 @@ class TestLogitBatch:
     def test_stacked_order(self):
         b = LogitBatch(np.ones((2, 2)), np.zeros((3, 2)))
         assert b.stacked.shape == (5, 2)
-        assert np.array_equal(b.id_indices(), [0, 1])
-        assert np.array_equal(b.out_indices(), [2, 3, 4])
+        assert np.array_equal(b.stacked, np.vstack([np.ones((2, 2)), np.zeros((3, 2))]))

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from adaptod.dne import DneConfig, total_loss, total_loss_grad
 from adaptod.energy import LogitBatch
-from adaptod.errors import InvalidInputError, ShapeError
+from adaptod.errors import InvalidInputError, LogitFileError, ShapeError
 from adaptod.nn import (
     Mlp,
     TrainConfig,
@@ -214,3 +216,30 @@ class TestCheckpoint:
         save_checkpoint(p1, model, seed=7, stage="finetune")
         save_checkpoint(p2, model, seed=7, stage="finetune")
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("edit, key", [
+        pytest.param(lambda c: c.pop("weights"), "weights", id="missing-weights"),
+        pytest.param(lambda c: c.pop("seed"), "seed", id="missing-seed"),
+        pytest.param(lambda c: c.update(layer_dims="x"), "layer_dims", id="bad-dims"),
+        pytest.param(lambda c: c.update(layer_dims=[3]), "weights", id="too-few-dims"),
+        pytest.param(lambda c: c.update(layer_dims=[3, 5, 2]), "weights", id="wider-dims"),
+        pytest.param(lambda c: c["weights"].pop(), "weights", id="missing-layer"),
+        pytest.param(lambda c: c["biases"][1].append(0.0), "biases", id="long-bias"),
+        pytest.param(lambda c: c["weights"][0].__setitem__(0, None), "weights", id="null-weight"),
+        pytest.param(lambda c: c.update(seed="six"), "seed", id="bad-seed"),
+    ])
+    def test_malformed_checkpoint_names_path_and_key(self, tmp_path, edit, key):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, Mlp.init([3, 4, 2], seed=7), seed=7, stage="finetune")
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LogitFileError, match=f"{path}.*'{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[8, 10]", "\xff"])
+    def test_non_object_checkpoint(self, tmp_path, text):
+        path = tmp_path / "ckpt.json"
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(LogitFileError, match=str(path)):
+            load_checkpoint(path)
