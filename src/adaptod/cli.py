@@ -75,54 +75,53 @@ def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
     return feats[order], is_ood[order], labels[order]
 
 
-def evaluate_modes(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1,
-                   ood_fraction=0.5, seed=0, oracle_fractions=(), record_events=False):
-    """Run the no-TTA / DODA / oracle / sweep modes over one seeded stream.
-
-    Returns a dict of mode name -> {"report": MetricReport, "scores": [...]},
-    plus the stream arrays under "_stream". Sweep runs share the per-sample
-    uniform draws across fractions (common random numbers) so differences come
-    from the labeled fraction alone.
-    """
-    train_logits = model.forward(datasets[data_mod.ID_TRAIN].features)
-    stats = doda.fit_energy_stats(train_logits, alpha=alpha)
+def prepare(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1):
+    """What every stream of one command shares, from one forward of the
+    ID-train and of the outlier set: (filter stats, P0, outlier logits)."""
+    stats = doda.fit_energy_stats(model.forward(datasets[data_mod.ID_TRAIN].features), alpha)
     outlier_logits = model.forward(datasets[data_mod.OUTLIER].features)
     p0 = doda.init_outlier_distribution(outlier_logits, virtual_count=virtual_count)
+    return stats, p0, outlier_logits
 
-    feats, is_ood, labels = build_stream(
-        datasets[data_mod.ID_TEST], datasets[data_mod.TRUE_OOD], ood_fraction, seed
-    )
-    stream_logits = model.forward(feats)
 
-    results = {"_stream": {"is_ood": is_ood, "labels": labels, "logits": stream_logits,
-                           "stats": stats, "p0": p0}}
+def forward_stream(model, datasets, ood_fraction, seed):
+    """build_stream of the ID-test and true-OOD sets, with logits for features."""
+    feats, is_ood, labels = build_stream(datasets[data_mod.ID_TEST],
+                                         datasets[data_mod.TRUE_OOD], ood_fraction, seed)
+    return model.forward(feats), is_ood, labels
+
+
+MODES = ("uncalibrated", "no_tta", "doda", "oracle")
+
+
+def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0,
+                   record_events=False):
+    """One run_stream pass per requested mode, plus one sweep_<f> pass per
+    oracle fraction f, over a forward_stream result.
+
+    Returns mode name -> {"report", "scores", "events", "final_state"}. Each
+    oracle pass draws from its own rng(seed), so no result depends on which
+    other modes run, and the sweep fractions share their per-sample uniform
+    draws (common random numbers): differences come from the fraction alone.
+    """
+    stream_logits, is_ood, labels = stream
     is_id = ~is_ood
     predicted, true = stream_logits.argmax(axis=1)[is_id], labels[is_id]
 
-    def run(mode_name, **kwargs):
+    def run(state=p0, freeze=False, fraction=0.0):
+        oracle = dict(oracle_labels=is_ood, use_label_probability=float(fraction),
+                      rng=np.random.default_rng(seed)) if fraction else {}
         scores, events, final_state = doda.run_stream(
-            kwargs.pop("state", p0), stats, stream_logits,
-            record_events=record_events, **kwargs
-        )
-        results[mode_name] = {
-            "report": metrics.metric_report(np.asarray(scores), is_id, predicted, true),
-            "scores": scores,
-            "events": events,
-            "final_state": final_state,
-        }
+            state, stats, stream_logits, freeze=freeze, record_events=record_events, **oracle)
+        return {"report": metrics.metric_report(np.asarray(scores), is_id, predicted, true),
+                "scores": scores, "events": events, "final_state": final_state}
 
-    zero_state = doda.OutlierDistribution(values=np.zeros(p0.k), m=0)
-    run("uncalibrated", state=zero_state, freeze=True)
-    run("no_tta", freeze=True)
-    run("doda")
-    run("oracle", oracle_labels=is_ood, use_label_probability=1.0,
-        rng=np.random.default_rng(seed))
+    zero = doda.OutlierDistribution(np.zeros(p0.k), 0)
+    plans = {"uncalibrated": dict(state=zero, freeze=True), "no_tta": dict(freeze=True),
+             "doda": {}, "oracle": dict(fraction=1.0)}
+    results = {mode: run(**plans[mode]) for mode in modes}
     for frac in oracle_fractions:
-        if frac == 0.0:
-            run(f"sweep_{frac:g}")
-        else:
-            run(f"sweep_{frac:g}", oracle_labels=is_ood, use_label_probability=float(frac),
-                rng=np.random.default_rng(seed))
+        results[f"sweep_{frac:g}"] = run(fraction=frac)
     return results
 
 
@@ -133,7 +132,8 @@ HEAD_TAIL_MODES = {"doda": "doda", "frozen": "no_tta", "uncalibrated": "uncalibr
 
 def head_tail_reports(model, datasets, *, head_classes=None, alpha=doda.DEFAULT_ALPHA,
                       virtual_count=1, ood_fraction=0.5, seed=0, mode="doda"):
-    """Evaluate twice with ID restricted to the head half, then the tail half.
+    """Evaluate one mode twice with ID restricted to the head half, then the
+    tail half; both halves share one preparation.
 
     Returns {"head": MetricReport, "tail": MetricReport}. Classes are ordered
     by training frequency, so the head half is the first half of class indices.
@@ -142,19 +142,18 @@ def head_tail_reports(model, datasets, *, head_classes=None, alpha=doda.DEFAULT_
     k = int(id_test.labels.max()) + 1
     if head_classes is None:
         head_classes = set(range(k // 2))
-    reports = {}
+    halves = {}
     for name, keep in (("head", head_classes), ("tail", set(range(k)) - set(head_classes))):
         mask = np.isin(id_test.labels, sorted(keep))
         if not mask.any():
             raise UndefinedMetricError(f"no ID samples left in the {name} subset")
-        subset = data_mod.SampleSet(id_test.features[mask], id_test.labels[mask],
-                                    data_mod.ID_TEST)
-        sub_datasets = dict(datasets)
-        sub_datasets[data_mod.ID_TEST] = subset
-        res = evaluate_modes(model, sub_datasets, alpha=alpha, virtual_count=virtual_count,
-                             ood_fraction=ood_fraction, seed=seed)
-        reports[name] = res[HEAD_TAIL_MODES[mode]]["report"]
-    return reports
+        halves[name] = {**datasets, data_mod.ID_TEST: data_mod.SampleSet(
+            id_test.features[mask], id_test.labels[mask], data_mod.ID_TEST)}
+    stats, p0, _ = prepare(model, datasets, alpha=alpha, virtual_count=virtual_count)
+    key = HEAD_TAIL_MODES[mode]
+    return {name: evaluate_modes(stats, p0, forward_stream(model, half, ood_fraction, seed),
+                                 modes=(key,), seed=seed)[key]["report"]
+            for name, half in halves.items()}
 
 
 def train_models(datasets, *, seed, hidden=(32,), epochs_pretrain=15, epochs_finetune=10,
@@ -229,10 +228,11 @@ def desk_benchmark(seed: int, *, oracle_fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
     ce_model, _ = train_models(datasets, seed=seed, ce_only=True, **BENCHMARK_TRAIN)
     dne_model, dne_log = train_models(datasets, seed=seed, **BENCHMARK_TRAIN)
 
-    res = evaluate_modes(dne_model, datasets, seed=seed, oracle_fractions=oracle_fractions,
-                         virtual_count=BENCHMARK_VIRTUAL_COUNT)
+    stats, p0, _ = prepare(dne_model, datasets, virtual_count=BENCHMARK_VIRTUAL_COUNT)
+    res = evaluate_modes(stats, p0, forward_stream(dne_model, datasets, 0.5, seed),
+                         oracle_fractions=oracle_fractions, seed=seed)
     out = {
-        "auroc": {m: res[m]["report"].auroc for m in ("uncalibrated", "no_tta", "doda", "oracle")},
+        "auroc": {m: res[m]["report"].auroc for m in MODES},
         "sweep": [(f, res[f"sweep_{f:g}"]["report"].auroc) for f in oracle_fractions],
         "train_log": dne_log,
     }
@@ -311,16 +311,16 @@ def _load_model_for_data(ns, datasets):
     return model
 
 
-def _write_histograms(out_dir: Path, model, datasets, doda_result) -> None:
+def _write_histograms(out_dir: Path, model, datasets, outlier_logits, adapted_scores) -> None:
     """50-bin histograms of global energy for the ID-test, outlier, and true-OOD
     populations, plus calibrated (adapted) scores of the evaluation stream."""
     populations = {
-        "id_test": [doda.global_energy(r) for r in model.forward(datasets[data_mod.ID_TEST].features)],
-        "outlier": [doda.global_energy(r) for r in model.forward(datasets[data_mod.OUTLIER].features)],
-        "true_ood": [doda.global_energy(r) for r in model.forward(datasets[data_mod.TRUE_OOD].features)],
-        "adapted_scores": list(doda_result["scores"]),
+        "id_test": doda.global_energies(model.forward(datasets[data_mod.ID_TEST].features)),
+        "outlier": doda.global_energies(outlier_logits),
+        "true_ood": doda.global_energies(model.forward(datasets[data_mod.TRUE_OOD].features)),
+        "adapted_scores": np.asarray(adapted_scores),
     }
-    pooled = np.concatenate([np.asarray(v) for v in populations.values()])
+    pooled = np.concatenate(list(populations.values()))
     edges = np.linspace(pooled.min(), pooled.max(), 51)
     counts = {name: np.histogram(vals, bins=edges)[0] for name, vals in populations.items()}
     with open(out_dir / "energy_hist.csv", "w") as fh:
@@ -360,21 +360,19 @@ def _write_hist_svg(path, edges, counts) -> None:
 
 
 def cmd_adapt_eval(ns) -> int:
+    fractions = _parse_grid(ns.oracle_fractions)
+    bad = [f for f in fractions if not 0.0 <= f <= 1.0]
+    if bad:
+        raise ConfigError(f"oracle fraction {bad[0]:g} must lie in [0, 1]")
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     datasets = load_datasets(ns.data)
     model = _load_model_for_data(ns, datasets)
-    fractions = _parse_grid(ns.oracle_fractions)
-    results = evaluate_modes(
-        model, datasets, alpha=ns.alpha, virtual_count=ns.virtual_count,
-        ood_fraction=ns.ood_fraction, seed=ns.seed, oracle_fractions=fractions,
-        record_events=ns.events,
-    )
-    payload = {}
-    for mode, res in results.items():
-        if mode.startswith("_"):
-            continue
-        payload[mode] = json.loads(res["report"].to_json())
+    stats, p0, outlier_logits = prepare(model, datasets, alpha=ns.alpha,
+                                        virtual_count=ns.virtual_count)
+    results = evaluate_modes(stats, p0, forward_stream(model, datasets, ns.ood_fraction, ns.seed),
+                             oracle_fractions=fractions, seed=ns.seed, record_events=ns.events)
+    payload = {mode: json.loads(res["report"].to_json()) for mode, res in results.items()}
     with open(out_dir / "metrics.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -384,9 +382,8 @@ def cmd_adapt_eval(ns) -> int:
             for ev in results["doda"]["events"]:
                 fh.write(f"{ev.sample_index},{int(ev.accepted)},"
                          f"{ev.global_energy!r},{ev.calibrated_score!r}\n")
-    _write_histograms(out_dir, model, datasets, results["doda"])
-    doda.save_state(out_dir / "adapter_state.json",
-                    results["doda"]["final_state"], results["_stream"]["stats"])
+    _write_histograms(out_dir, model, datasets, outlier_logits, results["doda"]["scores"])
+    doda.save_state(out_dir / "adapter_state.json", results["doda"]["final_state"], stats)
     _write_manifest(out_dir, "adapt-eval", {
         "data": str(ns.data), "model": str(ns.model), "alpha": ns.alpha,
         "virtual_count": ns.virtual_count, "ood_fraction": ns.ood_fraction,
@@ -417,21 +414,22 @@ def cmd_headtail(ns) -> int:
 
 
 def cmd_alpha_sweep(ns) -> int:
+    alphas = _parse_grid(ns.alphas)
+    if not alphas:
+        raise ConfigError("alpha grid is empty")
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     datasets = load_datasets(ns.data)
     model = _load_model_for_data(ns, datasets)
-    alphas = _parse_grid(ns.alphas)
-    if not alphas:
-        raise ConfigError("alpha grid is empty")
-    rows = []
-    for alpha in alphas:
-        res = evaluate_modes(model, datasets, alpha=alpha, virtual_count=ns.virtual_count,
-                             ood_fraction=ns.ood_fraction, seed=ns.seed)
-        rows.append((alpha, res["doda"]["report"].auroc))
+    fitted, p0, _ = prepare(model, datasets, alpha=alphas[0], virtual_count=ns.virtual_count)
+    # mu_in and sigma_in do not depend on alpha; only the threshold R does.
+    grid = [doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, a) for a in alphas]
+    stream = forward_stream(model, datasets, ns.ood_fraction, ns.seed)
+    aurocs = [evaluate_modes(stats, p0, stream, modes=("doda",),
+                             seed=ns.seed)["doda"]["report"].auroc for stats in grid]
     with open(out_dir / "alpha_sweep.csv", "w") as fh:
         fh.write("alpha,auroc\n")
-        for alpha, auc in rows:
+        for alpha, auc in zip(alphas, aurocs):
             fh.write(f"{alpha!r},{auc!r}\n")
     _write_manifest(out_dir, "alpha-sweep", {
         "data": str(ns.data), "model": str(ns.model), "alphas": alphas,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _as_logit_matrix, calibrated_energy, exp_logits, global_energy
+from .energy import (_LOG_FLOAT_MAX, _as_logit_matrix, calibrated_energy, exp_logits,
+                     global_energies, global_energy)
 from .data import float_array, json_field, read_json_object
 from .errors import (EnergyOverflowError, InsufficientDataError, InvalidInputError,
                      LogitFileError, ShapeError)
@@ -34,10 +35,11 @@ class EnergyStats:
 
     @classmethod
     def from_moments(cls, mu_in: float, sigma_in: float, alpha: float = DEFAULT_ALPHA):
-        if sigma_in < 0:
-            raise InvalidInputError("sigma_in must be non-negative")
-        if alpha <= 0:
-            raise InvalidInputError("alpha must be positive")
+        if not (math.isfinite(mu_in) and math.isfinite(sigma_in) and sigma_in >= 0):
+            raise InvalidInputError("mu_in and sigma_in must be finite and sigma_in must be "
+                                    f"non-negative, got {mu_in}, {sigma_in}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise InvalidInputError(f"alpha must be finite and positive, got {alpha}")
         return cls(mu_in=mu_in, sigma_in=sigma_in, alpha=alpha, r=mu_in - alpha * sigma_in)
 
 
@@ -78,7 +80,7 @@ def fit_energy_stats(train_id_logits, alpha: float = DEFAULT_ALPHA) -> EnergySta
     rows = _as_logit_matrix(np.atleast_2d(np.asarray(train_id_logits, dtype=np.float64)))
     if rows.shape[0] < 2:
         raise InsufficientDataError("need at least 2 samples to fit energy statistics")
-    energies = np.array([global_energy(r) for r in rows])
+    energies = global_energies(rows)
     with np.errstate(over="ignore"):
         mu = float(energies.mean())
         sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / (energies.size - 1))
@@ -99,7 +101,9 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
     rows = _as_logit_matrix(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)))
     if rows.shape[0] < 1:
         raise InsufficientDataError("need at least one outlier sample to initialize")
-    ef = np.vstack([exp_logits(r) for r in rows])
+    if rows.max() >= _LOG_FLOAT_MAX:
+        raise EnergyOverflowError("exp(logit) exceeds float64 range")
+    ef = np.exp(np.ascontiguousarray(rows))  # column means as over stacked rows
     return OutlierDistribution(values=ef.mean(axis=0), m=virtual_count)
 
 

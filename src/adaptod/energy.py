@@ -30,8 +30,8 @@ def _as_logit_vector(logits) -> np.ndarray:
 
 def _as_logit_matrix(rows, name: str = "logits") -> np.ndarray:
     m = np.asarray(rows, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D {name} matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[1] < 1:
+        raise ShapeError(f"expected a 2-D {name} matrix with k >= 1, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contain non-finite entries")
     return m
@@ -87,6 +87,22 @@ def global_energy(logits) -> float:
     if not math.isfinite(value):
         raise EnergyOverflowError("global energy exceeds float64 range")
     return value
+
+
+def global_energies(rows) -> np.ndarray:
+    """global_energy of each row of a logit matrix, equal to it bit for bit."""
+    rows = np.ascontiguousarray(_as_logit_matrix(rows))  # row sums as in the 1-D case
+    m = rows.max(axis=1)
+    totals = np.exp(rows - m[:, None]).sum(axis=1)
+    # math.log and math.exp, which round differently from np.log and np.exp,
+    # keep the guard and the scale exactly those of global_energy.
+    if (m + np.fromiter(map(math.log, totals.tolist()), float, m.size) >= _LOG_FLOAT_MAX).any():
+        raise EnergyOverflowError("global energy exceeds float64 range")
+    with np.errstate(over="ignore"):
+        values = np.fromiter(map(math.exp, m.tolist()), float, m.size) * totals
+    if not np.isfinite(values).all():
+        raise EnergyOverflowError("global energy exceeds float64 range")
+    return values
 
 
 def exp_logits(logits) -> np.ndarray:

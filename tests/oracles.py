@@ -6,6 +6,7 @@ deliberately shares no code with the package under test.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,6 +30,37 @@ def running_mean_closed_form(v0, m0, accepted_exp_rows):
     for row in accepted_exp_rows:
         total = total + np.asarray(row, dtype=float)
     return total / (m0 + len(accepted_exp_rows))
+
+
+# --- per-row energies (bit-exact reference) ---------------------------------
+#
+# The per-row loops that fitted the energy statistics, initialized the outlier
+# distribution and filled the energy histograms before they ran on whole
+# matrices: per row a max shift, np.exp and a sum, with the overflow guard and
+# the scale factor through math.log and math.exp. Same float ops, so the
+# vectorized forms must match them exactly.
+
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def rowwise_global_energies(rows):
+    """Sum of exp(f_j) per row; OverflowError past float64 range."""
+    out = []
+    for v in np.asarray(rows, dtype=float):
+        m = float(v.max())
+        total = float(np.exp(v - m).sum())
+        if m + math.log(total) >= LOG_FLOAT_MAX:
+            raise OverflowError("global energy exceeds float64 range")
+        value = math.exp(m) * total
+        if not math.isfinite(value):
+            raise OverflowError("global energy exceeds float64 range")
+        out.append(value)
+    return np.array(out)
+
+
+def rowwise_exp_mean(rows):
+    """Per-class mean of exp(f_j) over the rows, stacked one row at a time."""
+    return np.vstack([np.exp(v) for v in np.asarray(rows, dtype=float)]).mean(axis=0)
 
 
 # --- DNE loss, term by term -----------------------------------------------

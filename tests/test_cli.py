@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptod import cli, data, nn
+from adaptod import cli, data, doda, nn
 from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
 
 
@@ -145,6 +145,28 @@ class TestAdaptEval:
         err = capsys.readouterr().err
         assert str(tmp_path / "bad.json") in err and key in err
 
+    @pytest.mark.parametrize("command", ["adapt-eval", "head-tail"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
+    def test_bad_alpha_exits_config(self, small_run, tmp_path, capsys, command, alpha):
+        data_dir, model_dir = small_run
+        rc = run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", tmp_path / "e", f"--alpha={alpha}")
+        assert rc == EXIT_CONFIG
+        assert "alpha must be finite and positive" in capsys.readouterr().err
+        assert not list((tmp_path / "e").iterdir())
+
+    @pytest.mark.parametrize("fractions, bad", [
+        ("-0.5", "-0.5"), ("0,1.5", "1.5"), ("nan", "nan"), ("0.5,inf", "inf"),
+    ])
+    def test_bad_oracle_fraction_exits_config_before_any_work(self, small_run, tmp_path, capsys,
+                                                              fractions, bad):
+        data_dir, model_dir = small_run
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", tmp_path / "e", "--oracle-fractions", fractions)
+        assert rc == EXIT_CONFIG
+        assert f"oracle fraction {bad} must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_bad_ood_fraction_exits_config(self, small_run, tmp_path):
         data_dir, model_dir = small_run
         rc = run_cli("adapt-eval", "--data", data_dir, "--model",
@@ -195,12 +217,85 @@ class TestAlphaSweep:
         assert len(lines) == 4
         assert [float(l.split(",")[0]) for l in lines[1:]] == [2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("alphas", ["nan,3", "3,inf", "2,-1"])
+    def test_bad_alpha_in_grid_exits_config(self, small_run, tmp_path, capsys, alphas):
+        data_dir, model_dir = small_run
+        rc = run_cli("alpha-sweep", "--data", data_dir, "--model",
+                     model_dir / "checkpoint.json", "--out", tmp_path / "s", "--alphas", alphas)
+        assert rc == EXIT_CONFIG
+        assert "alpha must be finite and positive" in capsys.readouterr().err
+        assert not list((tmp_path / "s").iterdir())
+
     def test_empty_grid_exits_config(self, small_run, tmp_path):
         data_dir, model_dir = small_run
         rc = run_cli("alpha-sweep", "--data", data_dir, "--model",
                      model_dir / "checkpoint.json", "--out", tmp_path / "s",
                      "--alphas", "")
         assert rc == EXIT_CONFIG
+
+
+class TestEvaluationPlan:
+    """Each command forwards a set once and runs only the stream modes it reports."""
+
+    @pytest.mark.parametrize("command, extra, max_forwards, passes", [
+        ("adapt-eval", ["--events"], 5, 9),  # 4 modes + 5 sweep fractions
+        ("head-tail", [], 4, 2),  # one mode per half
+        ("alpha-sweep", [], 3, 5),  # doda per alpha
+    ])
+    def test_forward_and_stream_pass_counts(self, small_run, tmp_path, monkeypatch,
+                                            command, extra, max_forwards, passes):
+        data_dir, model_dir = small_run
+        calls = {"forward": 0, "run_stream": 0}
+        forward, run_stream = nn.Mlp.forward, doda.run_stream
+
+        def counting_forward(self, inputs):
+            calls["forward"] += 1
+            return forward(self, inputs)
+
+        def counting_run_stream(*args, **kwargs):
+            calls["run_stream"] += 1
+            return run_stream(*args, **kwargs)
+
+        monkeypatch.setattr(nn.Mlp, "forward", counting_forward)
+        monkeypatch.setattr(doda, "run_stream", counting_run_stream)
+        rc = run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", tmp_path / "o", *extra)
+        assert rc == EXIT_OK
+        assert calls["forward"] <= max_forwards
+        assert calls["run_stream"] == passes
+
+    @pytest.fixture()
+    def prepared(self, small_run):
+        data_dir, model_dir = small_run
+        datasets = cli.load_datasets(data_dir)
+        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        stats, p0, _ = cli.prepare(model, datasets, virtual_count=2)
+        return model, datasets, stats, p0, cli.forward_stream(model, datasets, 0.5, seed=5)
+
+    def test_each_mode_alone_equals_the_full_run(self, prepared):
+        _, _, stats, p0, stream = prepared
+        fractions = (0.0, 0.25, 0.5, 1.0)
+        full = cli.evaluate_modes(stats, p0, stream, oracle_fractions=fractions, seed=5)
+        assert set(full) == set(cli.MODES) | {f"sweep_{f:g}" for f in fractions}
+        for mode in cli.MODES:
+            alone = cli.evaluate_modes(stats, p0, stream, modes=(mode,), seed=5)
+            assert set(alone) == {mode}
+            assert alone[mode]["report"] == full[mode]["report"]
+            assert alone[mode]["scores"] == full[mode]["scores"]
+        for frac in fractions:
+            alone = cli.evaluate_modes(stats, p0, stream, modes=(), oracle_fractions=(frac,),
+                                       seed=5)
+            key = f"sweep_{frac:g}"
+            assert alone[key]["report"] == full[key]["report"]
+
+    def test_alpha_grid_from_moments_equals_a_fit_per_alpha(self, prepared):
+        model, datasets, stats, _, _ = prepared
+        ns = cli.build_parser().parse_args(["alpha-sweep", "--data", "d", "--model", "m",
+                                            "--out", "o"])
+        train_logits = model.forward(datasets[data.ID_TRAIN].features)
+        for alpha in cli._parse_grid(ns.alphas):
+            assert doda.EnergyStats.from_moments(stats.mu_in, stats.sigma_in, alpha) \
+                == doda.fit_energy_stats(train_logits, alpha)
 
 
 class TestConfigFile:

@@ -25,7 +25,8 @@ from adaptod.errors import (
     ShapeError,
 )
 
-from oracles import mean_std_threshold, running_mean_closed_form
+from oracles import (mean_std_threshold, rowwise_exp_mean, rowwise_global_energies,
+                     running_mean_closed_form)
 
 
 def logits_with_energy(g, k=2):
@@ -56,6 +57,14 @@ class TestFitEnergyStats:
         assert stats.sigma_in == pytest.approx(sigma, rel=1e-9)
         assert stats.r == pytest.approx(r, rel=1e-9)
 
+    def test_moments_of_the_per_row_energies_exactly(self):
+        rng = np.random.default_rng(43)
+        logits = rng.standard_normal((745, 10)) * 4
+        energies = rowwise_global_energies(logits)
+        mu = float(energies.mean())
+        sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / (energies.size - 1))
+        assert fit_energy_stats(logits, alpha=2.5) == EnergyStats.from_moments(mu, sigma, 2.5)
+
     def test_needs_two_samples(self):
         with pytest.raises(InsufficientDataError):
             fit_energy_stats([logits_with_energy(5)])
@@ -72,6 +81,18 @@ class TestFitEnergyStats:
     def test_threshold_identity(self):
         stats = EnergyStats.from_moments(5.0, 2.0, alpha=2.5)
         assert stats.r == 5.0 - 2.5 * 2.0
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(InvalidInputError, match=f"alpha must be finite and positive, got {alpha}"):
+            EnergyStats.from_moments(5.0, 2.0, alpha)
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_moments_must_be_finite(self, mu, sigma):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            EnergyStats.from_moments(mu, sigma, 3.0)
 
 
 class TestInitOutlierDistribution:
@@ -91,6 +112,21 @@ class TestInitOutlierDistribution:
         expected = np.exp(logits).mean(axis=0)
         assert dist.values == pytest.approx(expected, rel=1e-9)
         assert dist.m == 3
+
+    @pytest.mark.parametrize("n, k", [(1, 3), (100, 10), (1000, 10), (777, 17)])
+    def test_equals_the_per_row_loop_exactly(self, n, k):
+        logits = np.random.default_rng(n).standard_normal((n, k)) * 5
+        want = rowwise_exp_mean(logits)
+        assert np.array_equal(init_outlier_distribution(logits).values, want)
+        assert np.array_equal(init_outlier_distribution(np.asfortranarray(logits)).values, want)
+
+    def test_overflowing_logit_raises(self):
+        with pytest.raises(EnergyOverflowError):
+            init_outlier_distribution([[0.0, 0.0], [710.0, 0.0]])
+
+    def test_rows_without_classes(self):
+        with pytest.raises(ShapeError):
+            init_outlier_distribution(np.empty((3, 0)))
 
     def test_empty_outlier_set(self):
         with pytest.raises((InsufficientDataError, ShapeError)):
@@ -297,6 +333,8 @@ class TestSnapshot:
         pytest.param(lambda s: s["values"].__setitem__(0, -1.0), "values must", id="negative-value"),
         pytest.param(lambda s: s.update(m=-1), "count m must", id="negative-m"),
         pytest.param(lambda s: s.update(sigma_in=-1.0), "sigma_in must", id="negative-sigma"),
+        pytest.param(lambda s: s.update(alpha=0.0), "alpha must", id="zero-alpha"),
+        pytest.param(lambda s: s.update(alpha=1e309), "'alpha'", id="infinite-alpha"),
     ])
     def test_malformed_state_names_path_and_key(self, tmp_path, edit, key):
         path = tmp_path / "state.json"

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from adaptod.energy import (
+    _LOG_FLOAT_MAX,
     LogitBatch,
     batch_energy_normalize,
     calibrated_energy,
+    global_energies,
     global_energy,
 )
 from adaptod.errors import EnergyOverflowError, InvalidInputError, ShapeError
+
+from oracles import rowwise_global_energies
 
 # frozen from a 40-digit mpmath evaluation of e^1 + e^2
 E1_PLUS_E2 = 10.10733792738969546259071493192767031094
@@ -50,6 +54,55 @@ class TestGlobalEnergy:
             j = rng.integers(0, v.size)
             bumped[j] += rng.uniform(0.01, 1.0)
             assert global_energy(bumped) > base
+
+
+def overflow_edge_rows():
+    """Rows whose log global energy lies within 1e-12 of the float64 limit, on
+    both sides: constant rows and rows with one dominant logit."""
+    rows = []
+    for k in (1, 2, 3, 10):
+        for d in np.linspace(-1e-12, 1e-12, 41):
+            rows.append(np.full(k, _LOG_FLOAT_MAX - math.log(k) + d))
+            rows.append(np.r_[_LOG_FLOAT_MAX + d, np.full(k - 1, -30.0)])
+    return rows
+
+
+class TestGlobalEnergies:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 10, 17])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0, 100.0])
+    def test_equals_the_per_row_loop_exactly(self, k, scale):
+        rng = np.random.default_rng(k)
+        rows = rng.standard_normal((2000, k)) * scale + rng.uniform(-50, 50, (2000, 1))
+        want = rowwise_global_energies(rows)
+        assert np.array_equal(global_energies(rows), want)
+        assert np.array_equal(global_energies(np.asfortranarray(rows)), want)
+        assert np.array_equal(global_energies(rows), [global_energy(r) for r in rows])
+
+    def test_overflow_edge_rows_match_the_per_row_loop(self):
+        outcomes = []
+        for row in overflow_edge_rows():
+            try:
+                want = rowwise_global_energies([row])[0]
+            except OverflowError:
+                with pytest.raises(EnergyOverflowError):
+                    global_energies(row[None, :])
+                outcomes.append("raised")
+                continue
+            assert global_energies(row[None, :])[0] == want
+            outcomes.append("finite")
+        assert {"raised", "finite"} <= set(outcomes)
+
+    def test_one_overflowing_row_fails_the_matrix(self):
+        with pytest.raises(EnergyOverflowError):
+            global_energies([[0.0, 0.0], [800.0, 800.0]])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInputError):
+            global_energies([[0.0, float("nan")]])
+        with pytest.raises(ShapeError):
+            global_energies([0.0, 1.0])
+        with pytest.raises(ShapeError):
+            global_energies(np.empty((3, 0)))
 
 
 class TestCalibratedEnergy:
