@@ -9,6 +9,7 @@ manifest and seed alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -96,8 +97,9 @@ MODES = ("uncalibrated", "no_tta", "doda", "oracle")
 
 def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0,
                    record_events=False):
-    """One run_stream pass per requested mode, plus one sweep_<f> pass per
-    oracle fraction f, over a forward_stream result.
+    """The requested modes, plus one sweep_<f> mode per oracle fraction f, over
+    a forward_stream result. Modes with the same plan share one run_stream pass
+    and one result: sweep_0 that of doda, sweep_1 that of oracle.
 
     Returns mode name -> {"report", "scores", "events", "final_state"}. Each
     oracle pass draws from its own rng(seed), so no result depends on which
@@ -108,21 +110,24 @@ def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=
     is_id = ~is_ood
     predicted, true = stream_logits.argmax(axis=1)[is_id], labels[is_id]
 
-    def run(state=p0, freeze=False, fraction=0.0):
+    states = {"p0": p0, "zero": doda.OutlierDistribution(np.zeros(p0.k), 0)}
+
+    def run(state, freeze, fraction):
         oracle = dict(oracle_labels=is_ood, use_label_probability=float(fraction),
                       rng=np.random.default_rng(seed)) if fraction else {}
         scores, events, final_state = doda.run_stream(
-            state, stats, stream_logits, freeze=freeze, record_events=record_events, **oracle)
+            states[state], stats, stream_logits, freeze=freeze, record_events=record_events,
+            **oracle)
         return {"report": metrics.metric_report(np.asarray(scores), is_id, predicted, true),
                 "scores": scores, "events": events, "final_state": final_state}
 
-    zero = doda.OutlierDistribution(np.zeros(p0.k), 0)
-    plans = {"uncalibrated": dict(state=zero, freeze=True), "no_tta": dict(freeze=True),
-             "doda": {}, "oracle": dict(fraction=1.0)}
-    results = {mode: run(**plans[mode]) for mode in modes}
-    for frac in oracle_fractions:
-        results[f"sweep_{frac:g}"] = run(fraction=frac)
-    return results
+    # mode -> (initial state, freeze, oracle fraction)
+    plan_of = {"uncalibrated": ("zero", True, 0.0), "no_tta": ("p0", True, 0.0),
+               "doda": ("p0", False, 0.0), "oracle": ("p0", False, 1.0)}
+    plans = {mode: plan_of[mode] for mode in modes}
+    plans.update({f"sweep_{frac:g}": ("p0", False, float(frac)) for frac in oracle_fractions})
+    runs = {plan: run(*plan) for plan in dict.fromkeys(plans.values())}
+    return {mode: runs[plan] for mode, plan in plans.items()}
 
 
 # head-tail --mode -> evaluate_modes result key
@@ -457,16 +462,17 @@ def _add_eval_args(p):
     p.add_argument("--data", required=True, help="directory produced by `generate`")
     p.add_argument("--model", required=True, help="checkpoint.json from `train`")
     p.add_argument("--out", required=True, help="output run directory")
-    p.add_argument("--alpha", type=float, default=doda.DEFAULT_ALPHA)
     p.add_argument("--virtual-count", type=int, default=1)
     p.add_argument("--ood-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="adaptod")
+    # Flags are matched whole: a prefix such as --alpha must not stand for --alphas.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(prog="adaptod")
     parser.add_argument("--config", help="JSON file with default values for the flags")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p = sub.add_parser("generate", help="write a synthetic long-tailed benchmark")
     p.add_argument("--out", required=True)
@@ -501,12 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapt-eval", help="streaming adaptation + metric report")
     _add_eval_args(p)
+    p.add_argument("--alpha", type=float, default=doda.DEFAULT_ALPHA)
     p.add_argument("--oracle-fractions", default="0,0.25,0.5,0.75,1.0")
     p.add_argument("--events", action="store_true", help="also write the event log")
     p.set_defaults(func=cmd_adapt_eval)
 
     p = sub.add_parser("head-tail", help="evaluate against head and tail classes separately")
     _add_eval_args(p)
+    p.add_argument("--alpha", type=float, default=doda.DEFAULT_ALPHA)
     p.add_argument("--mode", choices=list(HEAD_TAIL_MODES), default="doda")
     p.set_defaults(func=cmd_headtail)
 

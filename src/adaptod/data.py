@@ -1,5 +1,5 @@
-"""Synthetic long-tailed benchmark generation and the line-oriented logit file
-format.
+"""Synthetic long-tailed benchmark generation and the line-oriented sample-set
+file format.
 
 ID classes are isotropic Gaussian blobs with exponentially decaying train
 counts. Auxiliary outliers sit on a shell outside the class means, optionally
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,77 +207,57 @@ def generate_true_ood(spec: LongTailSpec, n_ood: int, shift: float = 2.0, *,
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented file format: header `k=<int>`, rows `id,label,v1,...,vk`.
-# Used both for logit records and for feature sets (k = feature dim).
+# Sample-set files: header `k=<int>`, then one row `id,label,v1,...,vk` per
+# sample. Values are written with repr, so float64 text round-trips exactly.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogitRecord:
-    sample_id: int
-    label: int  # -1 when unknown / OOD
-    logits: np.ndarray
-
-
-def write_logits(path, records, k: int | None = None) -> None:
-    records = list(records)
-    if k is None:
-        if not records:
-            raise InvalidInputError("cannot infer k from an empty record list")
-        k = int(np.asarray(records[0].logits).shape[0])
-    with open(path, "w") as fh:
-        fh.write(f"k={k}\n")
-        for rec in records:
-            v = np.asarray(rec.logits, dtype=np.float64)
-            if v.shape != (k,):
-                raise LogitFileError(f"record {rec.sample_id} has {v.shape[0]} values, expected {k}")
-            vals = ",".join(repr(float(x)) for x in v)
-            fh.write(f"{rec.sample_id},{rec.label},{vals}\n")
-
-
-def read_logits(path) -> list[LogitRecord]:
-    records = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("k=") or not header[2:].strip().isdigit():
-            raise LogitFileError("missing or malformed `k=<int>` header", line=1)
-        k = int(header[2:].strip())
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 + k:
-                raise LogitFileError(
-                    f"expected {2 + k} comma-separated fields, got {len(parts)}", line=lineno
-                )
-            try:
-                sample_id = int(parts[0])
-                label = int(parts[1])
-                values = np.asarray([float(p) for p in parts[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise LogitFileError(str(exc), line=lineno) from exc
-            if not np.isfinite(values).all():
-                raise LogitFileError("non-finite value", line=lineno)
-            records.append(LogitRecord(sample_id, label, values))
-    return records
-
-
 def write_sample_set(path, samples: SampleSet) -> None:
-    records = [
-        LogitRecord(i, int(lbl), row)
-        for i, (row, lbl) in enumerate(zip(samples.features, samples.labels))
-    ]
-    write_logits(path, records, k=samples.features.shape[1])
+    features = np.asarray(samples.features, dtype=np.float64)
+    labels = np.asarray(samples.labels, dtype=np.int64).tolist()
+    with open(path, "w") as fh:
+        fh.write(f"k={features.shape[1]}\n")
+        fh.writelines(f"{i},{label},{','.join(map(repr, row))}\n"
+                      for i, (label, row) in enumerate(zip(labels, features.tolist())))
+
+
+def _line_error(path, lineno: int, message: str) -> LogitFileError:
+    return LogitFileError(f"{path}: line {lineno}: {message}")
 
 
 def read_sample_set(path, provenance: str) -> SampleSet:
-    records = read_logits(path)
-    if not records:
-        raise LogitFileError("sample-set file holds no rows")
-    feats = np.vstack([r.logits for r in records])
-    labels = np.asarray([r.label for r in records])
-    return SampleSet(feats, labels, provenance)
+    """Read a write_sample_set file. LogitFileError names the path and the line
+    of a bad header, field count, int, float or non-finite value, and of a
+    negative label in an ID set."""
+    id_set = provenance in (ID_TRAIN, ID_TEST)
+    labels, rows = [], []
+    with open(path) as fh:
+        header = fh.readline()
+        if not header.startswith("k=") or not header[2:].strip().isdigit():
+            raise _line_error(path, 1, "missing or malformed `k=<int>` header")
+        k = int(header[2:].strip())
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if parts == [""]:
+                continue
+            if len(parts) != 2 + k:
+                raise _line_error(path, lineno,
+                                  f"expected {2 + k} comma-separated fields, got {len(parts)}")
+            try:
+                int(parts[0])
+                label = int(parts[1])
+                values = [float(p) for p in parts[2:]]
+            except ValueError as exc:
+                raise _line_error(path, lineno, str(exc)) from exc
+            if not all(map(math.isfinite, values)):
+                raise _line_error(path, lineno, "non-finite value")
+            if label < 0 and id_set:
+                raise _line_error(path, lineno, f"label {label} in an ID set")
+            labels.append(label)
+            rows.append(values)
+    if not rows:
+        raise LogitFileError(f"{path}: sample-set file holds no rows")
+    return SampleSet(np.array(rows, dtype=np.float64), np.array(labels), provenance)
 
 
 def read_json_object(path) -> dict:

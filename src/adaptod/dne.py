@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import LogitBatch, batch_energy_normalize
+from .energy import _as_logit_matrix, batch_energy_normalize
 from .errors import InvalidInputError
 
 _UNSET = None
@@ -38,13 +38,6 @@ class DneConfig:
         if self.m_in_s is _UNSET:
             object.__setattr__(self, "m_in_s", self.k / self.b_in)
 
-    def check_batch(self, batch: LogitBatch) -> None:
-        if batch.k != self.k or batch.b_in != self.b_in or batch.b_out != self.b_out:
-            raise InvalidInputError(
-                f"batch geometry ({batch.k}, {batch.b_in}, {batch.b_out}) does not match "
-                f"config ({self.k}, {self.b_in}, {self.b_out})"
-            )
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -52,33 +45,6 @@ class LossBreakdown:
     ce: float
     dne_c: float
     dne_s: float
-
-
-def _hinges(batch: LogitBatch, cfg: DneConfig):
-    """Normalized energies, the active hinge values of both loss terms, and the
-    unweighted class-wise and sample-wise losses."""
-    cfg.check_batch(batch)
-    norm = batch_energy_normalize(batch)
-    c_in = norm[: batch.b_in].sum(axis=0)  # per-class ID mass
-    c_out = norm[batch.b_in :].sum(axis=0)  # per-class outlier mass
-    s = norm.sum(axis=1)  # per-row mass
-    h_c_in = np.maximum(0.0, cfg.m_in_c - c_in)
-    h_c_out = np.maximum(0.0, c_out - cfg.m_out_c)
-    h_s_in = np.maximum(0.0, cfg.m_in_s - s[: batch.b_in])
-    h_s_out = np.maximum(0.0, s[batch.b_in :] - cfg.m_out_s)
-    dne_c = float((h_c_in**2).sum() + (h_c_out**2).sum())
-    dne_s = float((h_s_in**2).mean() + (h_s_out**2).mean())
-    return norm, (h_c_in, h_c_out, h_s_in, h_s_out), dne_c, dne_s
-
-
-def dne_c_loss(batch: LogitBatch, cfg: DneConfig) -> float:
-    """Class-wise squared-hinge loss summed over classes."""
-    return _hinges(batch, cfg)[2]
-
-
-def dne_s_loss(batch: LogitBatch, cfg: DneConfig) -> float:
-    """Sample-wise squared-hinge loss, averaged within the ID and outlier batches."""
-    return _hinges(batch, cfg)[3]
 
 
 def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -99,19 +65,35 @@ def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return ce, p / logits.shape[0]
 
 
-def loss_and_grad(batch: LogitBatch, id_labels,
-                  cfg: DneConfig) -> tuple[LossBreakdown, np.ndarray]:
-    """Cross-entropy on ID rows plus the (optionally weighted) dual energy terms,
-    and their gradient w.r.t. every logit, shape (b_in + b_out, k).
+def loss_and_grad(logits, id_labels, cfg: DneConfig) -> tuple[LossBreakdown, np.ndarray]:
+    """Cross-entropy on the ID rows plus the (optionally weighted) dual energy
+    terms, and their gradient w.r.t. every logit.
 
-    One batch normalization and one softmax serve both. Label errors are
-    raised before batch-geometry errors. The energy terms backpropagate
-    through the per-column normalization, which couples all rows within a
-    column: for G = dL/dF, dL/df[i,j] = F[i,j] * (G[i,j] - sum_a G[a,j] * F[a,j]).
+    logits stacks the cfg.b_in ID rows above the cfg.b_out outlier rows, shape
+    (b_in + b_out, k). One batch normalization and one softmax serve the loss
+    and the gradient. Label errors are raised before batch-geometry errors.
+    The energy terms backpropagate through the per-column normalization, which
+    couples all rows within a column: for G = dL/dF,
+    dL/df[i,j] = F[i,j] * (G[i,j] - sum_a G[a,j] * F[a,j]).
     """
-    ce, d_ce = ce_and_grad(batch.id_rows, id_labels)
-    norm, (h_c_in, h_c_out, h_s_in, h_s_out), dne_c, dne_s = _hinges(batch, cfg)
-    b_in, b_out = batch.b_in, batch.b_out
+    logits = _as_logit_matrix(logits)
+    b_in, b_out = cfg.b_in, cfg.b_out
+    ce, d_ce = ce_and_grad(logits[:b_in], id_labels)
+    if logits.shape != (b_in + b_out, cfg.k):
+        raise InvalidInputError(
+            f"batch geometry ({logits.shape[1]}, {b_in}, {logits.shape[0] - b_in}) does not "
+            f"match config ({cfg.k}, {b_in}, {b_out})"
+        )
+    norm = batch_energy_normalize(logits)
+    c_in = norm[:b_in].sum(axis=0)  # per-class ID mass
+    c_out = norm[b_in:].sum(axis=0)  # per-class outlier mass
+    row_mass = norm.sum(axis=1)
+    h_c_in = np.maximum(0.0, cfg.m_in_c - c_in)
+    h_c_out = np.maximum(0.0, c_out - cfg.m_out_c)
+    h_s_in = np.maximum(0.0, cfg.m_in_s - row_mass[:b_in])
+    h_s_out = np.maximum(0.0, row_mass[b_in:] - cfg.m_out_s)
+    dne_c = float((h_c_in**2).sum() + (h_c_out**2).sum())
+    dne_s = float((h_s_in**2).mean() + (h_s_out**2).mean())
 
     g_f = np.zeros_like(norm)
     g_f[:b_in] += -2.0 * h_c_in[None, :]
@@ -124,14 +106,3 @@ def loss_and_grad(batch: LogitBatch, id_labels,
     grad[:b_in] += d_ce
     c, s = cfg.dne_weight * dne_c, cfg.dne_weight * dne_s
     return LossBreakdown(total=ce + c + s, ce=ce, dne_c=c, dne_s=s), grad
-
-
-def total_loss(batch: LogitBatch, id_labels, cfg: DneConfig) -> LossBreakdown:
-    """The loss half of loss_and_grad."""
-    return loss_and_grad(batch, id_labels, cfg)[0]
-
-
-def total_loss_grad(batch: LogitBatch, id_labels, cfg: DneConfig) -> np.ndarray:
-    """The gradient half of loss_and_grad; geometry errors come before label errors."""
-    cfg.check_batch(batch)
-    return loss_and_grad(batch, id_labels, cfg)[1]

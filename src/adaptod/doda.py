@@ -17,9 +17,7 @@ import numpy as np
 
 from .energy import (_LOG_FLOAT_MAX, _as_logit_matrix, calibrated_energy, exp_logits,
                      global_energies, global_energy)
-from .data import float_array, json_field, read_json_object
-from .errors import (EnergyOverflowError, InsufficientDataError, InvalidInputError,
-                     LogitFileError, ShapeError)
+from .errors import EnergyOverflowError, InsufficientDataError, InvalidInputError, ShapeError
 
 DEFAULT_ALPHA = 3.0
 
@@ -213,7 +211,8 @@ def run_stream(
 
 
 def save_state(path, state: OutlierDistribution, stats: EnergyStats) -> None:
-    """Checkpoint the adapter as canonical JSON (decimal text round-trips exactly)."""
+    """Write the adapter state for inspection as canonical JSON (decimal text
+    round-trips exactly). No program path reads it back."""
     payload = {
         "k": state.k,
         "m": state.m,
@@ -225,18 +224,3 @@ def save_state(path, state: OutlierDistribution, stats: EnergyStats) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
-
-
-def load_state(path) -> tuple[OutlierDistribution, EnergyStats]:
-    """Read a save_state file. LogitFileError names the path and the key that
-    is missing, malformed or out of range."""
-    payload = read_json_object(path)
-    k = json_field(payload, "k", path, int)
-    values = json_field(payload, "values", path, lambda v: float_array(v, (k,)))
-    m = json_field(payload, "m", path, int)
-    mu_in, sigma_in, alpha = (json_field(payload, key, path, lambda v: float(float_array(v, ())))
-                              for key in ("mu_in", "sigma_in", "alpha"))
-    try:
-        return OutlierDistribution(values, m), EnergyStats.from_moments(mu_in, sigma_in, alpha)
-    except InvalidInputError as exc:
-        raise LogitFileError(f"{path}: {exc}") from exc

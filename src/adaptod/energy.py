@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,44 +34,6 @@ def _as_logit_matrix(rows, name: str = "logits") -> np.ndarray:
     if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contain non-finite entries")
     return m
-
-
-@dataclass(frozen=True)
-class LogitBatch:
-    """A joint training batch: ID logit rows stacked above outlier logit rows."""
-
-    id_rows: np.ndarray
-    out_rows: np.ndarray
-
-    def __post_init__(self):
-        id_rows = _as_logit_matrix(self.id_rows, "id_rows")
-        out_rows = _as_logit_matrix(self.out_rows, "out_rows")
-        if id_rows.shape[0] < 1 or out_rows.shape[0] < 1:
-            raise InvalidInputError("a LogitBatch needs at least one ID and one outlier row")
-        if id_rows.shape[1] != out_rows.shape[1]:
-            raise ShapeError(
-                f"class-count mismatch: id rows have k={id_rows.shape[1]}, "
-                f"outlier rows have k={out_rows.shape[1]}"
-            )
-        object.__setattr__(self, "id_rows", id_rows)
-        object.__setattr__(self, "out_rows", out_rows)
-
-    @property
-    def k(self) -> int:
-        return self.id_rows.shape[1]
-
-    @property
-    def b_in(self) -> int:
-        return self.id_rows.shape[0]
-
-    @property
-    def b_out(self) -> int:
-        return self.out_rows.shape[0]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """All rows, ID first, then outliers."""
-        return np.vstack([self.id_rows, self.out_rows])
 
 
 def global_energy(logits) -> float:
@@ -133,15 +94,13 @@ def calibrated_energy(logits, p_out) -> float:
 
 
 def batch_energy_normalize(batch) -> np.ndarray:
-    """Per-class normalization of exponentiated logits across the whole batch.
+    """Per-class normalization of exponentiated logits across a logit matrix
+    (ID rows and outlier rows stacked in one batch).
 
     Entry (i, j) is exp(f_j(x_i)) / Σ_i' exp(f_j(x_i')), the denominator running
     over every row (ID and outlier together). Each column sums to 1.
     """
-    if isinstance(batch, LogitBatch):
-        rows = batch.stacked
-    else:
-        rows = _as_logit_matrix(batch)
+    rows = _as_logit_matrix(batch)
     if rows.shape[0] < 1:
         raise InvalidInputError("empty batch")
     shifted = rows - rows.max(axis=0, keepdims=True)

@@ -34,11 +34,8 @@ class TrainingDivergedError(AdaptOdError):
 
 
 class LogitFileError(AdaptOdError):
-    """Malformed logit/dataset file; carries a 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+    """Malformed sample-set or checkpoint file; the message names the path and,
+    for a sample-set file, the 1-based line."""
 
 
 class ConfigError(AdaptOdError):

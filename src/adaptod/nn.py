@@ -6,13 +6,12 @@ paired ID/outlier batches)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import float_array, json_field, read_json_object
 from .dne import DneConfig, LossBreakdown, ce_and_grad, loss_and_grad
-from .energy import LogitBatch
 from .errors import InvalidInputError, ShapeError, TrainingDivergedError
 
 
@@ -202,9 +201,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
                 out_idx = rng.choice(outlier_x.shape[0], size=b_out, replace=False)
                 x = np.vstack([id_x[idx], outlier_x[out_idx]])
                 logits, acts = model.forward_cached(x)
-                batch = LogitBatch(id_rows=logits[:b_in], out_rows=logits[b_in:])
-                labels = id_y[idx]
-                breakdown, grad = loss_and_grad(batch, labels, dne_cfg)
+                breakdown, grad = loss_and_grad(logits, id_y[idx], dne_cfg)
                 if not np.isfinite(breakdown.total):
                     raise TrainingDivergedError(f"non-finite loss at step {step}", step)
                 d_ws, d_bs = model.backward(acts, grad, first_trainable)

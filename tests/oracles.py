@@ -181,6 +181,37 @@ def prefusion_ce_step(logits, labels):
     return ce, p / len(labels)
 
 
+# --- sample-set files ------------------------------------------------------
+
+
+def per_record_write(path, features, labels):
+    """The `k=<int>` header and `id,label,v1,...,vk` rows, written one record
+    at a time with one repr per value."""
+    features = np.asarray(features, dtype=np.float64)
+    records = [(i, int(lbl), row) for i, (row, lbl) in enumerate(zip(features, labels))]
+    with open(path, "w") as fh:
+        fh.write(f"k={features.shape[1]}\n")
+        for sample_id, label, row in records:
+            vals = ",".join(repr(float(x)) for x in row)
+            fh.write(f"{sample_id},{label},{vals}\n")
+
+
+def per_record_read(path):
+    """(features, labels) of a well-formed sample-set file, one record at a time."""
+    records = []
+    with open(path) as fh:
+        k = int(fh.readline()[2:].strip())
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            assert len(parts) == 2 + k
+            values = np.asarray([float(p) for p in parts[2:]], dtype=np.float64)
+            records.append((int(parts[0]), int(parts[1]), values))
+    return np.vstack([r[2] for r in records]), np.asarray([r[1] for r in records])
+
+
 # --- finite differences ----------------------------------------------------
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from adaptod import cli, dne, doda, metrics, nn
-from adaptod.energy import LogitBatch, batch_energy_normalize, calibrated_energy, global_energy
+from adaptod.energy import batch_energy_normalize, calibrated_energy, global_energy
 
 from oracles import (
     central_difference,
@@ -39,8 +39,8 @@ def test_normalization_invariants_over_random_batches():
             b_in = int(rng.integers(1, 65))
             b_out = int(rng.integers(1, 65))
         scale = float(rng.uniform(0.5, 30.0))
-        batch = LogitBatch(
-            rng.normal(0.0, scale, (b_in, k)), rng.normal(0.0, scale, (b_out, k))
+        batch = np.vstack(
+            [rng.normal(0.0, scale, (b_in, k)), rng.normal(0.0, scale, (b_out, k))]
         )
         norm = batch_energy_normalize(batch)
         col_sums = norm.sum(axis=0)
@@ -78,8 +78,7 @@ def _kink_distance(model, id_x, out_x, cfg):
             act = np.maximum(z, 0.0)
         else:
             act = z
-    batch = LogitBatch(act[:cfg.b_in], act[cfg.b_in:])
-    norm = batch_energy_normalize(batch)
+    norm = batch_energy_normalize(act)
     c_in = norm[:cfg.b_in].sum(axis=0)
     c_out = norm[cfg.b_in:].sum(axis=0)
     s = norm.sum(axis=1)
@@ -119,12 +118,11 @@ def test_loss_gradients_match_finite_differences():
 
             def loss_of(flat):
                 m = _rebuild(model, flat)
-                batch = LogitBatch(m.forward(id_x), m.forward(out_x))
-                return dne.total_loss(batch, labels, cfg).total
+                batch = np.vstack([m.forward(id_x), m.forward(out_x)])
+                return dne.loss_and_grad(batch, labels, cfg)[0].total
 
             logits, acts = model.forward_cached(np.vstack([id_x, out_x]))
-            batch = LogitBatch(logits[:b_in], logits[b_in:])
-            upstream = dne.total_loss_grad(batch, labels, cfg)
+            upstream = dne.loss_and_grad(logits, labels, cfg)[1]
             d_ws, d_bs = model.backward(acts, upstream)
             analytic = np.concatenate([g.ravel() for g in d_ws]
                                       + [g.ravel() for g in d_bs])
@@ -284,17 +282,18 @@ def test_pipeline_determinism_and_lossless_round_trips(tmp_path):
         assert (eval_dirs[0] / fname).read_bytes() == (eval_dirs[1] / fname).read_bytes()
 
     # logit files carry float64 values exactly
-    from adaptod.data import LogitRecord, read_logits, write_logits
+    from adaptod.data import OUTLIER, SampleSet, read_sample_set, write_sample_set
     rng = np.random.default_rng(5)
-    records = [LogitRecord(i, int(rng.integers(-1, 10)), rng.normal(0, 50, 6))
-               for i in range(40)]
+    records = [(int(rng.integers(-1, 10)), rng.normal(0, 50, 6)) for _ in range(40)]
+    samples = SampleSet(np.array([r[1] for r in records]), np.array([r[0] for r in records]),
+                        OUTLIER)
     path = tmp_path / "logits.csv"
-    write_logits(path, records)
-    back = read_logits(path)
-    for orig, rt in zip(records, back):
-        assert rt.sample_id == orig.sample_id
-        assert rt.label == orig.label
-        assert np.array_equal(rt.logits, orig.logits)
+    write_sample_set(path, samples)
+    back = read_sample_set(path, OUTLIER)
+    assert [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]] == \
+        list(range(40))
+    assert np.array_equal(back.labels, samples.labels)
+    assert np.array_equal(back.features, samples.features)
 
     # checkpoints restore the exact parameters
     model, seed, stage = nn.load_checkpoint(model_dirs[0] / "checkpoint.json")

@@ -93,6 +93,25 @@ class TestTrain:
         rc = run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "m")
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("field, value, message", [
+        (1, "-3", "label -3 in an ID set"),
+        (3, "oops", "could not convert"),
+    ])
+    def test_bad_sample_file_names_the_file_and_the_line(self, tmp_path, capsys, field, value,
+                                                          message):
+        data_dir = tmp_path / "data"
+        assert run_cli("generate", "--out", data_dir, "--n-max", 60) == EXIT_OK
+        path = data_dir / "id_train.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        parts = lines[5].split(",")
+        parts[field] = value
+        lines[5] = ",".join(parts)
+        path.write_text("".join(lines))
+        rc = run_cli("train", "--data", data_dir, "--out", tmp_path / "m")
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path}: line 6: " in err and message in err
+
 
 class TestAdaptEval:
     def test_writes_reports_state_and_histograms(self, small_run, tmp_path):
@@ -226,6 +245,24 @@ class TestAlphaSweep:
         assert "alpha must be finite and positive" in capsys.readouterr().err
         assert not list((tmp_path / "s").iterdir())
 
+    def test_alpha_is_not_a_flag(self, small_run, tmp_path, capsys):
+        data_dir, model_dir = small_run
+        rc = run_cli("alpha-sweep", "--data", data_dir, "--model",
+                     model_dir / "checkpoint.json", "--out", tmp_path / "s", "--alpha", 3)
+        assert rc == EXIT_CONFIG
+        assert "--alpha 3" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_alpha_is_not_a_config_key(self, small_run, tmp_path, capsys):
+        data_dir, model_dir = small_run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 3}))
+        rc = run_cli("--config", cfg, "alpha-sweep", "--data", data_dir, "--model",
+                     model_dir / "checkpoint.json", "--out", tmp_path / "s")
+        assert rc == EXIT_CONFIG
+        assert "config key 'alpha' is not a flag" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_empty_grid_exits_config(self, small_run, tmp_path):
         data_dir, model_dir = small_run
         rc = run_cli("alpha-sweep", "--data", data_dir, "--model",
@@ -238,7 +275,7 @@ class TestEvaluationPlan:
     """Each command forwards a set once and runs only the stream modes it reports."""
 
     @pytest.mark.parametrize("command, extra, max_forwards, passes", [
-        ("adapt-eval", ["--events"], 5, 9),  # 4 modes + 5 sweep fractions
+        ("adapt-eval", ["--events"], 5, 7),  # 4 modes + 5 sweep fractions, 0 and 1 reused
         ("head-tail", [], 4, 2),  # one mode per half
         ("alpha-sweep", [], 3, 5),  # doda per alpha
     ])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,23 +8,21 @@ from adaptod.data import (
     ID_TRAIN,
     OUTLIER,
     TRUE_OOD,
-    LogitRecord,
     LongTailSpec,
+    SampleSet,
     axis_aligned_means,
     class_counts,
     generate_long_tailed,
     generate_outliers,
     generate_true_ood,
     novel_direction,
-    read_logits,
     read_sample_set,
     true_ood_center,
-    write_logits,
     write_sample_set,
 )
 from adaptod.errors import InvalidInputError, LogitFileError
 
-from oracles import exact_counts
+from oracles import exact_counts, per_record_read, per_record_write
 
 
 def default_spec(seed=0, **overrides):
@@ -179,43 +179,108 @@ class TestFixedGeometry:
         assert np.array_equal(a.features, b.features)
 
 
+def sample_set(features, labels, provenance=OUTLIER):
+    return SampleSet(np.asarray(features, dtype=np.float64), np.asarray(labels), provenance)
+
+
+def edge_case_set(rng, n, k):
+    """Random rows with -0.0, subnormals and +-1e300 mixed in, labels from -1."""
+    feats = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-5, 5, (n, 1))
+    specials = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.7976931348623157e308])
+    mask = rng.random((n, k)) < 0.2
+    feats[mask] = rng.choice(specials, mask.sum())
+    return sample_set(feats, rng.integers(-1, 5, n))
+
+
 class TestLogitFiles:
     def test_round_trip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = [
-            LogitRecord(i, int(rng.integers(-1, 5)), rng.standard_normal(4) * 100)
-            for i in range(1000)
-        ]
+        written = sample_set(rng.standard_normal((1000, 4)) * 100, rng.integers(-1, 5, 1000))
         path = tmp_path / "logits.csv"
-        write_logits(path, records)
-        loaded = read_logits(path)
-        assert len(loaded) == 1000
-        for a, b in zip(records, loaded):
-            assert (a.sample_id, a.label) == (b.sample_id, b.label)
-            assert np.array_equal(a.logits, b.logits)
+        write_sample_set(path, written)
+        loaded = read_sample_set(path, OUTLIER)
+        assert loaded.n == 1000
+        assert np.array_equal(loaded.labels, written.labels)
+        assert np.array_equal(loaded.features, written.features)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_per_record_format_byte_for_byte(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        written = edge_case_set(rng, int(rng.integers(1, 300)), int(rng.integers(1, 12)))
+        path, want = tmp_path / "arrays.csv", tmp_path / "records.csv"
+        write_sample_set(path, written)
+        per_record_write(want, written.features, written.labels)
+        assert hashlib.sha256(path.read_bytes()).digest() == \
+            hashlib.sha256(want.read_bytes()).digest()
+        want_features, want_labels = per_record_read(want)
+        loaded = read_sample_set(path, OUTLIER)
+        assert np.array_equal(loaded.features, want_features)
+        assert np.array_equal(loaded.labels, want_labels)
+        assert np.array_equal(np.signbit(loaded.features), np.signbit(written.features))
+        assert loaded.features.dtype == want_features.dtype
+        assert loaded.labels.dtype == want_labels.dtype
 
     def test_empty_body_with_header(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("k=3\n")
-        assert read_logits(path) == []
+        path.write_text("k=3\n\n")
+        with pytest.raises(LogitFileError, match=f"{path}: sample-set file holds no rows"):
+            read_sample_set(path, OUTLIER)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("k=2\n\n0,1,0.5,2.0\n  \n1,-1,3.0,4.0\n")
+        loaded = read_sample_set(path, OUTLIER)
+        assert np.array_equal(loaded.features, [[0.5, 2.0], [3.0, 4.0]])
+        assert np.array_equal(loaded.labels, [1, -1])
 
     def test_row_width_mismatch_names_the_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("k=3\n0,1,0.5,0.5,0.5\n1,0,0.1,0.2,0.3,0.4\n")
         with pytest.raises(LogitFileError, match="line 3"):
-            read_logits(path)
+            read_sample_set(path, OUTLIER)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.csv"
         path.write_text("0,1,0.5\n")
         with pytest.raises(LogitFileError, match="line 1"):
-            read_logits(path)
+            read_sample_set(path, OUTLIER)
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("k=2\n0,1,0.5,oops\n")
         with pytest.raises(LogitFileError, match="line 2"):
-            read_logits(path)
+            read_sample_set(path, OUTLIER)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_value_names_the_line(self, tmp_path, value):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"k=2\n0,1,0.5,1.0\n1,1,{value},1.0\n")
+        with pytest.raises(LogitFileError, match="line 3: non-finite value"):
+            read_sample_set(path, OUTLIER)
+
+    @pytest.mark.parametrize("text, line, message", [
+        pytest.param("k=x\n0,1,0.5\n", 1, "malformed `k=<int>` header", id="header"),
+        pytest.param("k=1\n0,1,0.5\n1,1\n", 3, "expected 3 comma-separated fields, got 2",
+                     id="field-count"),
+        pytest.param("k=1\n0.5,1,0.5\n", 2, "invalid literal for int", id="bad-id"),
+        pytest.param("k=1\n0,x,0.5\n", 2, "invalid literal for int", id="bad-label"),
+        pytest.param("k=1\n0,1,x\n", 2, "could not convert string to float", id="bad-float"),
+        pytest.param("k=1\n0,1,nan\n", 2, "non-finite value", id="non-finite"),
+    ])
+    def test_every_error_names_the_path_and_the_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(LogitFileError) as info:
+            read_sample_set(path, OUTLIER)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("provenance", [ID_TRAIN, ID_TEST])
+    def test_negative_label_in_an_id_set(self, tmp_path, provenance):
+        path = tmp_path / "id.csv"
+        path.write_text("k=1\n0,0,0.5\n1,2,0.5\n2,-3,0.5\n")
+        with pytest.raises(LogitFileError, match=f"{path}: line 4: label -3 in an ID set"):
+            read_sample_set(path, provenance)
 
     def test_sample_set_round_trip(self, tmp_path):
         spec = default_spec(n_max=30, rho=10.0)

@@ -3,17 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptod.dne import (
-    DneConfig,
-    LossBreakdown,
-    ce_and_grad,
-    dne_c_loss,
-    dne_s_loss,
-    loss_and_grad,
-    total_loss,
-    total_loss_grad,
-)
-from adaptod.energy import LogitBatch
+from adaptod.dne import DneConfig, LossBreakdown, ce_and_grad, loss_and_grad
 from adaptod.errors import InvalidInputError
 
 from oracles import (
@@ -29,7 +19,14 @@ from oracles import (
 
 
 def random_batch(rng, k, b_in, b_out):
-    return LogitBatch(rng.standard_normal((b_in, k)), rng.standard_normal((b_out, k)))
+    """b_in ID logit rows stacked above b_out outlier rows."""
+    return np.vstack([rng.standard_normal((b_in, k)), rng.standard_normal((b_out, k))])
+
+
+def energy_terms(logits, cfg):
+    """The loss breakdown under all-zero labels; its dne_c and dne_s do not
+    depend on the labels."""
+    return loss_and_grad(logits, np.zeros(cfg.b_in, dtype=int), cfg)[0]
 
 
 class TestDneConfig:
@@ -61,14 +58,14 @@ class TestDneConfig:
 class TestDneCLoss:
     def test_outlier_mass_pushed_to_zero_limit(self):
         # outlier logits 40 below ID logits: outlier column mass ~ exp(-40)
-        batch = LogitBatch(np.zeros((3, 4)), np.full((2, 4), -40.0))
+        batch = np.vstack([np.zeros((3, 4)), np.full((2, 4), -40.0)])
         cfg = DneConfig(k=4, b_in=3, b_out=2)
-        assert dne_c_loss(batch, cfg) == pytest.approx(0.0, abs=1e-15)
+        assert energy_terms(batch, cfg).dne_c == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_rows_symmetry(self):
-        batch = LogitBatch(np.ones((2, 2)), np.ones((2, 2)))
+        batch = np.ones((4, 2))
         cfg = DneConfig(k=2, b_in=2, b_out=2)
-        assert dne_c_loss(batch, cfg) == pytest.approx(1.0, rel=1e-12)
+        assert energy_terms(batch, cfg).dne_c == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(21)
@@ -76,28 +73,28 @@ class TestDneCLoss:
             k, b_in, b_out = rng.integers(2, 8), rng.integers(1, 9), rng.integers(1, 9)
             batch = random_batch(rng, k, b_in, b_out)
             cfg = DneConfig(k=int(k), b_in=int(b_in), b_out=int(b_out))
-            expected = naive_dne_c(batch.id_rows, batch.out_rows, cfg.m_in_c, cfg.m_out_c)
-            assert dne_c_loss(batch, cfg) == pytest.approx(expected, rel=1e-12)
+            expected = naive_dne_c(batch[:b_in], batch[b_in:], cfg.m_in_c, cfg.m_out_c)
+            assert energy_terms(batch, cfg).dne_c == pytest.approx(expected, rel=1e-12)
 
     def test_non_negative(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             batch = random_batch(rng, 5, 4, 4)
-            assert dne_c_loss(batch, DneConfig(k=5, b_in=4, b_out=4)) >= 0.0
+            assert energy_terms(batch, DneConfig(k=5, b_in=4, b_out=4)).dne_c >= 0.0
 
 
 class TestDneSLoss:
     def test_margin_satisfying_batch(self):
         # ID rows equal among themselves, outliers 40 below: each ID row mass is
         # k / b_in exactly (outlier contribution vanishes), outlier mass ~ 0
-        batch = LogitBatch(np.zeros((4, 3)), np.full((2, 3), -40.0))
+        batch = np.vstack([np.zeros((4, 3)), np.full((2, 3), -40.0)])
         cfg = DneConfig(k=3, b_in=4, b_out=2)
-        assert dne_s_loss(batch, cfg) == pytest.approx(0.0, abs=1e-15)
+        assert energy_terms(batch, cfg).dne_s == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_rows_symmetry(self):
-        batch = LogitBatch(np.ones((2, 2)), np.ones((2, 2)))
+        batch = np.ones((4, 2))
         cfg = DneConfig(k=2, b_in=2, b_out=2)
-        assert dne_s_loss(batch, cfg) == pytest.approx(0.5, rel=1e-12)
+        assert energy_terms(batch, cfg).dne_s == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(23)
@@ -105,31 +102,31 @@ class TestDneSLoss:
             k, b_in, b_out = rng.integers(2, 8), rng.integers(1, 9), rng.integers(1, 9)
             batch = random_batch(rng, k, b_in, b_out)
             cfg = DneConfig(k=int(k), b_in=int(b_in), b_out=int(b_out))
-            expected = naive_dne_s(batch.id_rows, batch.out_rows, cfg.m_in_s, cfg.m_out_s)
-            assert dne_s_loss(batch, cfg) == pytest.approx(expected, rel=1e-12)
+            expected = naive_dne_s(batch[:b_in], batch[b_in:], cfg.m_in_s, cfg.m_out_s)
+            assert energy_terms(batch, cfg).dne_s == pytest.approx(expected, rel=1e-12)
 
     def test_geometry_mismatch_rejected(self):
-        batch = LogitBatch(np.zeros((2, 3)), np.zeros((2, 3)))
+        batch = np.zeros((4, 3))
         with pytest.raises(InvalidInputError):
-            dne_s_loss(batch, DneConfig(k=3, b_in=4, b_out=2))
+            energy_terms(batch, DneConfig(k=3, b_in=4, b_out=2))
 
 
 class TestTotalLoss:
     def test_perfect_fit_limit(self):
         labels = np.array([0, 1, 2])
         id_rows = np.eye(3) * 40.0
-        batch = LogitBatch(id_rows, np.full((2, 3), -40.0))
+        batch = np.vstack([id_rows, np.full((2, 3), -40.0)])
         cfg = DneConfig(k=3, b_in=3, b_out=2)
-        breakdown = total_loss(batch, labels, cfg)
+        breakdown = loss_and_grad(batch, labels, cfg)[0]
         assert breakdown.ce == pytest.approx(0.0, abs=1e-12)
         assert breakdown.dne_c == pytest.approx(0.0, abs=1e-10)
         assert breakdown.dne_s == pytest.approx(0.0, abs=1e-10)
         assert breakdown.total == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_logits_ce(self):
-        batch = LogitBatch(np.zeros((4, 2)), np.zeros((1, 2)))
+        batch = np.zeros((5, 2))
         cfg = DneConfig(k=2, b_in=4, b_out=1)
-        breakdown = total_loss(batch, [0, 1, 0, 1], cfg)
+        breakdown = loss_and_grad(batch, [0, 1, 0, 1], cfg)[0]
         assert breakdown.ce == pytest.approx(math.log(2), rel=1e-12)
 
     def test_composition(self):
@@ -137,11 +134,11 @@ class TestTotalLoss:
         batch = random_batch(rng, 6, 5, 7)
         labels = rng.integers(0, 6, 5)
         cfg = DneConfig(k=6, b_in=5, b_out=7)
-        breakdown = total_loss(batch, labels, cfg)
+        breakdown = loss_and_grad(batch, labels, cfg)[0]
         expected = (
-            ce_and_grad(batch.id_rows, labels)[0]
-            + dne_c_loss(batch, cfg)
-            + dne_s_loss(batch, cfg)
+            ce_and_grad(batch[:5], labels)[0]
+            + energy_terms(batch, cfg).dne_c
+            + energy_terms(batch, cfg).dne_s
         )
         assert breakdown.total == pytest.approx(expected, rel=1e-12)
         assert breakdown.total == pytest.approx(
@@ -157,10 +154,10 @@ class TestTotalLoss:
         )
 
     def test_label_out_of_range(self):
-        batch = LogitBatch(np.zeros((2, 3)), np.zeros((1, 3)))
+        batch = np.zeros((3, 3))
         cfg = DneConfig(k=3, b_in=2, b_out=1)
         with pytest.raises(InvalidInputError):
-            total_loss(batch, [0, 3], cfg)
+            loss_and_grad(batch, [0, 3], cfg)
 
 
 class TestTotalLossGrad:
@@ -171,9 +168,9 @@ class TestTotalLossGrad:
 
         def f(flat):
             M = flat.reshape(b_in + b_out, k)
-            return total_loss(LogitBatch(M[:b_in], M[b_in:]), labels, cfg).total
+            return loss_and_grad(M, labels, cfg)[0].total
 
-        analytic = total_loss_grad(LogitBatch(X[:b_in], X[b_in:]), labels, cfg)
+        analytic = loss_and_grad(X, labels, cfg)[1]
         numeric = central_difference(f, X.ravel()).reshape(analytic.shape)
         return analytic, numeric
 
@@ -181,11 +178,11 @@ class TestTotalLossGrad:
         # margins satisfied (outliers far below), labels matched strongly:
         # both hinge families inactive, CE gradient ~ 0
         id_rows = np.eye(3) * 40.0
-        batch = LogitBatch(id_rows, np.full((2, 3), -80.0))
+        batch = np.vstack([id_rows, np.full((2, 3), -80.0)])
         cfg = DneConfig(k=3, b_in=3, b_out=2, m_in_s=0.5)  # below attained S values
         # disable the class hinge too by lowering its margin below attained mass
         cfg = DneConfig(k=3, b_in=3, b_out=2, m_in_c=0.5, m_in_s=0.5)
-        grad = total_loss_grad(batch, [0, 1, 2], cfg)
+        grad = loss_and_grad(batch, [0, 1, 2], cfg)[1]
         assert np.abs(grad).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -206,15 +203,13 @@ class TestTotalLossGrad:
         out2 = np.repeat(X[b_in:], 2, axis=0)
         labels2 = np.repeat(labels, 2)
         cfg2 = DneConfig(k=k, b_in=2 * b_in, b_out=2 * b_out)
-        batch2 = LogitBatch(id2, out2)
+        batch2 = np.vstack([id2, out2])
 
         def f(flat):
             M = flat.reshape(2 * (b_in + b_out), k)
-            return total_loss(
-                LogitBatch(M[: 2 * b_in], M[2 * b_in :]), labels2, cfg2
-            ).total
+            return loss_and_grad(M, labels2, cfg2)[0].total
 
-        analytic = total_loss_grad(batch2, labels2, cfg2)
+        analytic = loss_and_grad(batch2, labels2, cfg2)[1]
         numeric = central_difference(f, np.vstack([id2, out2]).ravel()).reshape(
             analytic.shape
         )
@@ -227,12 +222,10 @@ class TestTotalLossGrad:
         labels = rng.integers(0, k, b_in)
         cfg = DneConfig(k=k, b_in=b_in, b_out=b_out)
         perm = rng.permutation(b_in)
-        permuted = LogitBatch(batch.id_rows[perm], batch.out_rows)
-        base_loss = total_loss(batch, labels, cfg)
-        perm_loss = total_loss(permuted, labels[perm], cfg)
+        permuted = np.vstack([batch[:b_in][perm], batch[b_in:]])
+        base_loss, g = loss_and_grad(batch, labels, cfg)
+        perm_loss, gp = loss_and_grad(permuted, labels[perm], cfg)
         assert perm_loss.total == pytest.approx(base_loss.total, rel=1e-12)
-        g = total_loss_grad(batch, labels, cfg)
-        gp = total_loss_grad(permuted, labels[perm], cfg)
         np.testing.assert_allclose(gp[:b_in], g[:b_in][perm], rtol=1e-12)
         np.testing.assert_allclose(gp[b_in:], g[b_in:], rtol=1e-12)
 
@@ -247,18 +240,17 @@ class TestFusedStep:
         for _ in range(25):
             k, b_in, b_out = (int(v) for v in rng.integers([2, 1, 1], [12, 20, 40]))
             weight = float(rng.choice([1.0, 0.0, 0.3, 2.5]))
-            batch = LogitBatch(rng.standard_normal((b_in, k)) * 3.0,
-                               rng.standard_normal((b_out, k)) * 3.0 - rng.uniform(0, 4))
+            id_rows = rng.standard_normal((b_in, k)) * 3.0
+            out_rows = rng.standard_normal((b_out, k)) * 3.0 - rng.uniform(0, 4)
             labels = rng.integers(0, k, b_in)
             cfg = DneConfig(k=k, b_in=b_in, b_out=b_out, dne_weight=weight)
-            want = LossBreakdown(*prefusion_total_loss(batch.id_rows, batch.out_rows, labels, cfg))
-            want_grad = prefusion_total_loss_grad(batch.id_rows, batch.out_rows, labels, cfg)
-            breakdown, grad = loss_and_grad(batch, labels, cfg)
+            want = LossBreakdown(*prefusion_total_loss(id_rows, out_rows, labels, cfg))
+            want_grad = prefusion_total_loss_grad(id_rows, out_rows, labels, cfg)
+            breakdown, grad = loss_and_grad(np.vstack([id_rows, out_rows]), labels, cfg)
             for name in ("total", "ce", "dne_c", "dne_s"):
                 assert getattr(breakdown, name) == getattr(want, name), name
+            assert breakdown == want
             assert np.array_equal(grad, want_grad)
-            assert total_loss(batch, labels, cfg) == want
-            assert np.array_equal(total_loss_grad(batch, labels, cfg), want_grad)
 
     def test_ce_and_grad_equals_stage_one_reference(self):
         rng = np.random.default_rng(310)
@@ -271,26 +263,23 @@ class TestFusedStep:
             assert np.array_equal(grad, want_grad)
 
     def test_label_errors(self):
-        batch = LogitBatch(np.zeros((2, 3)), np.zeros((1, 3)))
+        batch = np.zeros((3, 3))
         cfg = DneConfig(k=3, b_in=2, b_out=1)
-        for fn in (loss_and_grad, total_loss, total_loss_grad):
-            with pytest.raises(InvalidInputError, match="one label per ID row required"):
-                fn(batch, [0], cfg)
-            with pytest.raises(InvalidInputError, match="label out of range"):
-                fn(batch, [0, -1], cfg)
+        with pytest.raises(InvalidInputError, match="one label per ID row required"):
+            loss_and_grad(batch, [0], cfg)
+        with pytest.raises(InvalidInputError, match="label out of range"):
+            loss_and_grad(batch, [0, -1], cfg)
         with pytest.raises(InvalidInputError, match="label out of range"):
             ce_and_grad(np.zeros((2, 3)), [3, 0])
 
     def test_geometry_error_and_precedence(self):
-        batch = LogitBatch(np.zeros((2, 3)), np.zeros((1, 3)))
+        batch = np.zeros((3, 3))
         wrong = DneConfig(k=3, b_in=2, b_out=4)
         geometry = r"batch geometry \(3, 2, 1\) does not match config \(3, 2, 4\)"
-        for fn in (loss_and_grad, total_loss, total_loss_grad):
-            with pytest.raises(InvalidInputError, match=geometry):
-                fn(batch, [0, 1], wrong)
-        # both wrong: the loss reports the labels, the gradient the geometry
-        for fn in (loss_and_grad, total_loss):
-            with pytest.raises(InvalidInputError, match="label out of range"):
-                fn(batch, [0, 3], wrong)
         with pytest.raises(InvalidInputError, match=geometry):
-            total_loss_grad(batch, [0, 3], wrong)
+            loss_and_grad(batch, [0, 1], wrong)
+        with pytest.raises(InvalidInputError, match=r"batch geometry \(4, 2, 1\)"):
+            loss_and_grad(np.zeros((3, 4)), [0, 1], DneConfig(k=3, b_in=2, b_out=1))
+        # both wrong: the labels are reported first
+        with pytest.raises(InvalidInputError, match="label out of range"):
+            loss_and_grad(batch, [0, 3], wrong)

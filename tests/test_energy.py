@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adaptod.energy import (
     _LOG_FLOAT_MAX,
-    LogitBatch,
     batch_energy_normalize,
     calibrated_energy,
     global_energies,
@@ -178,20 +180,16 @@ class TestBatchEnergyNormalize:
         assert np.array_equal(a[:, others], b[:, others])
 
     def test_accepts_logit_batch(self):
-        batch = LogitBatch(np.zeros((2, 2)), np.zeros((2, 2)))
+        """A training batch is one matrix: ID rows stacked above outlier rows."""
+        batch = np.vstack([np.zeros((2, 2)), np.zeros((2, 2))])
         assert np.allclose(batch_energy_normalize(batch), 0.25)
 
-
-class TestLogitBatch:
-    def test_requires_rows(self):
-        with pytest.raises(InvalidInputError):
-            LogitBatch(np.empty((0, 3)), np.ones((1, 3)))
-
-    def test_k_mismatch(self):
-        with pytest.raises(ShapeError):
-            LogitBatch(np.ones((1, 3)), np.ones((1, 4)))
-
-    def test_stacked_order(self):
-        b = LogitBatch(np.ones((2, 2)), np.zeros((3, 2)))
-        assert b.stacked.shape == (5, 2)
-        assert np.array_equal(b.stacked, np.vstack([np.ones((2, 2)), np.zeros((3, 2))]))
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(k)),
+                   elements=st.floats(-100.0, 100.0)),
+        hnp.arrays(np.float64, k, elements=st.floats(-100.0, 100.0)))))
+    def test_invariant_to_a_per_column_shift(self, case):
+        m, c = case
+        np.testing.assert_allclose(batch_energy_normalize(m + c[None, :]),
+                                   batch_energy_normalize(m), rtol=0, atol=1e-12)

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from adaptod.dne import DneConfig, total_loss, total_loss_grad
-from adaptod.energy import LogitBatch
+from adaptod.dne import DneConfig, loss_and_grad
 from adaptod.errors import InvalidInputError, LogitFileError, ShapeError
 from adaptod.nn import (
     Mlp,
@@ -102,7 +101,7 @@ class TestBackward:
         cfg = DneConfig(k=k, b_in=b_in, b_out=b_out)
 
         logits, acts = model.forward_cached(x)
-        upstream = total_loss_grad(LogitBatch(logits[:b_in], logits[b_in:]), labels, cfg)
+        upstream = loss_and_grad(logits, labels, cfg)[1]
         d_ws, d_bs = model.backward(acts, upstream)
 
         for layer in range(model.n_layers):
@@ -113,9 +112,7 @@ class TestBackward:
                     params[layer][...] = flat.reshape(base.shape)
                     out = model.forward(x)
                     params[layer][...] = base
-                    return total_loss(
-                        LogitBatch(out[:b_in], out[b_in:]), labels, cfg
-                    ).total
+                    return loss_and_grad(out, labels, cfg)[0].total
 
                 numeric = central_difference(f, base.ravel()).reshape(base.shape)
                 assert max_relative_error(grads[layer], numeric) < 1e-4
