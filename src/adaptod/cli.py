@@ -47,12 +47,9 @@ DATASET_FILES = {
 # ---------------------------------------------------------------------------
 
 
-def load_datasets(data_dir):
+def load_datasets(data_dir, tags=tuple(DATASET_FILES)):
     data_dir = Path(data_dir)
-    return {
-        tag: data_mod.read_sample_set(data_dir / fname, tag)
-        for tag, fname in DATASET_FILES.items()
-    }
+    return {tag: data_mod.read_sample_set(data_dir / DATASET_FILES[tag], tag) for tag in tags}
 
 
 def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
@@ -281,7 +278,7 @@ def cmd_generate(ns) -> int:
 def cmd_train(ns) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    datasets = load_datasets(ns.data)
+    datasets = load_datasets(ns.data, (data_mod.ID_TRAIN, data_mod.OUTLIER))
     model, log = train_models(
         datasets, seed=ns.seed, hidden=tuple(ns.hidden), epochs_pretrain=ns.epochs_pretrain,
         epochs_finetune=ns.epochs_finetune, lr_pretrain=ns.lr_pretrain,

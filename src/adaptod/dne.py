@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import _as_logit_matrix, batch_energy_normalize
+from .energy import _as_logits, batch_energy_normalize
 from .errors import InvalidInputError
 
 _UNSET = None
@@ -76,7 +76,7 @@ def loss_and_grad(logits, id_labels, cfg: DneConfig) -> tuple[LossBreakdown, np.
     couples all rows within a column: for G = dL/dF,
     dL/df[i,j] = F[i,j] * (G[i,j] - sum_a G[a,j] * F[a,j]).
     """
-    logits = _as_logit_matrix(logits)
+    logits = _as_logits(logits, 2)
     b_in, b_out = cfg.b_in, cfg.b_out
     ce, d_ce = ce_and_grad(logits[:b_in], id_labels)
     if logits.shape != (b_in + b_out, cfg.k):

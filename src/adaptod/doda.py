@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (_LOG_FLOAT_MAX, _as_logit_matrix, calibrated_energy, exp_logits,
-                     global_energies, global_energy)
-from .errors import EnergyOverflowError, InsufficientDataError, InvalidInputError, ShapeError
+from .energy import _LOG_FLOAT_MAX, _as_logits, _scaled, calibrated_energies, global_energies
+from .errors import (AdaptOdError, EnergyOverflowError, InsufficientDataError,
+                     InvalidInputError, ShapeError)
 
 DEFAULT_ALPHA = 3.0
 
@@ -75,7 +75,7 @@ class AdaptationEvent:
 def fit_energy_stats(train_id_logits, alpha: float = DEFAULT_ALPHA) -> EnergyStats:
     """Mean and sample std (n-1) of global energy over training-ID logits,
     and the filter threshold R = mu - alpha * sigma."""
-    rows = _as_logit_matrix(np.atleast_2d(np.asarray(train_id_logits, dtype=np.float64)))
+    rows = _as_logits(np.atleast_2d(np.asarray(train_id_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 2:
         raise InsufficientDataError("need at least 2 samples to fit energy statistics")
     energies = global_energies(rows)
@@ -96,7 +96,7 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
     """
     if virtual_count < 0:
         raise InvalidInputError("virtual_count must be non-negative")
-    rows = _as_logit_matrix(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)))
+    rows = _as_logits(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 1:
         raise InsufficientDataError("need at least one outlier sample to initialize")
     if rows.max() >= _LOG_FLOAT_MAX:
@@ -108,6 +108,33 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
 def _update(state: OutlierDistribution, ef: np.ndarray) -> OutlierDistribution:
     new_values = (state.m * state.values + ef) / (state.m + 1)
     return OutlierDistribution(values=new_values, m=state.m + 1)
+
+
+def _step(state, stats, logits, sample_index, is_true_ood=False, use_label_probability=0.0,
+          rng=None, freeze=False):
+    """One validated sample: G and the score share one exp(f - max f), and the
+    unshifted exp(f) is taken only for an accepted sample. freeze never accepts."""
+    v = _as_logits(logits, 1)
+    if v.shape[0] != state.k:
+        raise ShapeError(f"sample has k={v.shape[0]}, state has k={state.k}")
+    m = float(v.max())
+    e = np.exp(v - m)
+    g = _scaled(m, float(e.sum()), "global energy")
+    if freeze:
+        accepted = False
+    elif use_label_probability > 0.0 and rng.random() < use_label_probability:
+        accepted = bool(is_true_ood)
+    else:
+        accepted = g < stats.r
+    if accepted:  # exp(f) is finite: G is, and G >= exp(max f)
+        state = _update(state, np.exp(v))
+    score = _scaled(m, float((e / (1.0 + state.values)).sum()), "calibrated energy")
+    return state, score, AdaptationEvent(sample_index, accepted, g, score)
+
+
+def _check_probability(use_label_probability: float) -> None:
+    if not 0.0 <= use_label_probability <= 1.0:
+        raise InvalidInputError("use_label_probability must lie in [0, 1]")
 
 
 def adapt_and_score(
@@ -122,14 +149,7 @@ def adapt_and_score(
     state, and an audit event. A rejected sample returns the input state object
     unchanged.
     """
-    g = global_energy(logits)
-    if logits_len(logits) != state.k:
-        raise ShapeError(f"sample has k={logits_len(logits)}, state has k={state.k}")
-    accepted = g < stats.r
-    if accepted:
-        state = _update(state, exp_logits(logits))
-    score = calibrated_energy(logits, state.values)
-    return state, score, AdaptationEvent(sample_index, accepted, g, score)
+    return _step(state, stats, logits, sample_index)
 
 
 def adapt_and_score_oracle(
@@ -143,23 +163,18 @@ def adapt_and_score_oracle(
 ) -> tuple[OutlierDistribution, float, AdaptationEvent]:
     """adapt_and_score with the acceptance decision taken from the ground-truth
     label with probability use_label_probability (1.0 = oracle, 0.0 = plain)."""
-    if not 0.0 <= use_label_probability <= 1.0:
-        raise InvalidInputError("use_label_probability must lie in [0, 1]")
-    g = global_energy(logits)
-    if logits_len(logits) != state.k:
-        raise ShapeError(f"sample has k={logits_len(logits)}, state has k={state.k}")
-    if use_label_probability > 0.0 and rng.random() < use_label_probability:
-        accepted = bool(is_true_ood)
-    else:
-        accepted = g < stats.r
-    if accepted:
-        state = _update(state, exp_logits(logits))
-    score = calibrated_energy(logits, state.values)
-    return state, score, AdaptationEvent(sample_index, accepted, g, score)
+    _check_probability(use_label_probability)
+    return _step(state, stats, logits, sample_index, is_true_ood, use_label_probability, rng)
 
 
-def logits_len(logits) -> int:
-    return np.asarray(logits).shape[-1]
+def _frozen(state: OutlierDistribution, logit_stream, record_events: bool):
+    """Scores (and events) of a whole logit matrix under a fixed distribution."""
+    rows = np.asarray(logit_stream, dtype=np.float64)
+    scores = calibrated_energies(rows, state.values).tolist()
+    if not record_events:
+        return scores, None
+    return scores, [AdaptationEvent(i, False, g, score)
+                    for i, (g, score) in enumerate(zip(global_energies(rows).tolist(), scores))]
 
 
 def run_stream(
@@ -176,32 +191,30 @@ def run_stream(
     """Score a one-pass stream of logit vectors in order.
 
     freeze=True scores with the initial distribution and never adapts (the
-    no-TTA baseline). oracle_labels + use_label_probability > 0 routes each
-    acceptance decision through the oracle with that probability; decisions
-    draw from rng per sample. Events are recorded only on request, keeping the
-    default memory footprint at O(k).
+    no-TTA baseline), the whole stream in one matrix pass. oracle_labels +
+    use_label_probability > 0 routes each acceptance decision through the
+    oracle with that probability; decisions draw from rng per sample. Events
+    are recorded only on request, keeping the default memory footprint at O(k).
     """
     if use_label_probability > 0.0:
+        _check_probability(use_label_probability)
         if oracle_labels is None:
             raise InvalidInputError("use_label_probability > 0 requires oracle_labels")
         if rng is None:
             raise InvalidInputError("oracle mode requires an rng")
+    if freeze:
+        try:
+            return (*_frozen(state, logit_stream, record_events), state)
+        except (AdaptOdError, TypeError, ValueError):
+            pass  # not one finite logit matrix: the per-sample pass names the bad sample
     labels_iter = iter(oracle_labels) if oracle_labels is not None else None
     scores: list[float] = []
     events: list[AdaptationEvent] | None = [] if record_events else None
     for i, logits in enumerate(logit_stream):
         is_ood = bool(next(labels_iter)) if labels_iter is not None else False
         try:
-            if freeze:
-                g = global_energy(logits)
-                score = calibrated_energy(logits, state.values)
-                event = AdaptationEvent(i, False, g, score)
-            elif use_label_probability > 0.0:
-                state, score, event = adapt_and_score_oracle(
-                    state, stats, logits, is_ood, use_label_probability, rng, sample_index=i
-                )
-            else:
-                state, score, event = adapt_and_score(state, stats, logits, sample_index=i)
+            state, score, event = _step(state, stats, logits, i, is_ood,
+                                        use_label_probability, rng, freeze)
         except Exception as exc:
             raise type(exc)(f"sample {i}: {exc}") from exc
         scores.append(score)

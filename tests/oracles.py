@@ -32,6 +32,22 @@ def running_mean_closed_form(v0, m0, accepted_exp_rows):
     return total / (m0 + len(accepted_exp_rows))
 
 
+def prefix_mean_stream(exp_rows, accepted, p0, m0):
+    """Scores and final P of a stream whose accepted samples are given. P_t is
+    the weighted mean of P0 (weight m0) and the accepted exp(f) rows up to and
+    including sample t, or P0 while that weight is 0; the score of sample t is
+    sum_j exp(f_tj) / (1 + P_tj)."""
+    p = np.asarray(p0, dtype=float)
+    total, count = m0 * p, m0
+    scores = []
+    for ef, acc in zip(exp_rows, accepted):
+        if acc:
+            total, count = total + ef, count + 1
+            p = total / count
+        scores.append(sum(e / (1.0 + pj) for e, pj in zip(ef, p)))
+    return np.array(scores), p
+
+
 # --- per-row energies (bit-exact reference) ---------------------------------
 #
 # The per-row loops that fitted the energy statistics, initialized the outlier

@@ -89,6 +89,20 @@ class TestTrain:
         assert (again / "loss_log.csv").read_bytes() == \
             (model_dir / "loss_log.csv").read_bytes()
 
+    def test_reads_only_the_training_files(self, small_run, tmp_path):
+        data_dir, model_dir = small_run
+        only = tmp_path / "only_train"
+        only.mkdir()
+        for tag in (data.ID_TRAIN, data.OUTLIER):
+            fname = cli.DATASET_FILES[tag]
+            (only / fname).write_bytes((data_dir / fname).read_bytes())
+        again = tmp_path / "model2"
+        rc = run_cli("train", "--data", only, "--out", again, "--seed", 3,
+                     "--hidden", 8, "--epochs-pretrain", 2, "--epochs-finetune", 1)
+        assert rc == EXIT_OK
+        for fname in ("checkpoint.json", "loss_log.csv"):
+            assert (again / fname).read_bytes() == (model_dir / fname).read_bytes()
+
     def test_missing_data_dir_exits_data(self, tmp_path):
         rc = run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "m")
         assert rc == EXIT_DATA

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adaptod.doda import (
     AdaptationEvent,
@@ -23,8 +26,8 @@ from adaptod.errors import (
     ShapeError,
 )
 
-from oracles import (mean_std_threshold, rowwise_exp_mean, rowwise_global_energies,
-                     running_mean_closed_form)
+from oracles import (mean_std_threshold, prefix_mean_stream, rowwise_exp_mean,
+                     rowwise_global_energies, running_mean_closed_form)
 
 
 def logits_with_energy(g, k=2):
@@ -224,12 +227,21 @@ class TestOracleVariant:
 
 
 class TestRunStream:
-    def test_empty_stream(self):
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_empty_stream(self, freeze):
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
-        scores, events, final = run_stream(state, stats, [], record_events=True)
+        scores, events, final = run_stream(state, stats, [], freeze=freeze, record_events=True)
         assert scores == [] and events == []
         assert final is state
+
+    def test_frozen_pass_of_an_iterator_equals_that_of_the_matrix(self):
+        state = OutlierDistribution(values=np.ones(3), m=1)
+        stats = EnergyStats.from_moments(10.0, 1.0)
+        logits = np.random.default_rng(12).standard_normal((30, 3))
+        want = run_stream(state, stats, logits, freeze=True, record_events=True)
+        got = run_stream(state, stats, iter(logits), freeze=True, record_events=True)
+        assert got[0] == want[0] and got[1] == want[1] and got[2] is state
 
     def test_single_sample_matches_direct_call(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
@@ -280,6 +292,24 @@ class TestRunStream:
         with pytest.raises(InvalidInputError, match="sample 1"):
             run_stream(state, stats, stream)
 
+    @pytest.mark.parametrize("record_events", [False, True])
+    @pytest.mark.parametrize("mode", ["freeze", "plain", "oracle"])
+    @pytest.mark.parametrize("bad, error", [
+        ([np.nan, 0.0], InvalidInputError),
+        ([0.0, -np.inf], InvalidInputError),
+        ([800.0, 0.0], EnergyOverflowError),
+    ])
+    def test_every_mode_names_the_first_bad_sample(self, mode, record_events, bad, error):
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        stats = EnergyStats.from_moments(10.0, 1.0)
+        stream = np.array([[0.0, 0.0], [0.5, -0.5], bad, [0.1, 0.2], bad])
+        kwargs = {"freeze": dict(freeze=True), "plain": {},
+                  "oracle": dict(oracle_labels=[True] * 5, use_label_probability=1.0,
+                                 rng=np.random.default_rng(0))}[mode]
+        with pytest.raises(error) as info:
+            run_stream(state, stats, stream, record_events=record_events, **kwargs)
+        assert str(info.value).startswith("sample 2: ")
+
     def test_frozen_mode_never_adapts(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(1e9, 0.0)  # everything below threshold
@@ -306,6 +336,51 @@ class TestRunStream:
         s1, _, _ = run_stream(state, stats, logits, freeze=True)
         s2, _, _ = run_stream(state, stats, logits, freeze=True)
         assert s1 == s2
+
+
+@st.composite
+def streams(draw, scale=30.0):
+    """(logits (n, k), oracle mask (n,), P0 values (k,), m0)."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    logits = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-scale, scale)))
+    mask = draw(hnp.arrays(np.bool_, n))
+    p0 = draw(hnp.arrays(np.float64, k, elements=st.floats(0.0, 1e3)))
+    return logits, mask, p0, draw(st.integers(0, 3))
+
+
+def max_rel_err(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    return float((np.abs(got - want) / np.maximum(np.abs(want), 1e-300)).max(initial=0.0))
+
+
+class TestStreamProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(streams())
+    def test_oracle_stream_equals_the_prefix_mean_closed_form(self, case):
+        logits, mask, p0, m0 = case
+        state = OutlierDistribution(values=p0, m=m0)
+        scores, _, final = run_stream(state, EnergyStats.from_moments(10.0, 1.0), logits,
+                                      oracle_labels=mask, use_label_probability=1.0,
+                                      rng=np.random.default_rng(0))
+        want_scores, want_p = prefix_mean_stream(np.exp(logits), mask, p0, m0)
+        assert final.m - m0 == int(mask.sum())
+        assert max_rel_err(scores, want_scores) <= 1e-9
+        assert max_rel_err(final.values, want_p) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams(scale=700.0))
+    def test_frozen_stream_equals_the_per_row_functions_exactly(self, case):
+        logits, _, p0, m0 = case
+        state = OutlierDistribution(values=p0, m=m0)
+        scores, events, final = run_stream(state, EnergyStats.from_moments(10.0, 1.0), logits,
+                                           freeze=True, record_events=True)
+        assert final is state
+        assert scores == [calibrated_energy(row, p0) for row in logits]
+        assert [e.global_energy for e in events] == [global_energy(row) for row in logits]
+        assert [e.calibrated_score for e in events] == scores
+        assert not any(e.accepted for e in events)
 
 
 class TestSnapshot:

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from adaptod.energy import (
     _LOG_FLOAT_MAX,
     batch_energy_normalize,
+    calibrated_energies,
     calibrated_energy,
     global_energies,
     global_energy,
@@ -130,9 +131,59 @@ class TestCalibratedEnergy:
         with pytest.raises(ShapeError):
             calibrated_energy([0.0, 0.0], [0.0, 0.0, 0.0])
 
+    def test_overflowing_scale_raises_energy_overflow(self):
+        # the damped total passes the log guard, but exp(710) is not a float64
+        with pytest.raises(EnergyOverflowError):
+            calibrated_energy([710.0, 0.0], [10.0, 0.0])
+
     def test_negative_prior_rejected(self):
         with pytest.raises(InvalidInputError):
             calibrated_energy([0.0, 0.0], [0.0, -1.0])
+
+
+class TestCalibratedEnergies:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 10, 17])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0, 100.0])
+    def test_equals_the_per_row_function_exactly(self, k, scale):
+        rng = np.random.default_rng(k)
+        rows = rng.standard_normal((2000, k)) * scale + rng.uniform(-50, 50, (2000, 1))
+        p = rng.uniform(0.0, 3.0, k) ** 4
+        want = [calibrated_energy(row, p) for row in rows]
+        assert np.array_equal(calibrated_energies(rows, p), want)
+        assert np.array_equal(calibrated_energies(np.asfortranarray(rows), p), want)
+
+    def test_zero_prior_equals_global_energies_exactly(self):
+        rows = np.random.default_rng(3).standard_normal((500, 10)) * 20
+        assert np.array_equal(calibrated_energies(rows, np.zeros(10)), global_energies(rows))
+
+    def test_overflow_edge_rows_match_the_per_row_function(self):
+        outcomes = []
+        for row in overflow_edge_rows() + [np.array([710.0, 0.0])]:
+            for p in (np.zeros(row.size), np.full(row.size, 10.0)):
+                try:
+                    want = calibrated_energy(row, p)
+                except EnergyOverflowError:
+                    with pytest.raises(EnergyOverflowError):
+                        calibrated_energies(row[None, :], p)
+                    outcomes.append("raised")
+                    continue
+                assert calibrated_energies(row[None, :], p)[0] == want
+                outcomes.append("finite")
+        assert {"raised", "finite"} <= set(outcomes)
+
+    def test_damped_total_does_not_hide_an_overflowing_scale(self):
+        with pytest.raises(EnergyOverflowError):
+            calibrated_energies([[0.0, 0.0], [710.0, 0.0]], [10.0, 0.0])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInputError):
+            calibrated_energies([[0.0, float("nan")]], [0.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            calibrated_energies([[0.0, 0.0]], [0.0, -1.0])
+        with pytest.raises(ShapeError):
+            calibrated_energies([[0.0, 0.0]], [0.0, 0.0, 0.0])
+        with pytest.raises(ShapeError):
+            calibrated_energies([0.0, 1.0], [0.0, 0.0])
 
 
 class TestBatchEnergyNormalize:
