@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -158,26 +159,13 @@ def head_tail_reports(model, datasets, *, head_classes=None, alpha=doda.DEFAULT_
             for name, half in halves.items()}
 
 
-def train_models(datasets, *, seed, hidden=(32,), epochs_pretrain=15, epochs_finetune=10,
-                 lr_pretrain=0.1, lr_finetune=0.005, b_in=64, b_out=128, momentum=0.9,
-                 ce_only=False, finetune_all_layers=False, dne_weight=1.0):
-    """Initialize and train a model on the generated task. Returns (model, log)."""
+def train_models(datasets, cfg: nn.TrainConfig, hidden):
+    """Initialize a model with the given hidden widths on the generated task
+    and train it under cfg. Returns (model, log)."""
     id_train = datasets[data_mod.ID_TRAIN]
     k = int(id_train.labels.max()) + 1
     d = id_train.features.shape[1]
-    model = nn.Mlp.init([d, *hidden, k], seed)
-    cfg = nn.TrainConfig(
-        seed=seed,
-        epochs_pretrain=epochs_pretrain,
-        epochs_finetune=0 if ce_only else epochs_finetune,
-        lr_pretrain=lr_pretrain,
-        lr_finetune=lr_finetune,
-        b_in=b_in,
-        b_out=b_out,
-        momentum=momentum,
-        finetune_all_layers=finetune_all_layers,
-        dne_weight=dne_weight,
-    )
+    model = nn.Mlp.init([d, *hidden, k], cfg.seed)
     return nn.train(model, id_train.features, id_train.labels,
                     datasets[data_mod.OUTLIER].features, cfg)
 
@@ -211,8 +199,7 @@ def benchmark_datasets(seed: int, *, k=10, n_max=300, rho=100.0, d=8, class_scal
     return spec, datasets
 
 
-BENCHMARK_TRAIN = dict(lr_pretrain=0.1, epochs_pretrain=30, lr_finetune=0.005,
-                       epochs_finetune=10)
+DEFAULT_HIDDEN = (32,)
 BENCHMARK_VIRTUAL_COUNT = 64
 
 
@@ -227,8 +214,9 @@ def desk_benchmark(seed: int, *, oracle_fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
     outlier statistics as more samples are accepted.
     """
     _, datasets = benchmark_datasets(seed, **dataset_kwargs)
-    ce_model, _ = train_models(datasets, seed=seed, ce_only=True, **BENCHMARK_TRAIN)
-    dne_model, dne_log = train_models(datasets, seed=seed, **BENCHMARK_TRAIN)
+    ce_model, _ = train_models(datasets, nn.TrainConfig(seed=seed, epochs_finetune=0),
+                               DEFAULT_HIDDEN)
+    dne_model, dne_log = train_models(datasets, nn.TrainConfig(seed=seed), DEFAULT_HIDDEN)
 
     stats, p0, _ = prepare(dne_model, datasets, virtual_count=BENCHMARK_VIRTUAL_COUNT)
     res = evaluate_modes(stats, p0, forward_stream(dne_model, datasets, 0.5, seed),
@@ -276,28 +264,19 @@ def cmd_generate(ns) -> int:
 
 
 def cmd_train(ns) -> int:
+    cfg = nn.TrainConfig(**{f.name: getattr(ns, f.name) for f in fields(nn.TrainConfig)})
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     datasets = load_datasets(ns.data, (data_mod.ID_TRAIN, data_mod.OUTLIER))
-    model, log = train_models(
-        datasets, seed=ns.seed, hidden=tuple(ns.hidden), epochs_pretrain=ns.epochs_pretrain,
-        epochs_finetune=ns.epochs_finetune, lr_pretrain=ns.lr_pretrain,
-        lr_finetune=ns.lr_finetune, b_in=ns.b_in, b_out=ns.b_out, momentum=ns.momentum,
-        ce_only=ns.ce_only, finetune_all_layers=ns.finetune_all_layers,
-    )
-    stage = "pretrain" if (ns.ce_only or ns.epochs_finetune == 0) else "finetune"
-    nn.save_checkpoint(out_dir / "checkpoint.json", model, ns.seed, stage)
+    model, log = train_models(datasets, cfg, ns.hidden)
+    stage = "finetune" if cfg.epochs_finetune else "pretrain"
+    nn.save_checkpoint(out_dir / "checkpoint.json", model, cfg.seed, stage)
     with open(out_dir / "loss_log.csv", "w") as fh:
         fh.write("epoch,total,ce,dne_c,dne_s\n")
         for i, row in enumerate(log):
             fh.write(f"{i},{row.total!r},{row.ce!r},{row.dne_c!r},{row.dne_s!r}\n")
-    _write_manifest(out_dir, "train", {
-        "data": str(ns.data), "seed": ns.seed, "hidden": list(ns.hidden),
-        "epochs_pretrain": ns.epochs_pretrain, "epochs_finetune": ns.epochs_finetune,
-        "lr_pretrain": ns.lr_pretrain, "lr_finetune": ns.lr_finetune,
-        "b_in": ns.b_in, "b_out": ns.b_out, "momentum": ns.momentum,
-        "ce_only": ns.ce_only, "finetune_all_layers": ns.finetune_all_layers,
-    })
+    _write_manifest(out_dir, "train", {"data": str(ns.data), "hidden": list(ns.hidden),
+                                       **asdict(cfg)})
     return EXIT_OK
 
 
@@ -489,17 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="two-stage training on a generated benchmark")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, nargs="*", default=[32])
-    p.add_argument("--epochs-pretrain", type=int, default=30)
-    p.add_argument("--epochs-finetune", type=int, default=10)
-    p.add_argument("--lr-pretrain", type=float, default=0.1)
-    p.add_argument("--lr-finetune", type=float, default=0.005)
-    p.add_argument("--b-in", type=int, default=64)
-    p.add_argument("--b-out", type=int, default=128)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--ce-only", action="store_true")
-    p.add_argument("--finetune-all-layers", action="store_true")
+    p.add_argument("--hidden", type=int, nargs="*", default=DEFAULT_HIDDEN)
+    for f in fields(nn.TrainConfig):  # one flag per setting, with its default
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("adapt-eval", help="streaming adaptation + metric report")
@@ -572,6 +547,8 @@ def main(argv=None) -> int:
         if args.config:
             _set_config_defaults(parser, args.command, args.config)
             args = parser.parse_args(argv)
+        if args.seed < 0:  # every subcommand seeds a NumPy generator with it
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

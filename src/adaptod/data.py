@@ -40,10 +40,11 @@ class LongTailSpec:
     def __post_init__(self):
         if self.k < 2 or self.n_max < 1 or self.d < 1:
             raise InvalidInputError("need k >= 2, n_max >= 1, d >= 1")
-        if self.rho < 1.0:
-            raise InvalidInputError("imbalance ratio rho must be >= 1")
-        if self.class_scale <= 0:
-            raise InvalidInputError("class_scale must be positive")
+        if not (math.isfinite(self.rho) and self.rho >= 1.0):
+            raise InvalidInputError(f"imbalance ratio rho must be finite and >= 1, got {self.rho}")
+        if not (math.isfinite(self.class_scale) and self.class_scale > 0):
+            raise InvalidInputError(
+                f"class_scale must be finite and positive, got {self.class_scale}")
         means = self.class_means
         if means is None:
             # Deterministic means from the spec seed, spread a few scales apart.
@@ -84,6 +85,8 @@ def class_counts(spec: LongTailSpec) -> list[int]:
 def generate_long_tailed(spec: LongTailSpec, n_test_per_class: int = 50):
     """(id_train, id_test) Gaussian-blob sample sets; train counts follow the
     decay formula, test counts are balanced."""
+    if n_test_per_class < 1:
+        raise InvalidInputError(f"n_test_per_class must be >= 1, got {n_test_per_class}")
     counts = class_counts(spec)
     rng = np.random.default_rng(spec.seed + 1)
     feats, labels = [], []
@@ -129,7 +132,7 @@ def novel_direction(d: int, head_tilt: float = 0.5) -> np.ndarray:
     toward the head class, which is the regime where score calibration has
     work to do."""
     if not 0.0 <= head_tilt <= 1.0:
-        raise InvalidInputError("head_tilt must lie in [0, 1]")
+        raise InvalidInputError(f"head_tilt must lie in [0, 1], got {head_tilt}")
     u = (1.0 - head_tilt) * np.ones(d) / math.sqrt(d)
     u[0] += head_tilt
     return u / np.linalg.norm(u)
@@ -145,7 +148,7 @@ def generate_outliers(spec: LongTailSpec, n_out: int, *, avoid_direction=None,
     is given, directions within max_cosine of it are rejected, leaving a cone
     of the shell uncovered so that a later OOD population can live there."""
     if n_out < 1:
-        raise InvalidInputError("n_out must be >= 1")
+        raise InvalidInputError(f"n_out must be >= 1, got {n_out}")
     if shell_gap is None:
         shell_gap = 6.0 * spec.class_scale
     if shell_width is None:
@@ -175,8 +178,9 @@ def true_ood_center(spec: LongTailSpec, shift: float, direction=None) -> np.ndar
     """Center of the true-OOD cloud: at least 2.5 class scales past the
     farthest class mean, growing with shift. The direction is seeded at random
     unless one is supplied."""
-    if shift <= 0:
-        raise InvalidInputError("shift must be positive; use generate_outliers for zero shift")
+    if not (math.isfinite(shift) and shift > 0):
+        raise InvalidInputError(f"shift must be finite and positive, got {shift}; "
+                                "use generate_outliers for zero shift")
     if direction is None:
         rng = np.random.default_rng(spec.seed + 3)
         direction = rng.standard_normal(spec.d)
@@ -195,7 +199,7 @@ def generate_true_ood(spec: LongTailSpec, n_ood: int, shift: float = 2.0, *,
     explicit direction (see novel_direction) it is isotropic at one class
     scale, matching the ID blobs in spread but not in location."""
     if n_ood < 1:
-        raise InvalidInputError("n_ood must be >= 1")
+        raise InvalidInputError(f"n_ood must be >= 1, got {n_ood}")
     center = true_ood_center(spec, shift, direction)
     rng = np.random.default_rng(spec.seed + 4)
     if direction is None:

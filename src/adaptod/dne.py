@@ -9,34 +9,12 @@ ID rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import _as_logits, batch_energy_normalize
 from .errors import InvalidInputError
-
-_UNSET = None
-
-
-@dataclass(frozen=True)
-class DneConfig:
-    """Batch geometry plus the four hinge margins (defaults need no tuning)."""
-
-    k: int
-    b_in: int
-    b_out: int
-    m_in_c: float = 1.0
-    m_out_c: float = 0.0
-    m_in_s: float = field(default=_UNSET)  # defaults to k / b_in
-    m_out_s: float = 0.0
-    dne_weight: float = 1.0  # ablation knob only; 1.0 is the published objective
-
-    def __post_init__(self):
-        if self.k < 2 or self.b_in < 1 or self.b_out < 1:
-            raise InvalidInputError("need k >= 2, b_in >= 1, b_out >= 1")
-        if self.m_in_s is _UNSET:
-            object.__setattr__(self, "m_in_s", self.k / self.b_in)
 
 
 @dataclass(frozen=True)
@@ -65,11 +43,11 @@ def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return ce, p / logits.shape[0]
 
 
-def loss_and_grad(logits, id_labels, cfg: DneConfig) -> tuple[LossBreakdown, np.ndarray]:
-    """Cross-entropy on the ID rows plus the (optionally weighted) dual energy
-    terms, and their gradient w.r.t. every logit.
+def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
+    """Cross-entropy on the ID rows plus the dual energy terms, and their
+    gradient w.r.t. every logit.
 
-    logits stacks the cfg.b_in ID rows above the cfg.b_out outlier rows, shape
+    logits stacks one ID row per label above the outlier rows, shape
     (b_in + b_out, k). One batch normalization and one softmax serve the loss
     and the gradient. Label errors are raised before batch-geometry errors.
     The energy terms backpropagate through the per-column normalization, which
@@ -77,21 +55,24 @@ def loss_and_grad(logits, id_labels, cfg: DneConfig) -> tuple[LossBreakdown, np.
     dL/df[i,j] = F[i,j] * (G[i,j] - sum_a G[a,j] * F[a,j]).
     """
     logits = _as_logits(logits, 2)
-    b_in, b_out = cfg.b_in, cfg.b_out
-    ce, d_ce = ce_and_grad(logits[:b_in], id_labels)
-    if logits.shape != (b_in + b_out, cfg.k):
+    b_in = len(id_labels)
+    b_out, k = logits.shape[0] - b_in, logits.shape[1]
+    if b_in:  # label errors come first; an empty label list has none
+        ce, d_ce = ce_and_grad(logits[:b_in], id_labels)
+    if k < 2 or b_in < 1 or b_out < 1:
         raise InvalidInputError(
-            f"batch geometry ({logits.shape[1]}, {b_in}, {logits.shape[0] - b_in}) does not "
-            f"match config ({cfg.k}, {b_in}, {b_out})"
-        )
+            f"need k >= 2, b_in >= 1, b_out >= 1, got k={k}, b_in={b_in}, b_out={b_out}")
     norm = batch_energy_normalize(logits)
     c_in = norm[:b_in].sum(axis=0)  # per-class ID mass
     c_out = norm[b_in:].sum(axis=0)  # per-class outlier mass
     row_mass = norm.sum(axis=1)
-    h_c_in = np.maximum(0.0, cfg.m_in_c - c_in)
-    h_c_out = np.maximum(0.0, c_out - cfg.m_out_c)
-    h_s_in = np.maximum(0.0, cfg.m_in_s - row_mass[:b_in])
-    h_s_out = np.maximum(0.0, row_mass[b_in:] - cfg.m_out_s)
+    # Margins: class mass 1 (ID) and 0 (outliers), row mass k / b_in (ID) and
+    # 0 (outliers). A mass is never negative, so the outlier hinges are the
+    # masses themselves.
+    h_c_in = np.maximum(0.0, 1.0 - c_in)
+    h_c_out = c_out
+    h_s_in = np.maximum(0.0, k / b_in - row_mass[:b_in])
+    h_s_out = row_mass[b_in:]
     dne_c = float((h_c_in**2).sum() + (h_c_out**2).sum())
     dne_s = float((h_s_in**2).mean() + (h_s_out**2).mean())
 
@@ -100,9 +81,7 @@ def loss_and_grad(logits, id_labels, cfg: DneConfig) -> tuple[LossBreakdown, np.
     g_f[b_in:] += 2.0 * h_c_out[None, :]
     g_f[:b_in] += (-2.0 / b_in) * h_s_in[:, None]
     g_f[b_in:] += (2.0 / b_out) * h_s_out[:, None]
-    g_f *= cfg.dne_weight
 
     grad = norm * (g_f - (g_f * norm).sum(axis=0, keepdims=True))
     grad[:b_in] += d_ce
-    c, s = cfg.dne_weight * dne_c, cfg.dne_weight * dne_s
-    return LossBreakdown(total=ce + c + s, ce=ce, dne_c=c, dne_s=s), grad
+    return LossBreakdown(total=ce + dne_c + dne_s, ce=ce, dne_c=dne_c, dne_s=dne_s), grad

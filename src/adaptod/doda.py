@@ -132,11 +132,6 @@ def _step(state, stats, logits, sample_index, is_true_ood=False, use_label_proba
     return state, score, AdaptationEvent(sample_index, accepted, g, score)
 
 
-def _check_probability(use_label_probability: float) -> None:
-    if not 0.0 <= use_label_probability <= 1.0:
-        raise InvalidInputError("use_label_probability must lie in [0, 1]")
-
-
 def adapt_and_score(
     state: OutlierDistribution,
     stats: EnergyStats,
@@ -150,21 +145,6 @@ def adapt_and_score(
     unchanged.
     """
     return _step(state, stats, logits, sample_index)
-
-
-def adapt_and_score_oracle(
-    state: OutlierDistribution,
-    stats: EnergyStats,
-    logits,
-    is_true_ood: bool,
-    use_label_probability: float,
-    rng: np.random.Generator,
-    sample_index: int = 0,
-) -> tuple[OutlierDistribution, float, AdaptationEvent]:
-    """adapt_and_score with the acceptance decision taken from the ground-truth
-    label with probability use_label_probability (1.0 = oracle, 0.0 = plain)."""
-    _check_probability(use_label_probability)
-    return _step(state, stats, logits, sample_index, is_true_ood, use_label_probability, rng)
 
 
 def _frozen(state: OutlierDistribution, logit_stream, record_events: bool):
@@ -196,8 +176,10 @@ def run_stream(
     oracle with that probability; decisions draw from rng per sample. Events
     are recorded only on request, keeping the default memory footprint at O(k).
     """
+    if not 0.0 <= use_label_probability <= 1.0:
+        raise InvalidInputError(
+            f"use_label_probability must lie in [0, 1], got {use_label_probability}")
     if use_label_probability > 0.0:
-        _check_probability(use_label_probability)
         if oracle_labels is None:
             raise InvalidInputError("use_label_probability > 0 requires oracle_labels")
         if rng is None:

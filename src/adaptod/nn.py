@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import float_array, json_field, read_json_object
-from .dne import DneConfig, LossBreakdown, ce_and_grad, loss_and_grad
+from .dne import LossBreakdown, ce_and_grad, loss_and_grad
 from .errors import InvalidInputError, ShapeError, TrainingDivergedError
 
 
@@ -96,22 +96,28 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training setting; the defaults are those of `adaptod train`.
+    epochs_finetune=0 trains with cross-entropy alone."""
+
     seed: int = 0
-    epochs_pretrain: int = 20
+    epochs_pretrain: int = 30
     epochs_finetune: int = 10
     lr_pretrain: float = 0.1
-    lr_finetune: float = 0.01
-    b_in: int = 128
-    b_out: int = 256
+    lr_finetune: float = 0.005
+    b_in: int = 64
+    b_out: int = 128
     momentum: float = 0.9
     finetune_all_layers: bool = False  # default: only the output layer adapts
-    dne_weight: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
-            raise InvalidInputError("momentum must lie in [0, 1)")
+            raise InvalidInputError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
-            raise InvalidInputError("epoch counts must be non-negative")
+            raise InvalidInputError("epoch counts must be non-negative, got "
+                                    f"{self.epochs_pretrain} and {self.epochs_finetune}")
+        if self.b_in < 1 or self.b_out < 1:
+            raise InvalidInputError(
+                f"batch sizes must be >= 1, got b_in={self.b_in}, b_out={self.b_out}")
 
 
 @dataclass
@@ -184,11 +190,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     if cfg.epochs_finetune > 0:
         if outlier_x.shape[0] < 1:
             raise InvalidInputError("fine-tuning requires outlier data")
-        b_in = min(cfg.b_in, id_x.shape[0])
         b_out = min(cfg.b_out, outlier_x.shape[0])
-        k = model.layer_dims[-1]
-        dne_cfg = DneConfig(k=k, b_in=b_in, b_out=b_out, dne_weight=cfg.dne_weight)
-        steps_per_epoch = max(1, id_x.shape[0] // b_in)
         total_steps = cfg.epochs_finetune * steps_per_epoch
         sgd = _SgdState.zeros_like(model)
         first_trainable = 0 if cfg.finetune_all_layers else model.n_layers - 1
@@ -201,7 +203,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
                 out_idx = rng.choice(outlier_x.shape[0], size=b_out, replace=False)
                 x = np.vstack([id_x[idx], outlier_x[out_idx]])
                 logits, acts = model.forward_cached(x)
-                breakdown, grad = loss_and_grad(logits, id_y[idx], dne_cfg)
+                breakdown, grad = loss_and_grad(logits, id_y[idx])
                 if not np.isfinite(breakdown.total):
                     raise TrainingDivergedError(f"non-finite loss at step {step}", step)
                 d_ws, d_bs = model.backward(acts, grad, first_trainable)

@@ -130,11 +130,19 @@ def naive_cross_entropy(rows, labels):
 #
 # The three-pass DNE step and the stage-1 cross-entropy step as they ran before
 # loss and gradient shared one normalization and one softmax. Same float ops in
-# the same order, so the fused step must match them exactly. `cfg` is read only
-# for its geometry, margins and dne_weight.
+# the same order, so the fused step must match them exactly. `margins` is
+# (m_in_c, m_out_c, m_in_s, m_out_s); the loss fixes them at
+# default_margins(k, b_in).
 
 
-def prefusion_hinges(id_rows, out_rows, cfg):
+def default_margins(k, b_in):
+    """Class mass 1 (ID) and 0 (outliers), row mass k / b_in (ID) and 0
+    (outliers): fixed by the batch geometry alone."""
+    return 1.0, 0.0, k / b_in, 0.0
+
+
+def prefusion_hinges(id_rows, out_rows, margins):
+    m_in_c, m_out_c, m_in_s, m_out_s = margins
     rows = np.vstack([id_rows, out_rows])
     shifted = rows - rows.max(axis=0, keepdims=True)
     e = np.exp(shifted)
@@ -143,10 +151,10 @@ def prefusion_hinges(id_rows, out_rows, cfg):
     c_in = norm[:b_in].sum(axis=0)
     c_out = norm[b_in:].sum(axis=0)
     s = norm.sum(axis=1)
-    h_c_in = np.maximum(0.0, cfg.m_in_c - c_in)
-    h_c_out = np.maximum(0.0, c_out - cfg.m_out_c)
-    h_s_in = np.maximum(0.0, cfg.m_in_s - s[:b_in])
-    h_s_out = np.maximum(0.0, s[b_in:] - cfg.m_out_s)
+    h_c_in = np.maximum(0.0, m_in_c - c_in)
+    h_c_out = np.maximum(0.0, c_out - m_out_c)
+    h_s_in = np.maximum(0.0, m_in_s - s[:b_in])
+    h_s_out = np.maximum(0.0, s[b_in:] - m_out_s)
     return norm, h_c_in, h_c_out, h_s_in, h_s_out
 
 
@@ -163,25 +171,24 @@ def prefusion_cross_entropy(id_logits, labels):
     return float((log_z - shifted[rows, labels]).mean())
 
 
-def prefusion_total_loss(id_rows, out_rows, labels, cfg):
+def prefusion_total_loss(id_rows, out_rows, labels, margins):
     """(total, ce, dne_c, dne_s), one normalization per energy term."""
     ce = prefusion_cross_entropy(id_rows, labels)
-    _, h_c_in, h_c_out, _, _ = prefusion_hinges(id_rows, out_rows, cfg)
-    c = cfg.dne_weight * float((h_c_in**2).sum() + (h_c_out**2).sum())
-    _, _, _, h_s_in, h_s_out = prefusion_hinges(id_rows, out_rows, cfg)
-    s = cfg.dne_weight * float((h_s_in**2).mean() + (h_s_out**2).mean())
+    _, h_c_in, h_c_out, _, _ = prefusion_hinges(id_rows, out_rows, margins)
+    c = float((h_c_in**2).sum() + (h_c_out**2).sum())
+    _, _, _, h_s_in, h_s_out = prefusion_hinges(id_rows, out_rows, margins)
+    s = float((h_s_in**2).mean() + (h_s_out**2).mean())
     return ce + c + s, ce, c, s
 
 
-def prefusion_total_loss_grad(id_rows, out_rows, labels, cfg):
-    norm, h_c_in, h_c_out, h_s_in, h_s_out = prefusion_hinges(id_rows, out_rows, cfg)
+def prefusion_total_loss_grad(id_rows, out_rows, labels, margins):
+    norm, h_c_in, h_c_out, h_s_in, h_s_out = prefusion_hinges(id_rows, out_rows, margins)
     b_in, b_out = len(id_rows), len(out_rows)
     g_f = np.zeros_like(norm)
     g_f[:b_in] += -2.0 * h_c_in[None, :]
     g_f[b_in:] += 2.0 * h_c_out[None, :]
     g_f[:b_in] += (-2.0 / b_in) * h_s_in[:, None]
     g_f[b_in:] += (2.0 / b_out) * h_s_out[:, None]
-    g_f *= cfg.dne_weight
     grad = norm * (g_f - (g_f * norm).sum(axis=0, keepdims=True))
     p = prefusion_softmax(id_rows)
     p[np.arange(b_in), labels] -= 1.0

@@ -18,8 +18,11 @@ from adaptod.energy import batch_energy_normalize, calibrated_energy, global_ene
 
 from oracles import (
     central_difference,
+    default_margins,
     max_relative_error,
     pair_count_auroc,
+    prefusion_total_loss,
+    prefusion_total_loss_grad,
     rank_walk_ap,
     running_mean_closed_form,
     threshold_scan_fpr,
@@ -64,7 +67,7 @@ def _rebuild(model, flat):
     return nn.Mlp(list(model.layer_dims), ws, bs)
 
 
-def _kink_distance(model, id_x, out_x, cfg):
+def _kink_distance(model, id_x, out_x):
     """Distance of the case from the nearest non-smooth point: the smallest
     absolute hidden pre-activation and the smallest hinge slack. Finite
     differences are only a valid oracle away from these kinks."""
@@ -78,13 +81,15 @@ def _kink_distance(model, id_x, out_x, cfg):
             act = np.maximum(z, 0.0)
         else:
             act = z
+    b_in = id_x.shape[0]
+    m_in_c, m_out_c, m_in_s, m_out_s = default_margins(act.shape[1], b_in)
     norm = batch_energy_normalize(act)
-    c_in = norm[:cfg.b_in].sum(axis=0)
-    c_out = norm[cfg.b_in:].sum(axis=0)
+    c_in = norm[:b_in].sum(axis=0)
+    c_out = norm[b_in:].sum(axis=0)
     s = norm.sum(axis=1)
     slacks = np.concatenate([
-        np.abs(cfg.m_in_c - c_in), np.abs(c_out - cfg.m_out_c),
-        np.abs(cfg.m_in_s - s[:cfg.b_in]), np.abs(s[cfg.b_in:] - cfg.m_out_s),
+        np.abs(m_in_c - c_in), np.abs(c_out - m_out_c),
+        np.abs(m_in_s - s[:b_in]), np.abs(s[b_in:] - m_out_s),
     ])
     return min(dist, float(slacks.min()))
 
@@ -112,17 +117,16 @@ def test_loss_gradients_match_finite_differences():
             id_x = rng.normal(0.0, 1.0, (b_in, dims[0]))
             out_x = rng.normal(0.0, 1.0, (b_out, dims[0]))
             labels = rng.integers(0, k, b_in)
-            cfg = dne.DneConfig(k=k, b_in=b_in, b_out=b_out)
-            if _kink_distance(model, id_x, out_x, cfg) < 1e-2:
+            if _kink_distance(model, id_x, out_x) < 1e-2:
                 continue
 
             def loss_of(flat):
                 m = _rebuild(model, flat)
                 batch = np.vstack([m.forward(id_x), m.forward(out_x)])
-                return dne.loss_and_grad(batch, labels, cfg)[0].total
+                return dne.loss_and_grad(batch, labels)[0].total
 
             logits, acts = model.forward_cached(np.vstack([id_x, out_x]))
-            upstream = dne.loss_and_grad(logits, labels, cfg)[1]
+            upstream = dne.loss_and_grad(logits, labels)[1]
             d_ws, d_bs = model.backward(acts, upstream)
             analytic = np.concatenate([g.ravel() for g in d_ws]
                                       + [g.ravel() for g in d_bs])
@@ -242,15 +246,22 @@ def test_benchmark_direction_checks_over_five_seeds():
 
 
 def test_margin_defaults_are_parameter_free():
-    """Default margins depend only on (k, b_in): 1 and 0 for the class terms,
-    k / b_in and 0 for the sample terms, with no dataset-derived inputs."""
+    """The margins depend only on (k, b_in): the loss and its gradient equal,
+    bit for bit, the pre-fusion step run with margins 1 and 0 for the class
+    terms and k / b_in and 0 for the sample terms, with no dataset-derived
+    inputs."""
+    rng = np.random.default_rng(20240502)
     for k in (2, 3, 10, 64, 1000):
         for b_in in (1, 2, 7, 128, 4096):
-            cfg = dne.DneConfig(k=k, b_in=b_in, b_out=b_in + 1)
-            assert cfg.m_in_c == 1.0
-            assert cfg.m_out_c == 0.0
-            assert cfg.m_in_s == k / b_in
-            assert cfg.m_out_s == 0.0
+            id_rows = rng.normal(0.0, 3.0, (b_in, k))
+            out_rows = rng.normal(-1.0, 3.0, (1, k))
+            labels = rng.integers(0, k, b_in)
+            margins = (1.0, 0.0, k / b_in, 0.0)
+            want = prefusion_total_loss(id_rows, out_rows, labels, margins)
+            want_grad = prefusion_total_loss_grad(id_rows, out_rows, labels, margins)
+            got, grad = dne.loss_and_grad(np.vstack([id_rows, out_rows]), labels)
+            assert (got.total, got.ce, got.dne_c, got.dne_s) == want
+            assert np.array_equal(grad, want_grad)
 
 
 def test_pipeline_determinism_and_lossless_round_trips(tmp_path):

@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line pipeline: generate, train,
 adapt-eval, head-tail, alpha-sweep, exit codes, and reproducibility."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,21 @@ class TestGenerate:
         assert run_cli("generate", "--out", tmp_path / "d", "--rho", 0.5) == EXIT_CONFIG
         assert run_cli("generate", "--out", tmp_path / "d", "--n-max", 1) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rho", "nan", "rho must be finite and >= 1, got nan"),
+        ("--rho", "inf", "rho must be finite and >= 1, got inf"),
+        ("--class-scale", "nan", "class_scale must be finite and positive, got nan"),
+        ("--shift", "nan", "shift must be finite and positive, got nan"),
+        ("--shift", "inf", "shift must be finite and positive, got inf"),
+        ("--n-test-per-class", "0", "n_test_per_class must be >= 1, got 0"),
+        ("--head-tilt", "nan", "head_tilt must lie in [0, 1], got nan"),
+    ])
+    def test_bad_value_exits_config_and_names_it(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "d"
+        assert run_cli("generate", "--out", out, "--n-max", 60, flag, value) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "id_train.csv").exists()
+
 
 class TestTrain:
     def test_checkpoint_and_loss_log(self, small_run):
@@ -102,6 +119,58 @@ class TestTrain:
         assert rc == EXIT_OK
         for fname in ("checkpoint.json", "loss_log.csv"):
             assert (again / fname).read_bytes() == (model_dir / fname).read_bytes()
+
+    def test_zero_finetune_epochs_train_with_cross_entropy_alone(self, small_run, tmp_path):
+        data_dir, _ = small_run
+        out = tmp_path / "ce"
+        assert run_cli("train", "--data", data_dir, "--out", out, "--seed", 3, "--hidden", 8,
+                       "--epochs-pretrain", 2, "--epochs-finetune", 0) == EXIT_OK
+        _, _, stage = nn.load_checkpoint(out / "checkpoint.json")
+        assert stage == "pretrain"
+        assert len((out / "loss_log.csv").read_text().splitlines()) == 1 + 2
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert params["epochs_finetune"] == 0
+        assert set(params) == {"data", "hidden", *(f.name for f in fields(nn.TrainConfig))}
+
+    def test_default_run_equals_the_library_defaults(self, tmp_path):
+        """`train` without tuning flags is nn.train under TrainConfig(seed=s)
+        with one hidden layer of 32, the training the benchmark runs."""
+        data_dir, out = tmp_path / "data", tmp_path / "model"
+        assert run_cli("generate", "--out", data_dir, "--n-max", 60, "--n-out", 80,
+                       "--seed", 4) == EXIT_OK
+        assert run_cli("train", "--data", data_dir, "--out", out, "--seed", 4) == EXIT_OK
+        sets = cli.load_datasets(data_dir, (data.ID_TRAIN, data.OUTLIER))
+        id_train = sets[data.ID_TRAIN]
+        init = nn.Mlp.init([id_train.features.shape[1], 32, 10], 4)
+        model, _ = nn.train(init, id_train.features, id_train.labels,
+                            sets[data.OUTLIER].features, nn.TrainConfig(seed=4))
+        nn.save_checkpoint(tmp_path / "want.json", model, 4, "finetune")
+        assert (out / "checkpoint.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_benchmark_train_config_is_the_default(self):
+        """bench/workloads.py trains with TRAIN_CONFIG; it must be the default
+        configuration, so the benchmark times what `train` runs."""
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        tree = ast.parse(path.read_text())
+        node = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                    and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["TRAIN_CONFIG"])
+        train_config = eval(compile(ast.Expression(node), str(path), "eval"), {"dict": dict})
+        assert nn.TrainConfig(seed=0, **train_config) == nn.TrainConfig(seed=0)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--b-in", "0"], "b_in=0"),
+        (["--b-in", "-3", "--epochs-finetune", "0"], "b_in=-3"),
+        (["--b-out", "0"], "b_out=0"),
+        (["--momentum", "nan"], "momentum must lie in [0, 1), got nan"),
+        (["--epochs-pretrain", "-1"], "got -1 and 10"),
+    ])
+    def test_bad_setting_exits_config_before_any_work(self, small_run, tmp_path, capsys, argv,
+                                                      message):
+        data_dir, _ = small_run
+        out = tmp_path / "m"
+        assert run_cli("train", "--data", data_dir, "--out", out, *argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_dir_exits_data(self, tmp_path):
         rc = run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "m")
@@ -401,7 +470,7 @@ class TestConfigFile:
         ("generate", "out", {"a": 1}),
         ("train", "hidden", 8),
         ("train", "hidden", ["x"]),
-        ("train", "ce_only", "yes"),
+        ("train", "finetune_all_layers", "yes"),
         ("head-tail", "mode", "sideways"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key, value):
@@ -444,6 +513,18 @@ class TestStream:
         c = cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD], 0.5, seed=2)
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", ["generate", "train", "adapt-eval", "head-tail",
+                                         "alpha-sweep"])
+    def test_negative_seed_exits_config(self, tmp_path, capsys, command):
+        argv = {"generate": ["--out", tmp_path / "d"],
+                "train": ["--data", tmp_path / "d", "--out", tmp_path / "m"]}.get(
+            command, ["--data", tmp_path / "d", "--model", tmp_path / "c.json",
+                      "--out", tmp_path / "e"])
+        assert run_cli(command, *argv, "--seed", -1) == EXIT_CONFIG
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from adaptod.dne import DneConfig, LossBreakdown, ce_and_grad, loss_and_grad
+from adaptod.dne import LossBreakdown, ce_and_grad, loss_and_grad
 from adaptod.errors import InvalidInputError
 
 from oracles import (
     central_difference,
+    default_margins,
     max_relative_error,
     naive_cross_entropy,
     naive_dne_c,
@@ -23,64 +24,67 @@ def random_batch(rng, k, b_in, b_out):
     return np.vstack([rng.standard_normal((b_in, k)), rng.standard_normal((b_out, k))])
 
 
-def energy_terms(logits, cfg):
-    """The loss breakdown under all-zero labels; its dne_c and dne_s do not
-    depend on the labels."""
-    return loss_and_grad(logits, np.zeros(cfg.b_in, dtype=int), cfg)[0]
+def energy_terms(logits, b_in):
+    """The loss breakdown of b_in ID rows above the outlier rows, under
+    all-zero labels; its dne_c and dne_s do not depend on the labels."""
+    return loss_and_grad(logits, np.zeros(b_in, dtype=int))[0]
 
 
-class TestDneConfig:
+def margin_oracle(batch, labels, margins):
+    """(LossBreakdown, gradient) of the pre-fusion step under explicit margins."""
+    id_rows, out_rows = batch[:len(labels)], batch[len(labels):]
+    return (LossBreakdown(*prefusion_total_loss(id_rows, out_rows, labels, margins)),
+            prefusion_total_loss_grad(id_rows, out_rows, labels, margins))
+
+
+class TestMargins:
     def test_default_margins(self):
-        cfg = DneConfig(k=10, b_in=4, b_out=8)
-        assert cfg.m_in_c == 1.0
-        assert cfg.m_out_c == 0.0
-        assert cfg.m_in_s == 10 / 4
-        assert cfg.m_out_s == 0.0
+        rng = np.random.default_rng(20)
+        batch, labels = random_batch(rng, 10, 4, 8), rng.integers(0, 10, 4)
+        want, want_grad = margin_oracle(batch, labels, (1.0, 0.0, 10 / 4, 0.0))
+        got, grad = loss_and_grad(batch, labels)
+        assert got == want and np.array_equal(grad, want_grad)
 
     def test_margins_depend_only_on_k_and_b_in(self):
-        a = DneConfig(k=7, b_in=3, b_out=5)
-        b = DneConfig(k=7, b_in=3, b_out=50)
-        assert (a.m_in_c, a.m_out_c, a.m_in_s, a.m_out_s) == (
-            b.m_in_c, b.m_out_c, b.m_in_s, b.m_out_s,
-        )
-
-    def test_explicit_override(self):
-        cfg = DneConfig(k=4, b_in=2, b_out=2, m_in_s=9.0)
-        assert cfg.m_in_s == 9.0
+        rng = np.random.default_rng(26)
+        for b_out in (5, 50):
+            batch, labels = random_batch(rng, 7, 3, b_out), rng.integers(0, 7, 3)
+            want, want_grad = margin_oracle(batch, labels, default_margins(7, 3))
+            got, grad = loss_and_grad(batch, labels)
+            assert got == want and np.array_equal(grad, want_grad)
 
     def test_invalid_geometry(self):
-        with pytest.raises(InvalidInputError):
-            DneConfig(k=1, b_in=2, b_out=2)
-        with pytest.raises(InvalidInputError):
-            DneConfig(k=2, b_in=0, b_out=2)
+        with pytest.raises(InvalidInputError, match="got k=1, b_in=2, b_out=2"):
+            loss_and_grad(np.zeros((4, 1)), [0, 0])
+        with pytest.raises(InvalidInputError, match="got k=2, b_in=0, b_out=2"):
+            loss_and_grad(np.zeros((2, 2)), [])
+        with pytest.raises(InvalidInputError, match="got k=2, b_in=2, b_out=0"):
+            loss_and_grad(np.zeros((2, 2)), [0, 1])
 
 
 class TestDneCLoss:
     def test_outlier_mass_pushed_to_zero_limit(self):
         # outlier logits 40 below ID logits: outlier column mass ~ exp(-40)
         batch = np.vstack([np.zeros((3, 4)), np.full((2, 4), -40.0)])
-        cfg = DneConfig(k=4, b_in=3, b_out=2)
-        assert energy_terms(batch, cfg).dne_c == pytest.approx(0.0, abs=1e-15)
+        assert energy_terms(batch, 3).dne_c == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_rows_symmetry(self):
         batch = np.ones((4, 2))
-        cfg = DneConfig(k=2, b_in=2, b_out=2)
-        assert energy_terms(batch, cfg).dne_c == pytest.approx(1.0, rel=1e-12)
+        assert energy_terms(batch, 2).dne_c == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             k, b_in, b_out = rng.integers(2, 8), rng.integers(1, 9), rng.integers(1, 9)
             batch = random_batch(rng, k, b_in, b_out)
-            cfg = DneConfig(k=int(k), b_in=int(b_in), b_out=int(b_out))
-            expected = naive_dne_c(batch[:b_in], batch[b_in:], cfg.m_in_c, cfg.m_out_c)
-            assert energy_terms(batch, cfg).dne_c == pytest.approx(expected, rel=1e-12)
+            expected = naive_dne_c(batch[:b_in], batch[b_in:], 1.0, 0.0)
+            assert energy_terms(batch, b_in).dne_c == pytest.approx(expected, rel=1e-12)
 
     def test_non_negative(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             batch = random_batch(rng, 5, 4, 4)
-            assert energy_terms(batch, DneConfig(k=5, b_in=4, b_out=4)).dne_c >= 0.0
+            assert energy_terms(batch, 4).dne_c >= 0.0
 
 
 class TestDneSLoss:
@@ -88,27 +92,24 @@ class TestDneSLoss:
         # ID rows equal among themselves, outliers 40 below: each ID row mass is
         # k / b_in exactly (outlier contribution vanishes), outlier mass ~ 0
         batch = np.vstack([np.zeros((4, 3)), np.full((2, 3), -40.0)])
-        cfg = DneConfig(k=3, b_in=4, b_out=2)
-        assert energy_terms(batch, cfg).dne_s == pytest.approx(0.0, abs=1e-15)
+        assert energy_terms(batch, 4).dne_s == pytest.approx(0.0, abs=1e-15)
 
     def test_identical_rows_symmetry(self):
         batch = np.ones((4, 2))
-        cfg = DneConfig(k=2, b_in=2, b_out=2)
-        assert energy_terms(batch, cfg).dne_s == pytest.approx(0.5, rel=1e-12)
+        assert energy_terms(batch, 2).dne_s == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             k, b_in, b_out = rng.integers(2, 8), rng.integers(1, 9), rng.integers(1, 9)
             batch = random_batch(rng, k, b_in, b_out)
-            cfg = DneConfig(k=int(k), b_in=int(b_in), b_out=int(b_out))
-            expected = naive_dne_s(batch[:b_in], batch[b_in:], cfg.m_in_s, cfg.m_out_s)
-            assert energy_terms(batch, cfg).dne_s == pytest.approx(expected, rel=1e-12)
+            expected = naive_dne_s(batch[:b_in], batch[b_in:], k / b_in, 0.0)
+            assert energy_terms(batch, b_in).dne_s == pytest.approx(expected, rel=1e-12)
 
     def test_geometry_mismatch_rejected(self):
         batch = np.zeros((4, 3))
         with pytest.raises(InvalidInputError):
-            energy_terms(batch, DneConfig(k=3, b_in=4, b_out=2))
+            energy_terms(batch, 4)
 
 
 class TestTotalLoss:
@@ -116,8 +117,7 @@ class TestTotalLoss:
         labels = np.array([0, 1, 2])
         id_rows = np.eye(3) * 40.0
         batch = np.vstack([id_rows, np.full((2, 3), -40.0)])
-        cfg = DneConfig(k=3, b_in=3, b_out=2)
-        breakdown = loss_and_grad(batch, labels, cfg)[0]
+        breakdown = loss_and_grad(batch, labels)[0]
         assert breakdown.ce == pytest.approx(0.0, abs=1e-12)
         assert breakdown.dne_c == pytest.approx(0.0, abs=1e-10)
         assert breakdown.dne_s == pytest.approx(0.0, abs=1e-10)
@@ -125,20 +125,18 @@ class TestTotalLoss:
 
     def test_uniform_logits_ce(self):
         batch = np.zeros((5, 2))
-        cfg = DneConfig(k=2, b_in=4, b_out=1)
-        breakdown = loss_and_grad(batch, [0, 1, 0, 1], cfg)[0]
+        breakdown = loss_and_grad(batch, [0, 1, 0, 1])[0]
         assert breakdown.ce == pytest.approx(math.log(2), rel=1e-12)
 
     def test_composition(self):
         rng = np.random.default_rng(24)
         batch = random_batch(rng, 6, 5, 7)
         labels = rng.integers(0, 6, 5)
-        cfg = DneConfig(k=6, b_in=5, b_out=7)
-        breakdown = loss_and_grad(batch, labels, cfg)[0]
+        breakdown = loss_and_grad(batch, labels)[0]
         expected = (
             ce_and_grad(batch[:5], labels)[0]
-            + energy_terms(batch, cfg).dne_c
-            + energy_terms(batch, cfg).dne_s
+            + energy_terms(batch, 5).dne_c
+            + energy_terms(batch, 5).dne_s
         )
         assert breakdown.total == pytest.approx(expected, rel=1e-12)
         assert breakdown.total == pytest.approx(
@@ -155,34 +153,30 @@ class TestTotalLoss:
 
     def test_label_out_of_range(self):
         batch = np.zeros((3, 3))
-        cfg = DneConfig(k=3, b_in=2, b_out=1)
         with pytest.raises(InvalidInputError):
-            loss_and_grad(batch, [0, 3], cfg)
+            loss_and_grad(batch, [0, 3])
 
 
 class TestTotalLossGrad:
     def grad_and_fd(self, rng, k, b_in, b_out):
         X = rng.standard_normal((b_in + b_out, k))
         labels = rng.integers(0, k, b_in)
-        cfg = DneConfig(k=k, b_in=b_in, b_out=b_out)
 
         def f(flat):
             M = flat.reshape(b_in + b_out, k)
-            return loss_and_grad(M, labels, cfg)[0].total
+            return loss_and_grad(M, labels)[0].total
 
-        analytic = loss_and_grad(X, labels, cfg)[1]
+        analytic = loss_and_grad(X, labels)[1]
         numeric = central_difference(f, X.ravel()).reshape(analytic.shape)
         return analytic, numeric
 
     def test_hinge_flat_region_has_zero_dne_gradient(self):
         # margins satisfied (outliers far below), labels matched strongly:
-        # both hinge families inactive, CE gradient ~ 0
+        # every ID class and row mass rounds to its margin (1 and k / b_in), the
+        # outlier masses underflow, and the CE gradient is ~ 0
         id_rows = np.eye(3) * 40.0
         batch = np.vstack([id_rows, np.full((2, 3), -80.0)])
-        cfg = DneConfig(k=3, b_in=3, b_out=2, m_in_s=0.5)  # below attained S values
-        # disable the class hinge too by lowering its margin below attained mass
-        cfg = DneConfig(k=3, b_in=3, b_out=2, m_in_c=0.5, m_in_s=0.5)
-        grad = loss_and_grad(batch, [0, 1, 2], cfg)[1]
+        grad = loss_and_grad(batch, [0, 1, 2])[1]
         assert np.abs(grad).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -202,14 +196,13 @@ class TestTotalLossGrad:
         id2 = np.repeat(X[:b_in], 2, axis=0)
         out2 = np.repeat(X[b_in:], 2, axis=0)
         labels2 = np.repeat(labels, 2)
-        cfg2 = DneConfig(k=k, b_in=2 * b_in, b_out=2 * b_out)
         batch2 = np.vstack([id2, out2])
 
         def f(flat):
             M = flat.reshape(2 * (b_in + b_out), k)
-            return loss_and_grad(M, labels2, cfg2)[0].total
+            return loss_and_grad(M, labels2)[0].total
 
-        analytic = loss_and_grad(batch2, labels2, cfg2)[1]
+        analytic = loss_and_grad(batch2, labels2)[1]
         numeric = central_difference(f, np.vstack([id2, out2]).ravel()).reshape(
             analytic.shape
         )
@@ -220,11 +213,10 @@ class TestTotalLossGrad:
         k, b_in, b_out = 5, 6, 4
         batch = random_batch(rng, k, b_in, b_out)
         labels = rng.integers(0, k, b_in)
-        cfg = DneConfig(k=k, b_in=b_in, b_out=b_out)
         perm = rng.permutation(b_in)
         permuted = np.vstack([batch[:b_in][perm], batch[b_in:]])
-        base_loss, g = loss_and_grad(batch, labels, cfg)
-        perm_loss, gp = loss_and_grad(permuted, labels[perm], cfg)
+        base_loss, g = loss_and_grad(batch, labels)
+        perm_loss, gp = loss_and_grad(permuted, labels[perm])
         assert perm_loss.total == pytest.approx(base_loss.total, rel=1e-12)
         np.testing.assert_allclose(gp[:b_in], g[:b_in][perm], rtol=1e-12)
         np.testing.assert_allclose(gp[b_in:], g[b_in:], rtol=1e-12)
@@ -239,14 +231,13 @@ class TestFusedStep:
         rng = np.random.default_rng(300 + seed)
         for _ in range(25):
             k, b_in, b_out = (int(v) for v in rng.integers([2, 1, 1], [12, 20, 40]))
-            weight = float(rng.choice([1.0, 0.0, 0.3, 2.5]))
             id_rows = rng.standard_normal((b_in, k)) * 3.0
             out_rows = rng.standard_normal((b_out, k)) * 3.0 - rng.uniform(0, 4)
             labels = rng.integers(0, k, b_in)
-            cfg = DneConfig(k=k, b_in=b_in, b_out=b_out, dne_weight=weight)
-            want = LossBreakdown(*prefusion_total_loss(id_rows, out_rows, labels, cfg))
-            want_grad = prefusion_total_loss_grad(id_rows, out_rows, labels, cfg)
-            breakdown, grad = loss_and_grad(np.vstack([id_rows, out_rows]), labels, cfg)
+            margins = default_margins(k, b_in)
+            want = LossBreakdown(*prefusion_total_loss(id_rows, out_rows, labels, margins))
+            want_grad = prefusion_total_loss_grad(id_rows, out_rows, labels, margins)
+            breakdown, grad = loss_and_grad(np.vstack([id_rows, out_rows]), labels)
             for name in ("total", "ce", "dne_c", "dne_s"):
                 assert getattr(breakdown, name) == getattr(want, name), name
             assert breakdown == want
@@ -264,22 +255,21 @@ class TestFusedStep:
 
     def test_label_errors(self):
         batch = np.zeros((3, 3))
-        cfg = DneConfig(k=3, b_in=2, b_out=1)
         with pytest.raises(InvalidInputError, match="one label per ID row required"):
-            loss_and_grad(batch, [0], cfg)
+            loss_and_grad(batch, [0, 1, 2, 0])
         with pytest.raises(InvalidInputError, match="label out of range"):
-            loss_and_grad(batch, [0, -1], cfg)
+            loss_and_grad(batch, [0, -1])
         with pytest.raises(InvalidInputError, match="label out of range"):
             ce_and_grad(np.zeros((2, 3)), [3, 0])
 
     def test_geometry_error_and_precedence(self):
-        batch = np.zeros((3, 3))
-        wrong = DneConfig(k=3, b_in=2, b_out=4)
-        geometry = r"batch geometry \(3, 2, 1\) does not match config \(3, 2, 4\)"
+        geometry = r"need k >= 2, b_in >= 1, b_out >= 1, got k=3, b_in=3, b_out=0"
         with pytest.raises(InvalidInputError, match=geometry):
-            loss_and_grad(batch, [0, 1], wrong)
-        with pytest.raises(InvalidInputError, match=r"batch geometry \(4, 2, 1\)"):
-            loss_and_grad(np.zeros((3, 4)), [0, 1], DneConfig(k=3, b_in=2, b_out=1))
+            loss_and_grad(np.zeros((3, 3)), [0, 1, 2])
+        with pytest.raises(InvalidInputError, match=r"got k=1, b_in=2, b_out=1"):
+            loss_and_grad(np.zeros((3, 1)), [0, 0])
         # both wrong: the labels are reported first
         with pytest.raises(InvalidInputError, match="label out of range"):
-            loss_and_grad(batch, [0, 3], wrong)
+            loss_and_grad(np.zeros((2, 3)), [0, 3])
+        with pytest.raises(InvalidInputError, match="label out of range"):
+            loss_and_grad(np.zeros((3, 1)), [0, 1])

@@ -12,7 +12,6 @@ from adaptod.doda import (
     EnergyStats,
     OutlierDistribution,
     adapt_and_score,
-    adapt_and_score_oracle,
     fit_energy_stats,
     init_outlier_distribution,
     run_stream,
@@ -184,46 +183,53 @@ class TestAdaptAndScore:
 
 
 class TestOracleVariant:
+    """Short run_stream passes with oracle labels."""
+
+    @staticmethod
+    def oracle_pass(state, stats, logits, is_ood, probability, seed=0):
+        return run_stream(state, stats, logits, oracle_labels=is_ood,
+                          use_label_probability=probability,
+                          rng=np.random.default_rng(seed), record_events=True)
+
     def test_zero_probability_degenerates(self):
         rng = np.random.default_rng(1)
         stats = EnergyStats.from_moments(50.0, 10.0)
-        state_a = OutlierDistribution(values=np.ones(3), m=1)
-        state_b = OutlierDistribution(values=np.ones(3), m=1)
+        state = OutlierDistribution(values=np.ones(3), m=1)
         logits = rng.standard_normal((30, 3))
-        for i, row in enumerate(logits):
-            state_a, score_a, _ = adapt_and_score(state_a, stats, row, sample_index=i)
-            state_b, score_b, _ = adapt_and_score_oracle(
-                state_b, stats, row, is_true_ood=True, use_label_probability=0.0, rng=rng,
-                sample_index=i,
-            )
-            assert score_a == score_b
+        scores_a, events_a, state_a = run_stream(state, stats, logits, record_events=True)
+        scores_b, events_b, state_b = self.oracle_pass(state, stats, logits, [True] * 30, 0.0)
+        assert scores_a == scores_b and events_a == events_b
         assert np.array_equal(state_a.values, state_b.values)
 
     def test_full_oracle_rejects_id(self):
         stats = EnergyStats.from_moments(1e9, 0.0)  # filter alone would accept everything
         state = OutlierDistribution(values=np.ones(2), m=1)
-        rng = np.random.default_rng(2)
-        new_state, _, event = adapt_and_score_oracle(
-            state, stats, [0.0, 0.0], is_true_ood=False, use_label_probability=1.0, rng=rng
-        )
-        assert not event.accepted
-        assert new_state is state
+        _, events, final = self.oracle_pass(state, stats, [[0.0, 0.0]], [False], 1.0, seed=2)
+        assert not events[0].accepted
+        assert final is state
 
     def test_full_oracle_accepts_ood(self):
         stats = EnergyStats.from_moments(-1e9, 0.0)  # filter alone would reject everything
         state = OutlierDistribution(values=np.ones(2), m=1)
-        rng = np.random.default_rng(3)
-        _, _, event = adapt_and_score_oracle(
-            state, stats, [0.0, 0.0], is_true_ood=True, use_label_probability=1.0, rng=rng
-        )
-        assert event.accepted
+        _, events, final = self.oracle_pass(state, stats, [[0.0, 0.0]], [True], 1.0, seed=3)
+        assert events[0].accepted
+        assert final.m == 2
 
-    def test_probability_out_of_range(self):
-        stats = EnergyStats.from_moments(1.0, 0.0)
+    @pytest.mark.parametrize("probability", [1.5, -0.5, -1e-300, math.nan, math.inf,
+                                             -math.inf])
+    def test_probability_outside_the_unit_interval_is_rejected(self, probability):
+        # a NaN or negative value once ran as plain DODA: every sample of
+        # this stream passed the filter and m ended at 5
+        stats = EnergyStats.from_moments(1e9, 0.0)
         state = OutlierDistribution(values=np.ones(2), m=1)
-        with pytest.raises(InvalidInputError):
-            adapt_and_score_oracle(state, stats, [0.0, 0.0], True, 1.5,
-                                   np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="use_label_probability"):
+            self.oracle_pass(state, stats, np.zeros((4, 2)), [True] * 4, probability)
+
+    def test_probability_is_checked_without_oracle_labels(self):
+        stats = EnergyStats.from_moments(1e9, 0.0)
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        with pytest.raises(InvalidInputError, match="use_label_probability"):
+            run_stream(state, stats, np.zeros((4, 2)), use_label_probability=math.nan)
 
 
 class TestRunStream:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from adaptod.dne import DneConfig, loss_and_grad
+from adaptod.dne import loss_and_grad
 from adaptod.errors import InvalidInputError, LogitFileError, ShapeError
 from adaptod.nn import (
     Mlp,
@@ -98,10 +98,9 @@ class TestBackward:
         b_in, b_out = 5, 4
         x = rng.standard_normal((b_in + b_out, dims[0]))
         labels = rng.integers(0, k, b_in)
-        cfg = DneConfig(k=k, b_in=b_in, b_out=b_out)
 
         logits, acts = model.forward_cached(x)
-        upstream = loss_and_grad(logits, labels, cfg)[1]
+        upstream = loss_and_grad(logits, labels)[1]
         d_ws, d_bs = model.backward(acts, upstream)
 
         for layer in range(model.n_layers):
@@ -112,7 +111,7 @@ class TestBackward:
                     params[layer][...] = flat.reshape(base.shape)
                     out = model.forward(x)
                     params[layer][...] = base
-                    return loss_and_grad(out, labels, cfg)[0].total
+                    return loss_and_grad(out, labels)[0].total
 
                 numeric = central_difference(f, base.ravel()).reshape(base.shape)
                 assert max_relative_error(grads[layer], numeric) < 1e-4
@@ -186,6 +185,11 @@ class TestTrain:
         trained, _ = train(model, x, y, outliers, cfg)
         for before, after in zip(model.weights, trained.weights):
             assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("field, value", [("b_in", 0), ("b_in", -3), ("b_out", 0)])
+    def test_batch_sizes_below_one_are_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field}={value}"):
+            TrainConfig(**{field: value})
 
     def test_parameters_stay_finite(self):
         x, y, outliers = blob_task(4)
