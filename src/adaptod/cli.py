@@ -49,8 +49,17 @@ DATASET_FILES = {
 
 
 def load_datasets(data_dir, tags=tuple(DATASET_FILES)):
-    data_dir = Path(data_dir)
-    return {tag: data_mod.read_sample_set(data_dir / DATASET_FILES[tag], tag) for tag in tags}
+    """The sample sets of data_dir; LogitFileError names a file whose rows
+    are not as wide as those of the first."""
+    paths = {tag: Path(data_dir) / DATASET_FILES[tag] for tag in tags}
+    sets = {tag: data_mod.read_sample_set(path, tag) for tag, path in paths.items()}
+    first = tags[0]
+    width = sets[first].features.shape[1]
+    for tag, sample_set in sets.items():
+        if sample_set.features.shape[1] != width:
+            raise LogitFileError(f"{paths[tag]}: rows hold {sample_set.features.shape[1]} "
+                                 f"values, but {paths[first]} rows hold {width}")
+    return sets
 
 
 def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
@@ -170,41 +179,21 @@ def train_models(datasets, cfg: nn.TrainConfig, hidden):
                     datasets[data_mod.OUTLIER].features, cfg)
 
 
-def benchmark_datasets(seed: int, *, k=10, n_max=300, rho=100.0, d=8, class_scale=0.6,
-                       class_radius=4.0, n_test_per_class=40, n_out=600, n_ood=600,
-                       shift=2.5, head_tilt=0.7, max_cosine=0.6,
-                       shell_gap=2.0, shell_width=3.0):
-    """Build the default synthetic long-tailed benchmark for one seed.
-
-    The class means sit on the coordinate axes, so only the sampling noise
-    varies with the seed. Auxiliary outliers cover a shell around the ID
-    region except for a cone around the novel direction; the true-OOD cloud
-    lives inside that cone, leaning toward the head class. The lean gives the
-    OOD samples head-class-like logits that the adapted outlier distribution
-    can learn to discount, while the frozen one cannot.
-    """
-    means = data_mod.axis_aligned_means(k, d, class_radius)
-    spec = data_mod.LongTailSpec(k=k, n_max=n_max, rho=rho, d=d, seed=seed,
-                                 class_scale=class_scale, class_means=means)
-    id_train, id_test = data_mod.generate_long_tailed(spec, n_test_per_class)
-    u = data_mod.novel_direction(d, head_tilt)
-    datasets = {
-        data_mod.ID_TRAIN: id_train,
-        data_mod.ID_TEST: id_test,
-        data_mod.OUTLIER: data_mod.generate_outliers(
-            spec, n_out, avoid_direction=u, max_cosine=max_cosine,
-            shell_gap=shell_gap, shell_width=shell_width),
-        data_mod.TRUE_OOD: data_mod.generate_true_ood(spec, n_ood, shift, direction=u),
-    }
-    return spec, datasets
+def benchmark_datasets(seed: int, **settings):
+    """The synthetic long-tailed benchmark (see data_mod.BenchmarkSpec) for one
+    seed and any non-default settings: (spec, provenance tag -> sample set)."""
+    spec = data_mod.BenchmarkSpec(seed=seed, **settings)
+    id_train, id_test = data_mod.generate_long_tailed(spec)
+    return spec, {data_mod.ID_TRAIN: id_train, data_mod.ID_TEST: id_test,
+                  data_mod.OUTLIER: data_mod.generate_outliers(spec),
+                  data_mod.TRUE_OOD: data_mod.generate_true_ood(spec)}
 
 
 DEFAULT_HIDDEN = (32,)
 BENCHMARK_VIRTUAL_COUNT = 64
 
 
-def desk_benchmark(seed: int, *, oracle_fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
-                   **dataset_kwargs):
+def desk_benchmark(seed: int, *, oracle_fractions=(0.0, 0.25, 0.5, 0.75, 1.0)):
     """One seed of the default synthetic long-tailed benchmark.
 
     Trains a CE-only model and a DNE fine-tuned model from the same
@@ -213,7 +202,7 @@ def desk_benchmark(seed: int, *, oracle_fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
     distribution blends gradually from its initialization toward the test
     outlier statistics as more samples are accepted.
     """
-    _, datasets = benchmark_datasets(seed, **dataset_kwargs)
+    _, datasets = benchmark_datasets(seed)
     ce_model, _ = train_models(datasets, nn.TrainConfig(seed=seed, epochs_finetune=0),
                                DEFAULT_HIDDEN)
     dne_model, dne_log = train_models(datasets, nn.TrainConfig(seed=seed), DEFAULT_HIDDEN)
@@ -244,31 +233,27 @@ def _write_manifest(out_dir: Path, command: str, params: dict) -> None:
         fh.write("\n")
 
 
+def _flag_values(ns, settings_class) -> dict:
+    """The parsed flags that _add_field_flags made for settings_class."""
+    return {f.name: getattr(ns, f.name) for f in fields(settings_class)}
+
+
 def cmd_generate(ns) -> int:
+    spec, sets = benchmark_datasets(**_flag_values(ns, data_mod.BenchmarkSpec))
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec, sets = benchmark_datasets(
-        ns.seed, k=ns.k, n_max=ns.n_max, rho=ns.rho, d=ns.d,
-        class_scale=ns.class_scale, n_test_per_class=ns.n_test_per_class,
-        n_out=ns.n_out, n_ood=ns.n_ood, shift=ns.shift, head_tilt=ns.head_tilt,
-    )
     for tag, sample_set in sets.items():
         data_mod.write_sample_set(out_dir / DATASET_FILES[tag], sample_set)
-    _write_manifest(out_dir, "generate", {
-        "k": ns.k, "n_max": ns.n_max, "rho": ns.rho, "d": ns.d, "seed": ns.seed,
-        "class_scale": ns.class_scale, "n_test_per_class": ns.n_test_per_class,
-        "n_out": ns.n_out, "n_ood": ns.n_ood, "shift": ns.shift,
-        "head_tilt": ns.head_tilt, "class_counts": data_mod.class_counts(spec),
-    })
+    _write_manifest(out_dir, "generate", {**asdict(spec), "class_counts": spec.class_counts()})
     return EXIT_OK
 
 
 def cmd_train(ns) -> int:
-    cfg = nn.TrainConfig(**{f.name: getattr(ns, f.name) for f in fields(nn.TrainConfig)})
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = nn.TrainConfig(**_flag_values(ns, nn.TrainConfig))
     datasets = load_datasets(ns.data, (data_mod.ID_TRAIN, data_mod.OUTLIER))
     model, log = train_models(datasets, cfg, ns.hidden)
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stage = "finetune" if cfg.epochs_finetune else "pretrain"
     nn.save_checkpoint(out_dir / "checkpoint.json", model, cfg.seed, stage)
     with open(out_dir / "loss_log.csv", "w") as fh:
@@ -345,14 +330,14 @@ def cmd_adapt_eval(ns) -> int:
     bad = [f for f in fractions if not 0.0 <= f <= 1.0]
     if bad:
         raise ConfigError(f"oracle fraction {bad[0]:g} must lie in [0, 1]")
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     datasets = load_datasets(ns.data)
     model = _load_model_for_data(ns, datasets)
     stats, p0, outlier_logits = prepare(model, datasets, alpha=ns.alpha,
                                         virtual_count=ns.virtual_count)
     results = evaluate_modes(stats, p0, forward_stream(model, datasets, ns.ood_fraction, ns.seed),
                              oracle_fractions=fractions, seed=ns.seed, record_events=ns.events)
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {mode: json.loads(res["report"].to_json()) for mode, res in results.items()}
     with open(out_dir / "metrics.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -374,14 +359,14 @@ def cmd_adapt_eval(ns) -> int:
 
 
 def cmd_headtail(ns) -> int:
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     datasets = load_datasets(ns.data)
     model = _load_model_for_data(ns, datasets)
     reports = head_tail_reports(
         model, datasets, alpha=ns.alpha, virtual_count=ns.virtual_count,
         ood_fraction=ns.ood_fraction, seed=ns.seed, mode=ns.mode,
     )
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {name: json.loads(rep.to_json()) for name, rep in reports.items()}
     with open(out_dir / "head_tail.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -398,8 +383,6 @@ def cmd_alpha_sweep(ns) -> int:
     alphas = _parse_grid(ns.alphas)
     if not alphas:
         raise ConfigError("alpha grid is empty")
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     datasets = load_datasets(ns.data)
     model = _load_model_for_data(ns, datasets)
     fitted, p0, _ = prepare(model, datasets, alpha=alphas[0], virtual_count=ns.virtual_count)
@@ -408,6 +391,8 @@ def cmd_alpha_sweep(ns) -> int:
     stream = forward_stream(model, datasets, ns.ood_fraction, ns.seed)
     aurocs = [evaluate_modes(stats, p0, stream, modes=("doda",),
                              seed=ns.seed)["doda"]["report"].auroc for stats in grid]
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "alpha_sweep.csv", "w") as fh:
         fh.write("alpha,auroc\n")
         for alpha, auc in zip(alphas, aurocs):
@@ -434,6 +419,16 @@ def _parse_grid(value: str) -> list[float]:
         raise ConfigError(f"bad numeric grid {value!r}") from exc
 
 
+def _add_field_flags(p, settings_class) -> None:
+    """One flag per field of a settings dataclass, with the field's default."""
+    for f in fields(settings_class):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default)
+
+
 def _add_eval_args(p):
     p.add_argument("--data", required=True, help="directory produced by `generate`")
     p.add_argument("--model", required=True, help="checkpoint.json from `train`")
@@ -452,29 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic long-tailed benchmark")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=300)
-    p.add_argument("--rho", type=float, default=100.0)
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--class-scale", type=float, default=0.6)
-    p.add_argument("--n-test-per-class", type=int, default=40)
-    p.add_argument("--n-out", type=int, default=600)
-    p.add_argument("--n-ood", type=int, default=600)
-    p.add_argument("--shift", type=float, default=2.5)
-    p.add_argument("--head-tilt", type=float, default=0.7)
+    _add_field_flags(p, data_mod.BenchmarkSpec)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="two-stage training on a generated benchmark")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--hidden", type=int, nargs="*", default=DEFAULT_HIDDEN)
-    for f in fields(nn.TrainConfig):  # one flag per setting, with its default
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p.add_argument(flag, action="store_true")
-        else:
-            p.add_argument(flag, type=type(f.default), default=f.default)
+    _add_field_flags(p, nn.TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("adapt-eval", help="streaming adaptation + metric report")

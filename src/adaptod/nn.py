@@ -6,6 +6,7 @@ paired ID/outlier batches)."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,10 @@ class TrainConfig:
         if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
             raise InvalidInputError("epoch counts must be non-negative, got "
                                     f"{self.epochs_pretrain} and {self.epochs_finetune}")
+        for name in ("lr_pretrain", "lr_finetune"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise InvalidInputError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.b_in < 1 or self.b_out < 1:
             raise InvalidInputError(
                 f"batch sizes must be >= 1, got b_in={self.b_in}, b_out={self.b_out}")

@@ -1,12 +1,13 @@
 """End-to-end checks of the command-line pipeline: generate, train,
 adapt-eval, head-tail, alpha-sweep, exit codes, and reproducibility."""
 
+import argparse
 import ast
 import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,18 @@ from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def bench_constant(name, owner=None):
+    """The literal assigned to `name` in bench/workloads.py, at module level
+    or in the body of class `owner`, read without importing the bench."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    body = ast.parse(path.read_text()).body
+    if owner is not None:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == owner).body
+    node = next(n.value for n in body if isinstance(n, ast.Assign)
+                and [t.id for t in n.targets if isinstance(t, ast.Name)] == [name])
+    return eval(compile(ast.Expression(node), str(path), "eval"), {"dict": dict})
 
 
 @pytest.fixture()
@@ -64,10 +77,6 @@ class TestGenerate:
         assert set(datasets) == set(cli.DATASET_FILES)
         assert datasets[data.ID_TRAIN].features.shape[1] == 8
 
-    def test_bad_parameters_exit_config(self, tmp_path):
-        assert run_cli("generate", "--out", tmp_path / "d", "--rho", 0.5) == EXIT_CONFIG
-        assert run_cli("generate", "--out", tmp_path / "d", "--n-max", 1) == EXIT_CONFIG
-
     @pytest.mark.parametrize("flag, value, message", [
         ("--rho", "nan", "rho must be finite and >= 1, got nan"),
         ("--rho", "inf", "rho must be finite and >= 1, got inf"),
@@ -76,12 +85,55 @@ class TestGenerate:
         ("--shift", "inf", "shift must be finite and positive, got inf"),
         ("--n-test-per-class", "0", "n_test_per_class must be >= 1, got 0"),
         ("--head-tilt", "nan", "head_tilt must lie in [0, 1], got nan"),
+        ("--head-tilt", "2", "head_tilt must lie in [0, 1], got 2.0"),
+        ("--shift", "0", "shift must be finite and positive, got 0.0"),
+        ("--rho", "0.5", "rho must be finite and >= 1, got 0.5"),
+        ("--n-max", "1", "would receive 0 samples at n_max=1, rho=100.0"),
+        ("--n-out", "0", "n_out must be >= 1, got 0"),
+        ("--n-ood", "0", "n_ood must be >= 1, got 0"),
+        ("--k", "20", "at most 2*d=16 classes, got k=20"),
+        ("--d", "0", "d must be >= 1, got 0"),
     ])
     def test_bad_value_exits_config_and_names_it(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "d"
         assert run_cli("generate", "--out", out, "--n-max", 60, flag, value) == EXIT_CONFIG
         assert message in capsys.readouterr().err
-        assert not (out / "id_train.csv").exists()
+        assert not out.exists()
+
+    def test_flags_and_manifest_are_the_spec_fields(self, tmp_path):
+        out = tmp_path / "d"
+        assert run_cli("generate", "--out", out, "--n-max", 60, "--shift", 3) == EXIT_OK
+        spec = data.BenchmarkSpec(n_max=60, shift=3.0)
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert params == {**asdict(spec), "class_counts": spec.class_counts()}
+
+
+class TestBenchmarkContract:
+    """bench/workloads.py builds its data through cli.benchmark_datasets and
+    `adaptod generate`; its settings and flags must be those of the spec."""
+
+    @pytest.mark.parametrize("workload", ["Stream", "Train"])
+    def test_workload_data_settings_are_spec_fields(self, workload):
+        settings = bench_constant("DATA", workload)
+        assert set(settings) <= {f.name for f in fields(data.BenchmarkSpec)}
+        data.BenchmarkSpec(**settings)
+
+    def test_pipeline_generate_flags_are_generate_flags(self):
+        argv = bench_constant("GENERATE", "Pipeline")
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        flags = subcommands.choices["generate"]._option_string_actions
+        assert [a for a in argv if a.startswith("--")] == argv[::2]
+        assert set(argv[::2]) <= set(flags)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_benchmark_datasets_equal_what_generate_writes(self, tmp_path, seed):
+        assert run_cli("generate", "--out", tmp_path, "--seed", seed) == EXIT_OK
+        written = cli.load_datasets(tmp_path)
+        _, sets = cli.benchmark_datasets(seed)
+        for tag, want in sets.items():
+            assert np.array_equal(written[tag].features, want.features)
+            assert np.array_equal(written[tag].labels, want.labels)
 
 
 class TestTrain:
@@ -150,11 +202,7 @@ class TestTrain:
     def test_benchmark_train_config_is_the_default(self):
         """bench/workloads.py trains with TRAIN_CONFIG; it must be the default
         configuration, so the benchmark times what `train` runs."""
-        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-        tree = ast.parse(path.read_text())
-        node = next(n.value for n in tree.body if isinstance(n, ast.Assign)
-                    and [t.id for t in n.targets if isinstance(t, ast.Name)] == ["TRAIN_CONFIG"])
-        train_config = eval(compile(ast.Expression(node), str(path), "eval"), {"dict": dict})
+        train_config = bench_constant("TRAIN_CONFIG")
         assert nn.TrainConfig(seed=0, **train_config) == nn.TrainConfig(seed=0)
 
     @pytest.mark.parametrize("argv, message", [
@@ -163,6 +211,10 @@ class TestTrain:
         (["--b-out", "0"], "b_out=0"),
         (["--momentum", "nan"], "momentum must lie in [0, 1), got nan"),
         (["--epochs-pretrain", "-1"], "got -1 and 10"),
+        (["--lr-pretrain", "nan"], "lr_pretrain must be finite and positive, got nan"),
+        (["--lr-pretrain", "-1"], "lr_pretrain must be finite and positive, got -1.0"),
+        (["--lr-pretrain", "0"], "lr_pretrain must be finite and positive, got 0.0"),
+        (["--lr-finetune", "inf"], "lr_finetune must be finite and positive, got inf"),
     ])
     def test_bad_setting_exits_config_before_any_work(self, small_run, tmp_path, capsys, argv,
                                                       message):
@@ -194,6 +246,42 @@ class TestTrain:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert f"data error: {path}: line 6: " in err and message in err
+
+
+class TestSampleFileWidths:
+    """Every set a command loads must hold as many values per row as the first."""
+
+    @staticmethod
+    def rewrite(path, width):
+        """path with every row cut or padded to `width` values."""
+        lines = path.read_text().splitlines()
+        rows = [",".join((line.split(",") + ["0.5"] * width)[:2 + width]) for line in lines[1:]]
+        path.write_text("\n".join([f"k={width}", *rows]) + "\n")
+
+    def test_narrow_outlier_set_exits_data(self, small_run, tmp_path, capsys):
+        data_dir, _ = small_run
+        self.rewrite(data_dir / "outlier.csv", 7)
+        assert run_cli("train", "--data", data_dir, "--out", tmp_path / "m") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {data_dir / 'outlier.csv'}: rows hold 7 values, " \
+               f"but {data_dir / 'id_train.csv'} rows hold 8" in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("command", ["adapt-eval", "head-tail"])
+    def test_wide_true_ood_set_exits_data(self, small_run, tmp_path, capsys, command):
+        data_dir, model_dir = small_run
+        self.rewrite(data_dir / "true_ood.csv", 9)
+        rc = run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", tmp_path / "e")
+        assert rc == EXIT_DATA
+        assert f"{data_dir / 'true_ood.csv'}: rows hold 9 values" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_zero_width_header_exits_data(self, small_run, tmp_path, capsys):
+        data_dir, _ = small_run
+        (data_dir / "id_train.csv").write_text("k=0\n0,1\n")
+        assert run_cli("train", "--data", data_dir, "--out", tmp_path / "m") == EXIT_DATA
+        assert f"{data_dir / 'id_train.csv'}: line 1: header k=0" in capsys.readouterr().err
 
 
 class TestAdaptEval:
@@ -255,7 +343,7 @@ class TestAdaptEval:
                      "--out", tmp_path / "e", f"--alpha={alpha}")
         assert rc == EXIT_CONFIG
         assert "alpha must be finite and positive" in capsys.readouterr().err
-        assert not list((tmp_path / "e").iterdir())
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("fractions, bad", [
         ("-0.5", "-0.5"), ("0,1.5", "1.5"), ("nan", "nan"), ("0.5,inf", "inf"),
@@ -269,12 +357,17 @@ class TestAdaptEval:
         assert f"oracle fraction {bad} must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
-    def test_bad_ood_fraction_exits_config(self, small_run, tmp_path):
+    @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--ood-fraction", "1.5"), ("--ood-fraction", "nan"), ("--virtual-count", "-1"),
+    ])
+    def test_bad_stream_setting_exits_config_and_leaves_no_directory(self, small_run, tmp_path,
+                                                                     command, flag, value):
         data_dir, model_dir = small_run
-        rc = run_cli("adapt-eval", "--data", data_dir, "--model",
-                     model_dir / "checkpoint.json", "--out", tmp_path / "e",
-                     "--ood-fraction", 1.5)
+        rc = run_cli(command, "--data", data_dir, "--model",
+                     model_dir / "checkpoint.json", "--out", tmp_path / "e", flag, value)
         assert rc == EXIT_CONFIG
+        assert not (tmp_path / "e").exists()
 
 
 class TestHeadTail:
@@ -326,7 +419,7 @@ class TestAlphaSweep:
                      model_dir / "checkpoint.json", "--out", tmp_path / "s", "--alphas", alphas)
         assert rc == EXIT_CONFIG
         assert "alpha must be finite and positive" in capsys.readouterr().err
-        assert not list((tmp_path / "s").iterdir())
+        assert not (tmp_path / "s").exists()
 
     def test_alpha_is_not_a_flag(self, small_run, tmp_path, capsys):
         data_dir, model_dir = small_run

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from adaptod.data import (
+    CLASS_RADIUS,
     ID_TEST,
     ID_TRAIN,
     OUTLIER,
+    SHELL_GAP,
+    SHELL_WIDTH,
     TRUE_OOD,
-    LongTailSpec,
+    BenchmarkSpec,
     SampleSet,
-    axis_aligned_means,
-    class_counts,
     generate_long_tailed,
     generate_outliers,
     generate_true_ood,
-    novel_direction,
     read_sample_set,
     true_ood_center,
     write_sample_set,
@@ -28,21 +28,21 @@ from oracles import exact_counts, per_record_read, per_record_write
 def default_spec(seed=0, **overrides):
     params = dict(k=10, n_max=1000, rho=100.0, d=8, seed=seed)
     params.update(overrides)
-    return LongTailSpec(**params)
+    return BenchmarkSpec(**params)
 
 
 class TestClassCounts:
     def test_formula_endpoints(self):
-        counts = class_counts(default_spec())
+        counts = default_spec().class_counts()
         assert counts[0] == 1000
         assert counts[-1] == 10
 
     def test_no_decay_when_balanced(self):
-        counts = class_counts(default_spec(rho=1.0))
+        counts = default_spec(rho=1.0).class_counts()
         assert counts == [1000] * 10
 
     def test_matches_arbitrary_precision_recompute(self):
-        counts = class_counts(default_spec())
+        counts = default_spec().class_counts()
         assert counts == exact_counts(1000, 100, 10)
 
     def test_invalid_rho(self):
@@ -50,61 +50,78 @@ class TestClassCounts:
             default_spec(rho=0.5)
 
     def test_class_starved_out(self):
-        with pytest.raises(InvalidInputError):
-            class_counts(default_spec(n_max=2, rho=100.0))
+        with pytest.raises(InvalidInputError, match="class 3 would receive 0 samples at n_max=2"):
+            default_spec(n_max=2, rho=100.0)
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("name, value, message", [
+        ("k", 1, "k must be >= 2, got 1"),
+        ("n_max", 0, "n_max must be >= 1, got 0"),
+        ("d", 0, "d must be >= 1, got 0"),
+        ("n_test_per_class", 0, "n_test_per_class must be >= 1, got 0"),
+        ("n_ood", 0, "n_ood must be >= 1, got 0"),
+        ("k", 17, "at most 2*d=16 classes, got k=17"),
+        ("class_scale", 0.0, "class_scale must be finite and positive, got 0.0"),
+        ("head_tilt", 1.5, "head_tilt must lie in [0, 1], got 1.5"),
+    ])
+    def test_bad_setting_is_rejected_and_named(self, name, value, message):
+        with pytest.raises(InvalidInputError) as info:
+            default_spec(**{"n_max": 50, name: value})
+        assert message in str(info.value)
 
 
 class TestGenerators:
     def test_train_counts_follow_formula(self):
-        spec = default_spec(n_max=200)
-        train, test = generate_long_tailed(spec, n_test_per_class=10)
-        counts = class_counts(spec)
+        spec = default_spec(n_max=200, n_test_per_class=10)
+        train, test = generate_long_tailed(spec)
+        counts = spec.class_counts()
         for j in range(spec.k):
             assert (train.labels == j).sum() == counts[j]
         assert train.provenance == ID_TRAIN
 
     def test_test_set_is_balanced(self):
-        _, test = generate_long_tailed(default_spec(n_max=100), n_test_per_class=7)
+        _, test = generate_long_tailed(default_spec(n_max=100, n_test_per_class=7))
         for j in range(10):
             assert (test.labels == j).sum() == 7
         assert test.provenance == ID_TEST
 
     def test_determinism(self):
-        spec = default_spec(n_max=50)
+        spec = default_spec(n_max=50, n_out=40)
         a, _ = generate_long_tailed(spec)
         b, _ = generate_long_tailed(spec)
         assert np.array_equal(a.features, b.features)
-        out_a = generate_outliers(spec, 40)
-        out_b = generate_outliers(spec, 40)
+        out_a = generate_outliers(spec)
+        out_b = generate_outliers(spec)
         assert np.array_equal(out_a.features, out_b.features)
 
     def test_outlier_labels_and_counts(self):
-        out = generate_outliers(default_spec(n_max=50), 33)
+        out = generate_outliers(default_spec(n_max=50, n_out=33))
         assert out.n == 33
         assert (out.labels == -1).all()
         assert out.provenance == OUTLIER
 
     def test_n_out_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            generate_outliers(default_spec(n_max=50), 0)
+        with pytest.raises(InvalidInputError, match="n_out must be >= 1, got 0"):
+            default_spec(n_max=50, n_out=0)
 
     def test_zero_shift_rejected(self):
-        with pytest.raises(InvalidInputError):
-            generate_true_ood(default_spec(n_max=50), 10, shift=0.0)
+        with pytest.raises(InvalidInputError, match="shift must be finite and positive, got 0.0"):
+            default_spec(n_max=50, shift=0.0)
 
     def test_true_ood_center_keeps_margin_from_class_means(self):
         for seed in range(5):
-            spec = default_spec(seed=seed, n_max=50)
-            center = true_ood_center(spec, shift=2.0)
+            spec = default_spec(seed=seed, n_max=50, shift=2.0)
+            center = true_ood_center(spec)
             dists = np.linalg.norm(spec.class_means - center, axis=1)
             assert dists.min() > 2.0 * spec.class_scale
 
     def test_outlier_to_true_ood_distance_grows_with_shift(self):
-        spec = default_spec(n_max=50)
-        out = generate_outliers(spec, 300)
+        spec = default_spec(n_max=50, n_out=300)
+        out = generate_outliers(spec)
         mean_dists = []
         for shift in (1.0, 2.0, 4.0):
-            ood = generate_true_ood(spec, 300, shift=shift)
+            ood = generate_true_ood(default_spec(n_max=50, n_ood=300, shift=shift))
             d = np.linalg.norm(
                 out.features[:, None, :] - ood.features[None, :, :], axis=2
             ).mean()
@@ -112,70 +129,68 @@ class TestGenerators:
         assert mean_dists[0] < mean_dists[1] < mean_dists[2]
 
     def test_true_ood_provenance(self):
-        ood = generate_true_ood(default_spec(n_max=50), 5, shift=1.0)
+        ood = generate_true_ood(default_spec(n_max=50, n_ood=5, shift=1.0))
         assert ood.provenance == TRUE_OOD
         assert (ood.labels == -1).all()
 
 
 class TestFixedGeometry:
     def test_axis_means_norms_and_orthogonality(self):
-        means = axis_aligned_means(10, 8, 4.0)
+        means = default_spec(k=10, d=8).class_means
         assert means.shape == (10, 8)
-        assert np.allclose(np.linalg.norm(means, axis=1), 4.0)
+        assert np.allclose(np.linalg.norm(means, axis=1), CLASS_RADIUS)
         # classes 8 and 9 reuse the first two axes with the opposite sign
         assert np.allclose(means[8], -means[0])
         assert np.allclose(means[9], -means[1])
 
     def test_axis_means_reject_too_many_classes(self):
         with pytest.raises(InvalidInputError):
-            axis_aligned_means(17, 8, 4.0)
-        with pytest.raises(InvalidInputError):
-            axis_aligned_means(4, 8, 0.0)
+            default_spec(k=17, d=8)
 
     def test_novel_direction_endpoints(self):
         d = 8
-        diag = novel_direction(d, 0.0)
+        diag = default_spec(d=d, head_tilt=0.0).novel_direction
         assert np.allclose(diag, np.ones(d) / np.sqrt(d))
-        head = novel_direction(d, 1.0)
+        head = default_spec(d=d, head_tilt=1.0).novel_direction
         assert np.allclose(head, np.eye(d)[0])
 
     def test_novel_direction_tilt_moves_toward_head_axis(self):
-        cosines = [novel_direction(8, t)[0] for t in (0.0, 0.3, 0.6, 0.9)]
+        directions = [default_spec(head_tilt=t).novel_direction for t in (0.0, 0.3, 0.6, 0.9)]
+        cosines = [u[0] for u in directions]
         assert all(a < b for a, b in zip(cosines, cosines[1:]))
-        for t in (0.0, 0.3, 0.6, 0.9):
-            assert np.isclose(np.linalg.norm(novel_direction(8, t)), 1.0)
+        for u in directions:
+            assert np.isclose(np.linalg.norm(u), 1.0)
 
     def test_novel_direction_range_check(self):
         with pytest.raises(InvalidInputError):
-            novel_direction(8, 1.5)
+            default_spec(head_tilt=1.5)
 
     def test_outlier_cone_is_empty(self):
-        spec = default_spec(n_max=50)
-        u = novel_direction(spec.d, 0.7)
-        out = generate_outliers(spec, 200, avoid_direction=u, max_cosine=0.6)
+        spec = default_spec(n_max=50, n_out=200, head_tilt=0.7)
+        u = spec.novel_direction
+        out = generate_outliers(spec)
         dirs = out.features / np.linalg.norm(out.features, axis=1, keepdims=True)
         assert (dirs @ u < 0.6).all()
         assert out.n == 200
 
     def test_outlier_shell_bounds_respected(self):
-        spec = default_spec(n_max=50)
+        spec = default_spec(n_max=50, n_out=300)
         rmax = np.linalg.norm(spec.class_means, axis=1).max()
-        out = generate_outliers(spec, 300, shell_gap=2.0, shell_width=3.0)
+        out = generate_outliers(spec)
         radii = np.linalg.norm(out.features, axis=1)
+        assert (SHELL_GAP, SHELL_WIDTH) == (2.0, 3.0)
         assert (radii >= rmax + 2.0 - 1e-9).all()
         assert (radii <= rmax + 5.0 + 1e-9).all()
 
     def test_directional_ood_center_on_requested_ray(self):
-        spec = default_spec(n_max=50)
-        u = novel_direction(spec.d, 0.7)
-        center = true_ood_center(spec, 2.5, direction=u)
-        assert np.allclose(center / np.linalg.norm(center), u)
+        spec = default_spec(n_max=50, shift=2.5, head_tilt=0.7)
+        center = true_ood_center(spec)
+        assert np.allclose(center / np.linalg.norm(center), spec.novel_direction)
 
     def test_directional_ood_is_deterministic(self):
-        spec = default_spec(n_max=50)
-        u = novel_direction(spec.d, 0.7)
-        a = generate_true_ood(spec, 50, 2.5, direction=u)
-        b = generate_true_ood(spec, 50, 2.5, direction=u)
+        spec = default_spec(n_max=50, n_ood=50, shift=2.5, head_tilt=0.7)
+        a = generate_true_ood(spec)
+        b = generate_true_ood(spec)
         assert np.array_equal(a.features, b.features)
 
 
@@ -260,6 +275,8 @@ class TestLogitFiles:
 
     @pytest.mark.parametrize("text, line, message", [
         pytest.param("k=x\n0,1,0.5\n", 1, "malformed `k=<int>` header", id="header"),
+        pytest.param("k=0\n0,1\n", 1, "header k=0: a sample needs at least one value",
+                     id="zero-width"),
         pytest.param("k=1\n0,1,0.5\n1,1\n", 3, "expected 3 comma-separated fields, got 2",
                      id="field-count"),
         pytest.param("k=1\n0.5,1,0.5\n", 2, "invalid literal for int", id="bad-id"),
@@ -283,8 +300,8 @@ class TestLogitFiles:
             read_sample_set(path, provenance)
 
     def test_sample_set_round_trip(self, tmp_path):
-        spec = default_spec(n_max=30, rho=10.0)
-        train, _ = generate_long_tailed(spec, n_test_per_class=5)
+        spec = default_spec(n_max=30, rho=10.0, n_test_per_class=5)
+        train, _ = generate_long_tailed(spec)
         path = tmp_path / "train.csv"
         write_sample_set(path, train)
         loaded = read_sample_set(path, ID_TRAIN)
