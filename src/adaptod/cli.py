@@ -325,7 +325,16 @@ def _write_hist_svg(path, edges, counts) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+def _check_stream_flags(ns) -> None:
+    """--ood-fraction and --virtual-count, checked before any file is read."""
+    if not 0.0 < ns.ood_fraction < 1.0:
+        raise ConfigError(f"ood_fraction must lie strictly between 0 and 1, got {ns.ood_fraction}")
+    if ns.virtual_count < 0:
+        raise ConfigError(f"virtual_count must be non-negative, got {ns.virtual_count}")
+
+
 def cmd_adapt_eval(ns) -> int:
+    _check_stream_flags(ns)
     fractions = _parse_grid(ns.oracle_fractions)
     bad = [f for f in fractions if not 0.0 <= f <= 1.0]
     if bad:
@@ -359,6 +368,7 @@ def cmd_adapt_eval(ns) -> int:
 
 
 def cmd_headtail(ns) -> int:
+    _check_stream_flags(ns)
     datasets = load_datasets(ns.data)
     model = _load_model_for_data(ns, datasets)
     reports = head_tail_reports(
@@ -380,6 +390,7 @@ def cmd_headtail(ns) -> int:
 
 
 def cmd_alpha_sweep(ns) -> int:
+    _check_stream_flags(ns)
     alphas = _parse_grid(ns.alphas)
     if not alphas:
         raise ConfigError("alpha grid is empty")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _as_logits, batch_energy_normalize
+from .energy import batch_energy_normalize
 from .errors import InvalidInputError
 
 
@@ -27,20 +27,21 @@ class LossBreakdown:
 
 def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the rows and its gradient w.r.t. the
-    logits, (softmax - onehot) / n, from one exponentiation."""
+    logits, (softmax - onehot) / n, from one exponentiation. Each label must be
+    a class index in [0, k): nn.train checks its labels once, up front, so no
+    step checks them again."""
     labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape[0] != logits.shape[0]:
+    n = logits.shape[0]
+    if labels.shape[0] != n:
         raise InvalidInputError("one label per ID row required")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise InvalidInputError("label out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=1, keepdims=True)
-    rows = np.arange(logits.shape[0])
-    ce = float((np.log(z[:, 0]) - shifted[rows, labels]).mean())
+    rows = np.arange(n)
+    ce = float((np.log(z[:, 0]) - shifted[rows, labels]).sum() / n)
     p = e / z
     p[rows, labels] -= 1.0
-    return ce, p / logits.shape[0]
+    return ce, p / n
 
 
 def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
@@ -49,20 +50,22 @@ def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
 
     logits stacks one ID row per label above the outlier rows, shape
     (b_in + b_out, k). One batch normalization and one softmax serve the loss
-    and the gradient. Label errors are raised before batch-geometry errors.
+    and the gradient. The logits are checked once, by batch_energy_normalize;
+    a label count error is raised before batch-geometry errors, and the labels
+    are class indices as ce_and_grad requires.
     The energy terms backpropagate through the per-column normalization, which
     couples all rows within a column: for G = dL/dF,
     dL/df[i,j] = F[i,j] * (G[i,j] - sum_a G[a,j] * F[a,j]).
     """
-    logits = _as_logits(logits, 2)
+    logits = np.asarray(logits, dtype=np.float64)
+    norm = batch_energy_normalize(logits)  # the one check of the logits
     b_in = len(id_labels)
     b_out, k = logits.shape[0] - b_in, logits.shape[1]
-    if b_in:  # label errors come first; an empty label list has none
+    if b_in:  # a label count error comes first; an empty label list has none
         ce, d_ce = ce_and_grad(logits[:b_in], id_labels)
     if k < 2 or b_in < 1 or b_out < 1:
         raise InvalidInputError(
             f"need k >= 2, b_in >= 1, b_out >= 1, got k={k}, b_in={b_in}, b_out={b_out}")
-    norm = batch_energy_normalize(logits)
     c_in = norm[:b_in].sum(axis=0)  # per-class ID mass
     c_out = norm[b_in:].sum(axis=0)  # per-class outlier mass
     row_mass = norm.sum(axis=1)
@@ -74,14 +77,13 @@ def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
     h_s_in = np.maximum(0.0, k / b_in - row_mass[:b_in])
     h_s_out = row_mass[b_in:]
     dne_c = float((h_c_in**2).sum() + (h_c_out**2).sum())
-    dne_s = float((h_s_in**2).mean() + (h_s_out**2).mean())
+    dne_s = float((h_s_in**2).sum() / b_in + (h_s_out**2).sum() / b_out)
 
-    g_f = np.zeros_like(norm)
-    g_f[:b_in] += -2.0 * h_c_in[None, :]
-    g_f[b_in:] += 2.0 * h_c_out[None, :]
-    g_f[:b_in] += (-2.0 / b_in) * h_s_in[:, None]
-    g_f[b_in:] += (2.0 / b_out) * h_s_out[:, None]
-
+    # dL/dF: the class term along each column plus the sample term along each
+    # row. Every hinge is >= +0, and 0.0 - x turns an ID entry of -0.0 into
+    # +0.0, as the sum from zeros did.
+    g_f = np.concatenate([0.0 - (2.0 * h_c_in + (2.0 / b_in) * h_s_in[:, None]),
+                          2.0 * h_c_out + (2.0 / b_out) * h_s_out[:, None]])
     grad = norm * (g_f - (g_f * norm).sum(axis=0, keepdims=True))
     grad[:b_in] += d_ce
     return LossBreakdown(total=ce + dne_c + dne_s, ce=ce, dne_c=dne_c, dne_s=dne_s), grad

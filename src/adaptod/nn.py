@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -18,11 +19,31 @@ from .errors import InvalidInputError, ShapeError, TrainingDivergedError
 
 @dataclass
 class Mlp:
-    """Fully connected net, ReLU hidden activations, identity output."""
+    """Fully connected net, ReLU hidden activations, identity output. The arrays
+    are packed into one vector, params, layer by layer (W row-major, then b), so
+    the output layer is its tail; weights and biases become views into it, layer
+    i begins at offsets[i], and backward fills grad, laid out the same way."""
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def __post_init__(self):
+        dims = self.layer_dims
+        self.offsets = list(accumulate((i * o + o for i, o in zip(dims[:-1], dims[1:])),
+                                       initial=0))
+        self.params = np.concatenate(
+            [np.ravel(a) for w, b in zip(self.weights, self.biases) for a in (w, b)],
+            dtype=np.float64)
+        self.grad = np.zeros_like(self.params)
+        self.weights, self.biases = self._layer_views(self.params)
+        self._d_weights, self._d_biases = self._layer_views(self.grad)
+
+    def _layer_views(self, flat):
+        dims, at = self.layer_dims, self.offsets
+        ws = [flat[at[i]:at[i] + i_n * o_n].reshape(i_n, o_n)
+              for i, (i_n, o_n) in enumerate(zip(dims[:-1], dims[1:]))]
+        return ws, [flat[at[i] + w.size:at[i + 1]] for i, w in enumerate(ws)]
 
     @classmethod
     def init(cls, layer_dims, seed: int) -> "Mlp":
@@ -42,11 +63,7 @@ class Mlp:
         return len(self.weights)
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return Mlp(list(self.layer_dims), self.weights, self.biases)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward_cached(inputs)[0]
@@ -59,31 +76,33 @@ class Mlp:
                 f"inputs have shape {x.shape}, expected (n, {self.layer_dims[0]})"
             )
         activations = [x]
+        last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = activations[-1] @ w + b
-            if i < self.n_layers - 1:
+            if i < last:
                 z = np.maximum(z, 0.0)
             activations.append(z)
         return activations[-1], activations
 
-    def backward(self, activations, upstream_grad: np.ndarray, first_layer: int = 0):
-        """Parameter gradients for an upstream dL/dlogits. Returns (dWs, dbs);
-        layers below first_layer are not backpropagated into and get None."""
+    def backward(self, activations, upstream_grad: np.ndarray, start: int = 0):
+        """Parameter gradients for an upstream dL/dlogits, written into grad from
+        its tail down to start, which must be one of offsets: the layers below
+        start are not backpropagated into and keep their entries. Returns the
+        per-layer views (dWs, dbs) of grad, which the next call overwrites."""
         g = np.asarray(upstream_grad, dtype=np.float64)
         if g.shape != activations[-1].shape:
             raise ShapeError(
                 f"upstream gradient shape {g.shape} != logits shape {activations[-1].shape}"
             )
-        d_ws = [None] * self.n_layers
-        d_bs = [None] * self.n_layers
-        for i in range(self.n_layers - 1, first_layer - 1, -1):
-            a_prev = activations[i]
-            d_ws[i] = a_prev.T @ g
-            d_bs[i] = g.sum(axis=0)
-            if i > first_layer:
-                g = g @ self.weights[i].T
-                g = g * (activations[i] > 0.0)
-        return d_ws, d_bs
+        if start not in self.offsets[:-1]:
+            raise InvalidInputError(f"start {start} is not where a layer begins: {self.offsets}")
+        for i in range(self.n_layers - 1, -1, -1):
+            np.matmul(activations[i].T, g, out=self._d_weights[i])
+            g.sum(axis=0, out=self._d_biases[i])
+            if self.offsets[i] == start:
+                break
+            g = (g @ self.weights[i].T) * (activations[i] > 0.0)
+        return self._d_weights, self._d_biases
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -125,106 +144,89 @@ class TrainConfig:
                 f"batch sizes must be >= 1, got b_in={self.b_in}, b_out={self.b_out}")
 
 
-@dataclass
-class _SgdState:
-    velocity_w: list[np.ndarray]
-    velocity_b: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, model: Mlp):
-        return cls(
-            velocity_w=[np.zeros_like(w) for w in model.weights],
-            velocity_b=[np.zeros_like(b) for b in model.biases],
-        )
+def _sgd_step(params, velocity, grad, lr, momentum, step):
+    """One momentum update, in place, of a run of the parameter vector."""
+    velocity *= momentum
+    velocity -= lr * grad
+    params += velocity
+    if not np.isfinite(params).all():
+        raise TrainingDivergedError(f"non-finite parameters at step {step}", step)
 
 
-def _sgd_step(model, state, d_ws, d_bs, lr, momentum, step):
-    """Momentum update of every layer that has a gradient."""
-    for i in range(model.n_layers):
-        if d_ws[i] is None:
-            continue
-        state.velocity_w[i] = momentum * state.velocity_w[i] - lr * d_ws[i]
-        state.velocity_b[i] = momentum * state.velocity_b[i] - lr * d_bs[i]
-        model.weights[i] += state.velocity_w[i]
-        model.biases[i] += state.velocity_b[i]
-        if not (np.isfinite(model.weights[i]).all() and np.isfinite(model.biases[i]).all()):
-            raise TrainingDivergedError(f"non-finite parameters at step {step}", step)
+def _class_labels(id_y, n: int, k: int) -> np.ndarray:
+    """id_y as n class indices; InvalidInputError names the first row whose
+    label is not an integer in [0, k)."""
+    y = np.asarray(id_y)
+    if y.shape != (n,):
+        raise InvalidInputError(f"id_x and id_y lengths differ: {n} rows, labels {y.shape}")
+    bad = np.flatnonzero(~np.isin(y, np.arange(k)))
+    if bad.size:
+        i = bad[0]
+        raise InvalidInputError(f"label {y[i]} at row {i} is not an integer in [0, {k})")
+    return y.astype(np.intp)
 
 
 def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     """Two-stage training. Returns (trained model, per-epoch loss log).
 
-    Stage 1 minimizes cross-entropy on ID batches alone. Stage 2 minimizes the
-    total objective on paired ID/outlier batches, by default updating only the
-    output layer. The log holds one LossBreakdown per epoch (epoch means);
-    stage-1 entries carry zero energy terms.
+    Stage 1 minimizes cross-entropy on ID batches, training every layer. Stage
+    2 minimizes the total objective on paired ID/outlier batches, by default
+    training only the output layer: the tail of params from offsets[-2]. The
+    log holds one LossBreakdown per epoch (epoch means); stage-1 entries carry
+    zero energy terms. A non-finite loss, logit or parameter raises
+    TrainingDivergedError naming the step, and NumPy warns of none of them.
     """
     id_x = np.asarray(id_x, dtype=np.float64)
-    id_y = np.asarray(id_y, dtype=np.intp)
     outlier_x = np.asarray(outlier_x, dtype=np.float64)
-    if id_x.shape[0] != id_y.shape[0]:
-        raise InvalidInputError("id_x and id_y lengths differ")
+    k = model.layer_dims[-1]
+    id_y = _class_labels(id_y, id_x.shape[0], k)
+    if cfg.epochs_finetune > 0 and outlier_x.shape[0] < 1:
+        raise InvalidInputError("fine-tuning requires outlier data")
+    if cfg.epochs_finetune > 0 and k < 2:
+        raise InvalidInputError(f"fine-tuning needs k >= 2 classes, got k={k}")
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    log: list[LossBreakdown] = []
-    step = 0
-
-    # Stage 1: cross-entropy on ID only.
     b_in = min(cfg.b_in, id_x.shape[0])
+    b_out = min(cfg.b_out, outlier_x.shape[0])
     steps_per_epoch = max(1, id_x.shape[0] // b_in)
-    total_steps = max(1, cfg.epochs_pretrain * steps_per_epoch)
-    sgd = _SgdState.zeros_like(model)
-    for _ in range(cfg.epochs_pretrain):
-        order = rng.permutation(id_x.shape[0])
-        epoch_ce = []
-        for s in range(steps_per_epoch):
-            idx = order[s * b_in : (s + 1) * b_in]
-            logits, acts = model.forward_cached(id_x[idx])
-            ce, grad = ce_and_grad(logits, id_y[idx])
-            if not np.isfinite(ce):
-                raise TrainingDivergedError(f"non-finite loss at step {step}", step)
-            d_ws, d_bs = model.backward(acts, grad)
-            _sgd_step(model, sgd, d_ws, d_bs, cosine_lr(step, total_steps, cfg.lr_pretrain),
-                      cfg.momentum, step)
-            step += 1
-            epoch_ce.append(ce)
-        mean_ce = float(np.mean(epoch_ce))
-        log.append(LossBreakdown(total=mean_ce, ce=mean_ce, dne_c=0.0, dne_s=0.0))
 
-    # Stage 2: total objective on paired batches.
-    if cfg.epochs_finetune > 0:
-        if outlier_x.shape[0] < 1:
-            raise InvalidInputError("fine-tuning requires outlier data")
-        b_out = min(cfg.b_out, outlier_x.shape[0])
-        total_steps = cfg.epochs_finetune * steps_per_epoch
-        sgd = _SgdState.zeros_like(model)
-        first_trainable = 0 if cfg.finetune_all_layers else model.n_layers - 1
-        step = 0
-        for _ in range(cfg.epochs_finetune):
-            order = rng.permutation(id_x.shape[0])
-            epoch_losses = []
-            for s in range(steps_per_epoch):
-                idx = order[s * b_in : (s + 1) * b_in]
-                out_idx = rng.choice(outlier_x.shape[0], size=b_out, replace=False)
-                x = np.vstack([id_x[idx], outlier_x[out_idx]])
-                logits, acts = model.forward_cached(x)
-                breakdown, grad = loss_and_grad(logits, id_y[idx])
-                if not np.isfinite(breakdown.total):
-                    raise TrainingDivergedError(f"non-finite loss at step {step}", step)
-                d_ws, d_bs = model.backward(acts, grad, first_trainable)
-                _sgd_step(model, sgd, d_ws, d_bs,
-                          cosine_lr(step, total_steps, cfg.lr_finetune),
-                          cfg.momentum, step)
-                step += 1
-                epoch_losses.append(breakdown)
-            log.append(
-                LossBreakdown(
-                    total=float(np.mean([b.total for b in epoch_losses])),
-                    ce=float(np.mean([b.ce for b in epoch_losses])),
-                    dne_c=float(np.mean([b.dne_c for b in epoch_losses])),
-                    dne_s=float(np.mean([b.dne_s for b in epoch_losses])),
-                )
-            )
+    def ce_batch(idx, step):
+        logits, acts = model.forward_cached(id_x[idx])
+        ce, d_logits = ce_and_grad(logits, id_y[idx])
+        return (ce, ce, 0.0, 0.0), acts, d_logits
+
+    def paired_batch(idx, step):
+        out_idx = rng.choice(outlier_x.shape[0], size=b_out, replace=False)
+        logits, acts = model.forward_cached(np.concatenate([id_x[idx], outlier_x[out_idx]]))
+        try:
+            terms, d_logits = loss_and_grad(logits, id_y[idx])
+        except InvalidInputError as exc:  # after train's input checks: non-finite logits
+            raise TrainingDivergedError(f"non-finite logits at step {step}", step) from exc
+        return (terms.total, terms.ce, terms.dne_c, terms.dne_s), acts, d_logits
+
+    log: list[LossBreakdown] = []
+    tail = 0 if cfg.finetune_all_layers else model.offsets[-2]
+    stages = ((cfg.epochs_pretrain, cfg.lr_pretrain, 0, ce_batch),
+              (cfg.epochs_finetune, cfg.lr_finetune, tail, paired_batch))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epochs, lr0, start, batch_loss in stages:
+            total_steps = max(1, epochs * steps_per_epoch)
+            params, grad = model.params[start:], model.grad[start:]
+            velocity = np.zeros_like(params)
+            step = 0
+            for _ in range(epochs):
+                order = rng.permutation(id_x.shape[0])
+                losses = []
+                for s in range(steps_per_epoch):
+                    loss, acts, d_logits = batch_loss(order[s * b_in : (s + 1) * b_in], step)
+                    if not math.isfinite(loss[0]):
+                        raise TrainingDivergedError(f"non-finite loss at step {step}", step)
+                    model.backward(acts, d_logits, start)
+                    _sgd_step(params, velocity, grad, cosine_lr(step, total_steps, lr0),
+                              cfg.momentum, step)
+                    step += 1
+                    losses.append(loss)
+                log.append(LossBreakdown(*(float(np.mean(term)) for term in zip(*losses))))
     return model, log
 
 

@@ -204,6 +204,119 @@ def prefusion_ce_step(logits, labels):
     return ce, p / len(labels)
 
 
+# --- the per-layer training loop (bit-exact reference) ----------------------
+#
+# The two-stage loop as it ran on per-layer weight and bias arrays: a velocity
+# array per layer, each layer updated and checked for finiteness in turn, and
+# the pre-fusion loss above. The flat-vector loop runs the same float ops on
+# every entry, so its parameters and loss log must match these bit for bit.
+
+
+class Diverged(Exception):
+    """The loop stopped at step on a non-finite loss, logit or parameter."""
+
+    def __init__(self, step):
+        super().__init__(f"diverged at step {step}")
+        self.step = step
+
+
+def _layer_forward(weights, biases, x):
+    acts = [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        if i < len(weights) - 1:
+            z = np.maximum(z, 0.0)
+        acts.append(z)
+    return acts
+
+
+def _layer_backward(weights, acts, g, first_layer):
+    d_ws, d_bs = [None] * len(weights), [None] * len(weights)
+    for i in range(len(weights) - 1, first_layer - 1, -1):
+        d_ws[i] = acts[i].T @ g
+        d_bs[i] = g.sum(axis=0)
+        if i > first_layer:
+            g = g @ weights[i].T
+            g = g * (acts[i] > 0.0)
+    return d_ws, d_bs
+
+
+def per_layer_train(weights, biases, id_x, id_y, outlier_x, cfg):
+    """(weights, biases, [(total, ce, dne_c, dne_s) per epoch]) of the
+    two-stage loop under a TrainConfig; raises Diverged."""
+    weights = [np.array(w, dtype=float) for w in weights]
+    biases = [np.array(b, dtype=float) for b in biases]
+    id_x, id_y = np.asarray(id_x, dtype=float), np.asarray(id_y, dtype=np.intp)
+    outlier_x = np.asarray(outlier_x, dtype=float)
+    n_layers, n = len(weights), id_x.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    log = []
+    b_in = min(cfg.b_in, n)
+    steps_per_epoch = max(1, n // b_in)
+
+    def lr_at(step, total_steps, lr0):
+        return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
+
+    def sgd(d_ws, d_bs, vel_w, vel_b, lr, step):
+        for i in range(n_layers):  # layer by layer: W, b, then the check
+            if d_ws[i] is None:
+                continue
+            vel_w[i] = cfg.momentum * vel_w[i] - lr * d_ws[i]
+            vel_b[i] = cfg.momentum * vel_b[i] - lr * d_bs[i]
+            weights[i] += vel_w[i]
+            biases[i] += vel_b[i]
+            if not (np.isfinite(weights[i]).all() and np.isfinite(biases[i]).all()):
+                raise Diverged(step)
+
+    total_steps = max(1, cfg.epochs_pretrain * steps_per_epoch)
+    vel_w, vel_b = [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
+    step = 0
+    for _ in range(cfg.epochs_pretrain):
+        order = rng.permutation(n)
+        epoch_ce = []
+        for s in range(steps_per_epoch):
+            idx = order[s * b_in:(s + 1) * b_in]
+            acts = _layer_forward(weights, biases, id_x[idx])
+            ce, grad = prefusion_ce_step(acts[-1], id_y[idx])
+            if not np.isfinite(ce):
+                raise Diverged(step)
+            sgd(*_layer_backward(weights, acts, grad, 0), vel_w, vel_b,
+                lr_at(step, total_steps, cfg.lr_pretrain), step)
+            step += 1
+            epoch_ce.append(ce)
+        mean_ce = float(np.mean(epoch_ce))
+        log.append((mean_ce, mean_ce, 0.0, 0.0))
+
+    if cfg.epochs_finetune > 0:
+        b_out = min(cfg.b_out, outlier_x.shape[0])
+        total_steps = cfg.epochs_finetune * steps_per_epoch
+        vel_w, vel_b = [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
+        first = 0 if cfg.finetune_all_layers else n_layers - 1
+        step = 0
+        for _ in range(cfg.epochs_finetune):
+            order = rng.permutation(n)
+            terms = []
+            for s in range(steps_per_epoch):
+                idx = order[s * b_in:(s + 1) * b_in]
+                out_idx = rng.choice(outlier_x.shape[0], size=b_out, replace=False)
+                acts = _layer_forward(weights, biases,
+                                      np.vstack([id_x[idx], outlier_x[out_idx]]))
+                if not np.isfinite(acts[-1]).all():
+                    raise Diverged(step)
+                id_rows, out_rows = acts[-1][:len(idx)], acts[-1][len(idx):]
+                margins = default_margins(acts[-1].shape[1], len(idx))
+                loss = prefusion_total_loss(id_rows, out_rows, id_y[idx], margins)
+                if not np.isfinite(loss[0]):
+                    raise Diverged(step)
+                grad = prefusion_total_loss_grad(id_rows, out_rows, id_y[idx], margins)
+                sgd(*_layer_backward(weights, acts, grad, first), vel_w, vel_b,
+                    lr_at(step, total_steps, cfg.lr_finetune), step)
+                step += 1
+                terms.append(loss)
+            log.append(tuple(float(np.mean([t[j] for t in terms])) for j in range(4)))
+    return weights, biases, log
+
+
 # --- sample-set files ------------------------------------------------------
 
 

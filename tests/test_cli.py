@@ -5,6 +5,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from adaptod import cli, data, doda, nn
-from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
+from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 
 
 def run_cli(*argv):
@@ -228,6 +229,24 @@ class TestTrain:
         rc = run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "m")
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--lr-pretrain", "1e300"], id="stage-1"),
+        pytest.param(["--epochs-pretrain", "1", "--lr-finetune", "1e308"], id="stage-2"),
+    ])
+    def test_diverging_run_exits_numeric_with_one_line(self, small_run, tmp_path, argv):
+        data_dir, _ = small_run
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "adaptod.cli", "train", "--data", str(data_dir),
+             "--out", str(tmp_path / "m"), "--hidden", "8", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_NUMERIC
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert re.fullmatch(r"numeric error: non-finite (loss|logits) at step \d+", lines[0])
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("field, value, message", [
         (1, "-3", "label -3 in an ID set"),
         (3, "oops", "could not convert"),
@@ -362,12 +381,22 @@ class TestAdaptEval:
         ("--ood-fraction", "1.5"), ("--ood-fraction", "nan"), ("--virtual-count", "-1"),
     ])
     def test_bad_stream_setting_exits_config_and_leaves_no_directory(self, small_run, tmp_path,
-                                                                     command, flag, value):
+                                                                     capsys, command, flag, value):
         data_dir, model_dir = small_run
         rc = run_cli(command, "--data", data_dir, "--model",
                      model_dir / "checkpoint.json", "--out", tmp_path / "e", flag, value)
         assert rc == EXIT_CONFIG
+        assert f"got {value}" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
+    @pytest.mark.parametrize("flag, value", [("--ood-fraction", "nan"), ("--virtual-count", "-1")])
+    def test_bad_stream_setting_is_checked_before_any_file_is_read(self, tmp_path, capsys,
+                                                                   command, flag, value):
+        rc = run_cli(command, "--data", tmp_path / "no-data", "--model", tmp_path / "no.json",
+                     "--out", tmp_path / "e", flag, value)
+        assert rc == EXIT_CONFIG
+        assert f"got {value}" in capsys.readouterr().err
 
 
 class TestHeadTail:

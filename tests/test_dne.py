@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptod.dne import LossBreakdown, ce_and_grad, loss_and_grad
-from adaptod.errors import InvalidInputError
+from adaptod.errors import InvalidInputError, ShapeError
 
 from oracles import (
     central_difference,
@@ -151,11 +151,6 @@ class TestTotalLoss:
             naive_cross_entropy(rows, labels), rel=1e-12
         )
 
-    def test_label_out_of_range(self):
-        batch = np.zeros((3, 3))
-        with pytest.raises(InvalidInputError):
-            loss_and_grad(batch, [0, 3])
-
 
 class TestTotalLossGrad:
     def grad_and_fd(self, rng, k, b_in, b_out):
@@ -253,14 +248,21 @@ class TestFusedStep:
             assert ce == want_ce
             assert np.array_equal(grad, want_grad)
 
-    def test_label_errors(self):
-        batch = np.zeros((3, 3))
+    def test_label_count_errors(self):
+        # label values are checked once per nn.train call, in test_nn
         with pytest.raises(InvalidInputError, match="one label per ID row required"):
-            loss_and_grad(batch, [0, 1, 2, 0])
-        with pytest.raises(InvalidInputError, match="label out of range"):
-            loss_and_grad(batch, [0, -1])
-        with pytest.raises(InvalidInputError, match="label out of range"):
-            ce_and_grad(np.zeros((2, 3)), [3, 0])
+            loss_and_grad(np.zeros((3, 3)), [0, 1, 2, 0])
+        with pytest.raises(InvalidInputError, match="one label per ID row required"):
+            ce_and_grad(np.zeros((2, 3)), [0])
+
+    @pytest.mark.parametrize("logits, error, message", [
+        pytest.param([[0.0, np.inf], [0.0, 0.0]], InvalidInputError, "non-finite", id="inf"),
+        pytest.param([[0.0, np.nan], [0.0, 0.0]], InvalidInputError, "non-finite", id="nan"),
+        pytest.param([0.0, 1.0], ShapeError, "2-D logit array", id="1-D"),
+    ])
+    def test_logit_errors_come_before_any_arithmetic(self, logits, error, message):
+        with pytest.raises(error, match=message):
+            loss_and_grad(logits, [0])
 
     def test_geometry_error_and_precedence(self):
         geometry = r"need k >= 2, b_in >= 1, b_out >= 1, got k=3, b_in=3, b_out=0"
@@ -268,8 +270,6 @@ class TestFusedStep:
             loss_and_grad(np.zeros((3, 3)), [0, 1, 2])
         with pytest.raises(InvalidInputError, match=r"got k=1, b_in=2, b_out=1"):
             loss_and_grad(np.zeros((3, 1)), [0, 0])
-        # both wrong: the labels are reported first
-        with pytest.raises(InvalidInputError, match="label out of range"):
-            loss_and_grad(np.zeros((2, 3)), [0, 3])
-        with pytest.raises(InvalidInputError, match="label out of range"):
-            loss_and_grad(np.zeros((3, 1)), [0, 1])
+        # both wrong: the label count is reported first
+        with pytest.raises(InvalidInputError, match="one label per ID row required"):
+            loss_and_grad(np.zeros((2, 1)), [0, 0, 0])

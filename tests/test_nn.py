@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptod.dne import loss_and_grad
-from adaptod.errors import InvalidInputError, LogitFileError, ShapeError
+from adaptod.errors import InvalidInputError, LogitFileError, ShapeError, TrainingDivergedError
 from adaptod.nn import (
     Mlp,
     TrainConfig,
@@ -14,7 +14,13 @@ from adaptod.nn import (
     train,
 )
 
-from oracles import central_difference, max_relative_error, naive_forward
+from oracles import (
+    Diverged,
+    central_difference,
+    max_relative_error,
+    naive_forward,
+    per_layer_train,
+)
 
 
 def blob_task(seed, n_per_class=60, d=4, separation=6.0):
@@ -74,20 +80,37 @@ class TestBackward:
         np.testing.assert_allclose(d_bs[0], np.full(2, 7.0), rtol=1e-12)
 
     @pytest.mark.parametrize("dims", [[4, 3], [4, 16, 3], [4, 32, 32, 3], [5, 8, 7, 6, 2]])
-    def test_partial_backward_equals_full_on_trainable_layers(self, dims):
+    def test_tail_backward_equals_full_on_the_tail(self, dims):
         rng = np.random.default_rng(len(dims))
         model = Mlp.init(dims, seed=9)
         _, acts = model.forward_cached(rng.standard_normal((11, dims[0])))
         upstream = rng.standard_normal((11, dims[-1]))
-        full_ws, full_bs = model.backward(acts, upstream)
-        for first in range(model.n_layers):
-            d_ws, d_bs = model.backward(acts, upstream, first)
-            for i in range(model.n_layers):
-                if i < first:
-                    assert d_ws[i] is None and d_bs[i] is None
-                else:
-                    assert np.array_equal(d_ws[i], full_ws[i])
-                    assert np.array_equal(d_bs[i], full_bs[i])
+        model.backward(acts, upstream)
+        full = model.grad.copy()
+        for start in model.offsets[:-1]:
+            model.grad[:] = np.nan
+            model.backward(acts, upstream, start)
+            assert np.array_equal(model.grad[start:], full[start:])
+            assert np.isnan(model.grad[:start]).all()
+
+    def test_layers_are_views_of_one_vector_with_the_output_layer_last(self):
+        model = Mlp.init([5, 8, 7, 3], seed=2)
+        assert model.offsets == [0, 48, 111, 135]
+        assert model.params.size == model.grad.size == 135
+        assert np.shares_memory(model.weights[-1], model.params[111:132])
+        assert np.shares_memory(model.biases[-1], model.params[132:])
+        model.params[:] = 0.0
+        assert np.array_equal(model.forward(np.ones((2, 5))), np.zeros((2, 3)))
+        copy = model.copy()
+        copy.params[:] = 1.0
+        assert not model.params.any()
+
+    @pytest.mark.parametrize("start", [1, 47, 135])
+    def test_tail_must_start_at_a_layer(self, start):
+        model = Mlp.init([5, 8, 7, 3], seed=2)
+        _, acts = model.forward_cached(np.ones((2, 5)))
+        with pytest.raises(InvalidInputError, match=f"start {start} is not where a layer begins"):
+            model.backward(acts, np.ones((2, 3)), start)
 
     @pytest.mark.parametrize("dims", [[4, 3], [4, 16, 3], [4, 32, 32, 3]])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -198,6 +221,82 @@ class TestTrain:
         trained, _ = train(model, x, y, outliers, cfg)
         for w in trained.weights + trained.biases:
             assert np.isfinite(w).all()
+
+
+class TestTrainEqualsPerLayerLoop:
+    """nn.train on one flat vector runs the float ops of the per-layer loop in
+    tests/oracles.py, so parameters and loss log agree bit for bit."""
+
+    @pytest.mark.parametrize("dims, settings", [
+        pytest.param([4, 8, 2], {}, id="2-layer"),
+        pytest.param([4, 8, 6, 2], {}, id="3-layer"),
+        pytest.param([4, 8, 2], {"finetune_all_layers": True}, id="2-layer-all"),
+        pytest.param([4, 8, 6, 2], {"finetune_all_layers": True}, id="3-layer-all"),
+        pytest.param([4, 8, 6, 2], {"epochs_finetune": 0}, id="ce-only"),
+        pytest.param([4, 8, 2], {"b_in": 500, "b_out": 500}, id="batches-above-row-count"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bit_identical(self, dims, settings, seed):
+        x, y, outliers = blob_task(seed)
+        model = Mlp.init(dims, seed=seed)
+        cfg = TrainConfig(**{"seed": seed, "epochs_pretrain": 4, "epochs_finetune": 3,
+                             "b_in": 32, "b_out": 64, "lr_finetune": 0.05, **settings})
+        trained, log = train(model, x, y, outliers, cfg)
+        weights, biases, want_log = per_layer_train(model.weights, model.biases, x, y,
+                                                    outliers, cfg)
+        for got, want in zip(trained.weights + trained.biases, weights + biases, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert [(b.total, b.ce, b.dne_c, b.dne_s) for b in log] == want_log
+
+
+class TestDivergence:
+    """A diverging run warns nothing (pytest turns warnings into errors) and
+    stops in TrainingDivergedError at the step the per-layer loop stops at."""
+
+    @pytest.mark.parametrize("settings, scale, step, message", [
+        pytest.param({"lr_pretrain": 1e300}, 1.0, 1, "non-finite loss", id="stage-1-lr"),
+        pytest.param({"epochs_pretrain": 2, "lr_finetune": 1e308}, 1.0, 1, "non-finite logits",
+                     id="stage-2-lr"),
+        pytest.param({"epochs_pretrain": 2, "lr_finetune": 1e300, "finetune_all_layers": True},
+                     1.0, 1, "non-finite logits", id="stage-2-lr-all-layers"),
+        pytest.param({"epochs_pretrain": 0}, 1e307, 0, "non-finite loss",
+                     id="stage-2-output-near-float-max"),
+    ])
+    def test_stops_at_the_step_of_the_per_layer_loop(self, settings, scale, step, message):
+        x, y, outliers = blob_task(0)
+        model = Mlp.init([4, 8, 2], seed=0)
+        model.weights[-1][...] *= scale
+        cfg = TrainConfig(seed=0, b_in=32, **settings)
+        with pytest.raises(TrainingDivergedError, match=f"{message} at step {step}$") as exc:
+            train(model, x, y, outliers, cfg)
+        assert exc.value.step == step
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged) as want:
+            per_layer_train(model.weights, model.biases, x, y, outliers, cfg)
+        assert want.value.step == step
+
+
+class TestTrainInputs:
+    @pytest.mark.parametrize("labels, row, value", [
+        pytest.param([0] * 119 + [2], 119, "2", id="above-k"),
+        pytest.param([0, -1] + [1] * 118, 1, "-1", id="negative"),
+        pytest.param([0.0, 1.0, 0.5] + [1.0] * 117, 2, "0.5", id="fractional"),
+        pytest.param([0.0] * 5 + [np.nan] * 115, 5, "nan", id="nan"),
+    ])
+    def test_bad_label_names_its_row_before_training(self, labels, row, value):
+        x, _, outliers = blob_task(0)
+        with pytest.raises(InvalidInputError,
+                           match=rf"label {value} at row {row} is not an integer in \[0, 2\)"):
+            train(Mlp.init([4, 8, 2], seed=0), x, labels, outliers, TrainConfig())
+
+    def test_label_count_must_match_rows(self):
+        x, y, outliers = blob_task(0)
+        with pytest.raises(InvalidInputError, match="id_x and id_y lengths differ"):
+            train(Mlp.init([4, 8, 2], seed=0), x, y[:-1], outliers, TrainConfig())
+
+    def test_finetuning_a_one_class_net_is_rejected_before_training(self):
+        x, _, outliers = blob_task(0)
+        with pytest.raises(InvalidInputError, match="fine-tuning needs k >= 2 classes, got k=1"):
+            train(Mlp.init([4, 8, 1], seed=0), x, np.zeros(120, int), outliers, TrainConfig())
 
 
 class TestCheckpoint:
