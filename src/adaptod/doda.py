@@ -147,14 +147,15 @@ def adapt_and_score(
     return _step(state, stats, logits, sample_index)
 
 
-def _frozen(state: OutlierDistribution, logit_stream, record_events: bool):
-    """Scores (and events) of a whole logit matrix under a fixed distribution."""
-    rows = np.asarray(logit_stream, dtype=np.float64)
+def _frozen(state: OutlierDistribution, rows: np.ndarray, energies: np.ndarray,
+            record_events: bool):
+    """Scores (and events) of a logit matrix, whose global energies are given,
+    under a fixed distribution."""
     scores = calibrated_energies(rows, state.values).tolist()
     if not record_events:
         return scores, None
     return scores, [AdaptationEvent(i, False, g, score)
-                    for i, (g, score) in enumerate(zip(global_energies(rows).tolist(), scores))]
+                    for i, (g, score) in enumerate(zip(energies.tolist(), scores))]
 
 
 def run_stream(
@@ -171,7 +172,8 @@ def run_stream(
     """Score a one-pass stream of logit vectors in order.
 
     freeze=True scores with the initial distribution and never adapts (the
-    no-TTA baseline), the whole stream in one matrix pass. oracle_labels +
+    no-TTA baseline). It, and a plain pass in which no sample has G < R (so P
+    stays P0), score the whole stream in one matrix pass. oracle_labels +
     use_label_probability > 0 routes each acceptance decision through the
     oracle with that probability; decisions draw from rng per sample. Events
     are recorded only on request, keeping the default memory footprint at O(k).
@@ -184,9 +186,12 @@ def run_stream(
             raise InvalidInputError("use_label_probability > 0 requires oracle_labels")
         if rng is None:
             raise InvalidInputError("oracle mode requires an rng")
-    if freeze:
+    if freeze or use_label_probability == 0.0:  # acceptance reads G and R only
         try:
-            return (*_frozen(state, logit_stream, record_events), state)
+            rows = np.asarray(logit_stream, dtype=np.float64)
+            energies = global_energies(rows)
+            if freeze or not (energies < stats.r).any():  # P stays P0 throughout
+                return (*_frozen(state, rows, energies, record_events), state)
         except (AdaptOdError, TypeError, ValueError):
             pass  # not one finite logit matrix: the per-sample pass names the bad sample
     labels_iter = iter(oracle_labels) if oracle_labels is not None else None

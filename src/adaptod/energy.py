@@ -62,32 +62,18 @@ def _as_prior(p_out, k: int) -> np.ndarray:
     return p
 
 
-def global_energy(logits) -> float:
-    """Sum of exponentiated logits, Σ_j exp(f_j). Strictly positive."""
-    v = _as_logits(logits, 1)
-    m = float(v.max())
-    return _scaled(m, float(np.exp(v - m).sum()), "global energy")
-
-
 def global_energies(rows) -> np.ndarray:
-    """global_energy of each row of a logit matrix, equal to it bit for bit."""
+    """Sum of exponentiated logits, Σ_j exp(f_j), of each row of a logit matrix.
+    Strictly positive; per row the float ops of doda's one-sample step."""
     rows = np.ascontiguousarray(_as_logits(rows, 2))  # row sums as in the 1-D case
     m = rows.max(axis=1)
     return _scaled_rows(m, np.exp(rows - m[:, None]).sum(axis=1), "global energy")
 
 
-def calibrated_energy(logits, p_out) -> float:
-    """Energy with each class term damped by the outlier distribution:
-    Σ_j exp(f_j) / (1 + p_out_j). Equals global_energy when p_out is all zero."""
-    v = _as_logits(logits, 1)
-    p = _as_prior(p_out, v.shape[0])
-    m = float(v.max())
-    return _scaled(m, float((np.exp(v - m) / (1.0 + p)).sum()), "calibrated energy")
-
-
 def calibrated_energies(rows, p_out) -> np.ndarray:
-    """calibrated_energy of each row of a logit matrix under one p_out, equal to
-    it bit for bit."""
+    """Energy of each row of a logit matrix with each class term damped by one
+    outlier distribution: Σ_j exp(f_j) / (1 + p_out_j). Equals global_energies
+    when p_out is all zero."""
     rows = np.ascontiguousarray(_as_logits(rows, 2))  # row sums as in the 1-D case
     p = _as_prior(p_out, rows.shape[1])
     m = rows.max(axis=1)

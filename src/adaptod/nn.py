@@ -178,6 +178,8 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     """
     id_x = np.asarray(id_x, dtype=np.float64)
     outlier_x = np.asarray(outlier_x, dtype=np.float64)
+    if id_x.shape[0] < 1:
+        raise InvalidInputError("id_x holds no rows: training needs at least one ID sample")
     k = model.layer_dims[-1]
     id_y = _class_labels(id_y, id_x.shape[0], k)
     if cfg.epochs_finetune > 0 and outlier_x.shape[0] < 1:

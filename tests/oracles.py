@@ -50,28 +50,39 @@ def prefix_mean_stream(exp_rows, accepted, p0, m0):
 
 # --- per-row energies (bit-exact reference) ---------------------------------
 #
-# The per-row loops that fitted the energy statistics, initialized the outlier
-# distribution and filled the energy histograms before they ran on whole
-# matrices: per row a max shift, np.exp and a sum, with the overflow guard and
-# the scale factor through math.log and math.exp. Same float ops, so the
-# vectorized forms must match them exactly.
+# The per-row energy functions and loops that scored streams, fitted the
+# energy statistics, initialized the outlier distribution and filled the
+# energy histograms before they ran on whole matrices: per row a max shift,
+# np.exp and a sum, with the overflow guard and the scale factor through
+# math.log and math.exp. Same float ops, so the vectorized forms must match
+# them exactly.
 
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def calibrated_energy(logits, p_out):
+    """sum_j exp(f_j) / (1 + p_j) of one logit vector; OverflowError when
+    exp(max f) or the value is past float64 range."""
+    v = np.asarray(logits, dtype=float)
+    m = float(v.max())
+    total = float((np.exp(v - m) / (1.0 + np.asarray(p_out, dtype=float))).sum())
+    if m >= LOG_FLOAT_MAX or m + math.log(total) >= LOG_FLOAT_MAX:
+        raise OverflowError("calibrated energy exceeds float64 range")
+    value = math.exp(m) * total
+    if not math.isfinite(value):
+        raise OverflowError("calibrated energy exceeds float64 range")
+    return value
+
+
+def global_energy(logits):
+    """sum_j exp(f_j) of one logit vector: calibrated_energy under p = 0, whose
+    terms are divided by exactly 1."""
+    return calibrated_energy(logits, np.zeros(np.shape(logits)[-1]))
+
+
 def rowwise_global_energies(rows):
-    """Sum of exp(f_j) per row; OverflowError past float64 range."""
-    out = []
-    for v in np.asarray(rows, dtype=float):
-        m = float(v.max())
-        total = float(np.exp(v - m).sum())
-        if m + math.log(total) >= LOG_FLOAT_MAX:
-            raise OverflowError("global energy exceeds float64 range")
-        value = math.exp(m) * total
-        if not math.isfinite(value):
-            raise OverflowError("global energy exceeds float64 range")
-        out.append(value)
-    return np.array(out)
+    """global_energy of each row."""
+    return np.array([global_energy(v) for v in np.asarray(rows, dtype=float)])
 
 
 def rowwise_exp_mean(rows):

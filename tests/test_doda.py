@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from adaptod import doda
 from adaptod.doda import (
     AdaptationEvent,
     EnergyStats,
@@ -17,7 +18,6 @@ from adaptod.doda import (
     run_stream,
     save_state,
 )
-from adaptod.energy import calibrated_energy, global_energy
 from adaptod.errors import (
     EnergyOverflowError,
     InsufficientDataError,
@@ -25,8 +25,8 @@ from adaptod.errors import (
     ShapeError,
 )
 
-from oracles import (mean_std_threshold, prefix_mean_stream, rowwise_exp_mean,
-                     rowwise_global_energies, running_mean_closed_form)
+from oracles import (calibrated_energy, global_energy, mean_std_threshold, prefix_mean_stream,
+                     rowwise_exp_mean, rowwise_global_energies, running_mean_closed_form)
 
 
 def logits_with_energy(g, k=2):
@@ -249,6 +249,36 @@ class TestRunStream:
         got = run_stream(state, stats, iter(logits), freeze=True, record_events=True)
         assert got[0] == want[0] and got[1] == want[1] and got[2] is state
 
+    def test_plain_pass_accepting_nothing_takes_no_per_sample_step(self, monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("per-sample step called")
+
+        monkeypatch.setattr(doda, "_step", step)
+        state = OutlierDistribution(values=np.ones(3), m=1)
+        stats = EnergyStats.from_moments(0.0, 1.0)  # R < 0 < G: nothing is accepted
+        logits = np.random.default_rng(13).standard_normal((30, 3))
+        scores, events, final = run_stream(state, stats, logits, record_events=True)
+        assert final is state and not any(e.accepted for e in events)
+        assert scores == [calibrated_energy(row, state.values) for row in logits]
+
+    @pytest.mark.parametrize("r", [0.0, 1e9])
+    def test_plain_pass_of_an_iterator_runs_the_per_sample_step(self, monkeypatch, r):
+        calls, real_step = [], doda._step
+
+        def step(*args, **kwargs):
+            calls.append(args[3])
+            return real_step(*args, **kwargs)
+
+        state = OutlierDistribution(values=np.ones(3), m=1)
+        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+        logits = np.random.default_rng(14).standard_normal((30, 3))
+        want = run_stream(state, stats, logits, record_events=True)
+        monkeypatch.setattr(doda, "_step", step)
+        got = run_stream(state, stats, iter(logits), record_events=True)
+        assert calls == list(range(30))
+        assert got[0] == want[0] and got[1] == want[1]
+        assert np.array_equal(got[2].values, want[2].values) and got[2].m == want[2].m
+
     def test_single_sample_matches_direct_call(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
@@ -304,6 +334,7 @@ class TestRunStream:
         ([np.nan, 0.0], InvalidInputError),
         ([0.0, -np.inf], InvalidInputError),
         ([800.0, 0.0], EnergyOverflowError),
+        ([709.5, 709.5], EnergyOverflowError),  # G overflows, the damped score does not
     ])
     def test_every_mode_names_the_first_bad_sample(self, mode, record_events, bad, error):
         state = OutlierDistribution(values=np.ones(2), m=1)
@@ -387,6 +418,32 @@ class TestStreamProperties:
         assert [e.global_energy for e in events] == [global_energy(row) for row in logits]
         assert [e.calibrated_score for e in events] == scores
         assert not any(e.accepted for e in events)
+
+    @settings(max_examples=300, deadline=None)
+    @given(streams(scale=700.0), st.sampled_from(["below", "inside", "above"]),
+           st.floats(0.0, 1.0))
+    def test_plain_stream_equals_the_one_row_step_exactly(self, case, where, at):
+        logits, _, p0, m0 = case
+        state = OutlierDistribution(values=p0, m=m0)
+        energies = sorted(global_energy(row) for row in logits) or [1.0]
+        r = {"below": 0.0, "inside": energies[int(at * (len(energies) - 1))],
+             "above": math.nextafter(energies[-1], math.inf)}[where]
+        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+        scores, events, final = run_stream(state, stats, logits, record_events=True)
+        want_state, want_scores, want_events = state, [], []
+        for i, row in enumerate(logits):
+            want_state, score, event = adapt_and_score(want_state, stats, row, i)
+            want_scores.append(score)
+            want_events.append(event)
+        assert scores == want_scores and events == want_events
+        assert np.array_equal(final.values, want_state.values) and final.m == want_state.m
+        accepted = [e.accepted for e in events]
+        if where == "below":
+            assert not any(accepted)
+        if where == "above":
+            assert all(accepted)
+        if not any(accepted):
+            assert final is state
 
 
 class TestSnapshot:

@@ -293,6 +293,10 @@ class TestTrainInputs:
         with pytest.raises(InvalidInputError, match="id_x and id_y lengths differ"):
             train(Mlp.init([4, 8, 2], seed=0), x, y[:-1], outliers, TrainConfig())
 
+    def test_no_id_rows_is_rejected_before_training(self):
+        with pytest.raises(InvalidInputError, match="id_x holds no rows"):
+            train(Mlp.init([4, 8, 2], 0), np.empty((0, 4)), [], np.ones((5, 4)), TrainConfig())
+
     def test_finetuning_a_one_class_net_is_rejected_before_training(self):
         x, _, outliers = blob_task(0)
         with pytest.raises(InvalidInputError, match="fine-tuning needs k >= 2 classes, got k=1"):
