@@ -49,8 +49,8 @@ DATASET_FILES = {
 
 
 def load_datasets(data_dir, tags=tuple(DATASET_FILES)):
-    """The sample sets of data_dir; LogitFileError names a file whose rows
-    are not as wide as those of the first."""
+    """The sample sets of data_dir; LogitFileError names a file whose rows are
+    not as wide as those of the first, or an ID-test label no ID-train class has."""
     paths = {tag: Path(data_dir) / DATASET_FILES[tag] for tag in tags}
     sets = {tag: data_mod.read_sample_set(path, tag) for tag, path in paths.items()}
     first = tags[0]
@@ -59,6 +59,11 @@ def load_datasets(data_dir, tags=tuple(DATASET_FILES)):
         if sample_set.features.shape[1] != width:
             raise LogitFileError(f"{paths[tag]}: rows hold {sample_set.features.shape[1]} "
                                  f"values, but {paths[first]} rows hold {width}")
+    if {data_mod.ID_TRAIN, data_mod.ID_TEST} <= sets.keys():
+        k, label = sets[data_mod.ID_TRAIN].labels.max() + 1, sets[data_mod.ID_TEST].labels.max()
+        if label >= k:
+            raise LogitFileError(f"{paths[data_mod.ID_TEST]}: label {label} is not one of the "
+                                 f"{k} classes of {paths[data_mod.ID_TRAIN]}")
     return sets
 
 

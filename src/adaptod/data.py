@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,18 +188,36 @@ def _line_error(path, lineno: int, message: str) -> LogitFileError:
 
 
 def read_sample_set(path, provenance: str) -> SampleSet:
-    """Read a write_sample_set file. LogitFileError names the path and the line
-    of a bad or zero-width header, field count, int, float or non-finite
-    value, and of a negative label in an ID set."""
-    id_set = provenance in (ID_TRAIN, ID_TEST)
-    labels, rows = [], []
-    with open(path) as fh:
+    """Read a write_sample_set file in one np.loadtxt parse; where it or an array check
+    fails, _read_lines names the line. A non-UTF-8 byte reads as a non-number."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
-        if not header.startswith("k=") or not header[2:].strip().isdigit():
+        if not header.startswith("k=") or not header[2:].strip().isdecimal():
             raise _line_error(path, 1, "missing or malformed `k=<int>` header")
         k = int(header[2:].strip())
         if k < 1:
             raise _line_error(path, 1, f"header k={k}: a sample needs at least one value")
+        try:  # a row holds over 2k characters, and loadtxt allocates by k alone
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # input contained no data
+                rows = None if os.fstat(fh.fileno()).st_size <= 2 * k else np.loadtxt(
+                    fh, delimiter=",", comments=None, ndmin=1, dtype=[
+                        ("id", np.int64), ("label", np.int64), ("values", np.float64, (k,))])
+        except (ValueError, OverflowError):
+            rows = None
+    if (rows is not None and rows.size and np.isfinite(rows["values"]).all()
+            and not (provenance in (ID_TRAIN, ID_TEST) and (rows["label"] < 0).any())):
+        return SampleSet(rows["values"].copy(), rows["label"].copy(), provenance)
+    return _read_lines(path, k, provenance)
+
+
+def _read_lines(path, k: int, provenance: str) -> SampleSet:
+    """Name the line of a bad field count, int, float, non-finite value, label beyond
+    int64 or negative ID-set label; or read whitespace-only lines loadtxt rejects."""
+    id_set = provenance in (ID_TRAIN, ID_TEST)
+    labels, rows = [], []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        fh.readline()  # the header, checked by read_sample_set
         for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if parts == [""]:
@@ -207,9 +227,9 @@ def read_sample_set(path, provenance: str) -> SampleSet:
                                   f"expected {2 + k} comma-separated fields, got {len(parts)}")
             try:
                 int(parts[0])
-                label = int(parts[1])
+                label = np.int64(int(parts[1]))
                 values = [float(p) for p in parts[2:]]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: a label beyond int64
                 raise _line_error(path, lineno, str(exc)) from exc
             if not all(map(math.isfinite, values)):
                 raise _line_error(path, lineno, "non-finite value")

@@ -343,20 +343,44 @@ def per_record_write(path, features, labels):
             fh.write(f"{sample_id},{label},{vals}\n")
 
 
-def per_record_read(path):
-    """(features, labels) of a well-formed sample-set file, one record at a time."""
-    records = []
+def line_by_line_read(path, id_set=False):
+    """(features, labels) of a sample-set file, read one line at a time the
+    way the reader did before it parsed the body in one call. A malformed file
+    raises ValueError whose message names the path and the line as that
+    reader's LogitFileError did. Labels keep Python's unbounded ints."""
+    def line_error(lineno, message):
+        return ValueError(f"{path}: line {lineno}: {message}")
+
+    labels, rows = [], []
     with open(path) as fh:
-        k = int(fh.readline()[2:].strip())
-        for line in fh:
-            line = line.strip()
-            if not line:
+        header = fh.readline()
+        if not header.startswith("k=") or not header[2:].strip().isdigit():
+            raise line_error(1, "missing or malformed `k=<int>` header")
+        k = int(header[2:].strip())
+        if k < 1:
+            raise line_error(1, f"header k={k}: a sample needs at least one value")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if parts == [""]:
                 continue
-            parts = line.split(",")
-            assert len(parts) == 2 + k
-            values = np.asarray([float(p) for p in parts[2:]], dtype=np.float64)
-            records.append((int(parts[0]), int(parts[1]), values))
-    return np.vstack([r[2] for r in records]), np.asarray([r[1] for r in records])
+            if len(parts) != 2 + k:
+                raise line_error(lineno,
+                                 f"expected {2 + k} comma-separated fields, got {len(parts)}")
+            try:
+                int(parts[0])
+                label = int(parts[1])
+                values = [float(p) for p in parts[2:]]
+            except ValueError as exc:
+                raise line_error(lineno, str(exc)) from exc
+            if not all(map(math.isfinite, values)):
+                raise line_error(lineno, "non-finite value")
+            if label < 0 and id_set:
+                raise line_error(lineno, f"label {label} in an ID set")
+            labels.append(label)
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: sample-set file holds no rows")
+    return np.array(rows, dtype=np.float64), np.array(labels)
 
 
 # --- finite differences ----------------------------------------------------

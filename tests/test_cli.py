@@ -303,6 +303,55 @@ class TestSampleFileWidths:
         assert f"{data_dir / 'id_train.csv'}: line 1: header k=0" in capsys.readouterr().err
 
 
+class TestSampleFileContents:
+    """A sample file that is not UTF-8, a label beyond int64 and an ID-test
+    label that no ID-train class has each exit 3 and name the file."""
+
+    def adapt_eval(self, small_run, tmp_path, command="adapt-eval"):
+        data_dir, model_dir = small_run
+        return run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                       "--out", tmp_path / "e")
+
+    @pytest.mark.parametrize("tail, line", [(b"\xff\xfe0,1,2\n", 2), (b" \n\xff\xfe0,1,2\n", 3)])
+    def test_non_utf8_bytes_exit_data(self, small_run, tmp_path, capsys, tail, line):
+        data_dir, _ = small_run
+        (data_dir / "id_test.csv").write_bytes(b"k=8\n" + tail)
+        assert self.adapt_eval(small_run, tmp_path) == EXIT_DATA
+        assert f"data error: {data_dir / 'id_test.csv'}: line {line}: " in \
+            capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_label_beyond_int64_exits_data(self, small_run, tmp_path, capsys):
+        data_dir, _ = small_run
+        path = data_dir / "id_test.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(["2", "99999999999999999999999", *lines[3].split(",")[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        assert self.adapt_eval(small_run, tmp_path) == EXIT_DATA
+        assert f"data error: {path}: line 4: " in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
+    def test_unknown_id_test_class_exits_data(self, small_run, tmp_path, capsys, command):
+        data_dir, _ = small_run
+        path = data_dir / "id_test.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(["2", "12", *lines[3].split(",")[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        assert self.adapt_eval(small_run, tmp_path, command) == EXIT_DATA
+        assert f"data error: {path}: label 12 is not one of the 10 classes of " \
+               f"{data_dir / 'id_train.csv'}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_the_highest_id_train_class_is_a_class(self, small_run, tmp_path):
+        data_dir, _ = small_run
+        path = data_dir / "id_test.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(["2", "9", *lines[3].split(",")[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        assert self.adapt_eval(small_run, tmp_path) == EXIT_OK
+
+
 class TestAdaptEval:
     def test_writes_reports_state_and_histograms(self, small_run, tmp_path):
         data_dir, model_dir = small_run

@@ -1,7 +1,10 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptod.data import (
     CLASS_RADIUS,
@@ -22,7 +25,7 @@ from adaptod.data import (
 )
 from adaptod.errors import InvalidInputError, LogitFileError
 
-from oracles import exact_counts, per_record_read, per_record_write
+from oracles import exact_counts, line_by_line_read, per_record_write
 
 
 def default_spec(seed=0, **overrides):
@@ -227,7 +230,7 @@ class TestLogitFiles:
         per_record_write(want, written.features, written.labels)
         assert hashlib.sha256(path.read_bytes()).digest() == \
             hashlib.sha256(want.read_bytes()).digest()
-        want_features, want_labels = per_record_read(want)
+        want_features, want_labels = line_by_line_read(want)
         loaded = read_sample_set(path, OUTLIER)
         assert np.array_equal(loaded.features, want_features)
         assert np.array_equal(loaded.labels, want_labels)
@@ -307,3 +310,173 @@ class TestLogitFiles:
         loaded = read_sample_set(path, ID_TRAIN)
         assert np.array_equal(loaded.features, train.features)
         assert np.array_equal(loaded.labels, train.labels)
+
+
+def read_both(path, provenance=OUTLIER):
+    """(reader outcome, oracle outcome): the arrays read, or the error message."""
+    outcomes = []
+    for read in (lambda: read_sample_set(path, provenance),
+                 lambda: line_by_line_read(path, provenance in (ID_TRAIN, ID_TEST))):
+        try:
+            got = read()
+        except (LogitFileError, ValueError) as exc:
+            outcomes.append(str(exc))
+        else:
+            features, labels = (got.features, got.labels) if isinstance(got, SampleSet) else got
+            outcomes.append((features.tobytes(), features.shape, labels.tobytes(), labels.dtype))
+    return outcomes
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+@st.composite
+def sample_sets(draw):
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    features = draw(st.lists(st.lists(FINITE, min_size=k, max_size=k), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(-1, 2 ** 62), min_size=n, max_size=n))
+    return SampleSet(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64),
+                     OUTLIER)
+
+
+class TestOneParseReader:
+    """read_sample_set parses a file in one call, and reads what the per-line
+    oracle reads or names the line the oracle names."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(written=sample_sets())
+    def test_round_trip_is_bit_exact_and_equals_the_oracle(self, tmp_path_factory, written):
+        path = tmp_path_factory.mktemp("rt") / "set.csv"
+        write_sample_set(path, written)
+        loaded = read_sample_set(path, OUTLIER)
+        assert loaded.features.tobytes() == written.features.tobytes()
+        assert loaded.labels.tobytes() == written.labels.tobytes()
+        assert (loaded.features.dtype, loaded.labels.dtype) == (np.float64, np.int64)
+        assert loaded.features.flags.c_contiguous and loaded.features.flags.owndata
+        assert loaded.labels.flags.c_contiguous and loaded.labels.flags.owndata
+        reader, oracle = read_both(path)
+        assert reader == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(written=sample_sets(), data=st.data())
+    def test_a_mangled_file_reads_or_fails_as_the_oracle_does(self, tmp_path_factory,
+                                                              written, data):
+        lines = ["k=%d" % written.features.shape[1]] + [
+            f"{i},{label},{','.join(map(repr, row))}"
+            for i, (label, row) in enumerate(zip(written.labels.tolist(),
+                                                 written.features.tolist()))]
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(1, len(lines)))
+            edit = data.draw(st.sampled_from(["blank", "space", "crlf", "field", "comma",
+                                              "drop", "hash"]))
+            if edit in ("blank", "space"):
+                lines.insert(at, "" if edit == "blank" else data.draw(
+                    st.sampled_from([" ", "\t", "  \t "])))
+            elif at < len(lines) and lines[at].strip():
+                parts = lines[at].split(",")
+                if edit == "crlf":
+                    lines[at] += "\r"
+                elif edit == "field":
+                    where = data.draw(st.integers(0, len(parts) - 1))
+                    junk = ["", " 1 ", "+1", "-0", "1.0", "1e3", "1_0", "0x1", "nan", "inf",
+                            "-inf", "1e309", "#1", "x", "1 2", "\u0661"]
+                    if where == 0:
+                        junk.append("9" * 25)  # an id beyond int64 still reads
+                    parts[where] = data.draw(st.sampled_from(junk))
+                    lines[at] = ",".join(parts)
+                elif edit == "comma":
+                    lines[at] += ","
+                elif edit == "drop":
+                    lines[at] = ",".join(parts[:-1])
+                else:
+                    lines[at] = "#" + lines[at]
+        path = tmp_path_factory.mktemp("mangled") / "set.csv"
+        path.write_text("\n".join(lines) + "\n", newline="")
+        provenance = data.draw(st.sampled_from([OUTLIER, ID_TEST]))
+        reader, oracle = read_both(path, provenance)
+        assert reader == oracle
+
+    @pytest.mark.parametrize("prefix", [
+        pytest.param("\n\n", id="blank-lines"),
+        pytest.param(" \n\t\n", id="whitespace-lines"),
+        pytest.param("\n \r\n", id="crlf-blank-and-whitespace"),
+    ])
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param("2,1,0.5", "expected 4 comma-separated fields, got 3", id="fields"),
+        pytest.param("2,1,0.5,0.5,", "expected 4 comma-separated fields, got 5",
+                     id="trailing-comma"),
+        pytest.param("#2,1,0.5,0.5", "invalid literal for int", id="hash"),
+        pytest.param("2,x,0.5,0.5", "invalid literal for int", id="label"),
+        pytest.param("2,1,0.5,x", "could not convert string to float", id="float"),
+        pytest.param("2,1,0.5,1e309", "non-finite value", id="non-finite"),
+        pytest.param("2,-1,0.5,0.5", "label -1 in an ID set", id="negative-label"),
+        pytest.param("2,99999999999999999999999,0.5,0.5", "too large", id="label-overflow"),
+    ])
+    def test_an_error_names_its_line_past_skipped_lines(self, tmp_path, prefix, bad, message):
+        newline = "\r\n" if "\r" in prefix else "\n"
+        text = newline.join(["k=2", "0,0,0.5,0.5", "1,3,0.25,2.0"]) + newline
+        path = tmp_path / "bad.csv"
+        path.write_text(text + prefix + bad + newline + "3,1,0.5,0.5" + newline, newline="")
+        line = 4 + prefix.count("\n")
+        with pytest.raises(LogitFileError) as info:
+            read_sample_set(path, ID_TEST)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert message in str(info.value)
+
+    def test_crlf_endings_and_skipped_lines_read_as_the_oracle_reads(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"k=2\r\n\r\n0,1,0.5,2.0\r\n \t\r\n1,-1,-0.0,5e-324\r\n\r\n")
+        loaded = read_sample_set(path, OUTLIER)
+        assert np.array_equal(loaded.labels, [1, -1])
+        assert loaded.features.tobytes() == np.array([[0.5, 2.0], [-0.0, 5e-324]]).tobytes()
+        reader, oracle = read_both(path)
+        assert reader == oracle
+
+    @pytest.mark.parametrize("text", ["k=1\n", "k=1", "k=1\n\n\n", "k=1\r\n\r\n\r\n",
+                                      "k=1\n \n\t\n"])
+    def test_a_body_without_rows_is_an_error_and_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LogitFileError, match="sample-set file holds no rows"):
+                read_sample_set(path, OUTLIER)
+
+    @pytest.mark.parametrize("raw, line", [
+        pytest.param(b"k=8\n\xff\xfe0,1,2\n", 2, id="body"),
+        pytest.param(b"k=1\n0,1,0.5\n \n1,1,0.\xe9\n", 4, id="after-whitespace-line"),
+        pytest.param(b"k=\xff1\n0,1,0.5\n", 1, id="header"),
+    ])
+    def test_a_non_utf8_byte_names_its_line(self, tmp_path, raw, line):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with pytest.raises(LogitFileError) as info:
+            read_sample_set(path, ID_TEST)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+
+    def test_a_label_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("k=1\n0,0,0.5\n1,9223372036854775808,0.5\n")
+        with pytest.raises(LogitFileError, match=f"{path}: line 3: .*too large"):
+            read_sample_set(path, OUTLIER)
+        path.write_text("k=1\n0,0,0.5\n1,9223372036854775807,0.5\n")
+        assert read_sample_set(path, OUTLIER).labels.tolist() == [0, 2 ** 63 - 1]
+
+    def test_a_header_wider_than_the_file_skips_the_one_call_parse(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt would size its buffers from k alone")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        path = tmp_path / "wide.csv"
+        path.write_text("k=100000000\n0,1,0.5\n")
+        with pytest.raises(LogitFileError, match="line 2: expected 100000002 comma-separated"):
+            read_sample_set(path, OUTLIER)
+
+    def test_a_digit_header_that_int_rejects_is_malformed(self, tmp_path):
+        path = tmp_path / "sup.csv"
+        path.write_text("k=\u00b2\n0,1,0.5,0.5\n")
+        with pytest.raises(LogitFileError, match="line 1: missing or malformed"):
+            read_sample_set(path, OUTLIER)
