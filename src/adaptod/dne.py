@@ -34,14 +34,16 @@ def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     n = logits.shape[0]
     if labels.shape[0] != n:
         raise InvalidInputError("one label per ID row required")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
     rows = np.arange(n)
-    ce = float((np.log(z[:, 0]) - shifted[rows, labels]).sum() / n)
-    p = e / z
+    p = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    picked = p[rows, labels]
+    np.exp(p, out=p)
+    z = np.add.reduce(p, axis=1, keepdims=True)  # p.sum(...) without its Python wrappers
+    ce = float(np.add.reduce(np.log(z[:, 0]) - picked) / n)
+    p /= z
     p[rows, labels] -= 1.0
-    return ce, p / n
+    p /= n
+    return ce, p
 
 
 def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
@@ -66,24 +68,24 @@ def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
     if k < 2 or b_in < 1 or b_out < 1:
         raise InvalidInputError(
             f"need k >= 2, b_in >= 1, b_out >= 1, got k={k}, b_in={b_in}, b_out={b_out}")
-    c_in = norm[:b_in].sum(axis=0)  # per-class ID mass
-    c_out = norm[b_in:].sum(axis=0)  # per-class outlier mass
-    row_mass = norm.sum(axis=1)
     # Margins: class mass 1 (ID) and 0 (outliers), row mass k / b_in (ID) and
     # 0 (outliers). A mass is never negative, so the outlier hinges are the
-    # masses themselves.
-    h_c_in = np.maximum(0.0, 1.0 - c_in)
-    h_c_out = c_out
-    h_s_in = np.maximum(0.0, k / b_in - row_mass[:b_in])
-    h_s_out = row_mass[b_in:]
-    dne_c = float((h_c_in**2).sum() + (h_c_out**2).sum())
-    dne_s = float((h_s_in**2).sum() / b_in + (h_s_out**2).sum() / b_out)
+    # masses themselves. h_s holds the hinge of every row, ID rows first.
+    h_c_in = np.maximum(0.0, 1.0 - np.add.reduce(norm[:b_in], axis=0))
+    h_c_out = np.add.reduce(norm[b_in:], axis=0)
+    h_s = np.add.reduce(norm, axis=1)
+    np.maximum(0.0, np.subtract(k / b_in, h_s[:b_in], out=h_s[:b_in]), out=h_s[:b_in])
+    sq_s = h_s**2
+    dne_c = float(np.add.reduce(h_c_in**2) + np.add.reduce(h_c_out**2))
+    dne_s = float(np.add.reduce(sq_s[:b_in]) / b_in + np.add.reduce(sq_s[b_in:]) / b_out)
 
     # dL/dF: the class term along each column plus the sample term along each
     # row. Every hinge is >= +0, and 0.0 - x turns an ID entry of -0.0 into
     # +0.0, as the sum from zeros did.
-    g_f = np.concatenate([0.0 - (2.0 * h_c_in + (2.0 / b_in) * h_s_in[:, None]),
-                          2.0 * h_c_out + (2.0 / b_out) * h_s_out[:, None]])
-    grad = norm * (g_f - (g_f * norm).sum(axis=0, keepdims=True))
+    grad = np.empty_like(norm)
+    np.subtract(0.0, 2.0 * h_c_in + (2.0 / b_in) * h_s[:b_in, None], out=grad[:b_in])
+    np.add(2.0 * h_c_out, (2.0 / b_out) * h_s[b_in:, None], out=grad[b_in:])
+    grad -= np.add.reduce(grad * norm, axis=0, keepdims=True)
+    grad *= norm
     grad[:b_in] += d_ce
     return LossBreakdown(total=ce + dne_c + dne_s, ce=ce, dne_c=dne_c, dne_s=dne_s), grad

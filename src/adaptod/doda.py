@@ -106,8 +106,14 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
 
 
 def _update(state: OutlierDistribution, ef: np.ndarray) -> OutlierDistribution:
-    new_values = (state.m * state.values + ef) / (state.m + 1)
-    return OutlierDistribution(values=new_values, m=state.m + 1)
+    # Mean of non-negative values and a finite ef: only an overflow needs a check.
+    values = (state.m * state.values + ef) / (state.m + 1)
+    if not np.isfinite(values).all():
+        raise InvalidInputError("values must be finite and non-negative")
+    values.setflags(write=False)
+    new = object.__new__(OutlierDistribution)
+    new.__dict__.update(values=values, m=state.m + 1)
+    return new
 
 
 def _step(state, stats, logits, sample_index, is_true_ood=False, use_label_probability=0.0,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -30,6 +30,11 @@ class Mlp:
 
     def __post_init__(self):
         dims = self.layer_dims
+        layers = zip_longest(dims[:-1], dims[1:], self.weights, self.biases)
+        for layer, (i, o, w, b) in enumerate(layers):  # a missing array has shape ()
+            if (np.shape(w), np.shape(b)) != ((i, o), (o,)):
+                raise ShapeError(f"layer {layer}: expected W {(i, o)} and b {(o,)}, "
+                                 f"got W {np.shape(w)} and b {np.shape(b)}")
         self.offsets = list(accumulate((i * o + o for i, o in zip(dims[:-1], dims[1:])),
                                        initial=0))
         self.params = np.concatenate(
@@ -78,9 +83,10 @@ class Mlp:
         activations = [x]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w + b
+            z = activations[-1] @ w
+            z += b
             if i < last:
-                z = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
             activations.append(z)
         return activations[-1], activations
 
@@ -98,20 +104,18 @@ class Mlp:
             raise InvalidInputError(f"start {start} is not where a layer begins: {self.offsets}")
         for i in range(self.n_layers - 1, -1, -1):
             np.matmul(activations[i].T, g, out=self._d_weights[i])
-            g.sum(axis=0, out=self._d_biases[i])
+            np.add.reduce(g, axis=0, out=self._d_biases[i])
             if self.offsets[i] == start:
                 break
             g = (g @ self.weights[i].T) * (activations[i] > 0.0)
         return self._d_weights, self._d_biases
 
 
-def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
-    """Cosine annealing from lr0 (step 0) to zero (step == total_steps)."""
+def cosine_schedule(total_steps: int, lr0: float) -> list[float]:
+    """Learning rates of steps 0 .. total_steps - 1, annealed from lr0 to 0 at total_steps."""
     if total_steps < 1:
         raise InvalidInputError("total_steps must be >= 1")
-    if step < 0 or step > total_steps:
-        raise InvalidInputError(f"step {step} outside [0, {total_steps}]")
-    return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
+    return (lr0 * 0.5 * (1.0 + np.cos(np.pi * np.arange(total_steps) / total_steps))).tolist()
 
 
 @dataclass(frozen=True)
@@ -144,10 +148,10 @@ class TrainConfig:
                 f"batch sizes must be >= 1, got b_in={self.b_in}, b_out={self.b_out}")
 
 
-def _sgd_step(params, velocity, grad, lr, momentum, step):
+def _sgd_step(params, velocity, grad, scratch, lr, momentum, step):
     """One momentum update, in place, of a run of the parameter vector."""
     velocity *= momentum
-    velocity -= lr * grad
+    velocity -= np.multiply(grad, lr, out=scratch)
     params += velocity
     if not np.isfinite(params).all():
         raise TrainingDivergedError(f"non-finite parameters at step {step}", step)
@@ -188,20 +192,27 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
         raise InvalidInputError(f"fine-tuning needs k >= 2 classes, got k={k}")
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
-    b_in = min(cfg.b_in, id_x.shape[0])
+    n, row_shape = id_x.shape[0], id_x.shape[1:]  # a wrong row shape fails in forward
+    b_in = min(cfg.b_in, n)
     b_out = min(cfg.b_out, outlier_x.shape[0])
-    steps_per_epoch = max(1, id_x.shape[0] // b_in)
+    steps_per_epoch = max(1, n // b_in)
+    # Reused buffers (epoch rows, labels, stage-2 batch); mode="clip" fills them unbuffered.
+    xs = np.empty((steps_per_epoch * b_in, *row_shape))
+    ys = np.empty(steps_per_epoch * b_in, np.intp)
+    stacked = np.empty((b_in + b_out, *row_shape))
 
-    def ce_batch(idx, step):
-        logits, acts = model.forward_cached(id_x[idx])
-        ce, d_logits = ce_and_grad(logits, id_y[idx])
+    def ce_batch(x, y, step):
+        logits, acts = model.forward_cached(x)
+        ce, d_logits = ce_and_grad(logits, y)
         return (ce, ce, 0.0, 0.0), acts, d_logits
 
-    def paired_batch(idx, step):
+    def paired_batch(x, y, step):
         out_idx = rng.choice(outlier_x.shape[0], size=b_out, replace=False)
-        logits, acts = model.forward_cached(np.concatenate([id_x[idx], outlier_x[out_idx]]))
+        stacked[:b_in] = x
+        outlier_x.take(out_idx, axis=0, out=stacked[b_in:], mode="clip")
+        logits, acts = model.forward_cached(stacked)
         try:
-            terms, d_logits = loss_and_grad(logits, id_y[idx])
+            terms, d_logits = loss_and_grad(logits, y)
         except InvalidInputError as exc:  # after train's input checks: non-finite logits
             raise TrainingDivergedError(f"non-finite logits at step {step}", step) from exc
         return (terms.total, terms.ce, terms.dne_c, terms.dne_s), acts, d_logits
@@ -212,20 +223,21 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
               (cfg.epochs_finetune, cfg.lr_finetune, tail, paired_batch))
     with np.errstate(over="ignore", invalid="ignore"):
         for epochs, lr0, start, batch_loss in stages:
-            total_steps = max(1, epochs * steps_per_epoch)
+            lrs = cosine_schedule(max(1, epochs * steps_per_epoch), lr0)
             params, grad = model.params[start:], model.grad[start:]
-            velocity = np.zeros_like(params)
+            velocity, scratch = np.zeros_like(params), np.empty_like(params)
             step = 0
             for _ in range(epochs):
-                order = rng.permutation(id_x.shape[0])
+                order = rng.permutation(n)[:xs.shape[0]]
+                id_x.take(order, axis=0, out=xs, mode="clip")
+                id_y.take(order, out=ys, mode="clip")
                 losses = []
-                for s in range(steps_per_epoch):
-                    loss, acts, d_logits = batch_loss(order[s * b_in : (s + 1) * b_in], step)
+                for s in range(0, ys.size, b_in):
+                    loss, acts, d_logits = batch_loss(xs[s:s + b_in], ys[s:s + b_in], step)
                     if not math.isfinite(loss[0]):
                         raise TrainingDivergedError(f"non-finite loss at step {step}", step)
                     model.backward(acts, d_logits, start)
-                    _sgd_step(params, velocity, grad, cosine_lr(step, total_steps, lr0),
-                              cfg.momentum, step)
+                    _sgd_step(params, velocity, grad, scratch, lrs[step], cfg.momentum, step)
                     step += 1
                     losses.append(loss)
                 log.append(LossBreakdown(*(float(np.mean(term)) for term in zip(*losses))))

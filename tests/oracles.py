@@ -252,6 +252,12 @@ def _layer_backward(weights, acts, g, first_layer):
     return d_ws, d_bs
 
 
+def cosine_lr(step, total_steps, lr0):
+    """Cosine annealing from lr0 at step 0 to zero at step total_steps, one
+    step at a time."""
+    return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
+
+
 def per_layer_train(weights, biases, id_x, id_y, outlier_x, cfg):
     """(weights, biases, [(total, ce, dne_c, dne_s) per epoch]) of the
     two-stage loop under a TrainConfig; raises Diverged."""
@@ -264,9 +270,6 @@ def per_layer_train(weights, biases, id_x, id_y, outlier_x, cfg):
     log = []
     b_in = min(cfg.b_in, n)
     steps_per_epoch = max(1, n // b_in)
-
-    def lr_at(step, total_steps, lr0):
-        return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
     def sgd(d_ws, d_bs, vel_w, vel_b, lr, step):
         for i in range(n_layers):  # layer by layer: W, b, then the check
@@ -292,7 +295,7 @@ def per_layer_train(weights, biases, id_x, id_y, outlier_x, cfg):
             if not np.isfinite(ce):
                 raise Diverged(step)
             sgd(*_layer_backward(weights, acts, grad, 0), vel_w, vel_b,
-                lr_at(step, total_steps, cfg.lr_pretrain), step)
+                cosine_lr(step, total_steps, cfg.lr_pretrain), step)
             step += 1
             epoch_ce.append(ce)
         mean_ce = float(np.mean(epoch_ce))
@@ -321,7 +324,7 @@ def per_layer_train(weights, biases, id_x, id_y, outlier_x, cfg):
                     raise Diverged(step)
                 grad = prefusion_total_loss_grad(id_rows, out_rows, id_y[idx], margins)
                 sgd(*_layer_backward(weights, acts, grad, first), vel_w, vel_b,
-                    lr_at(step, total_steps, cfg.lr_finetune), step)
+                    cosine_lr(step, total_steps, cfg.lr_finetune), step)
                 step += 1
                 terms.append(loss)
             log.append(tuple(float(np.mean([t[j] for t in terms])) for j in range(4)))

@@ -159,6 +159,22 @@ class TestAdaptAndScore:
         assert new_state is state
         assert not event.accepted
 
+    def test_accepted_state_skips_revalidation_but_keeps_its_invariants(self):
+        state = OutlierDistribution(values=np.array([1.0, 1.0]), m=1)
+        stats = self.stats_accepting_below(100.0)
+        new_state, _, _ = adapt_and_score(state, stats, [math.log(3), math.log(5)])
+        assert type(new_state) is OutlierDistribution
+        assert new_state.values.dtype == np.float64 and not new_state.values.flags.writeable
+        with pytest.raises(AttributeError):
+            new_state.m = 5
+
+    def test_overflowing_update_raises_and_names_the_sample(self):
+        state = OutlierDistribution(values=np.array([1e308, 1.0]), m=2)
+        stats = self.stats_accepting_below(100.0)
+        with np.errstate(over="ignore"), pytest.raises(
+                InvalidInputError, match="^sample 1: values must be finite and non-negative$"):
+            run_stream(state, stats, [[50.0, 0.0], [0.0, 0.0]])
+
     def test_tie_at_threshold_rejects(self):
         state = OutlierDistribution(values=np.array([1.0, 1.0]), m=1)
         stats = self.stats_accepting_below(4.0)

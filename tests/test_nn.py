@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from adaptod import cli, data
 from adaptod.dne import loss_and_grad
 from adaptod.errors import InvalidInputError, LogitFileError, ShapeError, TrainingDivergedError
 from adaptod.nn import (
     Mlp,
     TrainConfig,
-    cosine_lr,
+    cosine_schedule,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -17,6 +19,7 @@ from adaptod.nn import (
 from oracles import (
     Diverged,
     central_difference,
+    cosine_lr,
     max_relative_error,
     naive_forward,
     per_layer_train,
@@ -59,6 +62,44 @@ class TestForward:
         model = Mlp.init([3, 2], seed=0)
         with pytest.raises(ShapeError):
             model.forward(np.ones((4, 5)))
+
+    def test_peak_memory_is_one_hidden_activation_plus_the_logits(self):
+        """In place, each hidden layer holds one array: on 20000 x 8 rows through
+        [8, 32, 10] the peak is the hidden activation plus the logits, 1.31 of
+        it, where a fresh array per bias add and per ReLU peaks at about 2."""
+        model = Mlp.init([8, 32, 10], seed=0)
+        x = np.random.default_rng(0).standard_normal((20000, 8))
+        hidden = 20000 * 32 * 8
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * hidden
+
+
+class TestLayout:
+    @pytest.mark.parametrize("weights, biases, message", [
+        pytest.param([(3, 2), (3, 1)], [(3,), (1,)],
+                     r"layer 0: expected W \(2, 3\) and b \(3,\), got W \(3, 2\) and b \(3,\)",
+                     id="transposed-weight"),
+        pytest.param([(2, 3), (3, 1)], [(4,), (1,)],
+                     r"layer 0: expected W \(2, 3\) and b \(3,\), got W \(2, 3\) and b \(4,\)",
+                     id="long-bias"),
+        pytest.param([(2, 3), (3, 1)], [(3,), (2,)],
+                     r"layer 1: expected W \(3, 1\) and b \(1,\), got W \(3, 1\) and b \(2,\)",
+                     id="long-output-bias"),
+        pytest.param([(2, 3)], [(3,)],
+                     r"layer 1: expected W \(3, 1\) and b \(1,\), got W \(\) and b \(\)",
+                     id="missing-layer"),
+        pytest.param([(2, 3), (3, 1), (1, 1)], [(3,), (1,)],
+                     r"layer 2: expected W \(None, None\) and b \(None,\), got W \(1, 1\)",
+                     id="extra-weight"),
+    ])
+    def test_arrays_that_do_not_fit_layer_dims_are_rejected(self, weights, biases, message):
+        with pytest.raises(ShapeError, match=message):
+            Mlp([2, 3, 1], [np.zeros(s) for s in weights], [np.zeros(s) for s in biases])
 
 
 class TestBackward:
@@ -140,17 +181,23 @@ class TestBackward:
                 assert max_relative_error(grads[layer], numeric) < 1e-4
 
 
-class TestCosineLr:
+class TestCosineSchedule:
     def test_endpoints_and_midpoint(self):
-        assert cosine_lr(0, 10, 0.3) == pytest.approx(0.3)
-        assert cosine_lr(10, 10, 0.3) == pytest.approx(0.0, abs=1e-16)
-        assert cosine_lr(5, 10, 0.3) == pytest.approx(0.15, rel=1e-12)
+        lrs = cosine_schedule(10, 0.3)
+        assert len(lrs) == 10
+        assert lrs[0] == pytest.approx(0.3)
+        assert lrs[5] == pytest.approx(0.15, rel=1e-12)
+        assert lrs[-1] > 0.0
 
-    def test_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            cosine_lr(-1, 10, 0.1)
-        with pytest.raises(InvalidInputError):
-            cosine_lr(11, 10, 0.1)
+    def test_needs_a_step(self):
+        with pytest.raises(InvalidInputError, match="total_steps must be >= 1"):
+            cosine_schedule(0, 0.1)
+
+    @pytest.mark.parametrize("lr0", [0.1, 0.005, 0.37, 1e-3, 3.0])
+    def test_equals_the_per_step_formula_bit_for_bit(self, lr0):
+        for total in [*range(1, 301), 3480, 4640]:
+            want = [cosine_lr(step, total, lr0) for step in range(total)]
+            assert cosine_schedule(total, lr0) == want, total
 
 
 class TestTrain:
@@ -247,6 +294,37 @@ class TestTrainEqualsPerLayerLoop:
         for got, want in zip(trained.weights + trained.biases, weights + biases, strict=True):
             assert got.tobytes() == want.tobytes()
         assert [(b.total, b.ce, b.dne_c, b.dne_s) for b in log] == want_log
+
+    def test_bench_shaped_run(self):
+        """The benchmark's shapes: 745 ID rows, k=10, hidden 32, default config
+        (440 steps, 11 batches per epoch with 41 rows left over)."""
+        _, sets = cli.benchmark_datasets(0)
+        id_train, outliers = sets[data.ID_TRAIN], sets[data.OUTLIER].features
+        x, y = id_train.features, id_train.labels
+        model = Mlp.init([x.shape[1], 32, 10], seed=0)
+        cfg = TrainConfig()
+        trained, log = train(model, x, y, outliers, cfg)
+        assert len(log) == 40 and x.shape[0] == 745
+        assert_same_run(trained, log, per_layer_train(model.weights, model.biases, x, y,
+                                                      outliers, cfg))
+
+    def test_net_without_hidden_layer(self):
+        """[4, 2]: the output layer is the whole vector, so stage 2 trains all of it."""
+        x, y, outliers = blob_task(5)
+        model = Mlp.init([4, 2], seed=5)
+        cfg = TrainConfig(seed=5, epochs_pretrain=3, epochs_finetune=3, b_in=32, b_out=64,
+                          lr_finetune=0.05)
+        trained, log = train(model, x, y, outliers, cfg)
+        assert model.offsets[-2] == 0
+        assert_same_run(trained, log, per_layer_train(model.weights, model.biases, x, y,
+                                                      outliers, cfg))
+
+
+def assert_same_run(trained, log, oracle_run):
+    weights, biases, want_log = oracle_run
+    for got, want in zip(trained.weights + trained.biases, weights + biases, strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert [(b.total, b.ce, b.dne_c, b.dne_s) for b in log] == want_log
 
 
 class TestDivergence:
