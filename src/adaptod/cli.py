@@ -110,35 +110,34 @@ MODES = ("uncalibrated", "no_tta", "doda", "oracle")
 def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0,
                    record_events=False):
     """The requested modes, plus one sweep_<f> mode per oracle fraction f, over
-    a forward_stream result. Modes with the same plan share one run_stream pass
-    and one result: sweep_0 that of doda, sweep_1 that of oracle.
-
-    Returns mode name -> {"report", "scores", "events", "final_state"}. Each
-    oracle pass draws from its own rng(seed), so no result depends on which
-    other modes run, and the sweep fractions share their per-sample uniform
-    draws (common random numbers): differences come from the fraction alone.
+    a forward_stream result: mode name -> {"report", "scores", "events",
+    "final_state"}. Modes with the same plan share one result (sweep_0 that of
+    doda, sweep_1 that of oracle). Each frozen mode is one matrix pass; all
+    adapting plans go to one doda.run_plans call, whose oracle plans share the
+    draws of rng(seed), so no result depends on which other modes run.
     """
     stream_logits, is_ood, labels = stream
     is_id = ~is_ood
     predicted, true = stream_logits.argmax(axis=1)[is_id], labels[is_id]
 
-    states = {"p0": p0, "zero": doda.OutlierDistribution(np.zeros(p0.k), 0)}
-
-    def run(state, freeze, fraction):
-        oracle = dict(oracle_labels=is_ood, use_label_probability=float(fraction),
-                      rng=np.random.default_rng(seed)) if fraction else {}
-        scores, events, final_state = doda.run_stream(
-            states[state], stats, stream_logits, freeze=freeze, record_events=record_events,
-            **oracle)
+    def result(scores, events, final_state):
         return {"report": metrics.metric_report(np.asarray(scores), is_id, predicted, true),
                 "scores": scores, "events": events, "final_state": final_state}
 
-    # mode -> (initial state, freeze, oracle fraction)
-    plan_of = {"uncalibrated": ("zero", True, 0.0), "no_tta": ("p0", True, 0.0),
-               "doda": ("p0", False, 0.0), "oracle": ("p0", False, 1.0)}
+    # mode -> initial state of a frozen pass, or oracle fraction of an adapting one
+    plan_of = {"uncalibrated": "zero", "no_tta": "p0", "doda": 0.0, "oracle": 1.0}
     plans = {mode: plan_of[mode] for mode in modes}
-    plans.update({f"sweep_{frac:g}": ("p0", False, float(frac)) for frac in oracle_fractions})
-    runs = {plan: run(*plan) for plan in dict.fromkeys(plans.values())}
+    plans.update({f"sweep_{frac:g}": float(frac) for frac in oracle_fractions})
+    unique = list(dict.fromkeys(plans.values()))
+    frozen = {"zero": doda.OutlierDistribution(np.zeros(p0.k), 0), "p0": p0}
+    runs = {plan: result(*doda.run_stream(frozen[plan], stats, stream_logits, freeze=True,
+                                          record_events=record_events))
+            for plan in unique if isinstance(plan, str)}
+    fractions = [plan for plan in unique if not isinstance(plan, str)]
+    if fractions:
+        adapted = doda.run_plans(p0, stats, stream_logits, fractions, oracle_labels=is_ood,
+                                 rng=np.random.default_rng(seed), record_events=record_events)
+        runs.update({frac: result(*res) for frac, res in zip(fractions, adapted)})
     return {mode: runs[plan] for mode, plan in plans.items()}
 
 
@@ -195,37 +194,6 @@ def benchmark_datasets(seed: int, **settings):
 
 
 DEFAULT_HIDDEN = (32,)
-BENCHMARK_VIRTUAL_COUNT = 64
-
-
-def desk_benchmark(seed: int, *, oracle_fractions=(0.0, 0.25, 0.5, 0.75, 1.0)):
-    """One seed of the default synthetic long-tailed benchmark.
-
-    Trains a CE-only model and a DNE fine-tuned model from the same
-    initialization, then evaluates all adaptation modes and the head/tail
-    split. The streaming modes use a large virtual count so the adapted
-    distribution blends gradually from its initialization toward the test
-    outlier statistics as more samples are accepted.
-    """
-    _, datasets = benchmark_datasets(seed)
-    ce_model, _ = train_models(datasets, nn.TrainConfig(seed=seed, epochs_finetune=0),
-                               DEFAULT_HIDDEN)
-    dne_model, dne_log = train_models(datasets, nn.TrainConfig(seed=seed), DEFAULT_HIDDEN)
-
-    stats, p0, _ = prepare(dne_model, datasets, virtual_count=BENCHMARK_VIRTUAL_COUNT)
-    res = evaluate_modes(stats, p0, forward_stream(dne_model, datasets, 0.5, seed),
-                         oracle_fractions=oracle_fractions, seed=seed)
-    out = {
-        "auroc": {m: res[m]["report"].auroc for m in MODES},
-        "sweep": [(f, res[f"sweep_{f:g}"]["report"].auroc) for f in oracle_fractions],
-        "train_log": dne_log,
-    }
-    for name, model in (("ce", ce_model), ("dne", dne_model)):
-        ht = head_tail_reports(model, datasets, seed=seed, mode="oracle",
-                               virtual_count=BENCHMARK_VIRTUAL_COUNT)
-        out[f"headtail_{name}"] = (ht["head"].auroc, ht["tail"].auroc)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # subcommands

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -38,7 +39,11 @@ class EnergyStats:
                                     f"non-negative, got {mu_in}, {sigma_in}")
         if not (math.isfinite(alpha) and alpha > 0):
             raise InvalidInputError(f"alpha must be finite and positive, got {alpha}")
-        return cls(mu_in=mu_in, sigma_in=sigma_in, alpha=alpha, r=mu_in - alpha * sigma_in)
+        r = mu_in - alpha * sigma_in
+        if not math.isfinite(r):
+            raise InvalidInputError(f"threshold R = mu_in - alpha * sigma_in is not finite "
+                                    f"(alpha={alpha}, mu_in={mu_in}, sigma_in={sigma_in})")
+        return cls(mu_in=mu_in, sigma_in=sigma_in, alpha=alpha, r=r)
 
 
 @dataclass(frozen=True)
@@ -105,37 +110,41 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
     return OutlierDistribution(values=ef.mean(axis=0), m=virtual_count)
 
 
-def _update(state: OutlierDistribution, ef: np.ndarray) -> OutlierDistribution:
-    # Mean of non-negative values and a finite ef: only an overflow needs a check.
-    values = (state.m * state.values + ef) / (state.m + 1)
-    if not np.isfinite(values).all():
-        raise InvalidInputError("values must be finite and non-negative")
+def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
+    """An OutlierDistribution of finite, non-negative values, not validated again."""
     values.setflags(write=False)
-    new = object.__new__(OutlierDistribution)
-    new.__dict__.update(values=values, m=state.m + 1)
-    return new
+    state = object.__new__(OutlierDistribution)
+    state.__dict__.update(values=values, m=m)
+    return state
 
 
-def _step(state, stats, logits, sample_index, is_true_ood=False, use_label_probability=0.0,
-          rng=None, freeze=False):
-    """One validated sample: G and the score share one exp(f - max f), and the
-    unshifted exp(f) is taken only for an accepted sample. freeze never accepts."""
-    v = _as_logits(logits, 1)
-    if v.shape[0] != state.k:
-        raise ShapeError(f"sample has k={v.shape[0]}, state has k={state.k}")
-    m = float(v.max())
-    e = np.exp(v - m)
-    g = _scaled(m, float(e.sum()), "global energy")
-    if freeze:
-        accepted = False
-    elif use_label_probability > 0.0 and rng.random() < use_label_probability:
-        accepted = bool(is_true_ood)
-    else:
-        accepted = g < stats.r
-    if accepted:  # exp(f) is finite: G is, and G >= exp(max f)
-        state = _update(state, np.exp(v))
-    score = _scaled(m, float((e / (1.0 + state.values)).sum()), "calibrated energy")
-    return state, score, AdaptationEvent(sample_index, accepted, g, score)
+def _step(values, counts, logits, sample_index, r, fractions=(0.0,), is_ood=False, u=1.0):
+    """One sample under plans j whose P and count (row j of values, counts[j])
+    an accepting plan updates in place. The row check, exp(f - max f) and G
+    are shared. Plan j accepts true OOD if the oracle draw u < fractions[j],
+    else if G < r. Returns G, the plans' post-step scores and acceptances."""
+    try:
+        v = _as_logits(logits, 1)
+        if v.shape[0] != values.shape[1]:
+            raise ShapeError(f"sample has k={v.shape[0]}, state has k={values.shape[1]}")
+        m = float(np.maximum.reduce(v))  # the ufuncs of v.max() and e.sum(), called directly
+        e = np.exp(v - m)
+        g = _scaled(m, float(np.add.reduce(e)), "global energy")
+        below = g < r
+        accepted = [is_ood if u < f else below for f in fractions]
+        if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
+            ef = np.exp(v)
+            for j, acc in enumerate(accepted):
+                if acc:
+                    values[j] = (counts[j] * values[j] + ef) / (counts[j] + 1)
+                    counts[j] += 1
+            # a mean of finite, non-negative values can only overflow
+            if not np.isfinite(values).all():
+                raise InvalidInputError("values must be finite and non-negative")
+        totals = np.add.reduce(e / (1.0 + values), axis=1).tolist()  # rows sum as 1-D arrays
+        return g, [_scaled(m, t, "calibrated energy") for t in totals], accepted
+    except (AdaptOdError, TypeError, ValueError) as exc:  # a bad row or an overflow
+        raise type(exc)(f"sample {sample_index}: {exc}") from exc
 
 
 def adapt_and_score(
@@ -148,20 +157,69 @@ def adapt_and_score(
 
     Returns the post-step state, the calibrated score of the sample under that
     state, and an audit event. A rejected sample returns the input state object
-    unchanged.
+    unchanged. An error names sample_index.
     """
-    return _step(state, stats, logits, sample_index)
+    values, counts = np.array(state.values, ndmin=2), [state.m]
+    g, (score,), (accepted,) = _step(values, counts, logits, sample_index, stats.r)
+    if accepted:
+        state = _trusted(values[0], counts[0])
+    return state, score, AdaptationEvent(sample_index, accepted, g, score)
 
 
-def _frozen(state: OutlierDistribution, rows: np.ndarray, energies: np.ndarray,
-            record_events: bool):
-    """Scores (and events) of a logit matrix, whose global energies are given,
-    under a fixed distribution."""
-    scores = calibrated_energies(rows, state.values).tolist()
-    if not record_events:
-        return scores, None
-    return scores, [AdaptationEvent(i, False, g, score)
-                    for i, (g, score) in enumerate(zip(energies.tolist(), scores))]
+def _per_sample(state, r, logit_stream, fractions, oracle_labels, rng, record_events):
+    """(scores, events, final state) per plan, from one _step per sample."""
+    values, counts = np.tile(state.values, (len(fractions), 1)), [state.m] * len(fractions)
+    labels = iter(oracle_labels) if oracle_labels is not None else None
+    draw = max(fractions) > 0.0  # one common draw per sample
+    scores, events = [], ([] if record_events else None)  # sample-major, plan-minor
+    for i, logits in enumerate(logit_stream):
+        is_ood = bool(next(labels)) if labels is not None else False
+        g, sample_scores, accepted = _step(values, counts, logits, i, r, fractions, is_ood,
+                                           rng.random() if draw else 1.0)  # no fraction exceeds 1
+        scores += sample_scores
+        if events is not None:
+            events += map(AdaptationEvent, repeat(i), accepted, repeat(g), sample_scores)
+    n = len(fractions)
+    return [(scores[j::n], events[j::n] if events is not None else None,
+             state if counts[j] == state.m else _trusted(values[j].copy(), counts[j]))
+            for j in range(n)]
+
+
+def run_plans(state, stats, logit_stream, use_label_probabilities, *, freeze=False,
+              oracle_labels=None, rng=None, record_events=False):
+    """run_stream of plan j with use_label_probabilities[j], for every j at once:
+    one (scores, events, final state) per plan, equal bit for bit to that plan
+    alone with an rng of the same seed, since all plans share one rng.random()
+    per sample. Plans under freeze, and plans with probability 0 in which no
+    sample has G < R, take one matrix pass; the others share one per-sample pass.
+    """
+    fractions = list(use_label_probabilities)
+    for f in fractions:
+        if not 0.0 <= f <= 1.0:
+            raise InvalidInputError(f"use_label_probability must lie in [0, 1], got {f}")
+    if max(fractions, default=0.0) > 0.0 and (oracle_labels is None or rng is None):
+        raise InvalidInputError("use_label_probability > 0 requires oracle_labels and an rng")
+    r = stats.r
+    if freeze:  # never accept: no G is below -inf, and no oracle is consulted
+        fractions, r = [0.0] * len(fractions), -math.inf
+    results = [None] * len(fractions)
+    if 0.0 in fractions:  # the acceptance of these plans reads G and r only
+        try:
+            rows = np.asarray(logit_stream, dtype=np.float64)
+            energies = global_energies(rows)
+            if not (energies < r).any():  # P stays P0 throughout
+                scores = calibrated_energies(rows, state.values).tolist()
+                events = [AdaptationEvent(i, False, g, score) for i, (g, score)
+                          in enumerate(zip(energies.tolist(), scores))] if record_events else None
+                results = [(scores, events, state) if f == 0.0 else None for f in fractions]
+        except (AdaptOdError, TypeError, ValueError):
+            pass  # not one finite logit matrix: the per-sample pass names the bad sample
+    rest = [j for j, res in enumerate(results) if res is None]
+    if rest:
+        for j, res in zip(rest, _per_sample(state, r, logit_stream, [fractions[j] for j in rest],
+                                            oracle_labels, rng, record_events)):
+            results[j] = res
+    return results
 
 
 def run_stream(
@@ -175,45 +233,15 @@ def run_stream(
     rng: np.random.Generator | None = None,
     record_events: bool = False,
 ) -> tuple[list[float], list[AdaptationEvent] | None, OutlierDistribution]:
-    """Score a one-pass stream of logit vectors in order.
+    """Score a one-pass stream of logit vectors in order: run_plans of one plan.
 
-    freeze=True scores with the initial distribution and never adapts (the
-    no-TTA baseline). It, and a plain pass in which no sample has G < R (so P
-    stays P0), score the whole stream in one matrix pass. oracle_labels +
+    freeze=True scores with P0 and never adapts (the no-TTA baseline).
     use_label_probability > 0 routes each acceptance decision through the
-    oracle with that probability; decisions draw from rng per sample. Events
-    are recorded only on request, keeping the default memory footprint at O(k).
+    oracle_labels with that probability, drawing from rng per sample. A
+    rejected sample keeps the state, and events are recorded only on request.
     """
-    if not 0.0 <= use_label_probability <= 1.0:
-        raise InvalidInputError(
-            f"use_label_probability must lie in [0, 1], got {use_label_probability}")
-    if use_label_probability > 0.0:
-        if oracle_labels is None:
-            raise InvalidInputError("use_label_probability > 0 requires oracle_labels")
-        if rng is None:
-            raise InvalidInputError("oracle mode requires an rng")
-    if freeze or use_label_probability == 0.0:  # acceptance reads G and R only
-        try:
-            rows = np.asarray(logit_stream, dtype=np.float64)
-            energies = global_energies(rows)
-            if freeze or not (energies < stats.r).any():  # P stays P0 throughout
-                return (*_frozen(state, rows, energies, record_events), state)
-        except (AdaptOdError, TypeError, ValueError):
-            pass  # not one finite logit matrix: the per-sample pass names the bad sample
-    labels_iter = iter(oracle_labels) if oracle_labels is not None else None
-    scores: list[float] = []
-    events: list[AdaptationEvent] | None = [] if record_events else None
-    for i, logits in enumerate(logit_stream):
-        is_ood = bool(next(labels_iter)) if labels_iter is not None else False
-        try:
-            state, score, event = _step(state, stats, logits, i, is_ood,
-                                        use_label_probability, rng, freeze)
-        except Exception as exc:
-            raise type(exc)(f"sample {i}: {exc}") from exc
-        scores.append(score)
-        if events is not None:
-            events.append(event)
-    return scores, events, state
+    return run_plans(state, stats, logit_stream, (use_label_probability,), freeze=freeze,
+                     oracle_labels=oracle_labels, rng=rng, record_events=record_events)[0]
 
 
 def save_state(path, state: OutlierDistribution, stats: EnergyStats) -> None:

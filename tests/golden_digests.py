@@ -1,0 +1,65 @@
+"""Golden sha256 digests of the five-command pipeline's artifacts.
+
+``pipeline_digests(workdir, seed)`` runs ``generate → train → adapt-eval
+--events → head-tail → alpha-sweep`` in process, with the benchmark's
+``generate`` settings, and hashes every file it writes except the manifests
+(they hold paths). ``tests/test_golden.py`` compares the result with
+``golden_digests.json``.
+
+Rewrite the file only for a change that alters bytes on purpose, and name
+every changed file and the reason in CHANGES.md:
+
+    PYTHONPATH=src python tests/golden_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from adaptod import cli
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+SEEDS = (0, 1009)
+GENERATE = ["--n-test-per-class", "100", "--n-ood", "1000", "--n-out", "1000"]
+
+
+def pipeline_digests(workdir: Path, seed: int) -> dict[str, str]:
+    """Relative path -> sha256 of every non-manifest file one pipeline writes."""
+    run = Path(workdir) / f"seed{seed}"
+    s = ["--seed", str(seed)]
+    dat, ckpt = ["--data", str(run / "data")], ["--model", str(run / "model/checkpoint.json")]
+    for argv in (["generate", "--out", str(run / "data"), *s, *GENERATE],
+                 ["train", *dat, "--out", str(run / "model"), *s],
+                 ["adapt-eval", *dat, *ckpt, "--out", str(run / "eval"), "--events", *s],
+                 ["head-tail", *dat, *ckpt, "--out", str(run / "ht"), *s],
+                 ["alpha-sweep", *dat, *ckpt, "--out", str(run / "alpha"), *s]):
+        rc = cli.main(argv)
+        if rc != 0:
+            raise RuntimeError(f"{argv[0]} exited {rc}")
+    return {p.relative_to(run).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(run.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def environment() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine()}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {str(seed): pipeline_digests(Path(tmp), seed) for seed in SEEDS}
+    payload = {"environment": environment(), "generate": GENERATE, "digests": digests}
+    GOLDEN.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    print(f"wrote {GOLDEN} ({sum(map(len, digests.values()))} digests)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -90,6 +90,24 @@ def rowwise_exp_mean(rows):
     return np.vstack([np.exp(v) for v in np.asarray(rows, dtype=float)]).mean(axis=0)
 
 
+def one_plan_stream(rows, is_ood, p0, m0, r, fraction, rng):
+    """The per-sample stream loop of one plan, as it ran before plans shared a
+    pass: per sample G, one rng.random() if fraction > 0 (true OOD is accepted
+    when the draw is below fraction), else acceptance on G < r, then the
+    running-mean update and the score under the updated P. Returns (scores,
+    accepted flags, final P, final count)."""
+    p, m = np.asarray(p0, dtype=float), m0
+    scores, accepted = [], []
+    for v, ood in zip(np.asarray(rows, dtype=float), is_ood):
+        g = global_energy(v)
+        acc = bool(ood) if fraction > 0.0 and rng.random() < fraction else g < r
+        if acc:
+            p, m = (m * p + np.exp(v)) / (m + 1), m + 1
+        scores.append(calibrated_energy(v, p))
+        accepted.append(acc)
+    return scores, accepted, p, m
+
+
 # --- DNE loss, term by term -----------------------------------------------
 
 

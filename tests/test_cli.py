@@ -48,6 +48,18 @@ def small_run(tmp_path):
     return data_dir, model_dir
 
 
+@pytest.fixture()
+def spread_run(small_run):
+    """small_run's data with a model trained for 10 pre-training epochs: its
+    ID-train energies spread far beyond sigma_in = 1, so alpha * sigma_in
+    overflows at alpha = 1e308."""
+    data_dir, model_dir = small_run
+    rc = run_cli("train", "--data", data_dir, "--out", model_dir.with_name("model10"),
+                 "--seed", 3, "--hidden", 8, "--epochs-pretrain", 10, "--epochs-finetune", 1)
+    assert rc == EXIT_OK
+    return data_dir, model_dir.with_name("model10")
+
+
 class TestGenerate:
     def test_writes_all_dataset_files_and_manifest(self, tmp_path):
         out = tmp_path / "d"
@@ -413,6 +425,17 @@ class TestAdaptEval:
         assert "alpha must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("command", ["adapt-eval", "head-tail"])
+    def test_infinite_threshold_exits_config(self, spread_run, tmp_path, capsys, command):
+        data_dir, model_dir = spread_run
+        rc = run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", tmp_path / "e", "--alpha", "1e308")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "threshold R = mu_in - alpha * sigma_in is not finite (alpha=1e+308, mu_in=" in err
+        assert "sigma_in=" in err
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("fractions, bad", [
         ("-0.5", "-0.5"), ("0,1.5", "1.5"), ("nan", "nan"), ("0.5,inf", "inf"),
     ])
@@ -499,6 +522,17 @@ class TestAlphaSweep:
         assert "alpha must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("alphas", ["1e308,3", "3,1e308"])
+    def test_infinite_threshold_in_grid_exits_config(self, spread_run, tmp_path, capsys, alphas):
+        # 1e308,3 once wrote the same AUROC for both rows: R = -inf accepts nothing
+        data_dir, model_dir = spread_run
+        rc = run_cli("alpha-sweep", "--data", data_dir, "--model",
+                     model_dir / "checkpoint.json", "--out", tmp_path / "s", "--alphas", alphas)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "threshold R = mu_in - alpha * sigma_in is not finite (alpha=1e+308, mu_in=" in err
+        assert not (tmp_path / "s").exists()
+
     def test_alpha_is_not_a_flag(self, small_run, tmp_path, capsys):
         data_dir, model_dir = small_run
         rc = run_cli("alpha-sweep", "--data", data_dir, "--model",
@@ -529,31 +563,49 @@ class TestEvaluationPlan:
     """Each command forwards a set once and runs only the stream modes it reports."""
 
     @pytest.mark.parametrize("command, extra, max_forwards, passes", [
-        ("adapt-eval", ["--events"], 5, 7),  # 4 modes + 5 sweep fractions, 0 and 1 reused
+        ("adapt-eval", ["--events"], 5, 3),  # 2 frozen modes + one pass for all adapting plans
         ("head-tail", [], 4, 2),  # one mode per half
         ("alpha-sweep", [], 3, 5),  # doda per alpha
     ])
     def test_forward_and_stream_pass_counts(self, small_run, tmp_path, monkeypatch,
                                             command, extra, max_forwards, passes):
         data_dir, model_dir = small_run
-        calls = {"forward": 0, "run_stream": 0}
-        forward, run_stream = nn.Mlp.forward, doda.run_stream
+        calls = {"forward": 0, "run_plans": 0}
+        forward, run_plans = nn.Mlp.forward, doda.run_plans
 
         def counting_forward(self, inputs):
             calls["forward"] += 1
             return forward(self, inputs)
 
-        def counting_run_stream(*args, **kwargs):
-            calls["run_stream"] += 1
-            return run_stream(*args, **kwargs)
+        def counting_run_plans(*args, **kwargs):  # run_stream is its one-plan case
+            calls["run_plans"] += 1
+            return run_plans(*args, **kwargs)
 
         monkeypatch.setattr(nn.Mlp, "forward", counting_forward)
-        monkeypatch.setattr(doda, "run_stream", counting_run_stream)
+        monkeypatch.setattr(doda, "run_plans", counting_run_plans)
         rc = run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
                      "--out", tmp_path / "o", *extra)
         assert rc == EXIT_OK
         assert calls["forward"] <= max_forwards
-        assert calls["run_stream"] == passes
+        assert calls["run_plans"] == passes
+
+    @pytest.mark.parametrize("fractions", ["", "0", "1", "0.3", "0,0.25,0.5,0.75,1.0",
+                                           "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.9"])
+    def test_adapt_eval_steps_each_stream_sample_once(self, small_run, tmp_path, monkeypatch,
+                                                      fractions):
+        data_dir, model_dir = small_run
+        samples, step = [], doda._step
+
+        def counting_step(values, counts, logits, sample_index, *args):
+            samples.append(sample_index)
+            return step(values, counts, logits, sample_index, *args)
+
+        monkeypatch.setattr(doda, "_step", counting_step)
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", tmp_path / "o", "--events", "--oracle-fractions", fractions)
+        assert rc == EXIT_OK
+        n = len((tmp_path / "o" / "events.csv").read_text().splitlines()) - 1
+        assert n > 0 and samples == list(range(n))
 
     @pytest.fixture()
     def prepared(self, small_run):

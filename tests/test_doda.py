@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,18 +16,21 @@ from adaptod.doda import (
     adapt_and_score,
     fit_energy_stats,
     init_outlier_distribution,
+    run_plans,
     run_stream,
     save_state,
 )
 from adaptod.errors import (
+    AdaptOdError,
     EnergyOverflowError,
     InsufficientDataError,
     InvalidInputError,
     ShapeError,
 )
 
-from oracles import (calibrated_energy, global_energy, mean_std_threshold, prefix_mean_stream,
-                     rowwise_exp_mean, rowwise_global_energies, running_mean_closed_form)
+from oracles import (calibrated_energy, global_energy, mean_std_threshold, one_plan_stream,
+                     prefix_mean_stream, rowwise_exp_mean, rowwise_global_energies,
+                     running_mean_closed_form)
 
 
 def logits_with_energy(g, k=2):
@@ -86,6 +90,16 @@ class TestFitEnergyStats:
     def test_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(InvalidInputError, match=f"alpha must be finite and positive, got {alpha}"):
             EnergyStats.from_moments(5.0, 2.0, alpha)
+
+    @pytest.mark.parametrize("mu, sigma, alpha", [
+        (5.0, 2.0, 1e308),  # alpha * sigma overflows: R was -inf and accepted nothing
+        (-1e308, 1e308, 1.0),  # mu - alpha * sigma overflows
+    ])
+    def test_threshold_must_be_finite(self, mu, sigma, alpha):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(
+                "threshold R = mu_in - alpha * sigma_in is not finite "
+                f"(alpha={alpha}, mu_in={mu}, sigma_in={sigma})") + "$"):
+            EnergyStats.from_moments(mu, sigma, alpha)
 
     @pytest.mark.parametrize("mu, sigma", [
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
@@ -460,6 +474,115 @@ class TestStreamProperties:
             assert all(accepted)
         if not any(accepted):
             assert final is state
+
+
+def threshold_inside(logits, at):
+    """Filter stats whose R lies at quantile `at` of the stream's energies, so
+    that plain acceptance takes some samples and not others."""
+    energies = sorted(global_energy(row) for row in logits) or [1.0]
+    r = energies[int(at * (len(energies) - 1))]
+    return EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+
+
+def assert_same_run(got, want, state):
+    """Scores, events and final state equal bit for bit; the input state object
+    comes back exactly when no sample was accepted."""
+    assert got[0] == want[0] and got[1] == want[1]
+    assert np.array_equal(got[2].values, want[2].values) and got[2].m == want[2].m
+    assert (got[2] is state) == (want[2] is state) == (got[2].m == state.m)
+
+
+fraction_lists = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=6)
+
+
+class TestPlans:
+    """run_plans equals each of its plans run alone through run_stream."""
+
+    @staticmethod
+    def alone(state, stats, logits, mask, fraction, seed, **kwargs):
+        return run_stream(state, stats, logits, oracle_labels=mask,
+                          use_label_probability=fraction, rng=np.random.default_rng(seed),
+                          record_events=True, **kwargs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams(scale=700.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 9))
+    def test_one_plan_equals_the_per_sample_oracle(self, case, at, fraction, seed):
+        logits, mask, p0, m0 = case
+        state = OutlierDistribution(values=p0, m=m0)
+        stats = threshold_inside(logits, at)
+        scores, events, final = self.alone(state, stats, logits, mask, fraction, seed)
+        want_scores, want_accepted, want_p, want_m = one_plan_stream(
+            logits, mask, p0, m0, stats.r, fraction, np.random.default_rng(seed))
+        assert scores == want_scores and [e.accepted for e in events] == want_accepted
+        assert np.array_equal(final.values, want_p) and final.m == want_m
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams(scale=700.0), st.floats(0.0, 1.0), fraction_lists, st.integers(0, 9),
+           st.booleans())
+    def test_batched_plans_equal_each_plan_alone(self, case, at, fractions, seed, freeze):
+        logits, mask, p0, m0 = case
+        state = OutlierDistribution(values=p0, m=m0)
+        stats = threshold_inside(logits, at)
+        got = run_plans(state, stats, logits, fractions, oracle_labels=mask,
+                        rng=np.random.default_rng(seed), record_events=True, freeze=freeze)
+        assert len(got) == len(fractions)
+        for fraction, res in zip(fractions, got):
+            assert_same_run(res, self.alone(state, stats, logits, mask, fraction, seed,
+                                            freeze=freeze), state)
+
+    @pytest.mark.parametrize("m0", [0, 2])
+    @pytest.mark.parametrize("stream_of", [np.asarray, list, iter])
+    def test_zero_one_and_duplicate_fractions(self, m0, stream_of):
+        rng = np.random.default_rng(21)
+        logits = rng.normal(0.0, 2.0, (60, 4))
+        mask = rng.random(60) < 0.5
+        state = OutlierDistribution(values=rng.uniform(0.1, 2.0, 4), m=m0)
+        fractions = [0.0, 1.0, 0.5, 0.5, 0.0, 1.0, 0.3]
+        for stats in (threshold_inside(logits, 0.4), EnergyStats.from_moments(0.0, 1.0)):
+            got = run_plans(state, stats, stream_of(logits), fractions, oracle_labels=mask,
+                            rng=np.random.default_rng(5), record_events=True)
+            for fraction, res in zip(fractions, got):
+                assert_same_run(res, self.alone(state, stats, logits, mask, fraction, 5),
+                                state)
+
+    def test_a_plan_that_accepts_nothing_returns_the_input_state(self):
+        logits = np.random.default_rng(22).normal(0.0, 2.0, (40, 3))
+        state = OutlierDistribution(values=np.ones(3), m=1)
+        stats = EnergyStats.from_moments(0.0, 1.0)  # R < 0 < G: the filter accepts nothing
+        none_ood = np.zeros(40, dtype=bool)
+        for stream_of in (np.asarray, iter):
+            got = run_plans(state, stats, stream_of(logits), [0.0, 0.5, 1.0],
+                            oracle_labels=none_ood, rng=np.random.default_rng(0))
+            assert all(final is state for _, _, final in got)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 1.0], [0.0, np.inf, 1.0],
+                                     [800.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("fractions", [[0.0], [0.0, 0.5, 1.0], [1.0, 1.0]])
+    def test_a_bad_row_names_its_sample_once(self, bad, fractions):
+        logits = np.random.default_rng(23).normal(0.0, 2.0, (10, 3))
+        logits[6] = bad
+        state = OutlierDistribution(values=np.ones(3), m=1)
+        stats = threshold_inside(logits[:6], 0.5)
+        mask = np.arange(10) % 2 == 0
+        with pytest.raises(AdaptOdError) as batched:
+            run_plans(state, stats, logits, fractions, oracle_labels=mask,
+                      rng=np.random.default_rng(0))
+        for fraction in fractions:
+            with pytest.raises(AdaptOdError) as alone:
+                self.alone(state, stats, logits, mask, fraction, 0)
+            assert type(alone.value) is type(batched.value)
+            assert str(alone.value) == str(batched.value)
+        assert str(batched.value).startswith("sample 6: ")
+        assert str(batched.value).count("sample") == 1
+
+    def test_no_oracle_plan_draws_nothing(self):
+        logits = np.random.default_rng(24).normal(0.0, 2.0, (20, 3))
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        run_plans(OutlierDistribution(values=np.ones(3), m=1), threshold_inside(logits, 0.5),
+                  logits, [0.0, 0.0], oracle_labels=np.ones(20, dtype=bool), rng=rng)
+        assert rng.bit_generator.state == before
 
 
 class TestSnapshot:
