@@ -1,18 +1,21 @@
 """Command-line entry point: dataset generation, two-stage training, streaming
 adaptation + evaluation, head/tail splits, and the alpha sweep.
 
-Every subcommand writes its outputs into a run directory together with a
-manifest recording the exact configuration, so a run is reproducible from the
-manifest and seed alone.
+Every subcommand writes its outputs into a new run directory, complete or
+absent, together with a manifest of every flag but --out, so a run is
+reproducible from the manifest alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import shutil
 import sys
-from dataclasses import asdict, fields
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -107,22 +110,21 @@ def forward_stream(model, datasets, ood_fraction, seed):
 MODES = ("uncalibrated", "no_tta", "doda", "oracle")
 
 
-def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0,
-                   record_events=False):
+def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0):
     """The requested modes, plus one sweep_<f> mode per oracle fraction f, over
-    a forward_stream result: mode name -> {"report", "scores", "events",
-    "final_state"}. Modes with the same plan share one result (sweep_0 that of
-    doda, sweep_1 that of oracle). Each frozen mode is one matrix pass; all
-    adapting plans go to one doda.run_plans call, whose oracle plans share the
-    draws of rng(seed), so no result depends on which other modes run.
+    a forward_stream result: mode name -> {"report", "scores", "final_state"}.
+    Modes with the same plan share one result (sweep_0 that of doda, sweep_1
+    that of oracle). Each frozen mode is one matrix pass; all adapting plans go
+    to one doda.run_plans call, whose oracle plans share the draws of rng(seed),
+    so no result depends on which other modes run.
     """
     stream_logits, is_ood, labels = stream
     is_id = ~is_ood
     predicted, true = stream_logits.argmax(axis=1)[is_id], labels[is_id]
 
-    def result(scores, events, final_state):
+    def result(scores, _events, final_state):
         return {"report": metrics.metric_report(np.asarray(scores), is_id, predicted, true),
-                "scores": scores, "events": events, "final_state": final_state}
+                "scores": scores, "final_state": final_state}
 
     # mode -> initial state of a frozen pass, or oracle fraction of an adapting one
     plan_of = {"uncalibrated": "zero", "no_tta": "p0", "doda": 0.0, "oracle": 1.0}
@@ -130,13 +132,12 @@ def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=
     plans.update({f"sweep_{frac:g}": float(frac) for frac in oracle_fractions})
     unique = list(dict.fromkeys(plans.values()))
     frozen = {"zero": doda.OutlierDistribution(np.zeros(p0.k), 0), "p0": p0}
-    runs = {plan: result(*doda.run_stream(frozen[plan], stats, stream_logits, freeze=True,
-                                          record_events=record_events))
+    runs = {plan: result(*doda.run_stream(frozen[plan], stats, stream_logits, freeze=True))
             for plan in unique if isinstance(plan, str)}
     fractions = [plan for plan in unique if not isinstance(plan, str)]
     if fractions:
         adapted = doda.run_plans(p0, stats, stream_logits, fractions, oracle_labels=is_ood,
-                                 rng=np.random.default_rng(seed), record_events=record_events)
+                                 rng=np.random.default_rng(seed))
         runs.update({frac: result(*res) for frac, res in zip(fractions, adapted)})
     return {mode: runs[plan] for mode, plan in plans.items()}
 
@@ -146,8 +147,8 @@ HEAD_TAIL_MODES = {"doda": "doda", "frozen": "no_tta", "uncalibrated": "uncalibr
                    "oracle": "oracle"}
 
 
-def head_tail_reports(model, datasets, *, head_classes=None, alpha=doda.DEFAULT_ALPHA,
-                      virtual_count=1, ood_fraction=0.5, seed=0, mode="doda"):
+def head_tail_reports(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1,
+                      ood_fraction=0.5, seed=0, mode="doda"):
     """Evaluate one mode twice with ID restricted to the head half, then the
     tail half; both halves share one preparation.
 
@@ -156,10 +157,9 @@ def head_tail_reports(model, datasets, *, head_classes=None, alpha=doda.DEFAULT_
     """
     id_test = datasets[data_mod.ID_TEST]
     k = int(id_test.labels.max()) + 1
-    if head_classes is None:
-        head_classes = set(range(k // 2))
+    head = set(range(k // 2))
     halves = {}
-    for name, keep in (("head", head_classes), ("tail", set(range(k)) - set(head_classes))):
+    for name, keep in (("head", head), ("tail", set(range(k)) - head)):
         mask = np.isin(id_test.labels, sorted(keep))
         if not mask.any():
             raise UndefinedMetricError(f"no ID samples left in the {name} subset")
@@ -200,10 +200,30 @@ DEFAULT_HIDDEN = (32,)
 # ---------------------------------------------------------------------------
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict) -> None:
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump({"command": command, "params": params}, fh, sort_keys=True, indent=2)
+def _json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _run_dir(ns, **extra):
+    """A directory for one command's files, staged beside --out. When the block
+    ends, manifest.json (every flag in ns but --out, plus extra) is added and it
+    is moved onto --out; on any failure it is removed: --out is complete or absent."""
+    out = Path(ns.out).resolve()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        stage = tmp / out.name
+        stage.mkdir()  # the mode of any mkdir, not mkdtemp's 0o700
+        yield stage
+        params = {key: value for key, value in vars(ns).items()
+                  if key not in ("out", "config", "command", "func")}  # --config's values are in ns
+        _json(stage / "manifest.json", {"command": ns.command, "params": {**params, **extra}})
+        stage.replace(out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _flag_values(ns, settings_class) -> dict:
@@ -213,11 +233,9 @@ def _flag_values(ns, settings_class) -> dict:
 
 def cmd_generate(ns) -> int:
     spec, sets = benchmark_datasets(**_flag_values(ns, data_mod.BenchmarkSpec))
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for tag, sample_set in sets.items():
-        data_mod.write_sample_set(out_dir / DATASET_FILES[tag], sample_set)
-    _write_manifest(out_dir, "generate", {**asdict(spec), "class_counts": spec.class_counts()})
+    with _run_dir(ns, class_counts=spec.class_counts()) as out_dir:
+        for tag, sample_set in sets.items():
+            data_mod.write_sample_set(out_dir / DATASET_FILES[tag], sample_set)
     return EXIT_OK
 
 
@@ -225,16 +243,13 @@ def cmd_train(ns) -> int:
     cfg = nn.TrainConfig(**_flag_values(ns, nn.TrainConfig))
     datasets = load_datasets(ns.data, (data_mod.ID_TRAIN, data_mod.OUTLIER))
     model, log = train_models(datasets, cfg, ns.hidden)
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stage = "finetune" if cfg.epochs_finetune else "pretrain"
-    nn.save_checkpoint(out_dir / "checkpoint.json", model, cfg.seed, stage)
-    with open(out_dir / "loss_log.csv", "w") as fh:
-        fh.write("epoch,total,ce,dne_c,dne_s\n")
-        for i, row in enumerate(log):
-            fh.write(f"{i},{row.total!r},{row.ce!r},{row.dne_c!r},{row.dne_s!r}\n")
-    _write_manifest(out_dir, "train", {"data": str(ns.data), "hidden": list(ns.hidden),
-                                       **asdict(cfg)})
+    with _run_dir(ns) as out_dir:
+        stage = "finetune" if cfg.epochs_finetune else "pretrain"
+        nn.save_checkpoint(out_dir / "checkpoint.json", model, cfg.seed, stage)
+        with open(out_dir / "loss_log.csv", "w") as fh:
+            fh.write("epoch,total,ce,dne_c,dne_s\n")
+            for i, row in enumerate(log):
+                fh.write(f"{i},{row.total!r},{row.ce!r},{row.dne_c!r},{row.dne_s!r}\n")
     return EXIT_OK
 
 
@@ -268,34 +283,6 @@ def _write_histograms(out_dir: Path, model, datasets, outlier_logits, adapted_sc
             row = [repr(float(edges[i])), repr(float(edges[i + 1]))]
             row += [str(int(counts[name][i])) for name in counts]
             fh.write(",".join(row) + "\n")
-    _write_hist_svg(out_dir / "energy_hist.svg", edges, counts)
-
-
-def _write_hist_svg(path, edges, counts) -> None:
-    width, height, pad = 640, 360, 30
-    series = list(counts)
-    palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728"]
-    max_count = max(1, max(int(c.max()) for c in counts.values()))
-    n_bins = len(edges) - 1
-    bar_w = (width - 2 * pad) / (n_bins * len(series))
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
-    for si, name in enumerate(series):
-        color = palette[si % len(palette)]
-        for b in range(n_bins):
-            h = (height - 2 * pad) * int(counts[name][b]) / max_count
-            x = pad + (b * len(series) + si) * bar_w
-            y = height - pad - h
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{h:.2f}" '
-                f'fill="{color}" fill-opacity="0.7"><title>{name}</title></rect>'
-            )
-        parts.append(
-            f'<text x="{pad + 4}" y="{pad + 14 * (si + 1)}" fill="{color}" '
-            f'font-size="12">{name}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
 
 
 def _check_stream_flags(ns) -> None:
@@ -316,27 +303,19 @@ def cmd_adapt_eval(ns) -> int:
     model = _load_model_for_data(ns, datasets)
     stats, p0, outlier_logits = prepare(model, datasets, alpha=ns.alpha,
                                         virtual_count=ns.virtual_count)
-    results = evaluate_modes(stats, p0, forward_stream(model, datasets, ns.ood_fraction, ns.seed),
-                             oracle_fractions=fractions, seed=ns.seed, record_events=ns.events)
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {mode: json.loads(res["report"].to_json()) for mode, res in results.items()}
-    with open(out_dir / "metrics.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    if ns.events:
-        with open(out_dir / "events.csv", "w") as fh:
-            fh.write("sample_index,accepted,global_energy,calibrated_score\n")
-            for ev in results["doda"]["events"]:
-                fh.write(f"{ev.sample_index},{int(ev.accepted)},"
-                         f"{ev.global_energy!r},{ev.calibrated_score!r}\n")
-    _write_histograms(out_dir, model, datasets, outlier_logits, results["doda"]["scores"])
-    doda.save_state(out_dir / "adapter_state.json", results["doda"]["final_state"], stats)
-    _write_manifest(out_dir, "adapt-eval", {
-        "data": str(ns.data), "model": str(ns.model), "alpha": ns.alpha,
-        "virtual_count": ns.virtual_count, "ood_fraction": ns.ood_fraction,
-        "seed": ns.seed, "oracle_fractions": fractions, "events": ns.events,
-    })
+    stream = forward_stream(model, datasets, ns.ood_fraction, ns.seed)
+    results = evaluate_modes(stats, p0, stream, oracle_fractions=fractions, seed=ns.seed)
+    with _run_dir(ns) as out_dir:
+        _json(out_dir / "metrics.json",
+              {mode: json.loads(res["report"].to_json()) for mode, res in results.items()})
+        if ns.events:  # plain DODA accepts exactly the samples with G < R
+            energies = doda.global_energies(stream[0]).tolist()
+            with open(out_dir / "events.csv", "w") as fh:
+                fh.write("sample_index,accepted,global_energy,calibrated_score\n")
+                for i, (g, score) in enumerate(zip(energies, results["doda"]["scores"])):
+                    fh.write(f"{i},{int(g < stats.r)},{g!r},{score!r}\n")
+        _write_histograms(out_dir, model, datasets, outlier_logits, results["doda"]["scores"])
+        doda.save_state(out_dir / "adapter_state.json", results["doda"]["final_state"], stats)
     return EXIT_OK
 
 
@@ -348,17 +327,9 @@ def cmd_headtail(ns) -> int:
         model, datasets, alpha=ns.alpha, virtual_count=ns.virtual_count,
         ood_fraction=ns.ood_fraction, seed=ns.seed, mode=ns.mode,
     )
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {name: json.loads(rep.to_json()) for name, rep in reports.items()}
-    with open(out_dir / "head_tail.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(out_dir, "head-tail", {
-        "data": str(ns.data), "model": str(ns.model), "alpha": ns.alpha,
-        "virtual_count": ns.virtual_count, "ood_fraction": ns.ood_fraction,
-        "seed": ns.seed, "mode": ns.mode,
-    })
+    with _run_dir(ns) as out_dir:
+        _json(out_dir / "head_tail.json",
+              {name: json.loads(rep.to_json()) for name, rep in reports.items()})
     return EXIT_OK
 
 
@@ -375,16 +346,10 @@ def cmd_alpha_sweep(ns) -> int:
     stream = forward_stream(model, datasets, ns.ood_fraction, ns.seed)
     aurocs = [evaluate_modes(stats, p0, stream, modes=("doda",),
                              seed=ns.seed)["doda"]["report"].auroc for stats in grid]
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "alpha_sweep.csv", "w") as fh:
+    with _run_dir(ns) as out_dir, open(out_dir / "alpha_sweep.csv", "w") as fh:
         fh.write("alpha,auroc\n")
         for alpha, auc in zip(alphas, aurocs):
             fh.write(f"{alpha!r},{auc!r}\n")
-    _write_manifest(out_dir, "alpha-sweep", {
-        "data": str(ns.data), "model": str(ns.model), "alphas": alphas,
-        "virtual_count": ns.virtual_count, "ood_fraction": ns.ood_fraction, "seed": ns.seed,
-    })
     return EXIT_OK
 
 
@@ -416,7 +381,6 @@ def _add_field_flags(p, settings_class) -> None:
 def _add_eval_args(p):
     p.add_argument("--data", required=True, help="directory produced by `generate`")
     p.add_argument("--model", required=True, help="checkpoint.json from `train`")
-    p.add_argument("--out", required=True, help="output run directory")
     p.add_argument("--virtual-count", type=int, default=1)
     p.add_argument("--ood-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
@@ -430,13 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p = sub.add_parser("generate", help="write a synthetic long-tailed benchmark")
-    p.add_argument("--out", required=True)
     _add_field_flags(p, data_mod.BenchmarkSpec)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="two-stage training on a generated benchmark")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--hidden", type=int, nargs="*", default=DEFAULT_HIDDEN)
     _add_field_flags(p, nn.TrainConfig)
     p.set_defaults(func=cmd_train)
@@ -458,6 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_args(p)
     p.add_argument("--alphas", default="2.0,2.5,3.0,3.5,4.0")
     p.set_defaults(func=cmd_alpha_sweep)
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True, help="run directory, refused if not empty")
     return parser
 
 
@@ -513,6 +477,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if args.seed < 0:  # every subcommand seeds a NumPy generator with it
             raise ConfigError(f"seed must be non-negative, got {args.seed}")
+        out = Path(args.out)  # refused, not replaced: it may hold files no flag names
+        if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+            raise ConfigError(f"--out {out} exists and is not an empty directory")
         return args.func(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

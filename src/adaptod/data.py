@@ -32,6 +32,7 @@ CLASS_RADIUS = 4.0  # distance of every class mean from the origin
 SHELL_GAP = 2.0  # the outlier shell starts this far beyond the class means
 SHELL_WIDTH = 3.0  # and is this thick
 MAX_COSINE = 0.6  # outlier directions keep a cosine below this to the novel direction
+MAX_SET_VALUES = 2**25  # most values (rows x d) of a generated sample set: 256 MB of float64
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,13 @@ class BenchmarkSpec:
         if self.k > 2 * self.d:
             raise InvalidInputError(f"the axis-aligned layout holds at most 2*d={2 * self.d} "
                                     f"classes, got k={self.k}")
+        for name, rows in (("n_max", self.k * self.n_max), ("n_out", self.n_out),
+                           ("n_test_per_class", self.k * self.n_test_per_class),
+                           ("n_ood", self.n_ood)):  # n_max bounds every class count
+            if rows * self.d > MAX_SET_VALUES:
+                raise InvalidInputError(
+                    f"{name}={getattr(self, name)} makes a set of up to {rows} rows of "
+                    f"d={self.d} values, more than MAX_SET_VALUES={MAX_SET_VALUES}")
         if not (math.isfinite(self.rho) and self.rho >= 1.0):
             raise InvalidInputError(f"imbalance ratio rho must be finite and >= 1, got {self.rho}")
         for name in ("class_scale", "shift"):

@@ -16,6 +16,8 @@ from .data import float_array, json_field, read_json_object
 from .dne import LossBreakdown, ce_and_grad, loss_and_grad
 from .errors import InvalidInputError, ShapeError, TrainingDivergedError
 
+MAX_PARAMS = 2**24  # most parameters Mlp.init allocates: 128 MB a vector, and training holds 3
+
 
 @dataclass
 class Mlp:
@@ -55,6 +57,9 @@ class Mlp:
         dims = [int(d) for d in layer_dims]
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise InvalidInputError("layer_dims needs at least input and output sizes, all >= 1")
+        n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+        if n > MAX_PARAMS:  # before any allocation
+            raise InvalidInputError(f"{n} parameters in {dims} exceed MAX_PARAMS={MAX_PARAMS}")
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -34,6 +34,13 @@ def bench_constant(name, owner=None):
     return eval(compile(ast.Expression(node), str(path), "eval"), {"dict": dict})
 
 
+def flag_dests(command):
+    """The dests of a subcommand's flags but --out: the keys of its manifest params."""
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subcommands.choices[command]._actions} - {"help", "out"}
+
+
 @pytest.fixture()
 def small_run(tmp_path):
     """A tiny generated dataset plus a trained checkpoint, shared per test."""
@@ -119,6 +126,7 @@ class TestGenerate:
         spec = data.BenchmarkSpec(n_max=60, shift=3.0)
         params = json.loads((out / "manifest.json").read_text())["params"]
         assert params == {**asdict(spec), "class_counts": spec.class_counts()}
+        assert set(params) == flag_dests("generate") | {"class_counts"}
 
 
 class TestBenchmarkContract:
@@ -196,6 +204,7 @@ class TestTrain:
         params = json.loads((out / "manifest.json").read_text())["params"]
         assert params["epochs_finetune"] == 0
         assert set(params) == {"data", "hidden", *(f.name for f in fields(nn.TrainConfig))}
+        assert set(params) == flag_dests("train")
 
     def test_default_run_equals_the_library_defaults(self, tmp_path):
         """`train` without tuning flags is nn.train under TrainConfig(seed=s)
@@ -376,11 +385,31 @@ class TestAdaptEval:
             assert 0.0 <= payload[mode]["auroc"] <= 1.0
         assert (out / "adapter_state.json").exists()
         assert (out / "energy_hist.csv").exists()
-        assert (out / "energy_hist.svg").exists()
+        assert {p.name for p in out.iterdir()} == {"manifest.json", "metrics.json",
+                                                   "adapter_state.json", "energy_hist.csv",
+                                                   "events.csv"}
         events = (out / "events.csv").read_text().strip().splitlines()
         n_stream = len(events) - 1
         assert n_stream > 0
         assert events[0] == "sample_index,accepted,global_energy,calibrated_score"
+
+    def test_events_are_the_plain_doda_event_log(self, small_run, tmp_path):
+        """events.csv, built from G, R and the doda scores, holds the events
+        doda.run_stream records, also when the filter accepts samples."""
+        data_dir, model_dir = small_run
+        out = tmp_path / "eval"
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", out, "--events", "--alpha", 0.01, "--virtual-count", 2)
+        assert rc == EXIT_OK
+        datasets = cli.load_datasets(data_dir)
+        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        stats, p0, _ = cli.prepare(model, datasets, alpha=0.01, virtual_count=2)
+        logits, _, _ = cli.forward_stream(model, datasets, 0.5, 0)
+        _, events, _ = doda.run_stream(p0, stats, logits, record_events=True)
+        assert any(ev.accepted for ev in events) and not all(ev.accepted for ev in events)
+        want = [f"{ev.sample_index},{int(ev.accepted)},{ev.global_energy!r},"
+                f"{ev.calibrated_score!r}" for ev in events]
+        assert (out / "events.csv").read_text().splitlines()[1:] == want
 
     def test_repeat_runs_are_byte_identical(self, small_run, tmp_path):
         data_dir, model_dir = small_run
@@ -497,7 +526,9 @@ class TestHeadTail:
         rc = run_cli("head-tail", "--data", data_dir, "--model",
                      model_dir / "checkpoint.json", "--out", out, "--mode", mode)
         assert rc == EXIT_OK
-        assert json.loads((out / "manifest.json").read_text())["params"]["mode"] == mode
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert params["mode"] == mode
+        assert set(params) == flag_dests("head-tail")
 
 
 class TestAlphaSweep:
@@ -557,6 +588,137 @@ class TestAlphaSweep:
                      model_dir / "checkpoint.json", "--out", tmp_path / "s",
                      "--alphas", "")
         assert rc == EXIT_CONFIG
+
+
+class TestRunDirectory:
+    """An --out is complete or absent: a non-empty one is refused before any
+    work, a failing command leaves none, and its manifest holds every flag."""
+
+    COMMANDS = ["generate", "train", "adapt-eval", "head-tail", "alpha-sweep"]
+
+    @staticmethod
+    def argv(command, small_run, out):
+        data_dir, model_dir = small_run
+        return {"generate": ["--out", out, "--n-max", 60],
+                "train": ["--data", data_dir, "--out", out, "--hidden", 8,
+                          "--epochs-pretrain", 1, "--epochs-finetune", 1]}.get(
+            command, ["--data", data_dir, "--model", model_dir / "checkpoint.json", "--out", out])
+
+    @staticmethod
+    def contents(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_empty_out_exits_config_and_keeps_its_files(self, small_run, tmp_path, capsys,
+                                                           command):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"command": "earlier"}\n')
+        (out / "notes.txt").write_text("not named by any flag\n")
+        before = self.contents(out)
+        assert run_cli(command, *self.argv(command, small_run, out)) == EXIT_CONFIG
+        assert f"--out {out} exists and is not an empty directory" in capsys.readouterr().err
+        assert self.contents(out) == before
+        assert not list(tmp_path.glob(".run.*"))
+
+    def test_out_that_is_a_file_exits_config(self, tmp_path):
+        out = tmp_path / "run"
+        out.write_text("a file\n")
+        assert run_cli("generate", "--out", out, "--n-max", 60) == EXIT_CONFIG
+        assert out.read_text() == "a file\n"
+
+    def test_second_run_into_a_run_directory_exits_config(self, small_run, tmp_path):
+        # the second run once left the first run's events.csv beside "events": false
+        out = tmp_path / "eval"
+        argv = ["adapt-eval", *self.argv("adapt-eval", small_run, out)]
+        assert run_cli(*argv, "--events") == EXIT_OK
+        before = self.contents(out)
+        assert run_cli(*argv, "--alpha", 2) == EXIT_CONFIG
+        assert self.contents(out) == before
+        assert json.loads(before["manifest.json"])["params"]["events"] is True
+
+    def test_head_tail_into_the_data_directory_exits_config(self, small_run, capsys):
+        data_dir, model_dir = small_run
+        before = self.contents(data_dir)
+        rc = run_cli("head-tail", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", data_dir)
+        assert rc == EXIT_CONFIG
+        assert f"--out {data_dir} exists" in capsys.readouterr().err
+        assert self.contents(data_dir) == before
+
+    @pytest.mark.parametrize("events", [False, True])
+    def test_empty_out_gets_exactly_the_files_the_flags_imply(self, small_run, tmp_path, events):
+        out = tmp_path / "eval"
+        out.mkdir()
+        argv = self.argv("adapt-eval", small_run, out) + (["--events"] if events else [])
+        assert run_cli("adapt-eval", *argv) == EXIT_OK
+        want = {"manifest.json", "metrics.json", "adapter_state.json", "energy_hist.csv"}
+        assert set(self.contents(out)) == want | ({"events.csv"} if events else set())
+        assert json.loads((out / "manifest.json").read_text())["params"]["events"] is events
+        assert not list(tmp_path.glob(".eval.*"))
+
+    def test_failure_after_the_first_write_leaves_no_out(self, small_run, tmp_path, monkeypatch,
+                                                         capsys):
+        def failing_save_state(path, *args):
+            raise OSError(f"cannot write {path.name}")
+
+        monkeypatch.setattr(doda, "save_state", failing_save_state)
+        out = tmp_path / "eval"
+        argv = self.argv("adapt-eval", small_run, out)
+        assert run_cli("adapt-eval", *argv, "--events") == EXIT_DATA
+        assert "data error: cannot write adapter_state.json" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.glob(".eval.*"))
+
+    @pytest.mark.parametrize("command", ["adapt-eval", "alpha-sweep"])
+    def test_manifest_params_are_every_flag_but_out(self, small_run, tmp_path, command):
+        out = tmp_path / "run"
+        argv = [str(a) for a in [command, *self.argv(command, small_run, out)]]
+        assert run_cli(*argv) == EXIT_OK
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert set(params) == flag_dests(command)
+        ns = cli.build_parser().parse_args(argv)
+        assert params == {key: getattr(ns, key) for key in params}
+
+
+class TestSizeLimits:
+    """Model and data sizes are checked against a documented limit before
+    anything is allocated; a size past it exits 2 and names the value."""
+
+    @pytest.mark.parametrize("limit, rc", [(161, EXIT_CONFIG), (162, EXIT_OK)])
+    def test_train_checks_the_parameter_count(self, small_run, tmp_path, monkeypatch, capsys,
+                                              limit, rc):
+        data_dir, _ = small_run
+        monkeypatch.setattr(nn, "MAX_PARAMS", limit)
+        out = tmp_path / "m"
+        assert run_cli("train", "--data", data_dir, "--out", out, "--hidden", 8,
+                       "--epochs-pretrain", 1, "--epochs-finetune", 1) == rc
+        if rc == EXIT_CONFIG:
+            assert "162 parameters in [8, 8, 10] exceed MAX_PARAMS=161" in capsys.readouterr().err
+        assert out.exists() == (rc == EXIT_OK)
+
+    SMALL = ["--k", 4, "--d", 2, "--n-max", 5, "--rho", 5, "--n-test-per-class", 1,
+             "--n-out", 10, "--n-ood", 10]  # at most 20 rows of 2 values per set
+
+    @pytest.mark.parametrize("flag, value, message", [
+        (None, None, None),
+        ("--n-max", 6, "n_max=6 makes a set of up to 24 rows of d=2"),
+        ("--d", 3, "n_max=5 makes a set of up to 20 rows of d=3"),
+        ("--n-test-per-class", 6, "n_test_per_class=6 makes a set of up to 24 rows of d=2"),
+        ("--n-out", 21, "n_out=21 makes a set of up to 21 rows of d=2"),
+        ("--n-ood", 21, "n_ood=21 makes a set of up to 21 rows of d=2"),
+    ])
+    def test_generate_checks_the_set_sizes(self, tmp_path, monkeypatch, capsys, flag, value,
+                                           message):
+        monkeypatch.setattr(data, "MAX_SET_VALUES", 40)
+        out = tmp_path / "d"
+        rc = run_cli("generate", "--out", out, *self.SMALL, *([flag, value] if flag else []))
+        if message is None:
+            assert rc == EXIT_OK
+        else:
+            assert rc == EXIT_CONFIG
+            assert f"{message} values, more than MAX_SET_VALUES=40" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestEvaluationPlan:
