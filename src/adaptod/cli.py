@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -113,33 +114,31 @@ MODES = ("uncalibrated", "no_tta", "doda", "oracle")
 def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0):
     """The requested modes, plus one sweep_<f> mode per oracle fraction f, over
     a forward_stream result: mode name -> {"report", "scores", "final_state"}.
-    Modes with the same plan share one result (sweep_0 that of doda, sweep_1
-    that of oracle). Each frozen mode is one matrix pass; all adapting plans go
-    to one doda.run_plans call, whose oracle plans share the draws of rng(seed),
-    so no result depends on which other modes run.
+    uncalibrated scores with G itself. Every other mode is a doda.run_plans plan
+    (oracle fraction, filter threshold): no_tta (0, -inf), doda (0, R), oracle
+    (1, R) and sweep_<f> (f, R), all in one call whose oracle plans share the
+    draws of rng(seed), so no result depends on which other modes run. Modes
+    with the same plan, or with plans that accept nothing, share one result.
     """
     stream_logits, is_ood, labels = stream
     is_id = ~is_ood
     predicted, true = stream_logits.argmax(axis=1)[is_id], labels[is_id]
-
-    def result(scores, _events, final_state):
-        return {"report": metrics.metric_report(np.asarray(scores), is_id, predicted, true),
-                "scores": scores, "final_state": final_state}
-
-    # mode -> initial state of a frozen pass, or oracle fraction of an adapting one
-    plan_of = {"uncalibrated": "zero", "no_tta": "p0", "doda": 0.0, "oracle": 1.0}
-    plans = {mode: plan_of[mode] for mode in modes}
-    plans.update({f"sweep_{frac:g}": float(frac) for frac in oracle_fractions})
+    plan_of = {"no_tta": (0.0, -math.inf), "doda": (0.0, stats.r), "oracle": (1.0, stats.r)}
+    plans = {mode: plan_of[mode] for mode in modes if mode != "uncalibrated"}
+    plans.update({f"sweep_{frac:g}": (float(frac), stats.r) for frac in oracle_fractions})
     unique = list(dict.fromkeys(plans.values()))
-    frozen = {"zero": doda.OutlierDistribution(np.zeros(p0.k), 0), "p0": p0}
-    runs = {plan: result(*doda.run_stream(frozen[plan], stats, stream_logits, freeze=True))
-            for plan in unique if isinstance(plan, str)}
-    fractions = [plan for plan in unique if not isinstance(plan, str)]
-    if fractions:
-        adapted = doda.run_plans(p0, stats, stream_logits, fractions, oracle_labels=is_ood,
-                                 rng=np.random.default_rng(seed))
-        runs.update({frac: result(*res) for frac, res in zip(fractions, adapted)})
-    return {mode: runs[plan] for mode, plan in plans.items()}
+    runs = dict(zip(unique, doda.run_plans(p0, stream_logits, unique, oracle_labels=is_ood,
+                                           rng=np.random.default_rng(seed))))
+    passes = {}
+    if "uncalibrated" in modes:  # calibrated_energies with P = 0 is G, bit for bit
+        passes["uncalibrated"] = (doda.global_energies(stream_logits).tolist(), None,
+                                  doda.OutlierDistribution(np.zeros(p0.k), 0))
+    passes.update((mode, runs[plan]) for mode, plan in plans.items())
+    shared = {id(res): res for res in passes.values()}  # modes that share a pass share a report
+    reports = {key: metrics.metric_report(np.asarray(res[0]), is_id, predicted, true)
+               for key, res in shared.items()}
+    return {mode: {"report": reports[id(res)], "scores": res[0], "final_state": res[2]}
+            for mode, res in passes.items()}
 
 
 # head-tail --mode -> evaluate_modes result key
@@ -257,9 +256,7 @@ def _load_model_for_data(ns, datasets):
     model, _, _ = nn.load_checkpoint(ns.model)
     k_data = int(datasets[data_mod.ID_TRAIN].labels.max()) + 1
     if model.layer_dims[-1] != k_data:
-        raise ConfigError(
-            f"checkpoint k={model.layer_dims[-1]} does not match dataset k={k_data}"
-        )
+        raise ConfigError(f"checkpoint k={model.layer_dims[-1]} does not match dataset k={k_data}")
     if model.layer_dims[0] != datasets[data_mod.ID_TRAIN].features.shape[1]:
         raise ConfigError("checkpoint input dim does not match dataset feature dim")
     return model
@@ -309,7 +306,7 @@ def cmd_adapt_eval(ns) -> int:
         _json(out_dir / "metrics.json",
               {mode: json.loads(res["report"].to_json()) for mode, res in results.items()})
         if ns.events:  # plain DODA accepts exactly the samples with G < R
-            energies = doda.global_energies(stream[0]).tolist()
+            energies = results["uncalibrated"]["scores"]  # G of each sample
             with open(out_dir / "events.csv", "w") as fh:
                 fh.write("sample_index,accepted,global_energy,calibrated_score\n")
                 for i, (g, score) in enumerate(zip(energies, results["doda"]["scores"])):
@@ -343,9 +340,10 @@ def cmd_alpha_sweep(ns) -> int:
     fitted, p0, _ = prepare(model, datasets, alpha=alphas[0], virtual_count=ns.virtual_count)
     # mu_in and sigma_in do not depend on alpha; only the threshold R does.
     grid = [doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, a) for a in alphas]
-    stream = forward_stream(model, datasets, ns.ood_fraction, ns.seed)
-    aurocs = [evaluate_modes(stats, p0, stream, modes=("doda",),
-                             seed=ns.seed)["doda"]["report"].auroc for stats in grid]
+    logits, is_ood, _ = forward_stream(model, datasets, ns.ood_fraction, ns.seed)
+    passes = doda.run_plans(p0, logits, [(0.0, stats.r) for stats in grid])
+    by_pass = {id(res): metrics.auroc(np.asarray(res[0]), ~is_ood) for res in passes}
+    aurocs = [by_pass[id(res)] for res in passes]  # plans that accept nothing share a pass
     with _run_dir(ns) as out_dir, open(out_dir / "alpha_sweep.csv", "w") as fh:
         fh.write("alpha,auroc\n")
         for alpha, auc in zip(alphas, aurocs):

@@ -118,11 +118,12 @@ def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
     return state
 
 
-def _step(values, counts, logits, sample_index, r, fractions=(0.0,), is_ood=False, u=1.0):
-    """One sample under plans j whose P and count (row j of values, counts[j])
-    an accepting plan updates in place. The row check, exp(f - max f) and G
-    are shared. Plan j accepts true OOD if the oracle draw u < fractions[j],
-    else if G < r. Returns G, the plans' post-step scores and acceptances."""
+def _step(values, counts, logits, sample_index, plans, is_ood=False, u=1.0):
+    """One sample under plans j = (fraction, r) whose P and count (row j of
+    values, counts[j]) an accepting plan updates in place. The row check,
+    exp(f - max f) and G are shared. Plan j accepts true OOD if the oracle draw
+    u < fraction, else if G < r. Returns G, the plans' post-step scores and
+    acceptances."""
     try:
         v = _as_logits(logits, 1)
         if v.shape[0] != values.shape[1]:
@@ -130,8 +131,7 @@ def _step(values, counts, logits, sample_index, r, fractions=(0.0,), is_ood=Fals
         m = float(np.maximum.reduce(v))  # the ufuncs of v.max() and e.sum(), called directly
         e = np.exp(v - m)
         g = _scaled(m, float(np.add.reduce(e)), "global energy")
-        below = g < r
-        accepted = [is_ood if u < f else below for f in fractions]
+        accepted = [is_ood if u < f else g < r for f, r in plans]
         if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
             ef = np.exp(v)
             for j, acc in enumerate(accepted):
@@ -147,12 +147,8 @@ def _step(values, counts, logits, sample_index, r, fractions=(0.0,), is_ood=Fals
         raise type(exc)(f"sample {sample_index}: {exc}") from exc
 
 
-def adapt_and_score(
-    state: OutlierDistribution,
-    stats: EnergyStats,
-    logits,
-    sample_index: int = 0,
-) -> tuple[OutlierDistribution, float, AdaptationEvent]:
+def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, sample_index: int = 0,
+                    ) -> tuple[OutlierDistribution, float, AdaptationEvent]:
     """One inference step: update the distribution if G(x) < R, then score.
 
     Returns the post-step state, the calibrated score of the sample under that
@@ -160,88 +156,87 @@ def adapt_and_score(
     unchanged. An error names sample_index.
     """
     values, counts = np.array(state.values, ndmin=2), [state.m]
-    g, (score,), (accepted,) = _step(values, counts, logits, sample_index, stats.r)
+    g, (score,), (accepted,) = _step(values, counts, logits, sample_index, ((0.0, stats.r),))
     if accepted:
         state = _trusted(values[0], counts[0])
     return state, score, AdaptationEvent(sample_index, accepted, g, score)
 
 
-def _per_sample(state, r, logit_stream, fractions, oracle_labels, rng, record_events):
+def _per_sample(state, logit_stream, plans, oracle_labels, rng, record_events):
     """(scores, events, final state) per plan, from one _step per sample."""
-    values, counts = np.tile(state.values, (len(fractions), 1)), [state.m] * len(fractions)
+    values, counts = np.tile(state.values, (len(plans), 1)), [state.m] * len(plans)
     labels = iter(oracle_labels) if oracle_labels is not None else None
-    draw = max(fractions) > 0.0  # one common draw per sample
+    draw = max(f for f, _ in plans) > 0.0  # one common draw per sample
     scores, events = [], ([] if record_events else None)  # sample-major, plan-minor
     for i, logits in enumerate(logit_stream):
         is_ood = bool(next(labels)) if labels is not None else False
-        g, sample_scores, accepted = _step(values, counts, logits, i, r, fractions, is_ood,
+        g, sample_scores, accepted = _step(values, counts, logits, i, plans, is_ood,
                                            rng.random() if draw else 1.0)  # no fraction exceeds 1
         scores += sample_scores
         if events is not None:
             events += map(AdaptationEvent, repeat(i), accepted, repeat(g), sample_scores)
-    n = len(fractions)
+    n = len(plans)
     return [(scores[j::n], events[j::n] if events is not None else None,
              state if counts[j] == state.m else _trusted(values[j].copy(), counts[j]))
             for j in range(n)]
 
 
-def run_plans(state, stats, logit_stream, use_label_probabilities, *, freeze=False,
-              oracle_labels=None, rng=None, record_events=False):
-    """run_stream of plan j with use_label_probabilities[j], for every j at once:
-    one (scores, events, final state) per plan, equal bit for bit to that plan
-    alone with an rng of the same seed, since all plans share one rng.random()
-    per sample. Plans under freeze, and plans with probability 0 in which no
-    sample has G < R, take one matrix pass; the others share one per-sample pass.
+def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None, record_events=False):
+    """run_stream of each plan (use_label_probability, r), where r is the filter
+    threshold, for every plan at once: one (scores, events, final state) per
+    plan, equal bit for bit to that plan alone with an rng of the same seed,
+    since all plans share one rng.random() per sample. (0.0, -inf) is the frozen
+    plan: no G is below -inf, and no oracle is consulted. A plan with
+    probability 0 in which no sample has G < r is idle: P stays P0, and all idle
+    plans share one result object from one matrix pass. The other plans share
+    one per-sample pass.
     """
-    fractions = list(use_label_probabilities)
-    for f in fractions:
+    plans = list(plans)
+    for f, r in plans:
         if not 0.0 <= f <= 1.0:
             raise InvalidInputError(f"use_label_probability must lie in [0, 1], got {f}")
-    if max(fractions, default=0.0) > 0.0 and (oracle_labels is None or rng is None):
+        if math.isnan(r):
+            raise InvalidInputError("filter threshold r must not be NaN")
+    if max((f for f, _ in plans), default=0.0) > 0.0 and (oracle_labels is None or rng is None):
         raise InvalidInputError("use_label_probability > 0 requires oracle_labels and an rng")
-    r = stats.r
-    if freeze:  # never accept: no G is below -inf, and no oracle is consulted
-        fractions, r = [0.0] * len(fractions), -math.inf
-    results = [None] * len(fractions)
-    if 0.0 in fractions:  # the acceptance of these plans reads G and r only
+    results = [None] * len(plans)
+    if any(f == 0.0 for f, _ in plans):  # the acceptance of these plans reads G and r only
         try:
             rows = np.asarray(logit_stream, dtype=np.float64)
             energies = global_energies(rows)
-            if not (energies < r).any():  # P stays P0 throughout
+            g_min = energies.min(initial=math.inf)
+            idle = [f == 0.0 and not g_min < r for f, r in plans]
+            if True in idle:
                 scores = calibrated_energies(rows, state.values).tolist()
                 events = [AdaptationEvent(i, False, g, score) for i, (g, score)
                           in enumerate(zip(energies.tolist(), scores))] if record_events else None
-                results = [(scores, events, state) if f == 0.0 else None for f in fractions]
+                shared = (scores, events, state)
+                results = [shared if is_idle else None for is_idle in idle]
         except (AdaptOdError, TypeError, ValueError):
             pass  # not one finite logit matrix: the per-sample pass names the bad sample
     rest = [j for j, res in enumerate(results) if res is None]
     if rest:
-        for j, res in zip(rest, _per_sample(state, r, logit_stream, [fractions[j] for j in rest],
+        for j, res in zip(rest, _per_sample(state, logit_stream, [plans[j] for j in rest],
                                             oracle_labels, rng, record_events)):
             results[j] = res
     return results
 
 
-def run_stream(
-    state: OutlierDistribution,
-    stats: EnergyStats,
-    logit_stream,
-    *,
-    freeze: bool = False,
-    oracle_labels=None,
-    use_label_probability: float = 0.0,
-    rng: np.random.Generator | None = None,
-    record_events: bool = False,
-) -> tuple[list[float], list[AdaptationEvent] | None, OutlierDistribution]:
+def run_stream(state: OutlierDistribution, stats: EnergyStats, logit_stream, *,
+               freeze: bool = False, oracle_labels=None, use_label_probability: float = 0.0,
+               rng: np.random.Generator | None = None, record_events: bool = False,
+               ) -> tuple[list[float], list[AdaptationEvent] | None, OutlierDistribution]:
     """Score a one-pass stream of logit vectors in order: run_plans of one plan.
 
-    freeze=True scores with P0 and never adapts (the no-TTA baseline).
-    use_label_probability > 0 routes each acceptance decision through the
-    oracle_labels with that probability, drawing from rng per sample. A
-    rejected sample keeps the state, and events are recorded only on request.
+    freeze=True scores with P0 and never adapts (the no-TTA baseline, the plan
+    (0.0, -inf)); it consults no oracle. Otherwise use_label_probability > 0
+    routes each acceptance decision through the oracle_labels with that
+    probability, drawing from rng per sample, and G < stats.r decides the rest.
+    A rejected sample keeps the state, and events are recorded only on request.
     """
-    return run_plans(state, stats, logit_stream, (use_label_probability,), freeze=freeze,
-                     oracle_labels=oracle_labels, rng=rng, record_events=record_events)[0]
+    plan = (0.0, -math.inf) if freeze else (use_label_probability, stats.r)
+    return run_plans(state, logit_stream, (plan,), oracle_labels=oracle_labels, rng=rng,
+                     record_events=record_events)[0]
 
 
 def save_state(path, state: OutlierDistribution, stats: EnergyStats) -> None:

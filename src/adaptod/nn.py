@@ -17,6 +17,7 @@ from .dne import LossBreakdown, ce_and_grad, loss_and_grad
 from .errors import InvalidInputError, ShapeError, TrainingDivergedError
 
 MAX_PARAMS = 2**24  # most parameters Mlp.init allocates: 128 MB a vector, and training holds 3
+MAX_ACTIVATIONS = 2**25  # most values one forward allocates, rows x summed widths: 256 MB
 
 
 @dataclass
@@ -79,12 +80,16 @@ class Mlp:
         return self.forward_cached(inputs)[0]
 
     def forward_cached(self, inputs: np.ndarray):
-        """Logits plus the per-layer activations needed by backward."""
+        """Logits plus the per-layer activations needed by backward. Inputs whose
+        activations would exceed MAX_ACTIVATIONS values raise InvalidInputError."""
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.layer_dims[0]:
-            raise ShapeError(
-                f"inputs have shape {x.shape}, expected (n, {self.layer_dims[0]})"
-            )
+            raise ShapeError(f"inputs have shape {x.shape}, expected (n, {self.layer_dims[0]})")
+        widths = self.layer_dims[1:]
+        if x.shape[0] * sum(widths) > MAX_ACTIVATIONS:  # before any allocation
+            raise InvalidInputError(f"{x.shape[0]} rows through layers of widths {widths} make "
+                                    f"{x.shape[0] * sum(widths)} activation values, more than "
+                                    f"MAX_ACTIVATIONS={MAX_ACTIVATIONS}")
         activations = [x]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):

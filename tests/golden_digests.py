@@ -10,6 +10,10 @@ Rewrite the file only for a change that alters bytes on purpose, and name
 every changed file and the reason in CHANGES.md:
 
     PYTHONPATH=src python tests/golden_digests.py
+
+Before it writes, the script prints each entry that is changed, new or
+missing against the file it replaces, one ``seed <s>: <file> <status>`` line
+each, the list that CHANGES.md should hold.
 """
 
 from __future__ import annotations
@@ -47,6 +51,19 @@ def pipeline_digests(workdir: Path, seed: int) -> dict[str, str]:
             for p in sorted(run.rglob("*")) if p.is_file() and p.name != "manifest.json"}
 
 
+def differences(old: dict, new: dict) -> list[str]:
+    """"seed <s>: <file> changed|new|missing" for each entry of the seed ->
+    {file: digest} maps old and new that differs."""
+    lines = []
+    for seed in sorted(set(old) | set(new)):
+        was, now = old.get(seed, {}), new.get(seed, {})
+        for name in sorted(set(was) | set(now)):
+            if was.get(name) != now.get(name):
+                status = "missing" if name not in now else "new" if name not in was else "changed"
+                lines.append(f"seed {seed}: {name} {status}")
+    return lines
+
+
 def environment() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine()}
@@ -55,6 +72,9 @@ def environment() -> dict[str, str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {str(seed): pipeline_digests(Path(tmp), seed) for seed in SEEDS}
+    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+    for line in differences(old, digests):
+        print(line)
     payload = {"environment": environment(), "generate": GENERATE, "digests": digests}
     GOLDEN.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {GOLDEN} ({sum(map(len, digests.values()))} digests)")

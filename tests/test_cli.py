@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptod import cli, data, doda, nn
+from adaptod import cli, data, doda, metrics, nn
 from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 
 
@@ -544,6 +544,29 @@ class TestAlphaSweep:
         assert len(lines) == 4
         assert [float(l.split(",")[0]) for l in lines[1:]] == [2.0, 3.0, 4.0]
 
+    def test_accepting_alphas_equal_one_stream_per_alpha(self, small_run, tmp_path):
+        """The small alphas put R inside the stream's G range, so those plans
+        accept samples; each AUROC equals that of its own run_stream."""
+        data_dir, model_dir = small_run
+        alphas = [0.005, 0.01, 0.05, 3.0, 0.01]
+        out = tmp_path / "sweep"
+        rc = run_cli("alpha-sweep", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", out, "--alphas", ",".join(map(str, alphas)), "--virtual-count", 2)
+        assert rc == EXIT_OK
+        rows = [line.split(",") for line in (out / "alpha_sweep.csv").read_text().splitlines()[1:]]
+        datasets = cli.load_datasets(data_dir)
+        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        fitted, p0, _ = cli.prepare(model, datasets, virtual_count=2)
+        logits, is_ood, _ = cli.forward_stream(model, datasets, 0.5, 0)
+        accepted = []
+        for alpha, (alpha_text, auroc_text) in zip(alphas, rows, strict=True):
+            stats = doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, alpha)
+            scores, events, _ = doda.run_stream(p0, stats, logits, record_events=True)
+            accepted.append(sum(ev.accepted for ev in events))
+            assert float(alpha_text) == alpha
+            assert float(auroc_text) == metrics.auroc(np.asarray(scores), ~is_ood)
+        assert 0 < min(accepted[:3]) and max(accepted[:3]) < len(logits) and accepted[3] == 0
+
     @pytest.mark.parametrize("alphas", ["nan,3", "3,inf", "2,-1"])
     def test_bad_alpha_in_grid_exits_config(self, small_run, tmp_path, capsys, alphas):
         data_dir, model_dir = small_run
@@ -697,6 +720,19 @@ class TestSizeLimits:
             assert "162 parameters in [8, 8, 10] exceed MAX_PARAMS=161" in capsys.readouterr().err
         assert out.exists() == (rc == EXIT_OK)
 
+    def test_adapt_eval_checks_the_activation_count(self, small_run, tmp_path, monkeypatch,
+                                                    capsys):
+        data_dir, model_dir = small_run
+        rows = cli.load_datasets(data_dir)[data.ID_TRAIN].n  # the first set forwarded
+        monkeypatch.setattr(nn, "MAX_ACTIVATIONS", 18 * rows - 1)
+        out = tmp_path / "e"
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", out)
+        assert rc == EXIT_CONFIG
+        assert (f"{rows} rows through layers of widths [8, 10] make {18 * rows} activation "
+                f"values, more than MAX_ACTIVATIONS={18 * rows - 1}") in capsys.readouterr().err
+        assert not out.exists()
+
     SMALL = ["--k", 4, "--d", 2, "--n-max", 5, "--rho", 5, "--n-test-per-class", 1,
              "--n-out", 10, "--n-ood", 10]  # at most 20 rows of 2 values per set
 
@@ -725,9 +761,9 @@ class TestEvaluationPlan:
     """Each command forwards a set once and runs only the stream modes it reports."""
 
     @pytest.mark.parametrize("command, extra, max_forwards, passes", [
-        ("adapt-eval", ["--events"], 5, 3),  # 2 frozen modes + one pass for all adapting plans
+        ("adapt-eval", ["--events"], 5, 1),  # one pass for every plan; uncalibrated is G
         ("head-tail", [], 4, 2),  # one mode per half
-        ("alpha-sweep", [], 3, 5),  # doda per alpha
+        ("alpha-sweep", [], 3, 1),  # one pass for every alpha's threshold
     ])
     def test_forward_and_stream_pass_counts(self, small_run, tmp_path, monkeypatch,
                                             command, extra, max_forwards, passes):

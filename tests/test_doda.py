@@ -492,8 +492,23 @@ def assert_same_run(got, want, state):
     assert (got[2] is state) == (want[2] is state) == (got[2].m == state.m)
 
 
-fraction_lists = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-                          min_size=1, max_size=6)
+fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# where a plan's threshold lies against the stream's G: a quantile, or one of these
+threshold_places = st.one_of(st.sampled_from(["-inf", "below", "above"]), st.floats(0.0, 1.0))
+
+
+def threshold_at(logits, where):
+    """A filter threshold of a plan: -inf, the smallest G (no sample below it),
+    just above the largest G (every sample below it) or at a quantile of G."""
+    energies = sorted(global_energy(row) for row in logits) or [1.0]
+    if isinstance(where, float):
+        return energies[int(where * (len(energies) - 1))]
+    return {"-inf": -math.inf, "below": energies[0],
+            "above": math.nextafter(energies[-1], math.inf)}[where]
+
+
+def plans_of(fractions, stats):
+    return [(f, stats.r) for f in fractions]
 
 
 class TestPlans:
@@ -518,18 +533,37 @@ class TestPlans:
         assert np.array_equal(final.values, want_p) and final.m == want_m
 
     @settings(max_examples=200, deadline=None)
-    @given(streams(scale=700.0), st.floats(0.0, 1.0), fraction_lists, st.integers(0, 9),
-           st.booleans())
-    def test_batched_plans_equal_each_plan_alone(self, case, at, fractions, seed, freeze):
+    @given(streams(scale=700.0), st.lists(st.tuples(fractions, threshold_places),
+                                          min_size=1, max_size=6), st.integers(0, 9))
+    def test_batched_plans_equal_each_plan_alone(self, case, places, seed):
+        """Each plan (f, r) equals its own run_stream with the filter at r, and
+        the frozen plan (0, -inf) equals run_stream(freeze=True). A plan with
+        f = 0 under whose r no sample has G < r is idle: it returns the input
+        state object, and all idle plans return one shared result."""
         logits, mask, p0, m0 = case
         state = OutlierDistribution(values=p0, m=m0)
-        stats = threshold_inside(logits, at)
-        got = run_plans(state, stats, logits, fractions, oracle_labels=mask,
-                        rng=np.random.default_rng(seed), record_events=True, freeze=freeze)
-        assert len(got) == len(fractions)
-        for fraction, res in zip(fractions, got):
-            assert_same_run(res, self.alone(state, stats, logits, mask, fraction, seed,
-                                            freeze=freeze), state)
+        plans = [(f, threshold_at(logits, where)) for f, where in places]
+        got = run_plans(state, logits, plans, oracle_labels=mask,
+                        rng=np.random.default_rng(seed), record_events=True)
+        assert len(got) == len(plans)
+        idle = []
+        for (f, where), (_, r), res in zip(places, plans, got):
+            stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+            assert_same_run(res, self.alone(state, stats, logits, mask, f, seed), state)
+            if f == 0.0 and where in ("-inf", "below"):
+                assert not any(ev.accepted for ev in res[1])
+            if f == 0.0 and not any(ev.accepted for ev in res[1]):
+                assert res[2] is state
+                idle.append(res)
+            if (f, where) == (0.0, "-inf"):  # the frozen plan
+                assert_same_run(res, self.alone(state, stats, logits, mask, f, seed,
+                                                freeze=True), state)
+        assert all(res is idle[0] for res in idle)
+
+    def test_a_nan_threshold_is_rejected(self):
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        with pytest.raises(InvalidInputError, match="threshold r must not be NaN"):
+            run_plans(state, np.zeros((4, 2)), [(0.0, 1.0), (0.0, math.nan)])
 
     @pytest.mark.parametrize("m0", [0, 2])
     @pytest.mark.parametrize("stream_of", [np.asarray, list, iter])
@@ -540,8 +574,8 @@ class TestPlans:
         state = OutlierDistribution(values=rng.uniform(0.1, 2.0, 4), m=m0)
         fractions = [0.0, 1.0, 0.5, 0.5, 0.0, 1.0, 0.3]
         for stats in (threshold_inside(logits, 0.4), EnergyStats.from_moments(0.0, 1.0)):
-            got = run_plans(state, stats, stream_of(logits), fractions, oracle_labels=mask,
-                            rng=np.random.default_rng(5), record_events=True)
+            got = run_plans(state, stream_of(logits), plans_of(fractions, stats),
+                            oracle_labels=mask, rng=np.random.default_rng(5), record_events=True)
             for fraction, res in zip(fractions, got):
                 assert_same_run(res, self.alone(state, stats, logits, mask, fraction, 5),
                                 state)
@@ -552,7 +586,7 @@ class TestPlans:
         stats = EnergyStats.from_moments(0.0, 1.0)  # R < 0 < G: the filter accepts nothing
         none_ood = np.zeros(40, dtype=bool)
         for stream_of in (np.asarray, iter):
-            got = run_plans(state, stats, stream_of(logits), [0.0, 0.5, 1.0],
+            got = run_plans(state, stream_of(logits), plans_of([0.0, 0.5, 1.0], stats),
                             oracle_labels=none_ood, rng=np.random.default_rng(0))
             assert all(final is state for _, _, final in got)
 
@@ -566,7 +600,7 @@ class TestPlans:
         stats = threshold_inside(logits[:6], 0.5)
         mask = np.arange(10) % 2 == 0
         with pytest.raises(AdaptOdError) as batched:
-            run_plans(state, stats, logits, fractions, oracle_labels=mask,
+            run_plans(state, logits, plans_of(fractions, stats), oracle_labels=mask,
                       rng=np.random.default_rng(0))
         for fraction in fractions:
             with pytest.raises(AdaptOdError) as alone:
@@ -580,8 +614,9 @@ class TestPlans:
         logits = np.random.default_rng(24).normal(0.0, 2.0, (20, 3))
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
-        run_plans(OutlierDistribution(values=np.ones(3), m=1), threshold_inside(logits, 0.5),
-                  logits, [0.0, 0.0], oracle_labels=np.ones(20, dtype=bool), rng=rng)
+        run_plans(OutlierDistribution(values=np.ones(3), m=1), logits,
+                  plans_of([0.0, 0.0], threshold_inside(logits, 0.5)),
+                  oracle_labels=np.ones(20, dtype=bool), rng=rng)
         assert rng.bit_generator.state == before
 
 

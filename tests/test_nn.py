@@ -1,10 +1,11 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from adaptod import cli, data
+from adaptod import cli, data, nn
 from adaptod.dne import loss_and_grad
 from adaptod.errors import InvalidInputError, LogitFileError, ShapeError, TrainingDivergedError
 from adaptod.nn import (
@@ -379,6 +380,20 @@ class TestTrainInputs:
         x, _, outliers = blob_task(0)
         with pytest.raises(InvalidInputError, match="fine-tuning needs k >= 2 classes, got k=1"):
             train(Mlp.init([4, 8, 1], seed=0), x, np.zeros(120, int), outliers, TrainConfig())
+
+    @pytest.mark.parametrize("limit", [239, 240])
+    def test_forward_checks_the_activation_count(self, monkeypatch, limit):
+        # stage 1 forwards 8 rows, stage 2 8 + 16: 24 rows of 8 + 2 activations
+        x, y, outliers = blob_task(0)
+        monkeypatch.setattr(nn, "MAX_ACTIVATIONS", limit)
+        cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=1, b_in=8, b_out=16)
+        if limit == 240:
+            train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+            return
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "24 rows through layers of widths [8, 2] make 240 activation values, more than "
+                "MAX_ACTIVATIONS=239")):
+            train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
 
 
 class TestCheckpoint:
