@@ -16,7 +16,7 @@ import math
 import shutil
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -262,15 +262,12 @@ def _load_model_for_data(ns, datasets):
     return model
 
 
-def _write_histograms(out_dir: Path, model, datasets, outlier_logits, adapted_scores) -> None:
-    """50-bin histograms of global energy for the ID-test, outlier, and true-OOD
-    populations, plus calibrated (adapted) scores of the evaluation stream."""
-    populations = {
-        "id_test": doda.global_energies(model.forward(datasets[data_mod.ID_TEST].features)),
-        "outlier": doda.global_energies(outlier_logits),
-        "true_ood": doda.global_energies(model.forward(datasets[data_mod.TRUE_OOD].features)),
-        "adapted_scores": np.asarray(adapted_scores),
-    }
+def _write_histograms(out_dir: Path, logits, adapted_scores) -> None:
+    """50-bin histograms of global energy of the logits of each sample set, by
+    provenance tag, plus calibrated (adapted) scores of the evaluation stream."""
+    populations = {tag.replace("-", "_"): doda.global_energies(logits[tag])
+                   for tag in DATASET_FILES if tag in logits}
+    populations["adapted_scores"] = np.asarray(adapted_scores)
     pooled = np.concatenate(list(populations.values()))
     edges = np.linspace(pooled.min(), pooled.max(), 51)
     counts = {name: np.histogram(vals, bins=edges)[0] for name, vals in populations.items()}
@@ -300,7 +297,10 @@ def cmd_adapt_eval(ns) -> int:
     model = _load_model_for_data(ns, datasets)
     stats, p0, outlier_logits = prepare(model, datasets, alpha=ns.alpha,
                                         virtual_count=ns.virtual_count)
-    stream = forward_stream(model, datasets, ns.ood_fraction, ns.seed)
+    logits = {tag: model.forward(datasets[tag].features)  # each set forwarded once
+              for tag in (data_mod.ID_TEST, data_mod.TRUE_OOD)}
+    stream = build_stream(*(replace(datasets[tag], features=logits[tag]) for tag in logits),
+                          ns.ood_fraction, ns.seed)
     results = evaluate_modes(stats, p0, stream, oracle_fractions=fractions, seed=ns.seed)
     with _run_dir(ns) as out_dir:
         _json(out_dir / "metrics.json",
@@ -311,7 +311,8 @@ def cmd_adapt_eval(ns) -> int:
                 fh.write("sample_index,accepted,global_energy,calibrated_score\n")
                 for i, (g, score) in enumerate(zip(energies, results["doda"]["scores"])):
                     fh.write(f"{i},{int(g < stats.r)},{g!r},{score!r}\n")
-        _write_histograms(out_dir, model, datasets, outlier_logits, results["doda"]["scores"])
+        _write_histograms(out_dir, {**logits, data_mod.OUTLIER: outlier_logits},
+                          results["doda"]["scores"])
         doda.save_state(out_dir / "adapter_state.json", results["doda"]["final_state"], stats)
     return EXIT_OK
 

@@ -118,19 +118,39 @@ def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
     return state
 
 
-def _step(values, counts, logits, sample_index, plans, is_ood=False, u=1.0):
-    """One sample under plans j = (fraction, r) whose P and count (row j of
-    values, counts[j]) an accepting plan updates in place. The row check,
-    exp(f - max f) and G are shared. Plan j accepts true OOD if the oracle draw
-    u < fraction, else if G < r. Returns G, the plans' post-step scores and
-    acceptances."""
+def _stream_rows(logit_stream, k):
+    """logit_stream, read once, as one C-contiguous float64 (n, k) matrix of
+    finite logits, and the G of every row from one global_energies pass. An
+    error names the first sample whose row or G is bad."""
+    stream = logit_stream if isinstance(logit_stream, np.ndarray) else list(logit_stream)
     try:
-        v = _as_logits(logits, 1)
+        rows = np.ascontiguousarray(stream, dtype=np.float64)
+        bad = (np.flatnonzero(~np.isfinite(rows).all(axis=1)) if rows.shape[1:] == (k,)
+               else np.arange(len(rows)))
+    except (TypeError, ValueError):  # ragged or non-numeric rows: each row alone
+        rows, bad = np.empty((0, k)), np.arange(len(stream))
+    n = int(bad[0]) if bad.size else len(stream)
+    rows = rows[:n].reshape(n, k)  # the rows before the first bad one
+    energies = global_energies(rows)  # an overflow names its sample
+    for i in bad.tolist():  # the one-row step names the first of these that is bad
+        _step(np.zeros((1, k)), [0], stream[i], i, ())
+    return rows, energies
+
+
+def _step(values, counts, logits, sample_index, plans, is_ood=False, u=1.0, g=None):
+    """One sample under plans j = (fraction, r) whose P and count (row j of
+    values, counts[j]) an accepting plan updates in place. exp(f - max f) is
+    shared. A sample given without its G is a row to check, and its G is
+    computed here. Plan j accepts true OOD if the oracle draw u < fraction, else
+    if G < r. Returns G, the plans' post-step scores and acceptances."""
+    try:
+        v = _as_logits(logits, 1) if g is None else logits
         if v.shape[0] != values.shape[1]:
             raise ShapeError(f"sample has k={v.shape[0]}, state has k={values.shape[1]}")
         m = float(np.maximum.reduce(v))  # the ufuncs of v.max() and e.sum(), called directly
         e = np.exp(v - m)
-        g = _scaled(m, float(np.add.reduce(e)), "global energy")
+        if g is None:
+            g = _scaled(m, float(np.add.reduce(e)), "global energy")
         accepted = [is_ood if u < f else g < r for f, r in plans]
         if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
             ef = np.exp(v)
@@ -162,34 +182,15 @@ def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, samp
     return state, score, AdaptationEvent(sample_index, accepted, g, score)
 
 
-def _per_sample(state, logit_stream, plans, oracle_labels, rng, record_events):
-    """(scores, events, final state) per plan, from one _step per sample."""
-    values, counts = np.tile(state.values, (len(plans), 1)), [state.m] * len(plans)
-    labels = iter(oracle_labels) if oracle_labels is not None else None
-    draw = max(f for f, _ in plans) > 0.0  # one common draw per sample
-    scores, events = [], ([] if record_events else None)  # sample-major, plan-minor
-    for i, logits in enumerate(logit_stream):
-        is_ood = bool(next(labels)) if labels is not None else False
-        g, sample_scores, accepted = _step(values, counts, logits, i, plans, is_ood,
-                                           rng.random() if draw else 1.0)  # no fraction exceeds 1
-        scores += sample_scores
-        if events is not None:
-            events += map(AdaptationEvent, repeat(i), accepted, repeat(g), sample_scores)
-    n = len(plans)
-    return [(scores[j::n], events[j::n] if events is not None else None,
-             state if counts[j] == state.m else _trusted(values[j].copy(), counts[j]))
-            for j in range(n)]
-
-
 def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None, record_events=False):
     """run_stream of each plan (use_label_probability, r), where r is the filter
     threshold, for every plan at once: one (scores, events, final state) per
     plan, equal bit for bit to that plan alone with an rng of the same seed,
     since all plans share one rng.random() per sample. (0.0, -inf) is the frozen
-    plan: no G is below -inf, and no oracle is consulted. A plan with
-    probability 0 in which no sample has G < r is idle: P stays P0, and all idle
-    plans share one result object from one matrix pass. The other plans share
-    one per-sample pass.
+    plan: no G is below -inf, and no oracle is consulted. The stream is read
+    once into a checked matrix with one G per row. A plan with probability 0 in
+    which no sample has G < r is idle: P stays P0, and all idle plans share one
+    result object from one matrix pass. The others share one _step per sample.
     """
     plans = list(plans)
     for f, r in plans:
@@ -197,29 +198,36 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None, recor
             raise InvalidInputError(f"use_label_probability must lie in [0, 1], got {f}")
         if math.isnan(r):
             raise InvalidInputError("filter threshold r must not be NaN")
-    if max((f for f, _ in plans), default=0.0) > 0.0 and (oracle_labels is None or rng is None):
+    draw = max((f for f, _ in plans), default=0.0) > 0.0  # one common draw per sample
+    if draw and (oracle_labels is None or rng is None):
         raise InvalidInputError("use_label_probability > 0 requires oracle_labels and an rng")
-    results = [None] * len(plans)
-    if any(f == 0.0 for f, _ in plans):  # the acceptance of these plans reads G and r only
-        try:
-            rows = np.asarray(logit_stream, dtype=np.float64)
-            energies = global_energies(rows)
-            g_min = energies.min(initial=math.inf)
-            idle = [f == 0.0 and not g_min < r for f, r in plans]
-            if True in idle:
-                scores = calibrated_energies(rows, state.values).tolist()
-                events = [AdaptationEvent(i, False, g, score) for i, (g, score)
-                          in enumerate(zip(energies.tolist(), scores))] if record_events else None
-                shared = (scores, events, state)
-                results = [shared if is_idle else None for is_idle in idle]
-        except (AdaptOdError, TypeError, ValueError):
-            pass  # not one finite logit matrix: the per-sample pass names the bad sample
-    rest = [j for j, res in enumerate(results) if res is None]
-    if rest:
-        for j, res in zip(rest, _per_sample(state, logit_stream, [plans[j] for j in rest],
-                                            oracle_labels, rng, record_events)):
-            results[j] = res
-    return results
+    rows, energies = _stream_rows(logit_stream, state.k)
+    labels = np.asarray(oracle_labels if draw else np.zeros(len(rows), bool))
+    if labels.shape != energies.shape:  # before any sample is scored
+        raise InvalidInputError(f"oracle_labels must have shape {energies.shape}, "
+                                f"got {labels.shape}")
+    g_min = energies.min(initial=math.inf)
+    idle = [f == 0.0 and not g_min < r for f, r in plans]
+    if True in idle:  # the acceptance of these plans reads G and r only
+        idle_scores = calibrated_energies(rows, state.values).tolist()
+        idle_events = [AdaptationEvent(i, False, g, score) for i, (g, score)
+                       in enumerate(zip(energies.tolist(), idle_scores))] if record_events else None
+        shared = (idle_scores, idle_events, state)
+    busy = [plan for plan, is_idle in zip(plans, idle) if not is_idle]
+    values, counts = np.tile(state.values, (len(busy), 1)), [state.m] * len(busy)
+    scores, events = [], ([] if record_events else None)  # sample-major, plan-minor
+    for i, (v, g, is_ood) in enumerate(zip(rows if busy else (), energies.tolist(),
+                                           labels.tolist())):
+        _, sample_scores, accepted = _step(values, counts, v, i, busy, bool(is_ood),
+                                           rng.random() if draw else 1.0, g)  # no f exceeds 1
+        scores += sample_scores
+        if events is not None:
+            events += map(AdaptationEvent, repeat(i), accepted, repeat(g), sample_scores)
+    n = len(busy)
+    done = iter([(scores[j::n], events[j::n] if events is not None else None,
+                  state if counts[j] == state.m else _trusted(values[j].copy(), counts[j]))
+                 for j in range(n)])
+    return [shared if is_idle else next(done) for is_idle in idle]
 
 
 def run_stream(state: OutlierDistribution, stats: EnergyStats, logit_stream, *,

@@ -41,15 +41,16 @@ def _scaled(m: float, total: float, what: str) -> float:
 
 
 def _scaled_rows(m: np.ndarray, totals: np.ndarray, what: str) -> np.ndarray:
-    """_scaled of each row. math.log and math.exp, which round differently from
-    np.log and np.exp, keep the guard and the scale exactly those of _scaled."""
+    """_scaled of each row; an error names the first row _scaled refuses as a sample.
+    math.log and math.exp, which round differently from np.log and np.exp, keep
+    the guard and the scale exactly those of _scaled."""
     logs = np.fromiter(map(math.log, totals.tolist()), float, m.size)
-    if ((m >= _LOG_FLOAT_MAX) | (m + logs >= _LOG_FLOAT_MAX)).any():
-        raise EnergyOverflowError(f"{what} exceeds float64 range")
-    with np.errstate(over="ignore"):
-        values = np.fromiter(map(math.exp, m.tolist()), float, m.size) * totals
-    if not np.isfinite(values).all():
-        raise EnergyOverflowError(f"{what} exceeds float64 range")
+    over = (m >= _LOG_FLOAT_MAX) | (m + logs >= _LOG_FLOAT_MAX)
+    with np.errstate(over="ignore"):  # math.exp raises where the guard fails: those get exp(0)
+        values = np.fromiter(map(math.exp, np.where(over, 0.0, m).tolist()), float, m.size) * totals
+    bad = np.flatnonzero(over | ~np.isfinite(values))
+    if bad.size:
+        raise EnergyOverflowError(f"sample {bad[0]}: {what} exceeds float64 range")
     return values
 
 

@@ -761,18 +761,19 @@ class TestEvaluationPlan:
     """Each command forwards a set once and runs only the stream modes it reports."""
 
     @pytest.mark.parametrize("command, extra, max_forwards, passes", [
-        ("adapt-eval", ["--events"], 5, 1),  # one pass for every plan; uncalibrated is G
+        ("adapt-eval", ["--events"], 4, 1),  # one pass for every plan; uncalibrated is G
         ("head-tail", [], 4, 2),  # one mode per half
         ("alpha-sweep", [], 3, 1),  # one pass for every alpha's threshold
     ])
     def test_forward_and_stream_pass_counts(self, small_run, tmp_path, monkeypatch,
                                             command, extra, max_forwards, passes):
         data_dir, model_dir = small_run
-        calls = {"forward": 0, "run_plans": 0}
+        calls = {"forward": 0, "run_plans": 0, "rows": 0}
         forward, run_plans = nn.Mlp.forward, doda.run_plans
 
         def counting_forward(self, inputs):
             calls["forward"] += 1
+            calls["rows"] += len(inputs)
             return forward(self, inputs)
 
         def counting_run_plans(*args, **kwargs):  # run_stream is its one-plan case
@@ -786,6 +787,8 @@ class TestEvaluationPlan:
         assert rc == EXIT_OK
         assert calls["forward"] <= max_forwards
         assert calls["run_plans"] == passes
+        if command == "adapt-eval":  # every row of every set, once
+            assert calls["rows"] == sum(s.n for s in cli.load_datasets(data_dir).values())
 
     @pytest.mark.parametrize("fractions", ["", "0", "1", "0.3", "0,0.25,0.5,0.75,1.0",
                                            "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.9"])

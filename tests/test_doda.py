@@ -305,7 +305,7 @@ class TestRunStream:
         want = run_stream(state, stats, logits, record_events=True)
         monkeypatch.setattr(doda, "_step", step)
         got = run_stream(state, stats, iter(logits), record_events=True)
-        assert calls == list(range(30))
+        assert calls == ([] if r == 0.0 else list(range(30)))  # R < G accepts nothing: idle
         assert got[0] == want[0] and got[1] == want[1]
         assert np.array_equal(got[2].values, want[2].values) and got[2].m == want[2].m
 
@@ -358,24 +358,81 @@ class TestRunStream:
         with pytest.raises(InvalidInputError, match="sample 1"):
             run_stream(state, stats, stream)
 
+    @pytest.mark.parametrize("container", ["array", "list", "iterator"])
     @pytest.mark.parametrize("record_events", [False, True])
     @pytest.mark.parametrize("mode", ["freeze", "plain", "oracle"])
-    @pytest.mark.parametrize("bad, error", [
-        ([np.nan, 0.0], InvalidInputError),
-        ([0.0, -np.inf], InvalidInputError),
-        ([800.0, 0.0], EnergyOverflowError),
-        ([709.5, 709.5], EnergyOverflowError),  # G overflows, the damped score does not
+    @pytest.mark.parametrize("bad, later, error", [
+        ([np.nan, 0.0], None, InvalidInputError),
+        ([0.0, -np.inf], None, InvalidInputError),
+        ([800.0, 0.0], None, EnergyOverflowError),
+        ([709.5, 709.5], None, EnergyOverflowError),  # G overflows, the damped score does not
+        ([0.0, 0.0, 0.0], None, ShapeError),  # wrong width
+        ([0.0, [0.0, 0.0]], None, ValueError),  # a ragged row
+        (["x", 0.0], None, ValueError),  # a non-numeric row
+        ([800.0, 0.0], [np.nan, 0.0], EnergyOverflowError),  # the first of two faults
     ])
-    def test_every_mode_names_the_first_bad_sample(self, mode, record_events, bad, error):
+    def test_every_mode_names_the_first_bad_sample(self, mode, record_events, container, bad,
+                                                   later, error):
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
-        stream = np.array([[0.0, 0.0], [0.5, -0.5], bad, [0.1, 0.2], bad])
+        rows = [[0.0, 0.0], [0.5, -0.5], bad, [0.1, 0.2], bad if later is None else later]
+        if container == "array":  # rows that no float matrix holds make an object array
+            try:
+                stream = np.array(rows, dtype=np.float64)
+            except ValueError:
+                stream = np.array(rows, dtype=object)
+        else:
+            stream = rows if container == "list" else iter(rows)
         kwargs = {"freeze": dict(freeze=True), "plain": {},
                   "oracle": dict(oracle_labels=[True] * 5, use_label_probability=1.0,
                                  rng=np.random.default_rng(0))}[mode]
         with pytest.raises(error) as info:
             run_stream(state, stats, stream, record_events=record_events, **kwargs)
         assert str(info.value).startswith("sample 2: ")
+
+    @pytest.mark.parametrize("stream_of", [list, iter, lambda rows: np.empty((0, 2))])
+    def test_an_empty_stream_returns_no_scores_and_the_input_state(self, stream_of):
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        plans = [(0.0, -math.inf), (0.0, 10.0), (0.5, 10.0), (1.0, -math.inf)]
+        got = run_plans(state, stream_of([]), plans, oracle_labels=[],
+                        rng=np.random.default_rng(0), record_events=True)
+        assert got == [([], [], state)] * len(plans)
+        assert all(final is state for _, _, final in got)
+
+    def test_an_oracle_stream_checks_its_rows_and_computes_g_once(self, monkeypatch):
+        calls = {"_stream_rows": 0, "global_energies": 0, "_as_logits": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(doda, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(doda, name, counting)
+        rng = np.random.default_rng(15)
+        logits = rng.standard_normal((1000, 4))
+        state = OutlierDistribution(values=np.ones(4), m=1)
+        stats = EnergyStats.from_moments(10.0, 1.0)
+        _, events, final = run_stream(state, stats, logits, oracle_labels=rng.random(1000) < 0.5,
+                                      use_label_probability=1.0, rng=rng, record_events=True)
+        assert len(events) == 1000 and final.m > 1
+        # one matrix check and one G pass per call; no sample is checked alone
+        assert calls == {"_stream_rows": 1, "global_energies": 1, "_as_logits": 0}
+
+    @pytest.mark.parametrize("labels", [
+        [True] * 4,  # shorter than the stream
+        [True] * 6,  # longer than the stream
+        np.ones((5, 1), dtype=bool),  # not 1-D
+    ])
+    def test_oracle_labels_must_match_the_stream(self, monkeypatch, labels):
+        def step(*args, **kwargs):
+            raise AssertionError("a sample was scored")
+
+        monkeypatch.setattr(doda, "_step", step)
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        stats = EnergyStats.from_moments(10.0, 1.0)
+        shape = re.escape(str(np.shape(labels)))
+        with pytest.raises(InvalidInputError, match=rf"shape \(5,\), got {shape}"):
+            run_stream(state, stats, np.zeros((5, 2)), oracle_labels=labels,
+                       use_label_probability=0.5, rng=np.random.default_rng(0))
 
     def test_frozen_mode_never_adapts(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
