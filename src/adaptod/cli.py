@@ -93,19 +93,15 @@ def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
 
 
 def prepare(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1):
-    """What every stream of one command shares, from one forward of the
-    ID-train and of the outlier set: (filter stats, P0, outlier logits)."""
-    stats = doda.fit_energy_stats(model.forward(datasets[data_mod.ID_TRAIN].features), alpha)
-    outlier_logits = model.forward(datasets[data_mod.OUTLIER].features)
-    p0 = doda.init_outlier_distribution(outlier_logits, virtual_count=virtual_count)
-    return stats, p0, outlier_logits
-
-
-def forward_stream(model, datasets, ood_fraction, seed):
-    """build_stream of the ID-test and true-OOD sets, with logits for features."""
-    feats, is_ood, labels = build_stream(datasets[data_mod.ID_TEST],
-                                         datasets[data_mod.TRUE_OOD], ood_fraction, seed)
-    return model.forward(feats), is_ood, labels
+    """Forward each sample set once, as a whole, and fit what every stream of
+    one command shares: (filter stats from the ID-train logits, P0 from the
+    outlier logits, provenance tag -> the set with its logits for features)."""
+    logit_sets = {tag: replace(sample_set, features=model.forward(sample_set.features))
+                  for tag, sample_set in datasets.items()}
+    stats = doda.fit_energy_stats(logit_sets[data_mod.ID_TRAIN].features, alpha)
+    p0 = doda.init_outlier_distribution(logit_sets[data_mod.OUTLIER].features,
+                                        virtual_count=virtual_count)
+    return stats, p0, logit_sets
 
 
 MODES = ("uncalibrated", "no_tta", "doda", "oracle")
@@ -113,12 +109,13 @@ MODES = ("uncalibrated", "no_tta", "doda", "oracle")
 
 def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0):
     """The requested modes, plus one sweep_<f> mode per oracle fraction f, over
-    a forward_stream result: mode name -> {"report", "scores", "final_state"}.
-    uncalibrated scores with G itself. Every other mode is a doda.run_plans plan
-    (oracle fraction, filter threshold): no_tta (0, -inf), doda (0, R), oracle
-    (1, R) and sweep_<f> (f, R), all in one call whose oracle plans share the
-    draws of rng(seed), so no result depends on which other modes run. Modes
-    with the same plan, or with plans that accept nothing, share one result.
+    a build_stream result of logits: mode name -> {"report", "scores",
+    "final_state"}. uncalibrated scores with the G that run_plans computes.
+    Every other mode is a doda.run_plans plan (oracle fraction, filter
+    threshold): no_tta (0, -inf), doda (0, R), oracle (1, R) and sweep_<f>
+    (f, R), all in one call whose oracle plans share the draws of rng(seed), so
+    no result depends on which other modes run. Modes with the same plan, or
+    with plans that accept nothing, share one result.
     """
     stream_logits, is_ood, labels = stream
     is_id = ~is_ood
@@ -127,11 +124,12 @@ def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=
     plans = {mode: plan_of[mode] for mode in modes if mode != "uncalibrated"}
     plans.update({f"sweep_{frac:g}": (float(frac), stats.r) for frac in oracle_fractions})
     unique = list(dict.fromkeys(plans.values()))
-    runs = dict(zip(unique, doda.run_plans(p0, stream_logits, unique, oracle_labels=is_ood,
-                                           rng=np.random.default_rng(seed))))
+    energies, runs = doda.run_plans(p0, stream_logits, unique, oracle_labels=is_ood,
+                                    rng=np.random.default_rng(seed))
+    runs = dict(zip(unique, runs))
     passes = {}
     if "uncalibrated" in modes:  # calibrated_energies with P = 0 is G, bit for bit
-        passes["uncalibrated"] = (doda.global_energies(stream_logits).tolist(), None,
+        passes["uncalibrated"] = (energies.tolist(), None,
                                   doda.OutlierDistribution(np.zeros(p0.k), 0))
     passes.update((mode, runs[plan]) for mode, plan in plans.items())
     shared = {id(res): res for res in passes.values()}  # modes that share a pass share a report
@@ -146,29 +144,25 @@ HEAD_TAIL_MODES = {"doda": "doda", "frozen": "no_tta", "uncalibrated": "uncalibr
                    "oracle": "oracle"}
 
 
-def head_tail_reports(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1,
-                      ood_fraction=0.5, seed=0, mode="doda"):
-    """Evaluate one mode twice with ID restricted to the head half, then the
-    tail half; both halves share one preparation.
+def head_tail_reports(stats, p0, logit_sets, *, ood_fraction=0.5, seed=0, mode="doda"):
+    """Evaluate one mode twice over prepare's logit sets, with ID restricted to
+    the head half, then the tail half.
 
     Returns {"head": MetricReport, "tail": MetricReport}. Classes are ordered
     by training frequency, so the head half is the first half of class indices.
     """
-    id_test = datasets[data_mod.ID_TEST]
-    k = int(id_test.labels.max()) + 1
-    head = set(range(k // 2))
-    halves = {}
-    for name, keep in (("head", head), ("tail", set(range(k)) - head)):
-        mask = np.isin(id_test.labels, sorted(keep))
+    id_test = logit_sets[data_mod.ID_TEST]
+    is_head = id_test.labels < (int(id_test.labels.max()) + 1) // 2
+    halves = {"head": is_head, "tail": ~is_head}
+    for name, mask in halves.items():  # both, before either is scored
         if not mask.any():
             raise UndefinedMetricError(f"no ID samples left in the {name} subset")
-        halves[name] = {**datasets, data_mod.ID_TEST: data_mod.SampleSet(
-            id_test.features[mask], id_test.labels[mask], data_mod.ID_TEST)}
-    stats, p0, _ = prepare(model, datasets, alpha=alpha, virtual_count=virtual_count)
-    key = HEAD_TAIL_MODES[mode]
-    return {name: evaluate_modes(stats, p0, forward_stream(model, half, ood_fraction, seed),
-                                 modes=(key,), seed=seed)[key]["report"]
-            for name, half in halves.items()}
+    key, reports = HEAD_TAIL_MODES[mode], {}
+    for name, mask in halves.items():
+        half = replace(id_test, features=id_test.features[mask], labels=id_test.labels[mask])
+        stream = build_stream(half, logit_sets[data_mod.TRUE_OOD], ood_fraction, seed)
+        reports[name] = evaluate_modes(stats, p0, stream, modes=(key,), seed=seed)[key]["report"]
+    return reports
 
 
 def train_models(datasets, cfg: nn.TrainConfig, hidden):
@@ -252,21 +246,11 @@ def cmd_train(ns) -> int:
     return EXIT_OK
 
 
-def _load_model_for_data(ns, datasets):
-    model, _, _ = nn.load_checkpoint(ns.model)
-    k_data = int(datasets[data_mod.ID_TRAIN].labels.max()) + 1
-    if model.layer_dims[-1] != k_data:
-        raise ConfigError(f"checkpoint k={model.layer_dims[-1]} does not match dataset k={k_data}")
-    if model.layer_dims[0] != datasets[data_mod.ID_TRAIN].features.shape[1]:
-        raise ConfigError("checkpoint input dim does not match dataset feature dim")
-    return model
-
-
-def _write_histograms(out_dir: Path, logits, adapted_scores) -> None:
-    """50-bin histograms of global energy of the logits of each sample set, by
-    provenance tag, plus calibrated (adapted) scores of the evaluation stream."""
-    populations = {tag.replace("-", "_"): doda.global_energies(logits[tag])
-                   for tag in DATASET_FILES if tag in logits}
+def _write_histograms(out_dir: Path, logit_sets, adapted_scores) -> None:
+    """50-bin histograms of global energy of the ID-test, outlier and true-OOD
+    logits, by provenance tag, plus calibrated (adapted) scores of the stream."""
+    populations = {tag.replace("-", "_"): doda.global_energies(logit_sets[tag].features)
+                   for tag in (data_mod.ID_TEST, data_mod.OUTLIER, data_mod.TRUE_OOD)}
     populations["adapted_scores"] = np.asarray(adapted_scores)
     pooled = np.concatenate(list(populations.values()))
     edges = np.linspace(pooled.min(), pooled.max(), 51)
@@ -279,27 +263,35 @@ def _write_histograms(out_dir: Path, logits, adapted_scores) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _check_stream_flags(ns) -> None:
-    """--ood-fraction and --virtual-count, checked before any file is read."""
+def _prepare_run(ns, alpha):
+    """The preamble of every evaluating command: --ood-fraction and
+    --virtual-count checked before any file is read, then prepare of the data
+    and of a model that fits it."""
     if not 0.0 < ns.ood_fraction < 1.0:
         raise ConfigError(f"ood_fraction must lie strictly between 0 and 1, got {ns.ood_fraction}")
-    if ns.virtual_count < 0:
-        raise ConfigError(f"virtual_count must be non-negative, got {ns.virtual_count}")
+    if not 0 <= ns.virtual_count <= doda.MAX_VIRTUAL_COUNT:
+        raise ConfigError(f"virtual_count must lie in [0, 2**53], got {ns.virtual_count}")
+    datasets = load_datasets(ns.data)
+    model, _, _ = nn.load_checkpoint(ns.model)
+    k_data = int(datasets[data_mod.ID_TRAIN].labels.max()) + 1
+    if model.layer_dims[-1] != k_data:
+        raise ConfigError(f"checkpoint k={model.layer_dims[-1]} does not match dataset k={k_data}")
+    if model.layer_dims[0] != datasets[data_mod.ID_TRAIN].features.shape[1]:
+        raise ConfigError("checkpoint input dim does not match dataset feature dim")
+    return prepare(model, datasets, alpha=alpha, virtual_count=ns.virtual_count)
 
 
 def cmd_adapt_eval(ns) -> int:
-    _check_stream_flags(ns)
     fractions = _parse_grid(ns.oracle_fractions)
-    bad = [f for f in fractions if not 0.0 <= f <= 1.0]
-    if bad:
-        raise ConfigError(f"oracle fraction {bad[0]:g} must lie in [0, 1]")
-    datasets = load_datasets(ns.data)
-    model = _load_model_for_data(ns, datasets)
-    stats, p0, outlier_logits = prepare(model, datasets, alpha=ns.alpha,
-                                        virtual_count=ns.virtual_count)
-    logits = {tag: model.forward(datasets[tag].features)  # each set forwarded once
-              for tag in (data_mod.ID_TEST, data_mod.TRUE_OOD)}
-    stream = build_stream(*(replace(datasets[tag], features=logits[tag]) for tag in logits),
+    named = {}
+    for f in fractions:
+        if not 0.0 <= f <= 1.0:
+            raise ConfigError(f"oracle fraction {f:g} must lie in [0, 1]")
+        if named.setdefault(f"{f:g}", f) != f:  # one sweep_<f> key per value
+            raise ConfigError(f"oracle fractions {named[f'{f:g}']!r} and {f!r} would both "
+                              f"be reported as sweep_{f:g}")
+    stats, p0, logit_sets = _prepare_run(ns, ns.alpha)
+    stream = build_stream(logit_sets[data_mod.ID_TEST], logit_sets[data_mod.TRUE_OOD],
                           ns.ood_fraction, ns.seed)
     results = evaluate_modes(stats, p0, stream, oracle_fractions=fractions, seed=ns.seed)
     with _run_dir(ns) as out_dir:
@@ -311,20 +303,15 @@ def cmd_adapt_eval(ns) -> int:
                 fh.write("sample_index,accepted,global_energy,calibrated_score\n")
                 for i, (g, score) in enumerate(zip(energies, results["doda"]["scores"])):
                     fh.write(f"{i},{int(g < stats.r)},{g!r},{score!r}\n")
-        _write_histograms(out_dir, {**logits, data_mod.OUTLIER: outlier_logits},
-                          results["doda"]["scores"])
+        _write_histograms(out_dir, logit_sets, results["doda"]["scores"])
         doda.save_state(out_dir / "adapter_state.json", results["doda"]["final_state"], stats)
     return EXIT_OK
 
 
 def cmd_headtail(ns) -> int:
-    _check_stream_flags(ns)
-    datasets = load_datasets(ns.data)
-    model = _load_model_for_data(ns, datasets)
-    reports = head_tail_reports(
-        model, datasets, alpha=ns.alpha, virtual_count=ns.virtual_count,
-        ood_fraction=ns.ood_fraction, seed=ns.seed, mode=ns.mode,
-    )
+    stats, p0, logit_sets = _prepare_run(ns, ns.alpha)
+    reports = head_tail_reports(stats, p0, logit_sets, ood_fraction=ns.ood_fraction,
+                                seed=ns.seed, mode=ns.mode)
     with _run_dir(ns) as out_dir:
         _json(out_dir / "head_tail.json",
               {name: json.loads(rep.to_json()) for name, rep in reports.items()})
@@ -332,17 +319,15 @@ def cmd_headtail(ns) -> int:
 
 
 def cmd_alpha_sweep(ns) -> int:
-    _check_stream_flags(ns)
     alphas = _parse_grid(ns.alphas)
     if not alphas:
         raise ConfigError("alpha grid is empty")
-    datasets = load_datasets(ns.data)
-    model = _load_model_for_data(ns, datasets)
-    fitted, p0, _ = prepare(model, datasets, alpha=alphas[0], virtual_count=ns.virtual_count)
+    fitted, p0, logit_sets = _prepare_run(ns, alphas[0])
     # mu_in and sigma_in do not depend on alpha; only the threshold R does.
     grid = [doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, a) for a in alphas]
-    logits, is_ood, _ = forward_stream(model, datasets, ns.ood_fraction, ns.seed)
-    passes = doda.run_plans(p0, logits, [(0.0, stats.r) for stats in grid])
+    logits, is_ood, _ = build_stream(logit_sets[data_mod.ID_TEST],
+                                     logit_sets[data_mod.TRUE_OOD], ns.ood_fraction, ns.seed)
+    _, passes = doda.run_plans(p0, logits, [(0.0, stats.r) for stats in grid])
     by_pass = {id(res): metrics.auroc(np.asarray(res[0]), ~is_ood) for res in passes}
     aurocs = [by_pass[id(res)] for res in passes]  # plans that accept nothing share a pass
     with _run_dir(ns) as out_dir, open(out_dir / "alpha_sweep.csv", "w") as fh:

@@ -21,6 +21,7 @@ from .errors import (AdaptOdError, EnergyOverflowError, InsufficientDataError,
                      InvalidInputError, ShapeError)
 
 DEFAULT_ALPHA = 3.0
+MAX_VIRTUAL_COUNT = 2**53  # the largest count a float64 holds exactly
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
     virtual_count is the pseudo-observation weight the initialization carries in
     later updates; 0 means the first accepted test sample replaces it outright.
     """
-    if virtual_count < 0:
-        raise InvalidInputError("virtual_count must be non-negative")
+    if not 0 <= virtual_count <= MAX_VIRTUAL_COUNT:
+        raise InvalidInputError(f"virtual_count must lie in [0, 2**53], got {virtual_count}")
     rows = _as_logits(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 1:
         raise InsufficientDataError("need at least one outlier sample to initialize")
@@ -184,13 +185,14 @@ def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, samp
 
 def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None, record_events=False):
     """run_stream of each plan (use_label_probability, r), where r is the filter
-    threshold, for every plan at once: one (scores, events, final state) per
-    plan, equal bit for bit to that plan alone with an rng of the same seed,
-    since all plans share one rng.random() per sample. (0.0, -inf) is the frozen
-    plan: no G is below -inf, and no oracle is consulted. The stream is read
-    once into a checked matrix with one G per row. A plan with probability 0 in
-    which no sample has G < r is idle: P stays P0, and all idle plans share one
-    result object from one matrix pass. The others share one _step per sample.
+    threshold, for every plan at once: (G of each sample, one (scores, events,
+    final state) per plan), each plan's result equal bit for bit to that plan
+    alone with an rng of the same seed, since all plans share one rng.random()
+    per sample. (0.0, -inf) is the frozen plan: no G is below -inf, and no
+    oracle is consulted. The stream is read once into a checked matrix with one
+    G per row. A plan with probability 0 in which no sample has G < r is idle:
+    P stays P0, and all idle plans share one result object from one matrix
+    pass. The others share one _step per sample.
     """
     plans = list(plans)
     for f, r in plans:
@@ -227,7 +229,7 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None, recor
     done = iter([(scores[j::n], events[j::n] if events is not None else None,
                   state if counts[j] == state.m else _trusted(values[j].copy(), counts[j]))
                  for j in range(n)])
-    return [shared if is_idle else next(done) for is_idle in idle]
+    return energies, [shared if is_idle else next(done) for is_idle in idle]
 
 
 def run_stream(state: OutlierDistribution, stats: EnergyStats, logit_stream, *,
@@ -244,7 +246,7 @@ def run_stream(state: OutlierDistribution, stats: EnergyStats, logit_stream, *,
     """
     plan = (0.0, -math.inf) if freeze else (use_label_probability, stats.r)
     return run_plans(state, logit_stream, (plan,), oracle_labels=oracle_labels, rng=rng,
-                     record_events=record_events)[0]
+                     record_events=record_events)[1][0]
 
 
 def save_state(path, state: OutlierDistribution, stats: EnergyStats) -> None:

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from adaptod import cli, dne, doda, metrics, nn
+from adaptod import cli, data, dne, doda, metrics, nn
 from adaptod.energy import batch_energy_normalize, calibrated_energies, global_energies
 
 from oracles import (
@@ -235,16 +235,17 @@ def desk_benchmark(seed: int, oracle_fractions):
                                    cli.DEFAULT_HIDDEN)
     dne_model, _ = cli.train_models(datasets, nn.TrainConfig(seed=seed), cli.DEFAULT_HIDDEN)
 
-    stats, p0, _ = cli.prepare(dne_model, datasets, virtual_count=BENCHMARK_VIRTUAL_COUNT)
-    res = cli.evaluate_modes(stats, p0, cli.forward_stream(dne_model, datasets, 0.5, seed),
-                             oracle_fractions=oracle_fractions, seed=seed)
+    prepared = {name: cli.prepare(model, datasets, virtual_count=BENCHMARK_VIRTUAL_COUNT)
+                for name, model in (("ce", ce_model), ("dne", dne_model))}
+    stats, p0, logit_sets = prepared["dne"]
+    stream = cli.build_stream(logit_sets[data.ID_TEST], logit_sets[data.TRUE_OOD], 0.5, seed)
+    res = cli.evaluate_modes(stats, p0, stream, oracle_fractions=oracle_fractions, seed=seed)
     out = {
         "auroc": {m: res[m]["report"].auroc for m in cli.MODES},
         "sweep": [(f, res[f"sweep_{f:g}"]["report"].auroc) for f in oracle_fractions],
     }
-    for name, model in (("ce", ce_model), ("dne", dne_model)):
-        ht = cli.head_tail_reports(model, datasets, seed=seed, mode="oracle",
-                                   virtual_count=BENCHMARK_VIRTUAL_COUNT)
+    for name, (stats, p0, logit_sets) in prepared.items():
+        ht = cli.head_tail_reports(stats, p0, logit_sets, seed=seed, mode="oracle")
         out[f"headtail_{name}"] = (ht["head"].auroc, ht["tail"].auroc)
     return out
 

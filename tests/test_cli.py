@@ -404,7 +404,8 @@ class TestAdaptEval:
         datasets = cli.load_datasets(data_dir)
         model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
         stats, p0, _ = cli.prepare(model, datasets, alpha=0.01, virtual_count=2)
-        logits, _, _ = cli.forward_stream(model, datasets, 0.5, 0)
+        logits = model.forward(cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
+                                                0.5, 0)[0])
         _, events, _ = doda.run_stream(p0, stats, logits, record_events=True)
         assert any(ev.accepted for ev in events) and not all(ev.accepted for ev in events)
         want = [f"{ev.sample_index},{int(ev.accepted)},{ev.global_energy!r},"
@@ -491,13 +492,36 @@ class TestAdaptEval:
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
-    @pytest.mark.parametrize("flag, value", [("--ood-fraction", "nan"), ("--virtual-count", "-1")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--ood-fraction", "nan"), ("--virtual-count", "-1"),
+        ("--virtual-count", str(2**53 + 1)),  # above the counts a float64 holds exactly
+        pytest.param("--virtual-count", "1" + "0" * 400, id="--virtual-count-10**400"),
+    ])
     def test_bad_stream_setting_is_checked_before_any_file_is_read(self, tmp_path, capsys,
                                                                    command, flag, value):
         rc = run_cli(command, "--data", tmp_path / "no-data", "--model", tmp_path / "no.json",
                      "--out", tmp_path / "e", flag, value)
         assert rc == EXIT_CONFIG
         assert f"got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [("adapt-eval", []),
+                                                ("head-tail", ["--mode", "oracle"])])
+    def test_a_virtual_count_of_2_pow_53_runs(self, small_run, tmp_path, command, extra):
+        data_dir, model_dir = small_run
+        rc = run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", tmp_path / "e", "--virtual-count", 2**53, *extra)
+        assert rc == EXIT_OK
+
+    def test_oracle_fractions_with_one_sweep_name_exit_config_before_any_file_is_read(
+            self, tmp_path, capsys):
+        """Two values that print alike would overwrite each other's sweep_<f>."""
+        rc = run_cli("adapt-eval", "--data", tmp_path / "no-data", "--model",
+                     tmp_path / "no.json", "--out", tmp_path / "e",
+                     "--oracle-fractions", "0.5,0.1234567,0.1234568")
+        assert rc == EXIT_CONFIG
+        assert ("oracle fractions 0.1234567 and 0.1234568 would both be reported as "
+                "sweep_0.123457") in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 class TestHeadTail:
@@ -557,7 +581,9 @@ class TestAlphaSweep:
         datasets = cli.load_datasets(data_dir)
         model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
         fitted, p0, _ = cli.prepare(model, datasets, virtual_count=2)
-        logits, is_ood, _ = cli.forward_stream(model, datasets, 0.5, 0)
+        feats, is_ood, _ = cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
+                                            0.5, 0)
+        logits = model.forward(feats)
         accepted = []
         for alpha, (alpha_text, auroc_text) in zip(alphas, rows, strict=True):
             stats = doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, alpha)
@@ -760,20 +786,19 @@ class TestSizeLimits:
 class TestEvaluationPlan:
     """Each command forwards a set once and runs only the stream modes it reports."""
 
-    @pytest.mark.parametrize("command, extra, max_forwards, passes", [
-        ("adapt-eval", ["--events"], 4, 1),  # one pass for every plan; uncalibrated is G
-        ("head-tail", [], 4, 2),  # one mode per half
-        ("alpha-sweep", [], 3, 1),  # one pass for every alpha's threshold
+    @pytest.mark.parametrize("command, extra, passes", [
+        ("adapt-eval", ["--events"], 1),  # one pass for every plan; uncalibrated is G
+        ("head-tail", [], 2),  # one mode per half
+        ("alpha-sweep", [], 1),  # one pass for every alpha's threshold
     ])
     def test_forward_and_stream_pass_counts(self, small_run, tmp_path, monkeypatch,
-                                            command, extra, max_forwards, passes):
+                                            command, extra, passes):
         data_dir, model_dir = small_run
-        calls = {"forward": 0, "run_plans": 0, "rows": 0}
+        calls = {"run_plans": 0, "rows": []}
         forward, run_plans = nn.Mlp.forward, doda.run_plans
 
         def counting_forward(self, inputs):
-            calls["forward"] += 1
-            calls["rows"] += len(inputs)
+            calls["rows"].append(len(inputs))
             return forward(self, inputs)
 
         def counting_run_plans(*args, **kwargs):  # run_stream is its one-plan case
@@ -785,10 +810,28 @@ class TestEvaluationPlan:
         rc = run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
                      "--out", tmp_path / "o", *extra)
         assert rc == EXIT_OK
-        assert calls["forward"] <= max_forwards
         assert calls["run_plans"] == passes
-        if command == "adapt-eval":  # every row of every set, once
-            assert calls["rows"] == sum(s.n for s in cli.load_datasets(data_dir).values())
+        # one forward per set, in prepare: every row of every set, once
+        assert sorted(calls["rows"]) == sorted(s.n for s in cli.load_datasets(data_dir).values())
+
+    def test_adapt_eval_computes_each_g_once(self, tmp_path, monkeypatch):
+        """The stream's G comes from run_plans: global_energies runs on the
+        ID-train rows, the stream and the three histogram sets, once each."""
+        data_dir, model_dir = tmp_path / "d", tmp_path / "m"
+        assert run_cli("generate", "--out", data_dir) == EXIT_OK
+        assert run_cli("train", "--data", data_dir, "--out", model_dir, "--hidden", 8,
+                       "--epochs-pretrain", 1, "--epochs-finetune", 1) == EXIT_OK
+        rows, global_energies = [], doda.global_energies
+
+        def counting_global_energies(logits):
+            rows.append(len(logits))
+            return global_energies(logits)
+
+        monkeypatch.setattr(doda, "global_energies", counting_global_energies)
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", tmp_path / "o", "--events")
+        assert rc == EXIT_OK
+        assert rows == [745, 800, 400, 600, 600]
 
     @pytest.mark.parametrize("fractions", ["", "0", "1", "0.3", "0,0.25,0.5,0.75,1.0",
                                            "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.9"])
@@ -814,7 +857,9 @@ class TestEvaluationPlan:
         datasets = cli.load_datasets(data_dir)
         model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
         stats, p0, _ = cli.prepare(model, datasets, virtual_count=2)
-        return model, datasets, stats, p0, cli.forward_stream(model, datasets, 0.5, seed=5)
+        feats, is_ood, labels = cli.build_stream(datasets[data.ID_TEST],
+                                                 datasets[data.TRUE_OOD], 0.5, seed=5)
+        return model, datasets, stats, p0, (model.forward(feats), is_ood, labels)
 
     def test_each_mode_alone_equals_the_full_run(self, prepared):
         _, _, stats, p0, stream = prepared

@@ -138,6 +138,15 @@ class TestInitOutlierDistribution:
         with pytest.raises(EnergyOverflowError):
             init_outlier_distribution([[0.0, 0.0], [710.0, 0.0]])
 
+    def test_a_virtual_count_outside_0_to_2_pow_53_is_refused(self):
+        """2**53 is the largest count a float64 holds exactly; a larger one
+        rounds in the running-mean update, and a huge one overflows it."""
+        assert init_outlier_distribution([[0.0, 0.0]], virtual_count=2**53).m == 2**53
+        for count in (-1, 2**53 + 1, 10**400):
+            message = rf"^virtual_count must lie in \[0, 2\*\*53\], got {count}$"
+            with pytest.raises(InvalidInputError, match=message):
+                init_outlier_distribution([[0.0, 0.0]], virtual_count=count)
+
     def test_rows_without_classes(self):
         with pytest.raises(ShapeError):
             init_outlier_distribution(np.empty((3, 0)))
@@ -394,9 +403,9 @@ class TestRunStream:
     def test_an_empty_stream_returns_no_scores_and_the_input_state(self, stream_of):
         state = OutlierDistribution(values=np.ones(2), m=1)
         plans = [(0.0, -math.inf), (0.0, 10.0), (0.5, 10.0), (1.0, -math.inf)]
-        got = run_plans(state, stream_of([]), plans, oracle_labels=[],
-                        rng=np.random.default_rng(0), record_events=True)
-        assert got == [([], [], state)] * len(plans)
+        energies, got = run_plans(state, stream_of([]), plans, oracle_labels=[],
+                                  rng=np.random.default_rng(0), record_events=True)
+        assert energies.shape == (0,) and got == [([], [], state)] * len(plans)
         assert all(final is state for _, _, final in got)
 
     def test_an_oracle_stream_checks_its_rows_and_computes_g_once(self, monkeypatch):
@@ -600,9 +609,10 @@ class TestPlans:
         logits, mask, p0, m0 = case
         state = OutlierDistribution(values=p0, m=m0)
         plans = [(f, threshold_at(logits, where)) for f, where in places]
-        got = run_plans(state, logits, plans, oracle_labels=mask,
-                        rng=np.random.default_rng(seed), record_events=True)
+        energies, got = run_plans(state, logits, plans, oracle_labels=mask,
+                                  rng=np.random.default_rng(seed), record_events=True)
         assert len(got) == len(plans)
+        assert energies.tolist() == [ev.global_energy for ev in got[0][1]]  # G of each sample
         idle = []
         for (f, where), (_, r), res in zip(places, plans, got):
             stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
@@ -631,8 +641,9 @@ class TestPlans:
         state = OutlierDistribution(values=rng.uniform(0.1, 2.0, 4), m=m0)
         fractions = [0.0, 1.0, 0.5, 0.5, 0.0, 1.0, 0.3]
         for stats in (threshold_inside(logits, 0.4), EnergyStats.from_moments(0.0, 1.0)):
-            got = run_plans(state, stream_of(logits), plans_of(fractions, stats),
-                            oracle_labels=mask, rng=np.random.default_rng(5), record_events=True)
+            _, got = run_plans(state, stream_of(logits), plans_of(fractions, stats),
+                               oracle_labels=mask, rng=np.random.default_rng(5),
+                               record_events=True)
             for fraction, res in zip(fractions, got):
                 assert_same_run(res, self.alone(state, stats, logits, mask, fraction, 5),
                                 state)
@@ -643,8 +654,8 @@ class TestPlans:
         stats = EnergyStats.from_moments(0.0, 1.0)  # R < 0 < G: the filter accepts nothing
         none_ood = np.zeros(40, dtype=bool)
         for stream_of in (np.asarray, iter):
-            got = run_plans(state, stream_of(logits), plans_of([0.0, 0.5, 1.0], stats),
-                            oracle_labels=none_ood, rng=np.random.default_rng(0))
+            _, got = run_plans(state, stream_of(logits), plans_of([0.0, 0.5, 1.0], stats),
+                               oracle_labels=none_ood, rng=np.random.default_rng(0))
             assert all(final is state for _, _, final in got)
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.0, 1.0], [0.0, np.inf, 1.0],
