@@ -110,12 +110,13 @@ MODES = ("uncalibrated", "no_tta", "doda", "oracle")
 def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0):
     """The requested modes, plus one sweep_<f> mode per oracle fraction f, over
     a build_stream result of logits: mode name -> {"report", "scores",
-    "final_state"}. uncalibrated scores with the G that run_plans computes.
-    Every other mode is a doda.run_plans plan (oracle fraction, filter
-    threshold): no_tta (0, -inf), doda (0, R), oracle (1, R) and sweep_<f>
-    (f, R), all in one call whose oracle plans share the draws of rng(seed), so
-    no result depends on which other modes run. Modes with the same plan, or
-    with plans that accept nothing, share one result.
+    "accepted", "final_state"}. uncalibrated scores with the G that run_plans
+    computes, and adapts nothing: its mask and state are None. Every other mode
+    is a doda.run_plans plan (oracle fraction, filter threshold): no_tta
+    (0, -inf), doda (0, R), oracle (1, R) and sweep_<f> (f, R), all in one call
+    whose oracle plans share the draws of rng(seed), so no result depends on
+    which other modes run. Modes with the same plan, or with plans that accept
+    nothing, share one result.
     """
     stream_logits, is_ood, labels = stream
     is_id = ~is_ood
@@ -129,14 +130,13 @@ def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=
     runs = dict(zip(unique, runs))
     passes = {}
     if "uncalibrated" in modes:  # calibrated_energies with P = 0 is G, bit for bit
-        passes["uncalibrated"] = (energies.tolist(), None,
-                                  doda.OutlierDistribution(np.zeros(p0.k), 0))
+        passes["uncalibrated"] = (energies.tolist(), None, None)
     passes.update((mode, runs[plan]) for mode, plan in plans.items())
     shared = {id(res): res for res in passes.values()}  # modes that share a pass share a report
     reports = {key: metrics.metric_report(np.asarray(res[0]), is_id, predicted, true)
                for key, res in shared.items()}
-    return {mode: {"report": reports[id(res)], "scores": res[0], "final_state": res[2]}
-            for mode, res in passes.items()}
+    return {mode: {"report": reports[id(res)], "scores": res[0], "accepted": res[1],
+                   "final_state": res[2]} for mode, res in passes.items()}
 
 
 # head-tail --mode -> evaluate_modes result key
@@ -297,12 +297,12 @@ def cmd_adapt_eval(ns) -> int:
     with _run_dir(ns) as out_dir:
         _json(out_dir / "metrics.json",
               {mode: json.loads(res["report"].to_json()) for mode, res in results.items()})
-        if ns.events:  # plain DODA accepts exactly the samples with G < R
-            energies = results["uncalibrated"]["scores"]  # G of each sample
+        if ns.events:  # plain DODA's accept mask, and the G of each sample
+            run, energies = results["doda"], results["uncalibrated"]["scores"]
             with open(out_dir / "events.csv", "w") as fh:
                 fh.write("sample_index,accepted,global_energy,calibrated_score\n")
-                for i, (g, score) in enumerate(zip(energies, results["doda"]["scores"])):
-                    fh.write(f"{i},{int(g < stats.r)},{g!r},{score!r}\n")
+                for i, (acc, g, score) in enumerate(zip(run["accepted"], energies, run["scores"])):
+                    fh.write(f"{i},{int(acc)},{g!r},{score!r}\n")
         _write_histograms(out_dir, logit_sets, results["doda"]["scores"])
         doda.save_state(out_dir / "adapter_state.json", results["doda"]["final_state"], stats)
     return EXIT_OK

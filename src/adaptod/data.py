@@ -264,12 +264,12 @@ def read_json_object(path) -> dict:
 
 def json_field(payload: dict, key: str, path, convert):
     """convert(payload[key]); LogitFileError names the path and the key when
-    the key is missing or convert raises TypeError or ValueError."""
+    the key is missing or convert raises TypeError, ValueError or OverflowError."""
     if key not in payload:
         raise LogitFileError(f"{path}: missing key {key!r}")
     try:
         return convert(payload[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise LogitFileError(f"{path}: bad {key!r}: {exc}") from exc
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -60,8 +59,8 @@ class OutlierDistribution:
             raise ShapeError(f"values must be 1-D, got shape {v.shape}")
         if not np.isfinite(v).all() or (v < 0).any():
             raise InvalidInputError("values must be finite and non-negative")
-        if self.m < 0:
-            raise InvalidInputError("count m must be non-negative")
+        if not 0 <= self.m <= MAX_VIRTUAL_COUNT:
+            raise InvalidInputError(f"count m must lie in [0, 2**53], got {self.m}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -119,6 +118,19 @@ def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
     return state
 
 
+def _checked_row(logits, k, sample_index):
+    """logits as one finite float64 row of k logits, and its G. An error names
+    sample_index."""
+    try:
+        v = _as_logits(logits, 1)
+        if v.shape[0] != k:
+            raise ShapeError(f"sample has k={v.shape[0]}, state has k={k}")
+        m = float(np.maximum.reduce(v))  # the ufuncs of v.max() and .sum(), called directly
+        return v, _scaled(m, float(np.add.reduce(np.exp(v - m))), "global energy")
+    except (AdaptOdError, TypeError, ValueError) as exc:  # a bad row or an overflow
+        raise type(exc)(f"sample {sample_index}: {exc}") from exc
+
+
 def _stream_rows(logit_stream, k):
     """logit_stream, read once, as one C-contiguous float64 (n, k) matrix of
     finite logits, and the G of every row from one global_energies pass. An
@@ -133,26 +145,18 @@ def _stream_rows(logit_stream, k):
     n = int(bad[0]) if bad.size else len(stream)
     rows = rows[:n].reshape(n, k)  # the rows before the first bad one
     energies = global_energies(rows)  # an overflow names its sample
-    for i in bad.tolist():  # the one-row step names the first of these that is bad
-        _step(np.zeros((1, k)), [0], stream[i], i, ())
+    for i in bad.tolist():  # the first of these that is bad alone raises
+        _checked_row(stream[i], k, i)
     return rows, energies
 
 
-def _step(values, counts, logits, sample_index, plans, is_ood=False, u=1.0, g=None):
-    """One sample under plans j = (fraction, r) whose P and count (row j of
-    values, counts[j]) an accepting plan updates in place. exp(f - max f) is
-    shared. A sample given without its G is a row to check, and its G is
-    computed here. Plan j accepts true OOD if the oracle draw u < fraction, else
-    if G < r. Returns G, the plans' post-step scores and acceptances."""
+def _step(values, counts, v, sample_index, accepted):
+    """One checked sample under the plans whose P and count are row j of values
+    and counts[j]: plan j folds exp(v) into its running mean, in place, if
+    accepted[j]; then every plan scores v. Returns the post-step scores."""
     try:
-        v = _as_logits(logits, 1) if g is None else logits
-        if v.shape[0] != values.shape[1]:
-            raise ShapeError(f"sample has k={v.shape[0]}, state has k={values.shape[1]}")
-        m = float(np.maximum.reduce(v))  # the ufuncs of v.max() and e.sum(), called directly
+        m = float(np.maximum.reduce(v))
         e = np.exp(v - m)
-        if g is None:
-            g = _scaled(m, float(np.add.reduce(e)), "global energy")
-        accepted = [is_ood if u < f else g < r for f, r in plans]
         if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
             ef = np.exp(v)
             for j, acc in enumerate(accepted):
@@ -163,90 +167,85 @@ def _step(values, counts, logits, sample_index, plans, is_ood=False, u=1.0, g=No
             if not np.isfinite(values).all():
                 raise InvalidInputError("values must be finite and non-negative")
         totals = np.add.reduce(e / (1.0 + values), axis=1).tolist()  # rows sum as 1-D arrays
-        return g, [_scaled(m, t, "calibrated energy") for t in totals], accepted
-    except (AdaptOdError, TypeError, ValueError) as exc:  # a bad row or an overflow
+        return [_scaled(m, t, "calibrated energy") for t in totals]
+    except AdaptOdError as exc:  # an overflow
         raise type(exc)(f"sample {sample_index}: {exc}") from exc
 
 
 def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, sample_index: int = 0,
-                    ) -> tuple[OutlierDistribution, float, AdaptationEvent]:
+                    ) -> tuple[OutlierDistribution, float, bool]:
     """One inference step: update the distribution if G(x) < R, then score.
 
     Returns the post-step state, the calibrated score of the sample under that
-    state, and an audit event. A rejected sample returns the input state object
-    unchanged. An error names sample_index.
+    state, and whether the sample was accepted. A rejected sample returns the
+    input state object unchanged. An error names sample_index.
     """
+    v, g = _checked_row(logits, state.k, sample_index)
+    accepted = g < stats.r
     values, counts = np.array(state.values, ndmin=2), [state.m]
-    g, (score,), (accepted,) = _step(values, counts, logits, sample_index, ((0.0, stats.r),))
+    (score,) = _step(values, counts, v, sample_index, (accepted,))
     if accepted:
         state = _trusted(values[0], counts[0])
-    return state, score, AdaptationEvent(sample_index, accepted, g, score)
+    return state, score, accepted
 
 
-def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None, record_events=False):
-    """run_stream of each plan (use_label_probability, r), where r is the filter
-    threshold, for every plan at once: (G of each sample, one (scores, events,
-    final state) per plan), each plan's result equal bit for bit to that plan
-    alone with an rng of the same seed, since all plans share one rng.random()
-    per sample. (0.0, -inf) is the frozen plan: no G is below -inf, and no
-    oracle is consulted. The stream is read once into a checked matrix with one
-    G per row. A plan with probability 0 in which no sample has G < r is idle:
-    P stays P0, and all idle plans share one result object from one matrix
-    pass. The others share one _step per sample.
-    """
+def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
+    """run_stream of each plan (use_label_probability f, filter threshold r) at
+    once: (G of each sample, one (scores, accept mask, final state) per plan).
+    Before any sample is scored, the stream is read once into a checked matrix
+    with one G per row, and plan j's bool mask is where(u < f_j, oracle_labels,
+    G < r_j), u = rng.random(n) drawn only if some f > 0: each result equals
+    that plan alone with an rng of the same seed. (0.0, -inf) is the frozen
+    plan. Plans with all-False masks keep P0 and share one result object from
+    one matrix pass; the others share one _step per sample."""
     plans = list(plans)
     for f, r in plans:
         if not 0.0 <= f <= 1.0:
             raise InvalidInputError(f"use_label_probability must lie in [0, 1], got {f}")
         if math.isnan(r):
             raise InvalidInputError("filter threshold r must not be NaN")
-    draw = max((f for f, _ in plans), default=0.0) > 0.0  # one common draw per sample
+    draw = max((f for f, _ in plans), default=0.0) > 0.0
     if draw and (oracle_labels is None or rng is None):
         raise InvalidInputError("use_label_probability > 0 requires oracle_labels and an rng")
     rows, energies = _stream_rows(logit_stream, state.k)
-    labels = np.asarray(oracle_labels if draw else np.zeros(len(rows), bool))
+    n = len(rows)
+    labels = np.asarray(oracle_labels, dtype=bool) if draw else np.zeros(n, bool)
     if labels.shape != energies.shape:  # before any sample is scored
         raise InvalidInputError(f"oracle_labels must have shape {energies.shape}, "
                                 f"got {labels.shape}")
-    g_min = energies.min(initial=math.inf)
-    idle = [f == 0.0 and not g_min < r for f, r in plans]
-    if True in idle:  # the acceptance of these plans reads G and r only
-        idle_scores = calibrated_energies(rows, state.values).tolist()
-        idle_events = [AdaptationEvent(i, False, g, score) for i, (g, score)
-                       in enumerate(zip(energies.tolist(), idle_scores))] if record_events else None
-        shared = (idle_scores, idle_events, state)
-    busy = [plan for plan, is_idle in zip(plans, idle) if not is_idle]
+    u = rng.random(n) if draw else np.ones(n)  # no f exceeds 1: u < f holds only for a draw
+    masks = [np.where(u < f, labels, energies < r) for f, r in plans]
+    busy = [j for j, mask in enumerate(masks) if mask.any()]
     values, counts = np.tile(state.values, (len(busy), 1)), [state.m] * len(busy)
-    scores, events = [], ([] if record_events else None)  # sample-major, plan-minor
-    for i, (v, g, is_ood) in enumerate(zip(rows if busy else (), energies.tolist(),
-                                           labels.tolist())):
-        _, sample_scores, accepted = _step(values, counts, v, i, busy, bool(is_ood),
-                                           rng.random() if draw else 1.0, g)  # no f exceeds 1
-        scores += sample_scores
-        if events is not None:
-            events += map(AdaptationEvent, repeat(i), accepted, repeat(g), sample_scores)
-    n = len(busy)
-    done = iter([(scores[j::n], events[j::n] if events is not None else None,
-                  state if counts[j] == state.m else _trusted(values[j].copy(), counts[j]))
-                 for j in range(n)])
-    return energies, [shared if is_idle else next(done) for is_idle in idle]
+    scores = []  # sample-major, plan-minor
+    for i, (v, accepted) in enumerate(zip(rows, zip(*(masks[j].tolist() for j in busy)))):
+        scores += _step(values, counts, v, i, accepted)
+    done = {j: (scores[b::len(busy)], masks[j], _trusted(values[b].copy(), counts[b]))
+            for b, j in enumerate(busy)}
+    if len(done) < len(plans):  # the idle plans share one scoring
+        idle = (calibrated_energies(rows, state.values).tolist(), np.zeros(n, bool), state)
+    return energies, [done[j] if j in done else idle for j in range(len(plans))]
 
 
 def run_stream(state: OutlierDistribution, stats: EnergyStats, logit_stream, *,
                freeze: bool = False, oracle_labels=None, use_label_probability: float = 0.0,
-               rng: np.random.Generator | None = None, record_events: bool = False,
-               ) -> tuple[list[float], list[AdaptationEvent] | None, OutlierDistribution]:
+               rng: np.random.Generator | None = None, record_events: bool = False):
     """Score a one-pass stream of logit vectors in order: run_plans of one plan.
 
     freeze=True scores with P0 and never adapts (the no-TTA baseline, the plan
     (0.0, -inf)); it consults no oracle. Otherwise use_label_probability > 0
     routes each acceptance decision through the oracle_labels with that
     probability, drawing from rng per sample, and G < stats.r decides the rest.
-    A rejected sample keeps the state, and events are recorded only on request.
+    Returns (scores, accept mask, final state); record_events=True, which the
+    benchmark uses, gives one AdaptationEvent per sample in place of the mask.
     """
     plan = (0.0, -math.inf) if freeze else (use_label_probability, stats.r)
-    return run_plans(state, logit_stream, (plan,), oracle_labels=oracle_labels, rng=rng,
-                     record_events=record_events)[1][0]
+    energies, ((scores, mask, final),) = run_plans(state, logit_stream, (plan,),
+                                                   oracle_labels=oracle_labels, rng=rng)
+    if record_events:
+        mask = list(map(AdaptationEvent, range(len(scores)), mask.tolist(), energies.tolist(),
+                        scores))
+    return scores, mask, final
 
 
 def save_state(path, state: OutlierDistribution, stats: EnergyStats) -> None:

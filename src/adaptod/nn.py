@@ -18,6 +18,7 @@ from .errors import InvalidInputError, ShapeError, TrainingDivergedError
 
 MAX_PARAMS = 2**24  # most parameters Mlp.init allocates: 128 MB a vector, and training holds 3
 MAX_ACTIVATIONS = 2**25  # most values one forward allocates, rows x summed widths: 256 MB
+MAX_STEPS = 2**22  # most steps of one training stage: its schedule is a 128 MB list of floats
 
 
 @dataclass
@@ -200,12 +201,16 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
         raise InvalidInputError("fine-tuning requires outlier data")
     if cfg.epochs_finetune > 0 and k < 2:
         raise InvalidInputError(f"fine-tuning needs k >= 2 classes, got k={k}")
-    model = model.copy()
-    rng = np.random.default_rng(cfg.seed)
     n, row_shape = id_x.shape[0], id_x.shape[1:]  # a wrong row shape fails in forward
     b_in = min(cfg.b_in, n)
     b_out = min(cfg.b_out, outlier_x.shape[0])
     steps_per_epoch = max(1, n // b_in)
+    for name in ("epochs_pretrain", "epochs_finetune"):  # before any allocation
+        if getattr(cfg, name) * steps_per_epoch > MAX_STEPS:
+            raise InvalidInputError(f"{name}={getattr(cfg, name)} epochs of {steps_per_epoch} "
+                                    f"steps exceed MAX_STEPS={MAX_STEPS}")
+    model = model.copy()
+    rng = np.random.default_rng(cfg.seed)
     # Reused buffers (epoch rows, labels, stage-2 batch); mode="clip" fills them unbuffered.
     xs = np.empty((steps_per_epoch * b_in, *row_shape))
     ys = np.empty(steps_per_epoch * b_in, np.intp)

@@ -394,8 +394,8 @@ class TestAdaptEval:
         assert events[0] == "sample_index,accepted,global_energy,calibrated_score"
 
     def test_events_are_the_plain_doda_event_log(self, small_run, tmp_path):
-        """events.csv, built from G, R and the doda scores, holds the events
-        doda.run_stream records, also when the filter accepts samples."""
+        """events.csv holds plain DODA's accept mask, G and scores as
+        doda.run_stream returns them, also when the filter accepts samples."""
         data_dir, model_dir = small_run
         out = tmp_path / "eval"
         rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
@@ -406,10 +406,10 @@ class TestAdaptEval:
         stats, p0, _ = cli.prepare(model, datasets, alpha=0.01, virtual_count=2)
         logits = model.forward(cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
                                                 0.5, 0)[0])
-        _, events, _ = doda.run_stream(p0, stats, logits, record_events=True)
-        assert any(ev.accepted for ev in events) and not all(ev.accepted for ev in events)
-        want = [f"{ev.sample_index},{int(ev.accepted)},{ev.global_energy!r},"
-                f"{ev.calibrated_score!r}" for ev in events]
+        scores, mask, _ = doda.run_stream(p0, stats, logits)
+        assert mask.any() and not mask.all()
+        want = [f"{i},{int(acc)},{g!r},{score!r}" for i, (acc, g, score)
+                in enumerate(zip(mask, doda.global_energies(logits).tolist(), scores))]
         assert (out / "events.csv").read_text().splitlines()[1:] == want
 
     def test_repeat_runs_are_byte_identical(self, small_run, tmp_path):
@@ -435,6 +435,9 @@ class TestAdaptEval:
     @pytest.mark.parametrize("text, key", [
         ("{not json", "not valid JSON"),
         ('{"layer_dims": [8, 10]}', "'weights'"),
+        pytest.param('{"layer_dims": [8, 10], "weights": [[' + ", ".join(["0"] * 80)
+                     + ']], "biases": [[1' + "0" * 400 + ", 0" * 9 + "]]}", "bad 'biases'",
+                     id="bias-beyond-float64"),  # escaped main as a bare OverflowError
     ])
     def test_malformed_checkpoint_exits_data(self, small_run, tmp_path, capsys, text, key):
         data_dir, _ = small_run
@@ -587,8 +590,8 @@ class TestAlphaSweep:
         accepted = []
         for alpha, (alpha_text, auroc_text) in zip(alphas, rows, strict=True):
             stats = doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, alpha)
-            scores, events, _ = doda.run_stream(p0, stats, logits, record_events=True)
-            accepted.append(sum(ev.accepted for ev in events))
+            scores, mask, _ = doda.run_stream(p0, stats, logits)
+            accepted.append(int(mask.sum()))
             assert float(alpha_text) == alpha
             assert float(auroc_text) == metrics.auroc(np.asarray(scores), ~is_ood)
         assert 0 < min(accepted[:3]) and max(accepted[:3]) < len(logits) and accepted[3] == 0
@@ -744,6 +747,20 @@ class TestSizeLimits:
                        "--epochs-pretrain", 1, "--epochs-finetune", 1) == rc
         if rc == EXIT_CONFIG:
             assert "162 parameters in [8, 8, 10] exceed MAX_PARAMS=161" in capsys.readouterr().err
+        assert out.exists() == (rc == EXIT_OK)
+
+    @pytest.mark.parametrize("limit, rc", [(1, EXIT_CONFIG), (2**22, EXIT_OK)])
+    def test_train_checks_the_step_count(self, small_run, tmp_path, monkeypatch, capsys,
+                                         limit, rc):
+        data_dir, _ = small_run
+        steps = cli.load_datasets(data_dir)[data.ID_TRAIN].n // 64  # b_in 64: steps an epoch
+        monkeypatch.setattr(nn, "MAX_STEPS", limit)
+        out = tmp_path / "m"
+        assert run_cli("train", "--data", data_dir, "--out", out, "--hidden", 8,
+                       "--epochs-pretrain", 2, "--epochs-finetune", 1) == rc
+        if rc == EXIT_CONFIG:
+            assert (f"epochs_pretrain=2 epochs of {steps} steps exceed MAX_STEPS=1"
+                    in capsys.readouterr().err)
         assert out.exists() == (rc == EXIT_OK)
 
     def test_adapt_eval_checks_the_activation_count(self, small_run, tmp_path, monkeypatch,

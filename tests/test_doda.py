@@ -147,6 +147,16 @@ class TestInitOutlierDistribution:
             with pytest.raises(InvalidInputError, match=message):
                 init_outlier_distribution([[0.0, 0.0]], virtual_count=count)
 
+    @pytest.mark.parametrize("m", [-1, 2**53 + 1, 10**400], ids=["-1", "2**53+1", "10**400"])
+    def test_a_count_outside_0_to_2_pow_53_is_refused(self, m):
+        """A count of 10**400 once passed here and escaped run_stream as a bare
+        OverflowError from the running-mean update."""
+        assert OutlierDistribution(values=np.ones(2), m=2**53).m == 2**53
+        with pytest.raises(InvalidInputError,
+                           match=rf"^count m must lie in \[0, 2\*\*53\], got {m}$"):
+            run_stream(OutlierDistribution(values=np.ones(2), m=m),
+                       EnergyStats.from_moments(100.0, 1.0), np.zeros((3, 2)))
+
     def test_rows_without_classes(self):
         with pytest.raises(ShapeError):
             init_outlier_distribution(np.empty((3, 0)))
@@ -163,8 +173,8 @@ class TestAdaptAndScore:
     def test_first_accept_with_zero_count_replaces_values(self):
         state = OutlierDistribution(values=np.array([9.0, 9.0]), m=0)
         stats = self.stats_accepting_below(100.0)
-        new_state, _, event = adapt_and_score(state, stats, [0.0, math.log(3)])
-        assert event.accepted
+        new_state, _, accepted = adapt_and_score(state, stats, [0.0, math.log(3)])
+        assert accepted is True
         assert new_state.values == pytest.approx([1.0, 3.0], rel=1e-12)
         assert new_state.m == 1
 
@@ -178,9 +188,9 @@ class TestAdaptAndScore:
     def test_rejection_is_bit_identical_noop(self):
         state = OutlierDistribution(values=np.array([1.0, 2.0]), m=4)
         stats = self.stats_accepting_below(1.0)
-        new_state, _, event = adapt_and_score(state, stats, [5.0, 5.0])
+        new_state, _, accepted = adapt_and_score(state, stats, [5.0, 5.0])
         assert new_state is state
-        assert not event.accepted
+        assert accepted is False
 
     def test_accepted_state_skips_revalidation_but_keeps_its_invariants(self):
         state = OutlierDistribution(values=np.array([1.0, 1.0]), m=1)
@@ -201,8 +211,8 @@ class TestAdaptAndScore:
     def test_tie_at_threshold_rejects(self):
         state = OutlierDistribution(values=np.array([1.0, 1.0]), m=1)
         stats = self.stats_accepting_below(4.0)
-        new_state, _, event = adapt_and_score(state, stats, logits_with_energy(4.0))
-        assert not event.accepted
+        new_state, _, accepted = adapt_and_score(state, stats, logits_with_energy(4.0))
+        assert accepted is False
         assert new_state is state
 
     def test_score_uses_post_update_distribution(self):
@@ -227,31 +237,30 @@ class TestOracleVariant:
     @staticmethod
     def oracle_pass(state, stats, logits, is_ood, probability, seed=0):
         return run_stream(state, stats, logits, oracle_labels=is_ood,
-                          use_label_probability=probability,
-                          rng=np.random.default_rng(seed), record_events=True)
+                          use_label_probability=probability, rng=np.random.default_rng(seed))
 
     def test_zero_probability_degenerates(self):
         rng = np.random.default_rng(1)
         stats = EnergyStats.from_moments(50.0, 10.0)
         state = OutlierDistribution(values=np.ones(3), m=1)
         logits = rng.standard_normal((30, 3))
-        scores_a, events_a, state_a = run_stream(state, stats, logits, record_events=True)
-        scores_b, events_b, state_b = self.oracle_pass(state, stats, logits, [True] * 30, 0.0)
-        assert scores_a == scores_b and events_a == events_b
+        scores_a, mask_a, state_a = run_stream(state, stats, logits)
+        scores_b, mask_b, state_b = self.oracle_pass(state, stats, logits, [True] * 30, 0.0)
+        assert scores_a == scores_b and np.array_equal(mask_a, mask_b)
         assert np.array_equal(state_a.values, state_b.values)
 
     def test_full_oracle_rejects_id(self):
         stats = EnergyStats.from_moments(1e9, 0.0)  # filter alone would accept everything
         state = OutlierDistribution(values=np.ones(2), m=1)
-        _, events, final = self.oracle_pass(state, stats, [[0.0, 0.0]], [False], 1.0, seed=2)
-        assert not events[0].accepted
+        _, mask, final = self.oracle_pass(state, stats, [[0.0, 0.0]], [False], 1.0, seed=2)
+        assert mask.tolist() == [False]
         assert final is state
 
     def test_full_oracle_accepts_ood(self):
         stats = EnergyStats.from_moments(-1e9, 0.0)  # filter alone would reject everything
         state = OutlierDistribution(values=np.ones(2), m=1)
-        _, events, final = self.oracle_pass(state, stats, [[0.0, 0.0]], [True], 1.0, seed=3)
-        assert events[0].accepted
+        _, mask, final = self.oracle_pass(state, stats, [[0.0, 0.0]], [True], 1.0, seed=3)
+        assert mask.tolist() == [True]
         assert final.m == 2
 
     @pytest.mark.parametrize("probability", [1.5, -0.5, -1e-300, math.nan, math.inf,
@@ -276,17 +285,17 @@ class TestRunStream:
     def test_empty_stream(self, freeze):
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
-        scores, events, final = run_stream(state, stats, [], freeze=freeze, record_events=True)
-        assert scores == [] and events == []
+        scores, mask, final = run_stream(state, stats, [], freeze=freeze)
+        assert scores == [] and mask.shape == (0,) and mask.dtype == bool
         assert final is state
 
     def test_frozen_pass_of_an_iterator_equals_that_of_the_matrix(self):
         state = OutlierDistribution(values=np.ones(3), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
         logits = np.random.default_rng(12).standard_normal((30, 3))
-        want = run_stream(state, stats, logits, freeze=True, record_events=True)
-        got = run_stream(state, stats, iter(logits), freeze=True, record_events=True)
-        assert got[0] == want[0] and got[1] == want[1] and got[2] is state
+        want = run_stream(state, stats, logits, freeze=True)
+        got = run_stream(state, stats, iter(logits), freeze=True)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] is state
 
     def test_plain_pass_accepting_nothing_takes_no_per_sample_step(self, monkeypatch):
         def step(*args, **kwargs):
@@ -296,8 +305,8 @@ class TestRunStream:
         state = OutlierDistribution(values=np.ones(3), m=1)
         stats = EnergyStats.from_moments(0.0, 1.0)  # R < 0 < G: nothing is accepted
         logits = np.random.default_rng(13).standard_normal((30, 3))
-        scores, events, final = run_stream(state, stats, logits, record_events=True)
-        assert final is state and not any(e.accepted for e in events)
+        scores, mask, final = run_stream(state, stats, logits)
+        assert final is state and not mask.any()
         assert scores == [calibrated_energy(row, state.values) for row in logits]
 
     @pytest.mark.parametrize("r", [0.0, 1e9])
@@ -311,37 +320,42 @@ class TestRunStream:
         state = OutlierDistribution(values=np.ones(3), m=1)
         stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
         logits = np.random.default_rng(14).standard_normal((30, 3))
-        want = run_stream(state, stats, logits, record_events=True)
+        want = run_stream(state, stats, logits)
         monkeypatch.setattr(doda, "_step", step)
-        got = run_stream(state, stats, iter(logits), record_events=True)
+        got = run_stream(state, stats, iter(logits))
         assert calls == ([] if r == 0.0 else list(range(30)))  # R < G accepts nothing: idle
-        assert got[0] == want[0] and got[1] == want[1]
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
         assert np.array_equal(got[2].values, want[2].values) and got[2].m == want[2].m
 
     def test_single_sample_matches_direct_call(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
         logits = np.array([[0.1, -0.2]])
-        scores, events, final = run_stream(state, stats, logits, record_events=True)
-        direct_state, direct_score, direct_event = adapt_and_score(state, stats, logits[0])
+        scores, mask, final = run_stream(state, stats, logits)
+        direct_state, direct_score, direct_accepted = adapt_and_score(state, stats, logits[0])
         assert scores[0] == direct_score
-        assert events[0] == direct_event
+        assert mask.tolist() == [direct_accepted]
         assert np.array_equal(final.values, direct_state.values)
 
     def test_one_pass_event_count(self):
+        """record_events, which the benchmark reads, gives one event per sample
+        built from the accept mask, the G and the score of that sample."""
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((100, 4))
         state = init_outlier_distribution(rng.standard_normal((10, 4)))
-        stats = fit_energy_stats(rng.standard_normal((50, 4)))
+        stats = EnergyStats.from_moments(float(np.median(rowwise_global_energies(logits))), 0.0)
         scores, events, _ = run_stream(state, stats, logits, record_events=True)
-        assert len(scores) == len(events) == 100
-        assert [e.sample_index for e in events] == list(range(100))
+        want_scores, mask, _ = run_stream(state, stats, logits)
+        assert 0 < mask.sum() < 100
+        assert events == list(map(AdaptationEvent, range(100), mask.tolist(),
+                                  rowwise_global_energies(logits).tolist(), want_scores))
 
     def test_events_off_by_default(self):
+        """Without record_events the accept mask takes the events' place."""
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
-        scores, events, _ = run_stream(state, stats, np.zeros((5, 2)))
-        assert events is None and len(scores) == 5
+        scores, mask, _ = run_stream(state, stats, np.zeros((5, 2)))
+        assert mask.tolist() == [True] * 5 and len(scores) == 5
 
     def test_running_mean_identity(self):
         rng = np.random.default_rng(5)
@@ -352,8 +366,8 @@ class TestRunStream:
             state = OutlierDistribution(values=v0, m=m0)
             stats = EnergyStats.from_moments(float(rng.uniform(2, 8)), 0.0)
             logits = rng.standard_normal((60, k))
-            _, events, final = run_stream(state, stats, logits, record_events=True)
-            accepted = [np.exp(logits[e.sample_index]) for e in events if e.accepted]
+            _, mask, final = run_stream(state, stats, logits)
+            accepted = list(np.exp(logits[mask]))
             if m0 + len(accepted) == 0:
                 assert np.array_equal(final.values, v0)
                 continue
@@ -404,9 +418,10 @@ class TestRunStream:
         state = OutlierDistribution(values=np.ones(2), m=1)
         plans = [(0.0, -math.inf), (0.0, 10.0), (0.5, 10.0), (1.0, -math.inf)]
         energies, got = run_plans(state, stream_of([]), plans, oracle_labels=[],
-                                  rng=np.random.default_rng(0), record_events=True)
-        assert energies.shape == (0,) and got == [([], [], state)] * len(plans)
-        assert all(final is state for _, _, final in got)
+                                  rng=np.random.default_rng(0))
+        assert energies.shape == (0,) and len(got) == len(plans)
+        for scores, mask, final in got:
+            assert scores == [] and mask.shape == (0,) and mask.dtype == bool and final is state
 
     def test_an_oracle_stream_checks_its_rows_and_computes_g_once(self, monkeypatch):
         calls = {"_stream_rows": 0, "global_energies": 0, "_as_logits": 0}
@@ -420,9 +435,9 @@ class TestRunStream:
         logits = rng.standard_normal((1000, 4))
         state = OutlierDistribution(values=np.ones(4), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
-        _, events, final = run_stream(state, stats, logits, oracle_labels=rng.random(1000) < 0.5,
-                                      use_label_probability=1.0, rng=rng, record_events=True)
-        assert len(events) == 1000 and final.m > 1
+        _, mask, final = run_stream(state, stats, logits, oracle_labels=rng.random(1000) < 0.5,
+                                    use_label_probability=1.0, rng=rng)
+        assert mask.shape == (1000,) and final.m == 1 + mask.sum() > 1
         # one matrix check and one G pass per call; no sample is checked alone
         assert calls == {"_stream_rows": 1, "global_energies": 1, "_as_logits": 0}
 
@@ -447,10 +462,9 @@ class TestRunStream:
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(1e9, 0.0)  # everything below threshold
         logits = np.random.default_rng(6).standard_normal((20, 2))
-        scores, events, final = run_stream(state, stats, logits, freeze=True,
-                                           record_events=True)
+        scores, mask, final = run_stream(state, stats, logits, freeze=True)
         assert final is state
-        assert not any(e.accepted for e in events)
+        assert not mask.any()
         for row, s in zip(logits, scores):
             assert s == pytest.approx(calibrated_energy(row, state.values), rel=1e-12)
 
@@ -507,13 +521,11 @@ class TestStreamProperties:
     def test_frozen_stream_equals_the_per_row_functions_exactly(self, case):
         logits, _, p0, m0 = case
         state = OutlierDistribution(values=p0, m=m0)
-        scores, events, final = run_stream(state, EnergyStats.from_moments(10.0, 1.0), logits,
-                                           freeze=True, record_events=True)
+        energies, ((scores, mask, final),) = run_plans(state, logits, [(0.0, -math.inf)])
         assert final is state
         assert scores == [calibrated_energy(row, p0) for row in logits]
-        assert [e.global_energy for e in events] == [global_energy(row) for row in logits]
-        assert [e.calibrated_score for e in events] == scores
-        assert not any(e.accepted for e in events)
+        assert energies.tolist() == [global_energy(row) for row in logits]
+        assert not mask.any()
 
     @settings(max_examples=300, deadline=None)
     @given(streams(scale=700.0), st.sampled_from(["below", "inside", "above"]),
@@ -525,15 +537,15 @@ class TestStreamProperties:
         r = {"below": 0.0, "inside": energies[int(at * (len(energies) - 1))],
              "above": math.nextafter(energies[-1], math.inf)}[where]
         stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
-        scores, events, final = run_stream(state, stats, logits, record_events=True)
-        want_state, want_scores, want_events = state, [], []
+        scores, mask, final = run_stream(state, stats, logits)
+        want_state, want_scores, want_accepted = state, [], []
         for i, row in enumerate(logits):
-            want_state, score, event = adapt_and_score(want_state, stats, row, i)
+            want_state, score, accepted = adapt_and_score(want_state, stats, row, i)
             want_scores.append(score)
-            want_events.append(event)
-        assert scores == want_scores and events == want_events
+            want_accepted.append(accepted)
+        accepted = mask.tolist()
+        assert scores == want_scores and accepted == want_accepted
         assert np.array_equal(final.values, want_state.values) and final.m == want_state.m
-        accepted = [e.accepted for e in events]
         if where == "below":
             assert not any(accepted)
         if where == "above":
@@ -551,9 +563,9 @@ def threshold_inside(logits, at):
 
 
 def assert_same_run(got, want, state):
-    """Scores, events and final state equal bit for bit; the input state object
-    comes back exactly when no sample was accepted."""
-    assert got[0] == want[0] and got[1] == want[1]
+    """Scores, accept mask and final state equal bit for bit; the input state
+    object comes back exactly when no sample was accepted."""
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
     assert np.array_equal(got[2].values, want[2].values) and got[2].m == want[2].m
     assert (got[2] is state) == (want[2] is state) == (got[2].m == state.m)
 
@@ -584,7 +596,7 @@ class TestPlans:
     def alone(state, stats, logits, mask, fraction, seed, **kwargs):
         return run_stream(state, stats, logits, oracle_labels=mask,
                           use_label_probability=fraction, rng=np.random.default_rng(seed),
-                          record_events=True, **kwargs)
+                          **kwargs)
 
     @settings(max_examples=200, deadline=None)
     @given(streams(scale=700.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 9))
@@ -592,10 +604,10 @@ class TestPlans:
         logits, mask, p0, m0 = case
         state = OutlierDistribution(values=p0, m=m0)
         stats = threshold_inside(logits, at)
-        scores, events, final = self.alone(state, stats, logits, mask, fraction, seed)
+        scores, accepted, final = self.alone(state, stats, logits, mask, fraction, seed)
         want_scores, want_accepted, want_p, want_m = one_plan_stream(
             logits, mask, p0, m0, stats.r, fraction, np.random.default_rng(seed))
-        assert scores == want_scores and [e.accepted for e in events] == want_accepted
+        assert scores == want_scores and accepted.tolist() == want_accepted
         assert np.array_equal(final.values, want_p) and final.m == want_m
 
     @settings(max_examples=200, deadline=None)
@@ -603,29 +615,57 @@ class TestPlans:
                                           min_size=1, max_size=6), st.integers(0, 9))
     def test_batched_plans_equal_each_plan_alone(self, case, places, seed):
         """Each plan (f, r) equals its own run_stream with the filter at r, and
-        the frozen plan (0, -inf) equals run_stream(freeze=True). A plan with
-        f = 0 under whose r no sample has G < r is idle: it returns the input
+        the frozen plan (0, -inf) equals run_stream(freeze=True). A plan whose
+        mask is all False, oracle plans included, is idle: it returns the input
         state object, and all idle plans return one shared result."""
         logits, mask, p0, m0 = case
         state = OutlierDistribution(values=p0, m=m0)
         plans = [(f, threshold_at(logits, where)) for f, where in places]
         energies, got = run_plans(state, logits, plans, oracle_labels=mask,
-                                  rng=np.random.default_rng(seed), record_events=True)
+                                  rng=np.random.default_rng(seed))
         assert len(got) == len(plans)
-        assert energies.tolist() == [ev.global_energy for ev in got[0][1]]  # G of each sample
+        assert energies.tolist() == [global_energy(row) for row in logits]  # G of each sample
         idle = []
         for (f, where), (_, r), res in zip(places, plans, got):
+            assert res[1].dtype == bool and res[1].shape == (len(logits),)
             stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
             assert_same_run(res, self.alone(state, stats, logits, mask, f, seed), state)
             if f == 0.0 and where in ("-inf", "below"):
-                assert not any(ev.accepted for ev in res[1])
-            if f == 0.0 and not any(ev.accepted for ev in res[1]):
+                assert not res[1].any()
+            if not res[1].any():
                 assert res[2] is state
                 idle.append(res)
             if (f, where) == (0.0, "-inf"):  # the frozen plan
                 assert_same_run(res, self.alone(state, stats, logits, mask, f, seed,
                                                 freeze=True), state)
         assert all(res is idle[0] for res in idle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams(), st.lists(st.tuples(fractions, threshold_places), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_masks_are_the_draws_and_the_filter_of_each_plan(self, case, places, seed):
+        """Plan j's mask is where(u < f_j, is_ood, G < r_j) over one
+        rng.random(n), drawn only when some f > 0, and its final m counts it."""
+        logits, is_ood, p0, m0 = case
+        state = OutlierDistribution(values=p0, m=m0)
+        plans = [(f, threshold_at(logits, where)) for f, where in places]
+        _, got = run_plans(state, logits, plans, oracle_labels=is_ood,
+                           rng=np.random.default_rng(seed))
+        g = np.array([global_energy(row) for row in logits])
+        u = (np.random.default_rng(seed).random(len(logits)) if any(f > 0 for f, _ in plans)
+             else np.ones(len(logits)))
+        for (f, r), (_, mask, final) in zip(plans, got):
+            assert np.array_equal(mask, np.where(u < f, is_ood, g < r))
+            assert final.m == m0 + mask.sum()
+
+    @pytest.mark.parametrize("seed", [0, 5, 1009, 2**32 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+    def test_one_vector_draw_equals_one_draw_per_sample(self, seed, n):
+        """The masks rest on this: rng.random(n) gives the numbers of n calls
+        of rng.random() and leaves the generator in the same state."""
+        vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert vector.random(n).tolist() == [scalar.random() for _ in range(n)]
+        assert vector.bit_generator.state == scalar.bit_generator.state
 
     def test_a_nan_threshold_is_rejected(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
@@ -642,8 +682,7 @@ class TestPlans:
         fractions = [0.0, 1.0, 0.5, 0.5, 0.0, 1.0, 0.3]
         for stats in (threshold_inside(logits, 0.4), EnergyStats.from_moments(0.0, 1.0)):
             _, got = run_plans(state, stream_of(logits), plans_of(fractions, stats),
-                               oracle_labels=mask, rng=np.random.default_rng(5),
-                               record_events=True)
+                               oracle_labels=mask, rng=np.random.default_rng(5))
             for fraction, res in zip(fractions, got):
                 assert_same_run(res, self.alone(state, stats, logits, mask, fraction, 5),
                                 state)

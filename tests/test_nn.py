@@ -395,6 +395,27 @@ class TestTrainInputs:
                 "MAX_ACTIVATIONS=239")):
             train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
 
+    @pytest.mark.parametrize("stage", ["epochs_pretrain", "epochs_finetune"])
+    @pytest.mark.parametrize("limit", [29, 30])
+    def test_a_stage_of_more_than_max_steps_is_refused_before_any_allocation(
+            self, monkeypatch, stage, limit):
+        # 120 rows in batches of 8: 15 steps an epoch, 30 in two epochs
+        x, y, outliers = blob_task(0)
+        monkeypatch.setattr(nn, "MAX_STEPS", limit)
+        cfg = TrainConfig(**{"epochs_pretrain": 1, "epochs_finetune": 1, stage: 2}, b_in=8)
+        if limit == 30:
+            train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+            return
+
+        def refuse(*args):
+            raise AssertionError("training allocated before its step count was checked")
+
+        monkeypatch.setattr(nn, "cosine_schedule", refuse)
+        monkeypatch.setattr(Mlp, "copy", refuse)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{stage}=2 epochs of 15 steps exceed MAX_STEPS=29")):
+            train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+
 
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
@@ -424,6 +445,8 @@ class TestCheckpoint:
         pytest.param(lambda c: c["biases"][1].append(0.0), "biases", id="long-bias"),
         pytest.param(lambda c: c["weights"][0].__setitem__(0, None), "weights", id="null-weight"),
         pytest.param(lambda c: c.update(seed="six"), "seed", id="bad-seed"),
+        pytest.param(lambda c: c["biases"][0].__setitem__(0, 10**400), "biases",
+                     id="bias-beyond-float64"),  # escaped as a bare OverflowError
     ])
     def test_malformed_checkpoint_names_path_and_key(self, tmp_path, edit, key):
         path = tmp_path / "ckpt.json"
