@@ -95,9 +95,15 @@ def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
 def prepare(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1):
     """Forward each sample set once, as a whole, and fit what every stream of
     one command shares: (filter stats from the ID-train logits, P0 from the
-    outlier logits, provenance tag -> the set with its logits for features)."""
-    logit_sets = {tag: replace(sample_set, features=model.forward(sample_set.features))
-                  for tag, sample_set in datasets.items()}
+    outlier logits, provenance tag -> the set with its logits for features).
+    EnergyOverflowError names the set and the first sample whose logits overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite logits are refused below
+        logit_sets = {tag: replace(sample_set, features=model.forward(sample_set.features))
+                      for tag, sample_set in datasets.items()}
+    for tag, logit_set in logit_sets.items():
+        bad = np.flatnonzero(~np.isfinite(logit_set.features).all(axis=1))
+        if bad.size:
+            raise EnergyOverflowError(f"{tag} sample {bad[0]}: logits exceed float64 range")
     stats = doda.fit_energy_stats(logit_sets[data_mod.ID_TRAIN].features, alpha)
     p0 = doda.init_outlier_distribution(logit_sets[data_mod.OUTLIER].features,
                                         virtual_count=virtual_count)

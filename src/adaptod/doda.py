@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _LOG_FLOAT_MAX, _as_logits, _scaled, calibrated_energies, global_energies
+from .energy import _LOG_FLOAT_MAX, _as_logits, _energies, _scaled, _shifted_exp, global_energies
 from .errors import (AdaptOdError, EnergyOverflowError, InsufficientDataError,
                      InvalidInputError, ShapeError)
 
@@ -119,22 +119,22 @@ def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
 
 
 def _checked_row(logits, k, sample_index):
-    """logits as one finite float64 row of k logits, and its G. An error names
-    sample_index."""
+    """logits as one finite float64 row v of k logits, its _shifted_exp (m, e)
+    and its G. An error names sample_index."""
     try:
         v = _as_logits(logits, 1)
         if v.shape[0] != k:
             raise ShapeError(f"sample has k={v.shape[0]}, state has k={k}")
-        m = float(np.maximum.reduce(v))  # the ufuncs of v.max() and .sum(), called directly
-        return v, _scaled(m, float(np.add.reduce(np.exp(v - m))), "global energy")
+        m, e = _shifted_exp(v)
+        return v, m, e, _scaled(m, float(np.add.reduce(e)), "global energy")
     except (AdaptOdError, TypeError, ValueError) as exc:  # a bad row or an overflow
         raise type(exc)(f"sample {sample_index}: {exc}") from exc
 
 
 def _stream_rows(logit_stream, k):
     """logit_stream, read once, as one C-contiguous float64 (n, k) matrix of
-    finite logits, and the G of every row from one global_energies pass. An
-    error names the first sample whose row or G is bad."""
+    finite logits, its _shifted_exp (m, e), and the G of every row from those.
+    An error names the first sample whose row or G is bad."""
     stream = logit_stream if isinstance(logit_stream, np.ndarray) else list(logit_stream)
     try:
         rows = np.ascontiguousarray(stream, dtype=np.float64)
@@ -144,19 +144,18 @@ def _stream_rows(logit_stream, k):
         rows, bad = np.empty((0, k)), np.arange(len(stream))
     n = int(bad[0]) if bad.size else len(stream)
     rows = rows[:n].reshape(n, k)  # the rows before the first bad one
-    energies = global_energies(rows)  # an overflow names its sample
+    m, e = _shifted_exp(rows)
+    energies = _energies(m, e)  # an overflow names its sample
     for i in bad.tolist():  # the first of these that is bad alone raises
         _checked_row(stream[i], k, i)
-    return rows, energies
+    return rows, m, e, energies
 
 
-def _step(values, counts, v, sample_index, accepted):
-    """One checked sample under the plans whose P and count are row j of values
-    and counts[j]: plan j folds exp(v) into its running mean, in place, if
-    accepted[j]; then every plan scores v. Returns the post-step scores."""
+def _step(values, counts, v, sample_index, accepted, m, e):
+    """One checked sample v and its _shifted_exp (m, e) under the plans whose P and
+    count are row j of values and counts[j]: plan j folds exp(v) into its running
+    mean, in place, if accepted[j]; then every plan scores v. Returns the scores."""
     try:
-        m = float(np.maximum.reduce(v))
-        e = np.exp(v - m)
         if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
             ef = np.exp(v)
             for j, acc in enumerate(accepted):
@@ -180,10 +179,10 @@ def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, samp
     state, and whether the sample was accepted. A rejected sample returns the
     input state object unchanged. An error names sample_index.
     """
-    v, g = _checked_row(logits, state.k, sample_index)
+    v, m, e, g = _checked_row(logits, state.k, sample_index)
     accepted = g < stats.r
     values, counts = np.array(state.values, ndmin=2), [state.m]
-    (score,) = _step(values, counts, v, sample_index, (accepted,))
+    (score,) = _step(values, counts, v, sample_index, (accepted,), m, e)
     if accepted:
         state = _trusted(values[0], counts[0])
     return state, score, accepted
@@ -207,7 +206,7 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
     draw = max((f for f, _ in plans), default=0.0) > 0.0
     if draw and (oracle_labels is None or rng is None):
         raise InvalidInputError("use_label_probability > 0 requires oracle_labels and an rng")
-    rows, energies = _stream_rows(logit_stream, state.k)
+    rows, m, e, energies = _stream_rows(logit_stream, state.k)
     n = len(rows)
     labels = np.asarray(oracle_labels, dtype=bool) if draw else np.zeros(n, bool)
     if labels.shape != energies.shape:  # before any sample is scored
@@ -218,12 +217,13 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
     busy = [j for j, mask in enumerate(masks) if mask.any()]
     values, counts = np.tile(state.values, (len(busy), 1)), [state.m] * len(busy)
     scores = []  # sample-major, plan-minor
-    for i, (v, accepted) in enumerate(zip(rows, zip(*(masks[j].tolist() for j in busy)))):
-        scores += _step(values, counts, v, i, accepted)
+    accepts = zip(*(masks[j].tolist() for j in busy))  # empty when no plan is busy
+    for i, (v, mi, ei, accepted) in enumerate(zip(rows, m.tolist(), e, accepts)):
+        scores += _step(values, counts, v, i, accepted, mi, ei)
     done = {j: (scores[b::len(busy)], masks[j], _trusted(values[b].copy(), counts[b]))
             for b, j in enumerate(busy)}
     if len(done) < len(plans):  # the idle plans share one scoring
-        idle = (calibrated_energies(rows, state.values).tolist(), np.zeros(n, bool), state)
+        idle = (_energies(m, e, state.values).tolist(), np.zeros(n, bool), state)
     return energies, [done[j] if j in done else idle for j in range(len(plans))]
 
 

@@ -63,12 +63,25 @@ def _as_prior(p_out, k: int) -> np.ndarray:
     return p
 
 
+def _shifted_exp(rows):
+    """The row max m and e = exp(f - m) of a checked logit row or C-contiguous
+    matrix (its rows then sum as 1-D rows do): every energy here is built on it."""
+    m = np.maximum.reduce(rows, axis=-1)
+    return m, np.exp(rows - m[..., None])
+
+
+def _energies(m, e, p=None) -> np.ndarray:
+    """Σ_j exp(f_j), or Σ_j exp(f_j) / (1 + p_j) given p, of each row of a
+    _shifted_exp (m, e) pair, with _scaled_rows' guard."""
+    if p is None:
+        return _scaled_rows(m, e.sum(axis=1), "global energy")
+    return _scaled_rows(m, (e / (1.0 + p)).sum(axis=1), "calibrated energy")
+
+
 def global_energies(rows) -> np.ndarray:
     """Sum of exponentiated logits, Σ_j exp(f_j), of each row of a logit matrix.
     Strictly positive; per row the float ops of doda's one-sample step."""
-    rows = np.ascontiguousarray(_as_logits(rows, 2))  # row sums as in the 1-D case
-    m = rows.max(axis=1)
-    return _scaled_rows(m, np.exp(rows - m[:, None]).sum(axis=1), "global energy")
+    return _energies(*_shifted_exp(np.ascontiguousarray(_as_logits(rows, 2))))
 
 
 def calibrated_energies(rows, p_out) -> np.ndarray:
@@ -77,9 +90,7 @@ def calibrated_energies(rows, p_out) -> np.ndarray:
     when p_out is all zero."""
     rows = np.ascontiguousarray(_as_logits(rows, 2))  # row sums as in the 1-D case
     p = _as_prior(p_out, rows.shape[1])
-    m = rows.max(axis=1)
-    totals = (np.exp(rows - m[:, None]) / (1.0 + p)).sum(axis=1)
-    return _scaled_rows(m, totals, "calibrated energy")
+    return _energies(*_shifted_exp(rows), p)
 
 
 def batch_energy_normalize(batch) -> np.ndarray:

@@ -3,18 +3,24 @@ adapt-eval, head-tail, alpha-sweep, exit codes, and reproducibility."""
 
 import argparse
 import ast
+import contextlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from adaptod import cli, data, doda, metrics, nn
+from adaptod import cli, data, doda, energy, metrics, nn
 from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 
 
@@ -448,6 +454,23 @@ class TestAdaptEval:
         err = capsys.readouterr().err
         assert str(tmp_path / "bad.json") in err and key in err
 
+    @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
+    def test_overflowing_logits_exit_numeric_naming_the_set_and_sample(self, small_run, tmp_path,
+                                                                       capsys, command):
+        """A weight of 1e308 overflows the forward: no RuntimeWarning escapes,
+        and one stderr line names the first set and row whose logits are not finite."""
+        data_dir, model_dir = small_run
+        checkpoint = json.loads((model_dir / "checkpoint.json").read_text())
+        checkpoint["weights"][0][0] = 1e308
+        (tmp_path / "big.json").write_text(json.dumps(checkpoint))
+        rc = run_cli(command, "--data", data_dir, "--model", tmp_path / "big.json",
+                     "--out", tmp_path / "e")
+        assert rc == EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"numeric error: id-train sample \d+: logits exceed float64 range",
+                            line)
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("command", ["adapt-eval", "head-tail"])
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
     def test_bad_alpha_exits_config(self, small_run, tmp_path, capsys, command, alpha):
@@ -832,19 +855,21 @@ class TestEvaluationPlan:
         assert sorted(calls["rows"]) == sorted(s.n for s in cli.load_datasets(data_dir).values())
 
     def test_adapt_eval_computes_each_g_once(self, tmp_path, monkeypatch):
-        """The stream's G comes from run_plans: global_energies runs on the
-        ID-train rows, the stream and the three histogram sets, once each."""
+        """Every energy of adapt-eval comes from one shift and exponentiation per
+        set: the ID-train rows, the stream, whose G, idle scores and steps share
+        it, and the three histogram sets, once each."""
         data_dir, model_dir = tmp_path / "d", tmp_path / "m"
         assert run_cli("generate", "--out", data_dir) == EXIT_OK
         assert run_cli("train", "--data", data_dir, "--out", model_dir, "--hidden", 8,
                        "--epochs-pretrain", 1, "--epochs-finetune", 1) == EXIT_OK
-        rows, global_energies = [], doda.global_energies
+        rows, shifted_exp = [], energy._shifted_exp
 
-        def counting_global_energies(logits):
+        def counting_shifted_exp(logits):
             rows.append(len(logits))
-            return global_energies(logits)
+            return shifted_exp(logits)
 
-        monkeypatch.setattr(doda, "global_energies", counting_global_energies)
+        for module in (energy, doda):  # doda imports the helper by name
+            monkeypatch.setattr(module, "_shifted_exp", counting_shifted_exp)
         rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
                      "--out", tmp_path / "o", "--events")
         assert rc == EXIT_OK
@@ -1022,3 +1047,68 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "usage:" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+
+# Tokens that sit at the edges of what the readers accept: float64 overflow in
+# the forward (1e308) or in an energy (1e200), an int beyond float64, non-finite
+# and subnormal values, the wrong JSON type, and a byte that is not UTF-8.
+EDGE_TOKENS = [b"1e308", b"-1e308", b"1e200", b"1" + b"0" * 400, b"1e400", b"NaN", b"-Infinity",
+               b"5e-324", b"-0.0", b"-1", b"0", b"", b'"x"', b"null", b"[]", b"\xff"]
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+FUZZ_CONFIGS = {
+    "adapt-eval": {"alpha": 3.0, "ood_fraction": 0.5, "virtual_count": 1, "seed": 0,
+                   "oracle_fractions": "0,0.5,1", "events": True},
+    "head-tail": {"alpha": 3.0, "ood_fraction": 0.5, "virtual_count": 1, "seed": 0,
+                  "mode": "doda"},
+    "alpha-sweep": {"alphas": "2.0,3.0", "ood_fraction": 0.5, "virtual_count": 1, "seed": 0},
+}
+
+
+@st.composite
+def mutated(draw, blob):
+    """blob after one to three edits: a number replaced by an edge token, a span
+    of up to 8 bytes deleted, or up to 4 bytes or an edge token inserted."""
+    for _ in range(draw(st.integers(1, 3))):
+        numbers = list(NUMBER.finditer(blob))
+        kind = draw(st.sampled_from(["number", "delete", "insert"]))
+        if kind == "number" and numbers:
+            token = numbers[draw(st.integers(0, len(numbers) - 1))]
+            blob = blob[:token.start()] + draw(st.sampled_from(EDGE_TOKENS)) + blob[token.end():]
+            continue
+        at = draw(st.integers(0, len(blob)))
+        if kind == "delete":
+            blob = blob[:at] + blob[at + draw(st.integers(1, 8)):]
+        else:
+            inserted = draw(st.binary(min_size=1, max_size=4) | st.sampled_from(EDGE_TOKENS))
+            blob = blob[:at] + inserted + blob[at:]
+    return blob
+
+
+class TestFuzz:
+    """No input ends in a traceback: an evaluating command on a mutated
+    checkpoint, --config file or sample-set file exits 0, 2, 3 or 4, and a
+    nonzero exit writes exactly one stderr line (a RuntimeWarning fails too)."""
+
+    @pytest.mark.parametrize("target", ["checkpoint.json", "config.json", "sample set"])
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(choices=st.data())
+    def test_a_mutated_input_exits_with_a_documented_code_and_one_line(self, small_run,
+                                                                        tmp_path, target, choices):
+        command = choices.draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+        if target == "sample set":
+            target = "data/" + choices.draw(st.sampled_from(sorted(cli.DATASET_FILES.values())))
+        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+            scratch = Path(scratch)
+            shutil.copytree(small_run[0], scratch / "data")
+            shutil.copy(small_run[1] / "checkpoint.json", scratch)
+            (scratch / "config.json").write_text(json.dumps(FUZZ_CONFIGS[command]))
+            path = scratch / target
+            path.write_bytes(choices.draw(mutated(path.read_bytes())))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = run_cli("--config", scratch / "config.json", command, "--data",
+                             scratch / "data", "--model", scratch / "checkpoint.json",
+                             "--out", scratch / "out")
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        assert len(err.getvalue().splitlines()) == (rc != EXIT_OK)

@@ -424,7 +424,7 @@ class TestRunStream:
             assert scores == [] and mask.shape == (0,) and mask.dtype == bool and final is state
 
     def test_an_oracle_stream_checks_its_rows_and_computes_g_once(self, monkeypatch):
-        calls = {"_stream_rows": 0, "global_energies": 0, "_as_logits": 0}
+        calls = {"_stream_rows": 0, "_shifted_exp": 0, "_as_logits": 0}
         for name in calls:
             def counting(*args, _real=getattr(doda, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -438,8 +438,40 @@ class TestRunStream:
         _, mask, final = run_stream(state, stats, logits, oracle_labels=rng.random(1000) < 0.5,
                                     use_label_probability=1.0, rng=rng)
         assert mask.shape == (1000,) and final.m == 1 + mask.sum() > 1
-        # one matrix check and one G pass per call; no sample is checked alone
-        assert calls == {"_stream_rows": 1, "global_energies": 1, "_as_logits": 0}
+        # one matrix check and one exponentiation per call; no sample is checked alone
+        assert calls == {"_stream_rows": 1, "_shifted_exp": 1, "_as_logits": 0}
+
+    @staticmethod
+    def count_exp(monkeypatch):
+        """A list that grows by one entry per numpy.exp call from here on."""
+        calls, real_exp = [], np.exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(None)
+            return real_exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        return calls
+
+    @pytest.mark.parametrize("r", [0.0, 1e9])
+    def test_one_sample_exponentiates_once_plus_once_if_accepted(self, monkeypatch, r):
+        state = OutlierDistribution(values=np.ones(3), m=1)
+        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)  # R < G or G < R
+        calls = self.count_exp(monkeypatch)
+        _, _, accepted = adapt_and_score(state, stats, [0.5, -1.0, 2.0])
+        assert accepted == (r > 0.0) and len(calls) == 1 + accepted
+
+    @pytest.mark.parametrize("freeze", [True, False])
+    def test_a_stream_exponentiates_once_plus_once_per_accepted_sample(self, monkeypatch,
+                                                                       freeze):
+        logits = np.random.default_rng(16).standard_normal((200, 4))
+        r = float(np.median(rowwise_global_energies(logits)))
+        state = OutlierDistribution(values=np.ones(4), m=1)
+        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+        calls = self.count_exp(monkeypatch)
+        _, mask, _ = run_stream(state, stats, logits, freeze=freeze)
+        assert mask.sum() == (0 if freeze else 100)
+        assert len(calls) == 1 + mask.sum()  # the matrix pass, then one exp(f) per accept
 
     @pytest.mark.parametrize("labels", [
         [True] * 4,  # shorter than the stream
