@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import doda, metrics, nn
+from . import doda, energy, metrics, nn
 from .errors import (
     ConfigError,
     EnergyOverflowError,
@@ -96,7 +96,8 @@ def prepare(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1):
     """Forward each sample set once, as a whole, and fit what every stream of
     one command shares: (filter stats from the ID-train logits, P0 from the
     outlier logits, provenance tag -> the set with its logits for features).
-    EnergyOverflowError names the set and the first sample whose logits overflow."""
+    EnergyOverflowError names the set, and the first sample whose logits, G or
+    exp(logit) overflow."""
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite logits are refused below
         logit_sets = {tag: replace(sample_set, features=model.forward(sample_set.features))
                       for tag, sample_set in datasets.items()}
@@ -104,9 +105,13 @@ def prepare(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1):
         bad = np.flatnonzero(~np.isfinite(logit_set.features).all(axis=1))
         if bad.size:
             raise EnergyOverflowError(f"{tag} sample {bad[0]}: logits exceed float64 range")
-    stats = doda.fit_energy_stats(logit_sets[data_mod.ID_TRAIN].features, alpha)
-    p0 = doda.init_outlier_distribution(logit_sets[data_mod.OUTLIER].features,
-                                        virtual_count=virtual_count)
+    tag = data_mod.ID_TRAIN
+    try:
+        stats = doda.fit_energy_stats(logit_sets[tag].features, alpha)
+        tag = data_mod.OUTLIER
+        p0 = doda.init_outlier_distribution(logit_sets[tag].features, virtual_count=virtual_count)
+    except EnergyOverflowError as exc:  # named as the check above names a set
+        raise EnergyOverflowError(f"{tag} {exc}") from exc
     return stats, p0, logit_sets
 
 
@@ -135,7 +140,7 @@ def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=
                                     rng=np.random.default_rng(seed))
     runs = dict(zip(unique, runs))
     passes = {}
-    if "uncalibrated" in modes:  # calibrated_energies with P = 0 is G, bit for bit
+    if "uncalibrated" in modes:  # G is the score under P = 0, whose terms are divided by 1
         passes["uncalibrated"] = (energies.tolist(), None, None)
     passes.update((mode, runs[plan]) for mode, plan in plans.items())
     shared = {id(res): res for res in passes.values()}  # modes that share a pass share a report
@@ -255,7 +260,7 @@ def cmd_train(ns) -> int:
 def _write_histograms(out_dir: Path, logit_sets, adapted_scores) -> None:
     """50-bin histograms of global energy of the ID-test, outlier and true-OOD
     logits, by provenance tag, plus calibrated (adapted) scores of the stream."""
-    populations = {tag.replace("-", "_"): doda.global_energies(logit_sets[tag].features)
+    populations = {tag.replace("-", "_"): energy.global_energies(logit_sets[tag].features)
                    for tag in (data_mod.ID_TEST, data_mod.OUTLIER, data_mod.TRUE_OOD)}
     populations["adapted_scores"] = np.asarray(adapted_scores)
     pooled = np.concatenate(list(populations.values()))
@@ -288,7 +293,7 @@ def _prepare_run(ns, alpha):
 
 
 def cmd_adapt_eval(ns) -> int:
-    fractions = _parse_grid(ns.oracle_fractions)
+    fractions = [f + 0.0 for f in _parse_grid(ns.oracle_fractions)]  # -0 + 0.0 is 0.0
     named = {}
     for f in fractions:
         if not 0.0 <= f <= 1.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _LOG_FLOAT_MAX, _as_logits, _energies, _scaled, _shifted_exp, global_energies
+from .energy import _LOG_FLOAT_MAX, _as_logits, _scaled, _scaled_rows, _shifted_exp, global_energies
 from .errors import (AdaptOdError, EnergyOverflowError, InsufficientDataError,
                      InvalidInputError, ShapeError)
 
@@ -104,8 +104,9 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
     rows = _as_logits(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 1:
         raise InsufficientDataError("need at least one outlier sample to initialize")
-    if rows.max() >= _LOG_FLOAT_MAX:
-        raise EnergyOverflowError("exp(logit) exceeds float64 range")
+    over = np.flatnonzero(rows.max(axis=1) >= _LOG_FLOAT_MAX)
+    if over.size:
+        raise EnergyOverflowError(f"sample {over[0]}: exp(logit) exceeds float64 range")
     ef = np.exp(np.ascontiguousarray(rows))  # column means as over stacked rows
     return OutlierDistribution(values=ef.mean(axis=0), m=virtual_count)
 
@@ -119,22 +120,22 @@ def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
 
 
 def _checked_row(logits, k, sample_index):
-    """logits as one finite float64 row v of k logits, its _shifted_exp (m, e)
-    and its G. An error names sample_index."""
+    """logits as one finite float64 row v of k logits, its shifted exponentials e,
+    their scale exp(max v) and its G. An error names sample_index."""
     try:
         v = _as_logits(logits, 1)
         if v.shape[0] != k:
             raise ShapeError(f"sample has k={v.shape[0]}, state has k={k}")
         m, e = _shifted_exp(v)
-        return v, m, e, _scaled(m, float(np.add.reduce(e)), "global energy")
+        return v, e, *_scaled(m, float(np.add.reduce(e)))
     except (AdaptOdError, TypeError, ValueError) as exc:  # a bad row or an overflow
         raise type(exc)(f"sample {sample_index}: {exc}") from exc
 
 
 def _stream_rows(logit_stream, k):
     """logit_stream, read once, as one C-contiguous float64 (n, k) matrix of
-    finite logits, its _shifted_exp (m, e), and the G of every row from those.
-    An error names the first sample whose row or G is bad."""
+    finite logits, its shifted exponentials e, their row scales exp(max f), and the
+    G of every row from those. An error names the first sample whose row or G is bad."""
     stream = logit_stream if isinstance(logit_stream, np.ndarray) else list(logit_stream)
     try:
         rows = np.ascontiguousarray(stream, dtype=np.float64)
@@ -145,30 +146,27 @@ def _stream_rows(logit_stream, k):
     n = int(bad[0]) if bad.size else len(stream)
     rows = rows[:n].reshape(n, k)  # the rows before the first bad one
     m, e = _shifted_exp(rows)
-    energies = _energies(m, e)  # an overflow names its sample
+    scales, energies = _scaled_rows(m, e.sum(axis=1))  # an overflow names its sample
     for i in bad.tolist():  # the first of these that is bad alone raises
         _checked_row(stream[i], k, i)
-    return rows, m, e, energies
+    return rows, e, scales, energies
 
 
-def _step(values, counts, v, sample_index, accepted, m, e):
-    """One checked sample v and its _shifted_exp (m, e) under the plans whose P and
-    count are row j of values and counts[j]: plan j folds exp(v) into its running
-    mean, in place, if accepted[j]; then every plan scores v. Returns the scores."""
-    try:
-        if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
-            ef = np.exp(v)
-            for j, acc in enumerate(accepted):
-                if acc:
-                    values[j] = (counts[j] * values[j] + ef) / (counts[j] + 1)
-                    counts[j] += 1
-            # a mean of finite, non-negative values can only overflow
-            if not np.isfinite(values).all():
-                raise InvalidInputError("values must be finite and non-negative")
-        totals = np.add.reduce(e / (1.0 + values), axis=1).tolist()  # rows sum as 1-D arrays
-        return [_scaled(m, t, "calibrated energy") for t in totals]
-    except AdaptOdError as exc:  # an overflow
-        raise type(exc)(f"sample {sample_index}: {exc}") from exc
+def _step(values, counts, v, sample_index, accepted, e, scale):
+    """Sample v, checked, with its e = exp(v - max v) and scale exp(max v), under the plans
+    whose P and count are values[j] and counts[j]: plan j folds exp(v) into its mean,
+    in place, if accepted[j]; then each plan scores scale * Σ e / (1 + P), <= G."""
+    if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
+        ef = np.exp(v)
+        for j, acc in enumerate(accepted):
+            if acc:
+                values[j] = (counts[j] * values[j] + ef) / (counts[j] + 1)
+                counts[j] += 1
+        if not np.isfinite(values).all():  # a mean of finite values can only overflow
+            raise InvalidInputError(
+                f"sample {sample_index}: values must be finite and non-negative")
+    totals = np.add.reduce(e / (1.0 + values), axis=1).tolist()  # rows sum as 1-D arrays
+    return [scale * t for t in totals]
 
 
 def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, sample_index: int = 0,
@@ -179,10 +177,10 @@ def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, samp
     state, and whether the sample was accepted. A rejected sample returns the
     input state object unchanged. An error names sample_index.
     """
-    v, m, e, g = _checked_row(logits, state.k, sample_index)
+    v, e, scale, g = _checked_row(logits, state.k, sample_index)
     accepted = g < stats.r
     values, counts = np.array(state.values, ndmin=2), [state.m]
-    (score,) = _step(values, counts, v, sample_index, (accepted,), m, e)
+    (score,) = _step(values, counts, v, sample_index, (accepted,), e, scale)
     if accepted:
         state = _trusted(values[0], counts[0])
     return state, score, accepted
@@ -206,7 +204,7 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
     draw = max((f for f, _ in plans), default=0.0) > 0.0
     if draw and (oracle_labels is None or rng is None):
         raise InvalidInputError("use_label_probability > 0 requires oracle_labels and an rng")
-    rows, m, e, energies = _stream_rows(logit_stream, state.k)
+    rows, e, scales, energies = _stream_rows(logit_stream, state.k)
     n = len(rows)
     labels = np.asarray(oracle_labels, dtype=bool) if draw else np.zeros(n, bool)
     if labels.shape != energies.shape:  # before any sample is scored
@@ -218,12 +216,13 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
     values, counts = np.tile(state.values, (len(busy), 1)), [state.m] * len(busy)
     scores = []  # sample-major, plan-minor
     accepts = zip(*(masks[j].tolist() for j in busy))  # empty when no plan is busy
-    for i, (v, mi, ei, accepted) in enumerate(zip(rows, m.tolist(), e, accepts)):
-        scores += _step(values, counts, v, i, accepted, mi, ei)
+    for i, (v, ei, scale, accepted) in enumerate(zip(rows, e, scales.tolist(), accepts)):
+        scores += _step(values, counts, v, i, accepted, ei, scale)
     done = {j: (scores[b::len(busy)], masks[j], _trusted(values[b].copy(), counts[b]))
             for b, j in enumerate(busy)}
     if len(done) < len(plans):  # the idle plans share one scoring
-        idle = (_energies(m, e, state.values).tolist(), np.zeros(n, bool), state)
+        idle_scores = scales * (e / (1.0 + state.values)).sum(axis=1)
+        idle = (idle_scores.tolist(), np.zeros(n, bool), state)
     return energies, [done[j] if j in done else idle for j in range(len(plans))]
 
 

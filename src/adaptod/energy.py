@@ -1,9 +1,12 @@
-"""Energy scoring algebra: global energy, calibrated energy, batch energy normalization.
+"""Energy algebra: global energy and batch energy normalization.
 
-All scores are linear-scale sums of exponentiated logits. Exponentials are
-evaluated with a max-shift so intermediate values never overflow; if the final
-linear-scale value itself is not representable in float64 the operation raises
-EnergyOverflowError instead of returning Inf.
+All energies are linear-scale sums of exponentiated logits, evaluated with a
+max-shift so intermediate values never overflow. Only the global energy G is
+range-checked: a G past float64 range raises EnergyOverflowError instead of
+returning Inf. The check returns G's scale exp(max f) too, and doda scores a
+sample with the calibrated energy Σ_j exp(f_j) / (1 + P_j) as that scale times
+Σ_j exp(f_j - max f) / (1 + P_j), unchecked: with P >= 0 each term is at most
+the one of G, so the score is at most G.
 """
 
 from __future__ import annotations
@@ -29,38 +32,31 @@ def _as_logits(x, ndim: int) -> np.ndarray:
     return a
 
 
-def _scaled(m: float, total: float, what: str) -> float:
-    """exp(m) * total, raising EnergyOverflowError unless exp(m) and the product
-    are float64 values. total > 0 here: it holds a term exp(0) / (1 + p)."""
+def _scaled(m: float, total: float) -> tuple[float, float]:
+    """exp(m) and G = exp(m) * total, raising EnergyOverflowError unless both are
+    float64 values. total > 0 here: it holds a term exp(0)."""
     if m >= _LOG_FLOAT_MAX or m + math.log(total) >= _LOG_FLOAT_MAX:
-        raise EnergyOverflowError(f"{what} exceeds float64 range")
-    value = math.exp(m) * total
+        raise EnergyOverflowError("global energy exceeds float64 range")
+    scale = math.exp(m)
+    value = scale * total
     if not math.isfinite(value):
-        raise EnergyOverflowError(f"{what} exceeds float64 range")
-    return value
+        raise EnergyOverflowError("global energy exceeds float64 range")
+    return scale, value
 
 
-def _scaled_rows(m: np.ndarray, totals: np.ndarray, what: str) -> np.ndarray:
+def _scaled_rows(m: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_scaled of each row; an error names the first row _scaled refuses as a sample.
     math.log and math.exp, which round differently from np.log and np.exp, keep
     the guard and the scale exactly those of _scaled."""
     logs = np.fromiter(map(math.log, totals.tolist()), float, m.size)
     over = (m >= _LOG_FLOAT_MAX) | (m + logs >= _LOG_FLOAT_MAX)
     with np.errstate(over="ignore"):  # math.exp raises where the guard fails: those get exp(0)
-        values = np.fromiter(map(math.exp, np.where(over, 0.0, m).tolist()), float, m.size) * totals
+        scales = np.fromiter(map(math.exp, np.where(over, 0.0, m).tolist()), float, m.size)
+        values = scales * totals
     bad = np.flatnonzero(over | ~np.isfinite(values))
     if bad.size:
-        raise EnergyOverflowError(f"sample {bad[0]}: {what} exceeds float64 range")
-    return values
-
-
-def _as_prior(p_out, k: int) -> np.ndarray:
-    p = np.asarray(p_out, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] != k:
-        raise ShapeError(f"p_out has shape {p.shape}, expected ({k},)")
-    if not np.isfinite(p).all() or (p < 0).any():
-        raise InvalidInputError("p_out entries must be finite and non-negative")
-    return p
+        raise EnergyOverflowError(f"sample {bad[0]}: global energy exceeds float64 range")
+    return scales, values
 
 
 def _shifted_exp(rows):
@@ -70,27 +66,11 @@ def _shifted_exp(rows):
     return m, np.exp(rows - m[..., None])
 
 
-def _energies(m, e, p=None) -> np.ndarray:
-    """Σ_j exp(f_j), or Σ_j exp(f_j) / (1 + p_j) given p, of each row of a
-    _shifted_exp (m, e) pair, with _scaled_rows' guard."""
-    if p is None:
-        return _scaled_rows(m, e.sum(axis=1), "global energy")
-    return _scaled_rows(m, (e / (1.0 + p)).sum(axis=1), "calibrated energy")
-
-
 def global_energies(rows) -> np.ndarray:
     """Sum of exponentiated logits, Σ_j exp(f_j), of each row of a logit matrix.
     Strictly positive; per row the float ops of doda's one-sample step."""
-    return _energies(*_shifted_exp(np.ascontiguousarray(_as_logits(rows, 2))))
-
-
-def calibrated_energies(rows, p_out) -> np.ndarray:
-    """Energy of each row of a logit matrix with each class term damped by one
-    outlier distribution: Σ_j exp(f_j) / (1 + p_out_j). Equals global_energies
-    when p_out is all zero."""
-    rows = np.ascontiguousarray(_as_logits(rows, 2))  # row sums as in the 1-D case
-    p = _as_prior(p_out, rows.shape[1])
-    return _energies(*_shifted_exp(rows), p)
+    m, e = _shifted_exp(np.ascontiguousarray(_as_logits(rows, 2)))
+    return _scaled_rows(m, e.sum(axis=1))[1]
 
 
 def batch_energy_normalize(batch) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from adaptod import cli, data, dne, doda, metrics, nn
-from adaptod.energy import batch_energy_normalize, calibrated_energies, global_energies
+from adaptod.energy import batch_energy_normalize, global_energies
 
 from oracles import (
     central_difference,
@@ -202,15 +202,20 @@ def test_streaming_update_matches_closed_form():
 
 
 def test_zero_calibration_reduces_to_global_energy():
-    """With an all-zero outlier distribution, calibrated scores reproduce the
-    plain energies to 1e-12 relative and yield an identical metric report."""
+    """With an all-zero outlier distribution, the calibrated scores of a frozen
+    stream and of one-row steps that accept nothing reproduce the plain energies
+    to 1e-12 relative and yield an identical metric report."""
     rng = np.random.default_rng(11)
     k = 10
     logits = rng.normal(0.0, 3.0, (200, k))
-    zeros = np.zeros(k)
+    zeros = doda.OutlierDistribution(values=np.zeros(k), m=1)
     raw = global_energies(logits)
-    cal = calibrated_energies(logits, zeros)
+    _, ((scores, _, _),) = doda.run_plans(zeros, logits, [(0.0, -np.inf)])
+    cal = np.asarray(scores)
     assert (np.abs(cal - raw) / np.abs(raw)).max() <= 1e-12
+    rejecting = doda.EnergyStats(mu_in=0.0, sigma_in=0.0, alpha=3.0, r=-np.inf)
+    one_row = [doda.adapt_and_score(zeros, rejecting, row, i)[1] for i, row in enumerate(logits)]
+    assert one_row == scores
 
     is_id = rng.random(200) < 0.5
     rep_raw = metrics.metric_report(raw, is_id)

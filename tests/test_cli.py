@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from adaptod import cli, data, doda, energy, metrics, nn
 from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
+from adaptod.errors import EnergyOverflowError
 
 
 def run_cli(*argv):
@@ -455,21 +456,42 @@ class TestAdaptEval:
         assert str(tmp_path / "bad.json") in err and key in err
 
     @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
+    @pytest.mark.parametrize("weight, message", [
+        (1e308, r"id-train sample \d+: logits exceed float64 range"),
+        (1e200, r"id-train sample 0: global energy exceeds float64 range"),
+        (300.0, r"id-train energy statistics exceed float64 range \(mu_in=\S+, sigma_in=inf\)"),
+    ], ids=["logits", "g", "moments"])
     def test_overflowing_logits_exit_numeric_naming_the_set_and_sample(self, small_run, tmp_path,
-                                                                       capsys, command):
-        """A weight of 1e308 overflows the forward: no RuntimeWarning escapes,
-        and one stderr line names the first set and row whose logits are not finite."""
+                                                                       capsys, command, weight,
+                                                                       message):
+        """A weight of 1e308 overflows the forward, one of 1e200 the G of finite
+        logits and one of 300 their moments: no RuntimeWarning escapes, and one
+        stderr line names the first set, and row, whose logits, G or moments
+        are not finite."""
         data_dir, model_dir = small_run
         checkpoint = json.loads((model_dir / "checkpoint.json").read_text())
-        checkpoint["weights"][0][0] = 1e308
+        checkpoint["weights"][0][0] = weight
         (tmp_path / "big.json").write_text(json.dumps(checkpoint))
         rc = run_cli(command, "--data", data_dir, "--model", tmp_path / "big.json",
                      "--out", tmp_path / "e")
         assert rc == EXIT_NUMERIC
         (line,) = capsys.readouterr().err.splitlines()
-        assert re.fullmatch(r"numeric error: id-train sample \d+: logits exceed float64 range",
-                            line)
+        assert re.fullmatch(f"numeric error: {message}", line)
         assert not (tmp_path / "e").exists()
+
+    def test_prepare_names_the_outlier_row_whose_exp_overflows(self):
+        """P0 overflows where no G of ID-train does: the error names the set too."""
+        class Identity:  # the features are the logits
+            def forward(self, features):
+                return features
+
+        sets = {tag: data.SampleSet(features=np.array(rows), labels=np.zeros(3, int),
+                                    provenance=tag)
+                for tag, rows in [(data.ID_TRAIN, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                                  (data.OUTLIER, [[0.0, 0.0], [0.0, 0.0], [800.0, 0.0]])]}
+        with pytest.raises(EnergyOverflowError,
+                           match=r"^outlier sample 2: exp\(logit\) exceeds float64 range$"):
+            cli.prepare(Identity(), sets)
 
     @pytest.mark.parametrize("command", ["adapt-eval", "head-tail"])
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
@@ -876,7 +898,7 @@ class TestEvaluationPlan:
         assert rows == [745, 800, 400, 600, 600]
 
     @pytest.mark.parametrize("fractions", ["", "0", "1", "0.3", "0,0.25,0.5,0.75,1.0",
-                                           "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.9"])
+                                           "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.9", "0,-0"])
     def test_adapt_eval_steps_each_stream_sample_once(self, small_run, tmp_path, monkeypatch,
                                                       fractions):
         data_dir, model_dir = small_run
@@ -892,6 +914,10 @@ class TestEvaluationPlan:
         assert rc == EXIT_OK
         n = len((tmp_path / "o" / "events.csv").read_text().splitlines()) - 1
         assert n > 0 and samples == list(range(n))
+        # one sweep_<f> key per value: 0 and -0 are one
+        reported = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        sweeps = [mode for mode in reported if mode.startswith("sweep_")]
+        assert len(sweeps) == len({float(f) for f in fractions.split(",") if f})
 
     @pytest.fixture()
     def prepared(self, small_run):

@@ -135,8 +135,9 @@ class TestInitOutlierDistribution:
         assert np.array_equal(init_outlier_distribution(np.asfortranarray(logits)).values, want)
 
     def test_overflowing_logit_raises(self):
-        with pytest.raises(EnergyOverflowError):
-            init_outlier_distribution([[0.0, 0.0], [710.0, 0.0]])
+        with pytest.raises(EnergyOverflowError,
+                           match=r"^sample 1: exp\(logit\) exceeds float64 range$"):
+            init_outlier_distribution([[0.0, 0.0], [710.0, 0.0], [800.0, 0.0]])
 
     def test_a_virtual_count_outside_0_to_2_pow_53_is_refused(self):
         """2**53 is the largest count a float64 holds exactly; a larger one
