@@ -16,7 +16,7 @@ import math
 import shutil
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -306,8 +306,7 @@ def cmd_adapt_eval(ns) -> int:
                           ns.ood_fraction, ns.seed)
     results = evaluate_modes(stats, p0, stream, oracle_fractions=fractions, seed=ns.seed)
     with _run_dir(ns) as out_dir:
-        _json(out_dir / "metrics.json",
-              {mode: json.loads(res["report"].to_json()) for mode, res in results.items()})
+        _json(out_dir / "metrics.json", {mode: asdict(r["report"]) for mode, r in results.items()})
         if ns.events:  # plain DODA's accept mask, and the G of each sample
             run, energies = results["doda"], results["uncalibrated"]["scores"]
             with open(out_dir / "events.csv", "w") as fh:
@@ -324,8 +323,7 @@ def cmd_headtail(ns) -> int:
     reports = head_tail_reports(stats, p0, logit_sets, ood_fraction=ns.ood_fraction,
                                 seed=ns.seed, mode=ns.mode)
     with _run_dir(ns) as out_dir:
-        _json(out_dir / "head_tail.json",
-              {name: json.loads(rep.to_json()) for name, rep in reports.items()})
+        _json(out_dir / "head_tail.json", {name: asdict(rep) for name, rep in reports.items()})
     return EXIT_OK
 
 
@@ -427,8 +425,8 @@ def _set_config_defaults(parser, command: str, path) -> None:
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

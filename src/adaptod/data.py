@@ -255,7 +255,7 @@ def read_json_object(path) -> dict:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise LogitFileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise LogitFileError(f"{path}: expected a JSON object")
@@ -264,12 +264,13 @@ def read_json_object(path) -> dict:
 
 def json_field(payload: dict, key: str, path, convert):
     """convert(payload[key]); LogitFileError names the path and the key when
-    the key is missing or convert raises TypeError, ValueError or OverflowError."""
+    the key is missing or convert raises TypeError, ValueError, OverflowError
+    or InvalidInputError."""
     if key not in payload:
         raise LogitFileError(f"{path}: missing key {key!r}")
     try:
         return convert(payload[key])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise LogitFileError(f"{path}: bad {key!r}: {exc}") from exc
 
 

@@ -26,11 +26,7 @@ class UndefinedMetricError(AdaptOdError):
 
 
 class TrainingDivergedError(AdaptOdError):
-    """Training produced a non-finite loss or parameter."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
+    """Training produced a non-finite loss or parameter; the message names the step."""
 
 
 class LogitFileError(AdaptOdError):

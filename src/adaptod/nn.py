@@ -21,6 +21,15 @@ MAX_ACTIVATIONS = 2**25  # most values one forward allocates, rows x summed widt
 MAX_STEPS = 2**22  # most steps of one training stage: its schedule is a 128 MB list of floats
 
 
+def _layer_dims(layer_dims) -> list[int]:
+    """layer_dims as ints; InvalidInputError unless it holds at least input and
+    output sizes, all >= 1."""
+    dims = [int(d) for d in layer_dims]
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise InvalidInputError(f"layer_dims needs input and output sizes, all >= 1, got {dims}")
+    return dims
+
+
 @dataclass
 class Mlp:
     """Fully connected net, ReLU hidden activations, identity output. The arrays
@@ -56,9 +65,7 @@ class Mlp:
 
     @classmethod
     def init(cls, layer_dims, seed: int) -> "Mlp":
-        dims = [int(d) for d in layer_dims]
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise InvalidInputError("layer_dims needs at least input and output sizes, all >= 1")
+        dims = _layer_dims(layer_dims)
         n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         if n > MAX_PARAMS:  # before any allocation
             raise InvalidInputError(f"{n} parameters in {dims} exceed MAX_PARAMS={MAX_PARAMS}")
@@ -165,7 +172,7 @@ def _sgd_step(params, velocity, grad, scratch, lr, momentum, step):
     velocity -= np.multiply(grad, lr, out=scratch)
     params += velocity
     if not np.isfinite(params).all():
-        raise TrainingDivergedError(f"non-finite parameters at step {step}", step)
+        raise TrainingDivergedError(f"non-finite parameters at step {step}")
 
 
 def _class_labels(id_y, n: int, k: int) -> np.ndarray:
@@ -229,7 +236,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
         try:
             terms, d_logits = loss_and_grad(logits, y)
         except InvalidInputError as exc:  # after train's input checks: non-finite logits
-            raise TrainingDivergedError(f"non-finite logits at step {step}", step) from exc
+            raise TrainingDivergedError(f"non-finite logits at step {step}") from exc
         return (terms.total, terms.ce, terms.dne_c, terms.dne_s), acts, d_logits
 
     log: list[LossBreakdown] = []
@@ -250,7 +257,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
                 for s in range(0, ys.size, b_in):
                     loss, acts, d_logits = batch_loss(xs[s:s + b_in], ys[s:s + b_in], step)
                     if not math.isfinite(loss[0]):
-                        raise TrainingDivergedError(f"non-finite loss at step {step}", step)
+                        raise TrainingDivergedError(f"non-finite loss at step {step}")
                     model.backward(acts, d_logits, start)
                     _sgd_step(params, velocity, grad, scratch, lrs[step], cfg.momentum, step)
                     step += 1
@@ -277,7 +284,7 @@ def load_checkpoint(path) -> tuple[Mlp, int, str]:
     """Read a save_checkpoint file. LogitFileError names the path and the key
     that is missing, malformed or does not match layer_dims."""
     payload = read_json_object(path)
-    dims = json_field(payload, "layer_dims", path, lambda v: [int(d) for d in v])
+    dims = json_field(payload, "layer_dims", path, _layer_dims)
     shapes = list(zip(dims[:-1], dims[1:]))
     weights = json_field(payload, "weights", path, lambda v: [
         float_array(w, (i * o,)).reshape(i, o) for w, (i, o) in zip(v, shapes, strict=True)])

@@ -155,13 +155,13 @@ def test_metrics_equal_bruteforce_oracles_exactly():
         scores = np.concatenate([id_scores, ood_scores])
         is_id = np.concatenate([np.ones(n_id, bool), np.zeros(n_ood, bool)])
 
+        classes = np.zeros(n_id, int)
+        report = metrics.metric_report(scores, is_id, classes, classes)
+
         assert metrics.auroc(scores, is_id) == pair_count_auroc(id_scores, ood_scores)
-        assert metrics.average_precision(scores, is_id, positive="id") == \
-            rank_walk_ap(scores, is_id)
-        assert metrics.average_precision(scores, is_id, positive="ood") == \
-            rank_walk_ap(-scores, ~is_id)
-        assert metrics.fpr_at_tpr(scores, is_id, 0.95) == \
-            threshold_scan_fpr(id_scores, ood_scores, 0.95)
+        assert report.ap_in == rank_walk_ap(scores, is_id)
+        assert report.ap_out == rank_walk_ap(-scores, ~is_id)
+        assert report.fpr_at_95tpr == threshold_scan_fpr(id_scores, ood_scores, 0.95)
 
 
 def test_streaming_update_matches_closed_form():
@@ -218,8 +218,9 @@ def test_zero_calibration_reduces_to_global_energy():
     assert one_row == scores
 
     is_id = rng.random(200) < 0.5
-    rep_raw = metrics.metric_report(raw, is_id)
-    rep_cal = metrics.metric_report(cal, is_id)
+    classes = logits.argmax(axis=1)[is_id]
+    rep_raw = metrics.metric_report(raw, is_id, classes, classes)
+    rep_cal = metrics.metric_report(cal, is_id, classes, classes)
     assert rep_raw == rep_cal
 
 

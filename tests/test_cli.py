@@ -445,6 +445,15 @@ class TestAdaptEval:
         pytest.param('{"layer_dims": [8, 10], "weights": [[' + ", ".join(["0"] * 80)
                      + ']], "biases": [[1' + "0" * 400 + ", 0" * 9 + "]]}", "bad 'biases'",
                      id="bias-beyond-float64"),  # escaped main as a bare OverflowError
+        pytest.param("[" * 1000, "not valid JSON", id="nested-too-deep"),
+        # sizes that Mlp.init refuses, with arrays that match them
+        pytest.param('{"layer_dims": [8], "weights": [], "biases": []}', "bad 'layer_dims'",
+                     id="one-size"),
+        pytest.param('{"layer_dims": [], "weights": [], "biases": []}', "bad 'layer_dims'",
+                     id="no-sizes"),
+        pytest.param('{"layer_dims": [8, 0, 10], "weights": [[], []], "biases": [[], ['
+                     + ", ".join(["0"] * 10) + ']], "seed": 0, "stage": "finetune"}',
+                     "bad 'layer_dims'", id="zero-width"),
     ])
     def test_malformed_checkpoint_exits_data(self, small_run, tmp_path, capsys, text, key):
         data_dir, _ = small_run
@@ -453,6 +462,7 @@ class TestAdaptEval:
                      tmp_path / "bad.json", "--out", tmp_path / "e")
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
         assert str(tmp_path / "bad.json") in err and key in err
 
     @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
@@ -1020,6 +1030,14 @@ class TestConfigFile:
         assert run_cli("--config", cfg, command, *argv) == EXIT_CONFIG
         assert repr(key) in capsys.readouterr().err
 
+    def test_deeply_nested_config_exits_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 1000)
+        assert run_cli("--config", cfg, "generate", "--out", tmp_path / "d") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"cannot read config {cfg}:" in err
+
     def test_config_must_be_an_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -1077,9 +1095,11 @@ class TestModuleEntryPoint:
 
 # Tokens that sit at the edges of what the readers accept: float64 overflow in
 # the forward (1e308) or in an energy (1e200), an int beyond float64, non-finite
-# and subnormal values, the wrong JSON type, and a byte that is not UTF-8.
+# and subnormal values, the wrong JSON type, a byte that is not UTF-8, and JSON
+# nested too deep for the decoder.
 EDGE_TOKENS = [b"1e308", b"-1e308", b"1e200", b"1" + b"0" * 400, b"1e400", b"NaN", b"-Infinity",
-               b"5e-324", b"-0.0", b"-1", b"0", b"", b'"x"', b"null", b"[]", b"\xff"]
+               b"5e-324", b"-0.0", b"-1", b"0", b"", b'"x"', b"null", b"[]", b"\xff",
+               b"[" * 1000]
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 FUZZ_CONFIGS = {
     "adapt-eval": {"alpha": 3.0, "ood_fraction": 0.5, "virtual_count": 1, "seed": 0,

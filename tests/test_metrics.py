@@ -1,17 +1,14 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adaptod import metrics
 from adaptod.errors import InvalidInputError, ShapeError, UndefinedMetricError
-from adaptod.metrics import (
-    MetricReport,
-    accuracy,
-    auroc,
-    average_precision,
-    fpr_at_tpr,
-    metric_report,
-)
+from adaptod.metrics import auroc, metric_report
 
 from oracles import pair_count_auroc, rank_walk_ap, threshold_scan_fpr
 
@@ -21,6 +18,18 @@ def make_samples(id_scores, ood_scores):
     scores = np.concatenate([np.asarray(id_scores, float), np.asarray(ood_scores, float)])
     is_id = np.arange(scores.size) < len(id_scores)
     return scores, is_id
+
+
+def report(scores, is_id):
+    """metric_report of (scores, is_id) with every ID sample classified correctly."""
+    classes = np.zeros(np.count_nonzero(is_id), int)
+    return metric_report(scores, is_id, classes, classes)
+
+
+def labelled(predicted, true):
+    """metric_report of one correct detection whose ID samples have these classes."""
+    scores, is_id = make_samples(np.ones(len(predicted)), [0.0])
+    return metric_report(scores, is_id, predicted, true)
 
 
 def random_samples(rng, n, tie_heavy=False):
@@ -48,6 +57,7 @@ class TestAuroc:
         for trial in range(50):
             samples, id_s, ood_s = random_samples(rng, 30, tie_heavy=trial % 2 == 0)
             assert auroc(*samples) == pair_count_auroc(list(id_s), list(ood_s))
+            assert report(*samples).auroc == auroc(*samples)
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):
@@ -61,80 +71,81 @@ class TestAuroc:
 
 class TestAveragePrecision:
     def test_perfect_separation(self):
-        assert average_precision(*make_samples([0.9, 0.8], [0.1]), "id") == 1.0
-        assert average_precision(*make_samples([0.9, 0.8], [0.1]), "ood") == 1.0
+        rep = report(*make_samples([0.9, 0.8], [0.1]))
+        assert (rep.ap_in, rep.ap_out) == (1.0, 1.0)
 
     def test_single_positive_ranked_last(self):
-        samples = make_samples([0.0], [0.5, 0.6, 0.7])
-        assert average_precision(*samples, "id") == pytest.approx(1 / 4)
+        assert report(*make_samples([0.0], [0.5, 0.6, 0.7])).ap_in == pytest.approx(1 / 4)
 
     def test_matches_rank_walk_oracle(self):
         rng = np.random.default_rng(2)
         for trial in range(50):
             (scores, flags), _, _ = random_samples(rng, 30, tie_heavy=trial % 2 == 0)
-            assert average_precision(scores, flags, "id") == rank_walk_ap(scores, flags)
-            assert average_precision(scores, flags, "ood") == rank_walk_ap(-scores, ~flags)
+            rep = report(scores, flags)
+            assert rep.ap_in == rank_walk_ap(scores, flags)
+            assert rep.ap_out == rank_walk_ap(-scores, ~flags)
 
     def test_no_positives(self):
-        with pytest.raises(UndefinedMetricError):
-            average_precision(*make_samples([], [0.5]), "id")
+        for samples in (make_samples([], [0.5]), make_samples([0.5], [])):
+            with pytest.raises(UndefinedMetricError, match="at least one ID and one OOD"):
+                report(*samples)
 
-    @pytest.mark.parametrize("positive", ["id", "ood"])
+    @pytest.mark.parametrize("side", ["id", "ood"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_score_rejected(self, positive, bad):
-        # auroc and fpr_at_tpr raise on the same input
-        samples = make_samples([0.9, bad], [0.1, 0.2])
-        with pytest.raises(InvalidInputError, match="scores must be finite"):
-            average_precision(*samples, positive)
+    def test_non_finite_score_rejected(self, side, bad):
+        id_s, ood_s = ([0.9, bad], [0.1, 0.2]) if side == "id" else ([0.9], [0.1, bad])
+        for metric in (auroc, report):
+            with pytest.raises(InvalidInputError, match="scores must be finite"):
+                metric(*make_samples(id_s, ood_s))
 
 
 class TestFprAtTpr:
     def test_full_separation(self):
-        assert fpr_at_tpr(*make_samples([0.9, 0.8], [0.1, 0.2])) == 0.0
+        assert report(*make_samples([0.9, 0.8], [0.1, 0.2])).fpr_at_95tpr == 0.0
 
     def test_all_identical_scores(self):
-        assert fpr_at_tpr(*make_samples([0.5] * 4, [0.5] * 3)) == 1.0
+        assert report(*make_samples([0.5] * 4, [0.5] * 3)).fpr_at_95tpr == 1.0
 
     def test_matches_threshold_scan_oracle(self):
         rng = np.random.default_rng(3)
         for trial in range(50):
             samples, id_s, ood_s = random_samples(rng, 50, tie_heavy=trial % 2 == 0)
-            assert fpr_at_tpr(*samples) == threshold_scan_fpr(
+            assert report(*samples).fpr_at_95tpr == threshold_scan_fpr(
                 list(id_s), list(ood_s), 0.95
             )
 
     def test_requires_both_classes(self):
         with pytest.raises(UndefinedMetricError):
-            fpr_at_tpr(*make_samples([], [0.1]))
+            report(*make_samples([], [0.1]))
 
 
 class TestAccuracy:
     def test_all_correct(self):
-        assert accuracy(np.arange(5), np.arange(5)) == 1.0
+        assert labelled(np.arange(5), np.arange(5)).acc == 1.0
 
     def test_none_correct(self):
-        assert accuracy(np.arange(5), np.arange(5) + 1) == 0.0
+        assert labelled(np.arange(5), np.arange(5) + 1).acc == 0.0
 
     def test_ood_samples_excluded(self):
         # the report takes predicted/true for the ID samples only
         scores, is_id = make_samples([1.0], [0.1])
         predicted, true = np.array([0, 3]), np.array([0, -1])
-        report = metric_report(scores, is_id, predicted[is_id], true[is_id])
-        assert report.acc == 1.0
+        rep = metric_report(scores, is_id, predicted[is_id], true[is_id])
+        assert rep.acc == 1.0
 
     def test_seeded_direct_count(self):
         rng = np.random.default_rng(4)
         preds = rng.integers(0, 3, 100)
         trues = rng.integers(0, 3, 100)
-        assert accuracy(preds, trues) == (preds == trues).mean()
+        assert labelled(preds, trues).acc == (preds == trues).mean()
 
     def test_missing_labels(self):
         with pytest.raises(ShapeError):
-            accuracy(np.arange(3), np.arange(2))
+            labelled(np.arange(3), np.arange(2))
         with pytest.raises(ShapeError):
-            metric_report(*make_samples([0.9], [0.1]), predicted=np.arange(1))
-        with pytest.raises(UndefinedMetricError):
-            accuracy([], [])
+            metric_report(*make_samples([0.9], [0.1]), np.arange(1), np.arange(1)[:, None])
+        with pytest.raises(UndefinedMetricError, match="no labeled ID samples"):
+            metric_report(*make_samples([0.9], [0.1]), [], [])
 
 
 class TestInvarianceAndReport:
@@ -142,32 +153,38 @@ class TestInvarianceAndReport:
     def test_detection_metrics_invariant_under_increasing_transforms(self, transform):
         rng = np.random.default_rng(5)
         (scores, is_id), _, _ = random_samples(rng, 60)
-        mapped = transform(scores)
-        assert auroc(mapped, is_id) == pytest.approx(auroc(scores, is_id), abs=1e-12)
-        assert average_precision(mapped, is_id, "id") == pytest.approx(
-            average_precision(scores, is_id, "id"), abs=1e-12
-        )
-        assert average_precision(mapped, is_id, "ood") == pytest.approx(
-            average_precision(scores, is_id, "ood"), abs=1e-12
-        )
-        assert fpr_at_tpr(mapped, is_id) == pytest.approx(fpr_at_tpr(scores, is_id), abs=1e-12)
+        mapped, plain = asdict(report(transform(scores), is_id)), asdict(report(scores, is_id))
+        assert mapped == pytest.approx(plain, abs=1e-12)
 
     def test_report_fields_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        samples, _, _ = random_samples(rng, 80)
-        report = metric_report(*samples)
-        for value in (report.auroc, report.ap_in, report.ap_out, report.fpr_at_95tpr):
+        (scores, is_id), _, _ = random_samples(rng, 80)
+        classes = rng.integers(0, 3, (2, np.count_nonzero(is_id)))
+        for value in asdict(metric_report(scores, is_id, *classes)).values():
             assert 0.0 <= value <= 1.0
-        assert report.acc is None
 
     def test_report_json_round_trip(self):
-        report = MetricReport(auroc=0.9, ap_in=0.8, ap_out=0.7, fpr_at_95tpr=0.2, acc=0.5)
-        import json
+        """The report's fields, as cli writes them, are five plain floats."""
+        rng = np.random.default_rng(8)
+        (scores, is_id), _, _ = random_samples(rng, 40)
+        fields = asdict(report(scores, is_id))
+        assert json.loads(json.dumps(fields)) == fields
+        assert sorted(fields) == ["acc", "ap_in", "ap_out", "auroc", "fpr_at_95tpr"]
+        assert all(type(v) is float for v in fields.values())
 
-        payload = json.loads(report.to_json())
-        assert payload == {
-            "auroc": 0.9, "ap_in": 0.8, "ap_out": 0.7, "fpr_at_95tpr": 0.2, "acc": 0.5
-        }
+    def test_each_call_checks_the_scores_once(self, monkeypatch):
+        calls = []
+        check = metrics._check
+        monkeypatch.setattr(metrics, "_check", lambda *a: calls.append(1) or check(*a))
+        scores, is_id = make_samples([0.9, 0.8], [0.1])
+        report(scores, is_id)
+        assert len(calls) == 1
+        auroc(scores, is_id)
+        assert len(calls) == 2
+
+    def test_scores_are_checked_before_the_classes(self):
+        with pytest.raises(InvalidInputError, match="scores must be finite"):
+            metric_report(*make_samples([np.nan], [0.1]), np.arange(1), np.arange(2))
 
 
 # A five-value alphabet makes ties common; the float branch covers the rest.
@@ -191,10 +208,11 @@ class TestArrayProperties:
     def test_equal_bruteforce_oracles_exactly(self, stream):
         scores, is_id = stream
         id_s, ood_s = list(scores[is_id]), list(scores[~is_id])
-        assert auroc(scores, is_id) == pair_count_auroc(id_s, ood_s)
-        assert average_precision(scores, is_id, "id") == rank_walk_ap(scores, is_id)
-        assert average_precision(scores, is_id, "ood") == rank_walk_ap(-scores, ~is_id)
-        assert fpr_at_tpr(scores, is_id) == threshold_scan_fpr(id_s, ood_s, 0.95)
+        rep = report(scores, is_id)
+        assert rep.auroc == auroc(scores, is_id) == pair_count_auroc(id_s, ood_s)
+        assert rep.ap_in == rank_walk_ap(scores, is_id)
+        assert rep.ap_out == rank_walk_ap(-scores, ~is_id)
+        assert rep.fpr_at_95tpr == threshold_scan_fpr(id_s, ood_s, 0.95)
 
     @settings(max_examples=200, deadline=None)
     @given(scored_streams())
@@ -207,6 +225,6 @@ class TestArrayProperties:
     def test_mismatched_lengths_raise(self, scores, n_flags):
         assume(n_flags != len(scores))
         is_id = np.arange(n_flags) % 2 == 0
-        for metric in (auroc, average_precision, fpr_at_tpr, metric_report):
+        for metric in (auroc, report):
             with pytest.raises(ShapeError):
                 metric(scores, is_id)

@@ -346,9 +346,8 @@ class TestDivergence:
         model = Mlp.init([4, 8, 2], seed=0)
         model.weights[-1][...] *= scale
         cfg = TrainConfig(seed=0, b_in=32, **settings)
-        with pytest.raises(TrainingDivergedError, match=f"{message} at step {step}$") as exc:
+        with pytest.raises(TrainingDivergedError, match=f"{message} at step {step}$"):
             train(model, x, y, outliers, cfg)
-        assert exc.value.step == step
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged) as want:
             per_layer_train(model.weights, model.biases, x, y, outliers, cfg)
         assert want.value.step == step
@@ -439,7 +438,14 @@ class TestCheckpoint:
         pytest.param(lambda c: c.pop("weights"), "weights", id="missing-weights"),
         pytest.param(lambda c: c.pop("seed"), "seed", id="missing-seed"),
         pytest.param(lambda c: c.update(layer_dims="x"), "layer_dims", id="bad-dims"),
-        pytest.param(lambda c: c.update(layer_dims=[3]), "weights", id="too-few-dims"),
+        pytest.param(lambda c: c.update(layer_dims=[3]), "layer_dims", id="too-few-dims"),
+        # the rule of Mlp.init, with arrays that match the sizes
+        pytest.param(lambda c: c.update(layer_dims=[3], weights=[], biases=[]), "layer_dims",
+                     id="one-size-no-layers"),
+        pytest.param(lambda c: c.update(layer_dims=[], weights=[], biases=[]), "layer_dims",
+                     id="no-sizes"),
+        pytest.param(lambda c: c.update(layer_dims=[3, 0, 2], weights=[[], []],
+                                        biases=[[], [0.0, 0.0]]), "layer_dims", id="zero-width"),
         pytest.param(lambda c: c.update(layer_dims=[3, 5, 2]), "weights", id="wider-dims"),
         pytest.param(lambda c: c["weights"].pop(), "weights", id="missing-layer"),
         pytest.param(lambda c: c["biases"][1].append(0.0), "biases", id="long-bias"),
@@ -457,7 +463,8 @@ class TestCheckpoint:
         with pytest.raises(LogitFileError, match=f"{path}.*'{key}'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("text", ["{not json", "[8, 10]", "\xff"])
+    @pytest.mark.parametrize("text", ["{not json", "[8, 10]", "\xff",
+                                      pytest.param("[" * 1000, id="nested-too-deep")])
     def test_non_object_checkpoint(self, tmp_path, text):
         path = tmp_path / "ckpt.json"
         path.write_text(text, encoding="latin-1")
