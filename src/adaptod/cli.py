@@ -115,42 +115,36 @@ def prepare(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1):
     return stats, p0, logit_sets
 
 
-MODES = ("uncalibrated", "no_tta", "doda", "oracle")
+def mode_plans(r):
+    """The doda.run_plans plan (oracle fraction, filter threshold) of each
+    evaluation mode at threshold r; uncalibrated's None is the score G."""
+    return {"uncalibrated": None, "no_tta": (0.0, -math.inf), "doda": (0.0, r), "oracle": (1.0, r)}
 
 
-def evaluate_modes(stats, p0, stream, *, modes=MODES, oracle_fractions=(), seed=0):
-    """The requested modes, plus one sweep_<f> mode per oracle fraction f, over
-    a build_stream result of logits: mode name -> {"report", "scores",
-    "accepted", "final_state"}. uncalibrated scores with the G that run_plans
-    computes, and adapts nothing: its mask and state are None. Every other mode
-    is a doda.run_plans plan (oracle fraction, filter threshold): no_tta
-    (0, -inf), doda (0, R), oracle (1, R) and sweep_<f> (f, R), all in one call
-    whose oracle plans share the draws of rng(seed), so no result depends on
-    which other modes run. Modes with the same plan, or with plans that accept
-    nothing, share one result.
-    """
+def evaluate_plans(p0, stream, plans, *, seed=0):
+    """Score a build_stream result of logits under each named plan: name ->
+    {"report", "scores", "accepted", "final_state"}. A plan is a doda.run_plans
+    (oracle fraction, filter threshold), or None for G, which adapts nothing:
+    its mask and state are None. The distinct plans run in one call whose
+    oracle plans share the draws of rng(seed), so no result depends on which
+    other plans run. Names whose plans share a pass share one report."""
     stream_logits, is_ood, labels = stream
     is_id = ~is_ood
     predicted, true = stream_logits.argmax(axis=1)[is_id], labels[is_id]
-    plan_of = {"no_tta": (0.0, -math.inf), "doda": (0.0, stats.r), "oracle": (1.0, stats.r)}
-    plans = {mode: plan_of[mode] for mode in modes if mode != "uncalibrated"}
-    plans.update({f"sweep_{frac:g}": (float(frac), stats.r) for frac in oracle_fractions})
-    unique = list(dict.fromkeys(plans.values()))
+    unique = list(dict.fromkeys(plan for plan in plans.values() if plan is not None))
     energies, runs = doda.run_plans(p0, stream_logits, unique, oracle_labels=is_ood,
                                     rng=np.random.default_rng(seed))
-    runs = dict(zip(unique, runs))
-    passes = {}
-    if "uncalibrated" in modes:  # G is the score under P = 0, whose terms are divided by 1
-        passes["uncalibrated"] = (energies.tolist(), None, None)
-    passes.update((mode, runs[plan]) for mode, plan in plans.items())
-    shared = {id(res): res for res in passes.values()}  # modes that share a pass share a report
+    # G is the score under P = 0, whose terms are divided by 1
+    runs = {None: (energies.tolist(), None, None), **dict(zip(unique, runs))}
+    passes = {name: runs[plan] for name, plan in plans.items()}
+    shared = {id(res): res for res in passes.values()}  # idle plans share one result
     reports = {key: metrics.metric_report(np.asarray(res[0]), is_id, predicted, true)
                for key, res in shared.items()}
-    return {mode: {"report": reports[id(res)], "scores": res[0], "accepted": res[1],
-                   "final_state": res[2]} for mode, res in passes.items()}
+    return {name: {"report": reports[id(res)], "scores": res[0], "accepted": res[1],
+                   "final_state": res[2]} for name, res in passes.items()}
 
 
-# head-tail --mode -> evaluate_modes result key
+# head-tail --mode -> mode_plans key
 HEAD_TAIL_MODES = {"doda": "doda", "frozen": "no_tta", "uncalibrated": "uncalibrated",
                    "oracle": "oracle"}
 
@@ -168,11 +162,11 @@ def head_tail_reports(stats, p0, logit_sets, *, ood_fraction=0.5, seed=0, mode="
     for name, mask in halves.items():  # both, before either is scored
         if not mask.any():
             raise UndefinedMetricError(f"no ID samples left in the {name} subset")
-    key, reports = HEAD_TAIL_MODES[mode], {}
+    plans, reports = {mode: mode_plans(stats.r)[HEAD_TAIL_MODES[mode]]}, {}
     for name, mask in halves.items():
         half = replace(id_test, features=id_test.features[mask], labels=id_test.labels[mask])
         stream = build_stream(half, logit_sets[data_mod.TRUE_OOD], ood_fraction, seed)
-        reports[name] = evaluate_modes(stats, p0, stream, modes=(key,), seed=seed)[key]["report"]
+        reports[name] = evaluate_plans(p0, stream, plans, seed=seed)[mode]["report"]
     return reports
 
 
@@ -304,7 +298,8 @@ def cmd_adapt_eval(ns) -> int:
     stats, p0, logit_sets = _prepare_run(ns, ns.alpha)
     stream = build_stream(logit_sets[data_mod.ID_TEST], logit_sets[data_mod.TRUE_OOD],
                           ns.ood_fraction, ns.seed)
-    results = evaluate_modes(stats, p0, stream, oracle_fractions=fractions, seed=ns.seed)
+    plans = mode_plans(stats.r) | {f"sweep_{f:g}": (f, stats.r) for f in fractions}
+    results = evaluate_plans(p0, stream, plans, seed=ns.seed)
     with _run_dir(ns) as out_dir:
         _json(out_dir / "metrics.json", {mode: asdict(r["report"]) for mode, r in results.items()})
         if ns.events:  # plain DODA's accept mask, and the G of each sample
@@ -334,15 +329,14 @@ def cmd_alpha_sweep(ns) -> int:
     fitted, p0, logit_sets = _prepare_run(ns, alphas[0])
     # mu_in and sigma_in do not depend on alpha; only the threshold R does.
     grid = [doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, a) for a in alphas]
-    logits, is_ood, _ = build_stream(logit_sets[data_mod.ID_TEST],
-                                     logit_sets[data_mod.TRUE_OOD], ns.ood_fraction, ns.seed)
-    _, passes = doda.run_plans(p0, logits, [(0.0, stats.r) for stats in grid])
-    by_pass = {id(res): metrics.auroc(np.asarray(res[0]), ~is_ood) for res in passes}
-    aurocs = [by_pass[id(res)] for res in passes]  # plans that accept nothing share a pass
+    stream = build_stream(logit_sets[data_mod.ID_TEST], logit_sets[data_mod.TRUE_OOD],
+                          ns.ood_fraction, ns.seed)
+    results = evaluate_plans(p0, stream, {i: (0.0, stats.r) for i, stats in enumerate(grid)},
+                             seed=ns.seed)
     with _run_dir(ns) as out_dir, open(out_dir / "alpha_sweep.csv", "w") as fh:
         fh.write("alpha,auroc\n")
-        for alpha, auc in zip(alphas, aurocs):
-            fh.write(f"{alpha!r},{auc!r}\n")
+        for i, alpha in enumerate(alphas):
+            fh.write(f"{alpha!r},{results[i]['report'].auroc!r}\n")
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Detection and classification metrics: AUROC, AP-in/AP-out, FPR@95TPR, ACC.
 
 Scores follow the convention "higher = more ID-like". metric_report checks its
-arrays once and computes every field from them; auroc alone serves alpha-sweep.
+arrays once and computes every field from them.
 AUROC uses the Mann-Whitney statistic with half credit for ties; AP is
 non-interpolated step AP with ties broken by input order, and AP-out ranks
 OOD as the positives by ascending score; the FPR threshold is the tightest
@@ -57,12 +57,6 @@ def _average_precision(scores, is_pos) -> float:
     hits = is_pos[np.argsort(-scores, kind="stable")]
     ranks = np.flatnonzero(hits) + 1  # the j-th hit has precision j / rank
     return math.fsum(np.arange(1, ranks.size + 1) / ranks) / ranks.size
-
-
-def auroc(scores, is_id) -> float:
-    """P(ID score > OOD score) + half credit for ties."""
-    scores, is_id = _check(scores, is_id)
-    return _auroc(scores[is_id], scores[~is_id])
 
 
 def metric_report(scores, is_id, predicted, true) -> MetricReport:

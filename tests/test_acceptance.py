@@ -158,7 +158,7 @@ def test_metrics_equal_bruteforce_oracles_exactly():
         classes = np.zeros(n_id, int)
         report = metrics.metric_report(scores, is_id, classes, classes)
 
-        assert metrics.auroc(scores, is_id) == pair_count_auroc(id_scores, ood_scores)
+        assert report.auroc == pair_count_auroc(id_scores, ood_scores)
         assert report.ap_in == rank_walk_ap(scores, is_id)
         assert report.ap_out == rank_walk_ap(-scores, ~is_id)
         assert report.fpr_at_95tpr == threshold_scan_fpr(id_scores, ood_scores, 0.95)
@@ -245,9 +245,11 @@ def desk_benchmark(seed: int, oracle_fractions):
                 for name, model in (("ce", ce_model), ("dne", dne_model))}
     stats, p0, logit_sets = prepared["dne"]
     stream = cli.build_stream(logit_sets[data.ID_TEST], logit_sets[data.TRUE_OOD], 0.5, seed)
-    res = cli.evaluate_modes(stats, p0, stream, oracle_fractions=oracle_fractions, seed=seed)
+    modes = cli.mode_plans(stats.r)
+    plans = modes | {f"sweep_{f:g}": (f, stats.r) for f in oracle_fractions}
+    res = cli.evaluate_plans(p0, stream, plans, seed=seed)
     out = {
-        "auroc": {m: res[m]["report"].auroc for m in cli.MODES},
+        "auroc": {m: res[m]["report"].auroc for m in modes},
         "sweep": [(f, res[f"sweep_{f:g}"]["report"].auroc) for f in oracle_fractions],
     }
     for name, (stats, p0, logit_sets) in prepared.items():

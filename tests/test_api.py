@@ -1,0 +1,75 @@
+"""No API that only tests use: every public top-level function, class and
+constant of src/adaptod is used in src/adaptod or bench/ outside its own
+definition. Uses are read from the AST, so a docstring or a comment that
+names a function does not keep it alive."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "adaptod"
+
+
+def defined_names(stmt):
+    """The public names that one top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return {name for name in names if not name.startswith("_")}
+
+
+def package_module(node, in_package):
+    """The package module that `from <module> import ...` reads from: "" for
+    the package itself, None for anything outside it."""
+    if node.level:
+        return (node.module or "") if in_package else None
+    if node.module == PACKAGE or (node.module or "").startswith(PACKAGE + "."):
+        return node.module[len(PACKAGE) + 1:]
+    return None
+
+
+def uses(path, tree, modules):
+    """(module, name) of every package name that one file loads: a bare name
+    of its own module or one imported from a package module, or an attribute
+    of a package module. A statement's loads of the names it defines are not
+    uses."""
+    in_package = path.parent.name == PACKAGE
+    own = path.stem if in_package else None
+    aliases, imported = {}, {}  # local name -> module, local name -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = package_module(node, in_package)
+            for alias in node.names if source is not None else ():
+                local = alias.asname or alias.name
+                if source == "" and alias.name in modules:
+                    aliases[local] = alias.name
+                elif source in modules:
+                    imported[local] = (source, alias.name)
+    found = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                ref = imported.get(node.id, (own, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                ref = (aliases[node.value.id], node.attr)
+            else:
+                continue
+            if not (ref[0] == own and ref[1] in defined_names(stmt)):
+                found.add(ref)
+    return found
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    files = sorted([*(ROOT / "src" / PACKAGE).glob("*.py"), *(ROOT / "bench").glob("*.py")])
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    modules = {path.stem for path in files if path.parent.name == PACKAGE}
+    used = set().union(*(uses(path, tree, modules) for path, tree in trees.items()))
+    defined = {(path.stem, name) for path, tree in trees.items() if path.parent.name == PACKAGE
+               for stmt in tree.body for name in defined_names(stmt)}
+    assert sorted(defined - used) == []

@@ -24,6 +24,8 @@ from adaptod import cli, data, doda, energy, metrics, nn
 from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
 from adaptod.errors import EnergyOverflowError
 
+from oracles import pair_count_auroc
+
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
@@ -628,7 +630,7 @@ class TestAlphaSweep:
 
     def test_accepting_alphas_equal_one_stream_per_alpha(self, small_run, tmp_path):
         """The small alphas put R inside the stream's G range, so those plans
-        accept samples; each AUROC equals that of its own run_stream."""
+        accept samples; each AUROC equals the pair count of its own run_stream."""
         data_dir, model_dir = small_run
         alphas = [0.005, 0.01, 0.05, 3.0, 0.01]
         out = tmp_path / "sweep"
@@ -648,7 +650,8 @@ class TestAlphaSweep:
             scores, mask, _ = doda.run_stream(p0, stats, logits)
             accepted.append(int(mask.sum()))
             assert float(alpha_text) == alpha
-            assert float(auroc_text) == metrics.auroc(np.asarray(scores), ~is_ood)
+            scores = np.asarray(scores)
+            assert float(auroc_text) == pair_count_auroc(scores[~is_ood], scores[is_ood])
         assert 0 < min(accepted[:3]) and max(accepted[:3]) < len(logits) and accepted[3] == 0
 
     @pytest.mark.parametrize("alphas", ["nan,3", "3,inf", "2,-1"])
@@ -858,16 +861,18 @@ class TestSizeLimits:
 class TestEvaluationPlan:
     """Each command forwards a set once and runs only the stream modes it reports."""
 
-    @pytest.mark.parametrize("command, extra, passes", [
-        ("adapt-eval", ["--events"], 1),  # one pass for every plan; uncalibrated is G
-        ("head-tail", [], 2),  # one mode per half
-        ("alpha-sweep", [], 1),  # one pass for every alpha's threshold
+    @pytest.mark.parametrize("command, extra, passes, reports", [
+        # one pass for every plan; uncalibrated is G; one report per distinct result:
+        # G, the idle no_tta, doda and sweep_0, oracle and sweep_1, and sweep_0.25..0.75
+        ("adapt-eval", ["--events"], 1, 6),
+        ("head-tail", [], 2, 2),  # one mode per half
+        ("alpha-sweep", [], 1, 1),  # one pass for every alpha's threshold, none accepting
     ])
     def test_forward_and_stream_pass_counts(self, small_run, tmp_path, monkeypatch,
-                                            command, extra, passes):
+                                            command, extra, passes, reports):
         data_dir, model_dir = small_run
-        calls = {"run_plans": 0, "rows": []}
-        forward, run_plans = nn.Mlp.forward, doda.run_plans
+        calls = {"run_plans": 0, "metric_report": 0, "rows": []}
+        forward, run_plans, metric_report = nn.Mlp.forward, doda.run_plans, metrics.metric_report
 
         def counting_forward(self, inputs):
             calls["rows"].append(len(inputs))
@@ -877,12 +882,18 @@ class TestEvaluationPlan:
             calls["run_plans"] += 1
             return run_plans(*args, **kwargs)
 
+        def counting_metric_report(*args):
+            calls["metric_report"] += 1
+            return metric_report(*args)
+
         monkeypatch.setattr(nn.Mlp, "forward", counting_forward)
         monkeypatch.setattr(doda, "run_plans", counting_run_plans)
+        monkeypatch.setattr(metrics, "metric_report", counting_metric_report)
         rc = run_cli(command, "--data", data_dir, "--model", model_dir / "checkpoint.json",
                      "--out", tmp_path / "o", *extra)
         assert rc == EXIT_OK
         assert calls["run_plans"] == passes
+        assert calls["metric_report"] == reports
         # one forward per set, in prepare: every row of every set, once
         assert sorted(calls["rows"]) == sorted(s.n for s in cli.load_datasets(data_dir).values())
 
@@ -942,17 +953,18 @@ class TestEvaluationPlan:
     def test_each_mode_alone_equals_the_full_run(self, prepared):
         _, _, stats, p0, stream = prepared
         fractions = (0.0, 0.25, 0.5, 1.0)
-        full = cli.evaluate_modes(stats, p0, stream, oracle_fractions=fractions, seed=5)
-        assert set(full) == set(cli.MODES) | {f"sweep_{f:g}" for f in fractions}
-        for mode in cli.MODES:
-            alone = cli.evaluate_modes(stats, p0, stream, modes=(mode,), seed=5)
+        modes = cli.mode_plans(stats.r)
+        plans = modes | {f"sweep_{f:g}": (f, stats.r) for f in fractions}
+        full = cli.evaluate_plans(p0, stream, plans, seed=5)
+        assert set(full) == set(modes) | {f"sweep_{f:g}" for f in fractions}
+        for mode in modes:
+            alone = cli.evaluate_plans(p0, stream, {mode: plans[mode]}, seed=5)
             assert set(alone) == {mode}
             assert alone[mode]["report"] == full[mode]["report"]
             assert alone[mode]["scores"] == full[mode]["scores"]
         for frac in fractions:
-            alone = cli.evaluate_modes(stats, p0, stream, modes=(), oracle_fractions=(frac,),
-                                       seed=5)
             key = f"sweep_{frac:g}"
+            alone = cli.evaluate_plans(p0, stream, {key: plans[key]}, seed=5)
             assert alone[key]["report"] == full[key]["report"]
 
     def test_alpha_grid_from_moments_equals_a_fit_per_alpha(self, prepared):
@@ -1093,14 +1105,16 @@ class TestModuleEntryPoint:
         assert "RuntimeWarning" not in proc.stderr
 
 
-# Tokens that sit at the edges of what the readers accept: float64 overflow in
-# the forward (1e308) or in an energy (1e200), an int beyond float64, non-finite
-# and subnormal values, the wrong JSON type, a byte that is not UTF-8, and JSON
-# nested too deep for the decoder.
-EDGE_TOKENS = [b"1e308", b"-1e308", b"1e200", b"1" + b"0" * 400, b"1e400", b"NaN", b"-Infinity",
-               b"5e-324", b"-0.0", b"-1", b"0", b"", b'"x"', b"null", b"[]", b"\xff",
-               b"[" * 1000]
+# Tokens that sit at the edges of what the readers accept: JSON nested too deep
+# for the decoder, float64 overflow in the forward (1e308) or in an energy
+# (1e200), an int beyond float64, non-finite and subnormal values, the wrong
+# JSON type, and a byte that is not UTF-8. The nesting is deeper than the
+# recursion limit that Hypothesis sets while a test runs (its stack depth + 2000),
+# and it comes first because Hypothesis draws the first entries most often.
+EDGE_TOKENS = [b"[" * 10_000, b"1e308", b"-1e308", b"1e200", b"1" + b"0" * 400, b"1e400", b"NaN",
+               b"-Infinity", b"5e-324", b"-0.0", b"-1", b"0", b"", b'"x"', b"null", b"[]", b"\xff"]
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+JSON_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|[][{}]|' + NUMBER.pattern)
 FUZZ_CONFIGS = {
     "adapt-eval": {"alpha": 3.0, "ood_fraction": 0.5, "virtual_count": 1, "seed": 0,
                    "oracle_fractions": "0,0.5,1", "events": True},
@@ -1110,16 +1124,36 @@ FUZZ_CONFIGS = {
 }
 
 
+def json_values(blob):
+    """The byte spans of the JSON objects, arrays, strings and numbers in blob,
+    found by bracket matching: a bracket left unmatched spans nothing."""
+    spans, opened = [], []
+    for token in JSON_TOKEN.finditer(blob):
+        first = token.group()[:1]
+        if first in b"[{":
+            opened.append(token.start())
+        elif first in b"]}":
+            if opened:
+                spans.append((opened.pop(), token.end()))
+        else:
+            spans.append(token.span())
+    return spans
+
+
 @st.composite
 def mutated(draw, blob):
-    """blob after one to three edits: a number replaced by an edge token, a span
-    of up to 8 bytes deleted, or up to 4 bytes or an edge token inserted."""
+    """blob after one to three edits: a number or a whole JSON value (object,
+    array, string or number) replaced by an edge token, a span of up to 8 bytes
+    deleted, or up to 4 bytes or an edge token inserted."""
     for _ in range(draw(st.integers(1, 3))):
-        numbers = list(NUMBER.finditer(blob))
-        kind = draw(st.sampled_from(["number", "delete", "insert"]))
-        if kind == "number" and numbers:
-            token = numbers[draw(st.integers(0, len(numbers) - 1))]
-            blob = blob[:token.start()] + draw(st.sampled_from(EDGE_TOKENS)) + blob[token.end():]
+        kind = draw(st.sampled_from(["number", "value", "delete", "insert"]))
+        if kind == "value":
+            spans = json_values(blob)
+        else:
+            spans = [token.span() for token in NUMBER.finditer(blob)] if kind == "number" else []
+        if spans:
+            start, end = spans[draw(st.integers(0, len(spans) - 1))]
+            blob = blob[:start] + draw(st.sampled_from(EDGE_TOKENS)) + blob[end:]
             continue
         at = draw(st.integers(0, len(blob)))
         if kind == "delete":

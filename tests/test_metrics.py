@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adaptod import metrics
 from adaptod.errors import InvalidInputError, ShapeError, UndefinedMetricError
-from adaptod.metrics import auroc, metric_report
+from adaptod.metrics import metric_report
 
 from oracles import pair_count_auroc, rank_walk_ap, threshold_scan_fpr
 
@@ -47,26 +47,26 @@ def random_samples(rng, n, tie_heavy=False):
 
 class TestAuroc:
     def test_full_separation(self):
-        assert auroc(*make_samples([0.9, 0.8], [0.1, 0.2])) == 1.0
+        assert report(*make_samples([0.9, 0.8], [0.1, 0.2])).auroc == 1.0
 
     def test_all_ties(self):
-        assert auroc(*make_samples([0.5, 0.5], [0.5, 0.5, 0.5])) == 0.5
+        assert report(*make_samples([0.5, 0.5], [0.5, 0.5, 0.5])).auroc == 0.5
 
     def test_matches_pair_counting_oracle(self):
         rng = np.random.default_rng(0)
         for trial in range(50):
             samples, id_s, ood_s = random_samples(rng, 30, tie_heavy=trial % 2 == 0)
-            assert auroc(*samples) == pair_count_auroc(list(id_s), list(ood_s))
-            assert report(*samples).auroc == auroc(*samples)
+            assert report(*samples).auroc == pair_count_auroc(list(id_s), list(ood_s))
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            auroc(*make_samples([1.0], []))
+            report(*make_samples([1.0], []))
 
     def test_symmetry_under_negation_and_flip(self):
         rng = np.random.default_rng(1)
         (scores, is_id), _, _ = random_samples(rng, 40)
-        assert auroc(scores, is_id) == pytest.approx(auroc(-scores, ~is_id), abs=1e-12)
+        assert report(scores, is_id).auroc == pytest.approx(report(-scores, ~is_id).auroc,
+                                                            abs=1e-12)
 
 
 class TestAveragePrecision:
@@ -94,9 +94,8 @@ class TestAveragePrecision:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_score_rejected(self, side, bad):
         id_s, ood_s = ([0.9, bad], [0.1, 0.2]) if side == "id" else ([0.9], [0.1, bad])
-        for metric in (auroc, report):
-            with pytest.raises(InvalidInputError, match="scores must be finite"):
-                metric(*make_samples(id_s, ood_s))
+        with pytest.raises(InvalidInputError, match="scores must be finite"):
+            report(*make_samples(id_s, ood_s))
 
 
 class TestFprAtTpr:
@@ -179,8 +178,6 @@ class TestInvarianceAndReport:
         scores, is_id = make_samples([0.9, 0.8], [0.1])
         report(scores, is_id)
         assert len(calls) == 1
-        auroc(scores, is_id)
-        assert len(calls) == 2
 
     def test_scores_are_checked_before_the_classes(self):
         with pytest.raises(InvalidInputError, match="scores must be finite"):
@@ -209,7 +206,7 @@ class TestArrayProperties:
         scores, is_id = stream
         id_s, ood_s = list(scores[is_id]), list(scores[~is_id])
         rep = report(scores, is_id)
-        assert rep.auroc == auroc(scores, is_id) == pair_count_auroc(id_s, ood_s)
+        assert rep.auroc == pair_count_auroc(id_s, ood_s)
         assert rep.ap_in == rank_walk_ap(scores, is_id)
         assert rep.ap_out == rank_walk_ap(-scores, ~is_id)
         assert rep.fpr_at_95tpr == threshold_scan_fpr(id_s, ood_s, 0.95)
@@ -218,13 +215,12 @@ class TestArrayProperties:
     @given(scored_streams())
     def test_auroc_of_negated_scores_is_the_complement(self, stream):
         scores, is_id = stream
-        assert auroc(scores, is_id) + auroc(-scores, is_id) == pytest.approx(1)
+        assert report(scores, is_id).auroc + report(-scores, is_id).auroc == pytest.approx(1)
 
     @settings(deadline=None)
     @given(st.lists(SCORE, min_size=1, max_size=20), st.integers(0, 20))
     def test_mismatched_lengths_raise(self, scores, n_flags):
         assume(n_flags != len(scores))
         is_id = np.arange(n_flags) % 2 == 0
-        for metric in (auroc, report):
-            with pytest.raises(ShapeError):
-                metric(scores, is_id)
+        with pytest.raises(ShapeError):
+            report(scores, is_id)
