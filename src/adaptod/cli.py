@@ -23,21 +23,11 @@ import numpy as np
 
 from . import data as data_mod
 from . import doda, energy, metrics, nn
-from .errors import (
-    ConfigError,
-    EnergyOverflowError,
-    InsufficientDataError,
-    InvalidInputError,
-    LogitFileError,
-    ShapeError,
-    TrainingDivergedError,
-    UndefinedMetricError,
-)
+from .errors import AdaptOdError, DataError, InvalidInputError, NumericError
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+EXIT_CONFIG = InvalidInputError.exit_code
+EXIT_DATA = DataError.exit_code
 
 DATASET_FILES = {
     data_mod.ID_TRAIN: "id_train.csv",
@@ -53,7 +43,7 @@ DATASET_FILES = {
 
 
 def load_datasets(data_dir, tags=tuple(DATASET_FILES)):
-    """The sample sets of data_dir; LogitFileError names a file whose rows are
+    """The sample sets of data_dir; DataError names a file whose rows are
     not as wide as those of the first, or an ID-test label no ID-train class has."""
     paths = {tag: Path(data_dir) / DATASET_FILES[tag] for tag in tags}
     sets = {tag: data_mod.read_sample_set(path, tag) for tag, path in paths.items()}
@@ -61,13 +51,13 @@ def load_datasets(data_dir, tags=tuple(DATASET_FILES)):
     width = sets[first].features.shape[1]
     for tag, sample_set in sets.items():
         if sample_set.features.shape[1] != width:
-            raise LogitFileError(f"{paths[tag]}: rows hold {sample_set.features.shape[1]} "
-                                 f"values, but {paths[first]} rows hold {width}")
+            raise DataError(f"{paths[tag]}: rows hold {sample_set.features.shape[1]} "
+                            f"values, but {paths[first]} rows hold {width}")
     if {data_mod.ID_TRAIN, data_mod.ID_TEST} <= sets.keys():
         k, label = sets[data_mod.ID_TRAIN].labels.max() + 1, sets[data_mod.ID_TEST].labels.max()
         if label >= k:
-            raise LogitFileError(f"{paths[data_mod.ID_TEST]}: label {label} is not one of the "
-                                 f"{k} classes of {paths[data_mod.ID_TRAIN]}")
+            raise DataError(f"{paths[data_mod.ID_TEST]}: label {label} is not one of the "
+                            f"{k} classes of {paths[data_mod.ID_TRAIN]}")
     return sets
 
 
@@ -80,11 +70,13 @@ def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
     available.
     """
     if not 0.0 < ood_fraction < 1.0:
-        raise ConfigError("ood_fraction must lie strictly between 0 and 1")
+        raise InvalidInputError("ood_fraction must lie strictly between 0 and 1, "
+                                f"got {ood_fraction}")
     n_id = id_test.n
     n_ood = min(true_ood.n, round(n_id * ood_fraction / (1.0 - ood_fraction)))
     if n_ood < 1:
-        raise ConfigError("stream would contain no OOD samples")
+        raise InvalidInputError(f"stream would contain no OOD samples: {n_id} ID samples "
+                                f"at ood_fraction {ood_fraction}")
     feats = np.vstack([id_test.features, true_ood.features[:n_ood]])
     labels = np.concatenate([id_test.labels, np.full(n_ood, -1)])
     is_ood = np.concatenate([np.zeros(n_id, bool), np.ones(n_ood, bool)])
@@ -96,22 +88,22 @@ def prepare(model, datasets, *, alpha=doda.DEFAULT_ALPHA, virtual_count=1):
     """Forward each sample set once, as a whole, and fit what every stream of
     one command shares: (filter stats from the ID-train logits, P0 from the
     outlier logits, provenance tag -> the set with its logits for features).
-    EnergyOverflowError names the set, and the first sample whose logits, G or
-    exp(logit) overflow."""
+    NumericError names the set, and the first sample whose logits, G or
+    exp(logit) overflow, or P0's mean that does."""
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite logits are refused below
         logit_sets = {tag: replace(sample_set, features=model.forward(sample_set.features))
                       for tag, sample_set in datasets.items()}
     for tag, logit_set in logit_sets.items():
         bad = np.flatnonzero(~np.isfinite(logit_set.features).all(axis=1))
         if bad.size:
-            raise EnergyOverflowError(f"{tag} sample {bad[0]}: logits exceed float64 range")
+            raise NumericError(f"{tag} sample {bad[0]}: logits exceed float64 range")
     tag = data_mod.ID_TRAIN
     try:
         stats = doda.fit_energy_stats(logit_sets[tag].features, alpha)
         tag = data_mod.OUTLIER
         p0 = doda.init_outlier_distribution(logit_sets[tag].features, virtual_count=virtual_count)
-    except EnergyOverflowError as exc:  # named as the check above names a set
-        raise EnergyOverflowError(f"{tag} {exc}") from exc
+    except NumericError as exc:  # named as the check above names a set
+        raise NumericError(f"{tag} {exc}") from exc
     return stats, p0, logit_sets
 
 
@@ -161,7 +153,7 @@ def head_tail_reports(stats, p0, logit_sets, *, ood_fraction=0.5, seed=0, mode="
     halves = {"head": is_head, "tail": ~is_head}
     for name, mask in halves.items():  # both, before either is scored
         if not mask.any():
-            raise UndefinedMetricError(f"no ID samples left in the {name} subset")
+            raise DataError(f"no ID samples left in the {name} subset")
     plans, reports = {mode: mode_plans(stats.r)[HEAD_TAIL_MODES[mode]]}, {}
     for name, mask in halves.items():
         half = replace(id_test, features=id_test.features[mask], labels=id_test.labels[mask])
@@ -273,16 +265,18 @@ def _prepare_run(ns, alpha):
     --virtual-count checked before any file is read, then prepare of the data
     and of a model that fits it."""
     if not 0.0 < ns.ood_fraction < 1.0:
-        raise ConfigError(f"ood_fraction must lie strictly between 0 and 1, got {ns.ood_fraction}")
+        raise InvalidInputError("ood_fraction must lie strictly between 0 and 1, "
+                                f"got {ns.ood_fraction}")
     if not 0 <= ns.virtual_count <= doda.MAX_VIRTUAL_COUNT:
-        raise ConfigError(f"virtual_count must lie in [0, 2**53], got {ns.virtual_count}")
+        raise InvalidInputError(f"virtual_count must lie in [0, 2**53], got {ns.virtual_count}")
     datasets = load_datasets(ns.data)
     model, _, _ = nn.load_checkpoint(ns.model)
     k_data = int(datasets[data_mod.ID_TRAIN].labels.max()) + 1
     if model.layer_dims[-1] != k_data:
-        raise ConfigError(f"checkpoint k={model.layer_dims[-1]} does not match dataset k={k_data}")
+        raise InvalidInputError(f"checkpoint k={model.layer_dims[-1]} does not match "
+                                f"dataset k={k_data}")
     if model.layer_dims[0] != datasets[data_mod.ID_TRAIN].features.shape[1]:
-        raise ConfigError("checkpoint input dim does not match dataset feature dim")
+        raise InvalidInputError("checkpoint input dim does not match dataset feature dim")
     return prepare(model, datasets, alpha=alpha, virtual_count=ns.virtual_count)
 
 
@@ -291,10 +285,10 @@ def cmd_adapt_eval(ns) -> int:
     named = {}
     for f in fractions:
         if not 0.0 <= f <= 1.0:
-            raise ConfigError(f"oracle fraction {f:g} must lie in [0, 1]")
+            raise InvalidInputError(f"oracle fraction {f:g} must lie in [0, 1]")
         if named.setdefault(f"{f:g}", f) != f:  # one sweep_<f> key per value
-            raise ConfigError(f"oracle fractions {named[f'{f:g}']!r} and {f!r} would both "
-                              f"be reported as sweep_{f:g}")
+            raise InvalidInputError(f"oracle fractions {named[f'{f:g}']!r} and {f!r} would both "
+                                    f"be reported as sweep_{f:g}")
     stats, p0, logit_sets = _prepare_run(ns, ns.alpha)
     stream = build_stream(logit_sets[data_mod.ID_TEST], logit_sets[data_mod.TRUE_OOD],
                           ns.ood_fraction, ns.seed)
@@ -325,7 +319,7 @@ def cmd_headtail(ns) -> int:
 def cmd_alpha_sweep(ns) -> int:
     alphas = _parse_grid(ns.alphas)
     if not alphas:
-        raise ConfigError("alpha grid is empty")
+        raise InvalidInputError("alpha grid is empty")
     fitted, p0, logit_sets = _prepare_run(ns, alphas[0])
     # mu_in and sigma_in do not depend on alpha; only the threshold R does.
     grid = [doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, a) for a in alphas]
@@ -352,7 +346,7 @@ def _parse_grid(value: str) -> list[float]:
     try:
         return [float(v) for v in value.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad numeric grid {value!r}") from exc
+        raise InvalidInputError(f"bad numeric grid {value!r}") from exc
 
 
 def _add_field_flags(p, settings_class) -> None:
@@ -414,15 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _set_config_defaults(parser, command: str, path) -> None:
     """Make the JSON object in path the defaults of one subcommand, so that
-    flags given on the command line win over it. ConfigError names the key
+    flags given on the command line win over it. InvalidInputError names the key
     that is not a flag of the subcommand or whose value the flag rejects."""
     try:
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+        raise InvalidInputError("config must be a JSON object")
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command_parser = subcommands.choices[command]
     actions = {a.dest: a for a in command_parser._actions if a.dest != "help"}
@@ -430,11 +424,11 @@ def _set_config_defaults(parser, command: str, path) -> None:
     for key, value in config.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise ConfigError(f"config key {key!r} is not a flag of {command_parser.prog!r}")
+            raise InvalidInputError(f"config key {key!r} is not a flag of {command_parser.prog!r}")
         try:
             defaults[action.dest] = _config_value(action, value)
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: bad value {value!r}: {exc}") from exc
+            raise InvalidInputError(f"config key {key!r}: bad value {value!r}: {exc}") from exc
     command_parser.set_defaults(**defaults)
 
 
@@ -463,22 +457,19 @@ def main(argv=None) -> int:
             _set_config_defaults(parser, args.command, args.config)
             args = parser.parse_args(argv)
         if args.seed < 0:  # every subcommand seeds a NumPy generator with it
-            raise ConfigError(f"seed must be non-negative, got {args.seed}")
+            raise InvalidInputError(f"seed must be non-negative, got {args.seed}")
         out = Path(args.out)  # refused, not replaced: it may hold files no flag names
         if out.exists() and not (out.is_dir() and not any(out.iterdir())):
-            raise ConfigError(f"--out {out} exists and is not an empty directory")
+            raise InvalidInputError(f"--out {out} exists and is not an empty directory")
         return args.func(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except (ConfigError, InvalidInputError, ShapeError, InsufficientDataError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (LogitFileError, UndefinedMetricError, OSError) as exc:
+    except AdaptOdError as exc:
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (EnergyOverflowError, TrainingDivergedError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, LogitFileError
+from .errors import DataError, InvalidInputError
 
 # provenance tags
 ID_TRAIN = "id-train"
@@ -191,8 +191,8 @@ def write_sample_set(path, samples: SampleSet) -> None:
                       for i, (label, row) in enumerate(zip(labels, features.tolist())))
 
 
-def _line_error(path, lineno: int, message: str) -> LogitFileError:
-    return LogitFileError(f"{path}: line {lineno}: {message}")
+def _line_error(path, lineno: int, message: str) -> DataError:
+    return DataError(f"{path}: line {lineno}: {message}")
 
 
 def read_sample_set(path, provenance: str) -> SampleSet:
@@ -213,6 +213,8 @@ def read_sample_set(path, provenance: str) -> SampleSet:
                         ("id", np.int64), ("label", np.int64), ("values", np.float64, (k,))])
         except (ValueError, OverflowError):
             rows = None
+        except MemoryError as exc:
+            raise DataError(f"{path}: out of memory while parsing the file") from exc
     if (rows is not None and rows.size and np.isfinite(rows["values"]).all()
             and not (provenance in (ID_TRAIN, ID_TEST) and (rows["label"] < 0).any())):
         return SampleSet(rows["values"].copy(), rows["label"].copy(), provenance)
@@ -246,32 +248,32 @@ def _read_lines(path, k: int, provenance: str) -> SampleSet:
             labels.append(label)
             rows.append(values)
     if not rows:
-        raise LogitFileError(f"{path}: sample-set file holds no rows")
+        raise DataError(f"{path}: sample-set file holds no rows")
     return SampleSet(np.array(rows, dtype=np.float64), np.array(labels), provenance)
 
 
 def read_json_object(path) -> dict:
-    """The JSON object stored at path (a checkpoint); LogitFileError if it is not one."""
+    """The JSON object stored at path (a checkpoint); DataError if it is not one."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise LogitFileError(f"{path}: not valid JSON: {exc}") from exc
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise LogitFileError(f"{path}: expected a JSON object")
+        raise DataError(f"{path}: expected a JSON object")
     return payload
 
 
 def json_field(payload: dict, key: str, path, convert):
-    """convert(payload[key]); LogitFileError names the path and the key when
+    """convert(payload[key]); DataError names the path and the key when
     the key is missing or convert raises TypeError, ValueError, OverflowError
     or InvalidInputError."""
     if key not in payload:
-        raise LogitFileError(f"{path}: missing key {key!r}")
+        raise DataError(f"{path}: missing key {key!r}")
     try:
         return convert(payload[key])
     except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
-        raise LogitFileError(f"{path}: bad {key!r}: {exc}") from exc
+        raise DataError(f"{path}: bad {key!r}: {exc}") from exc
 
 
 def float_array(value, shape) -> np.ndarray:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _LOG_FLOAT_MAX, _as_logits, _scaled, _scaled_rows, _shifted_exp, global_energies
-from .errors import (AdaptOdError, EnergyOverflowError, InsufficientDataError,
-                     InvalidInputError, ShapeError)
+from .errors import AdaptOdError, InvalidInputError, NumericError
 
 DEFAULT_ALPHA = 3.0
 MAX_VIRTUAL_COUNT = 2**53  # the largest count a float64 holds exactly
@@ -56,7 +55,7 @@ class OutlierDistribution:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
-            raise ShapeError(f"values must be 1-D, got shape {v.shape}")
+            raise InvalidInputError(f"values must be 1-D, got shape {v.shape}")
         if not np.isfinite(v).all() or (v < 0).any():
             raise InvalidInputError("values must be finite and non-negative")
         if not 0 <= self.m <= MAX_VIRTUAL_COUNT:
@@ -82,13 +81,13 @@ def fit_energy_stats(train_id_logits, alpha: float = DEFAULT_ALPHA) -> EnergySta
     and the filter threshold R = mu - alpha * sigma."""
     rows = _as_logits(np.atleast_2d(np.asarray(train_id_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 2:
-        raise InsufficientDataError("need at least 2 samples to fit energy statistics")
+        raise InvalidInputError("need at least 2 samples to fit energy statistics")
     energies = global_energies(rows)
     with np.errstate(over="ignore"):
         mu = float(energies.mean())
         sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / (energies.size - 1))
     if not (math.isfinite(mu) and math.isfinite(sigma)):
-        raise EnergyOverflowError(
+        raise NumericError(
             f"energy statistics exceed float64 range (mu_in={mu}, sigma_in={sigma})")
     return EnergyStats.from_moments(mu, sigma, alpha)
 
@@ -103,12 +102,16 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
         raise InvalidInputError(f"virtual_count must lie in [0, 2**53], got {virtual_count}")
     rows = _as_logits(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 1:
-        raise InsufficientDataError("need at least one outlier sample to initialize")
+        raise InvalidInputError("need at least one outlier sample to initialize")
     over = np.flatnonzero(rows.max(axis=1) >= _LOG_FLOAT_MAX)
     if over.size:
-        raise EnergyOverflowError(f"sample {over[0]}: exp(logit) exceeds float64 range")
+        raise NumericError(f"sample {over[0]}: exp(logit) exceeds float64 range")
     ef = np.exp(np.ascontiguousarray(rows))  # column means as over stacked rows
-    return OutlierDistribution(values=ef.mean(axis=0), m=virtual_count)
+    with np.errstate(over="ignore"):  # a mean of finite values can only overflow
+        values = ef.mean(axis=0)
+    if not np.isfinite(values).all():
+        raise NumericError("mean exp(logit) exceeds float64 range")
+    return OutlierDistribution(values=values, m=virtual_count)
 
 
 def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
@@ -125,7 +128,7 @@ def _checked_row(logits, k, sample_index):
     try:
         v = _as_logits(logits, 1)
         if v.shape[0] != k:
-            raise ShapeError(f"sample has k={v.shape[0]}, state has k={k}")
+            raise InvalidInputError(f"sample has k={v.shape[0]}, state has k={k}")
         m, e = _shifted_exp(v)
         return v, e, *_scaled(m, float(np.add.reduce(e)))
     except (AdaptOdError, TypeError, ValueError) as exc:  # a bad row or an overflow
@@ -155,7 +158,8 @@ def _stream_rows(logit_stream, k):
 def _step(values, counts, v, sample_index, accepted, e, scale):
     """Sample v, checked, with its e = exp(v - max v) and scale exp(max v), under the plans
     whose P and count are values[j] and counts[j]: plan j folds exp(v) into its mean,
-    in place, if accepted[j]; then each plan scores scale * Σ e / (1 + P), <= G."""
+    in place, if accepted[j]; then each plan scores scale * Σ e / (1 + P), <= G.
+    The caller ignores overflow warnings: an overflowing mean raises NumericError."""
     if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
         ef = np.exp(v)
         for j, acc in enumerate(accepted):
@@ -163,8 +167,7 @@ def _step(values, counts, v, sample_index, accepted, e, scale):
                 values[j] = (counts[j] * values[j] + ef) / (counts[j] + 1)
                 counts[j] += 1
         if not np.isfinite(values).all():  # a mean of finite values can only overflow
-            raise InvalidInputError(
-                f"sample {sample_index}: values must be finite and non-negative")
+            raise NumericError(f"sample {sample_index}: mean exp(logit) exceeds float64 range")
     totals = np.add.reduce(e / (1.0 + values), axis=1).tolist()  # rows sum as 1-D arrays
     return [scale * t for t in totals]
 
@@ -180,10 +183,12 @@ def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, samp
     v, e, scale, g = _checked_row(logits, state.k, sample_index)
     accepted = g < stats.r
     values, counts = np.array(state.values, ndmin=2), [state.m]
-    (score,) = _step(values, counts, v, sample_index, (accepted,), e, scale)
-    if accepted:
-        state = _trusted(values[0], counts[0])
-    return state, score, accepted
+    if not accepted:
+        (score,) = _step(values, counts, v, sample_index, (False,), e, scale)
+        return state, score, False
+    with np.errstate(over="ignore"):  # only an update can overflow
+        (score,) = _step(values, counts, v, sample_index, (True,), e, scale)
+    return _trusted(values[0], counts[0]), score, True
 
 
 def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
@@ -216,8 +221,9 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
     values, counts = np.tile(state.values, (len(busy), 1)), [state.m] * len(busy)
     scores = []  # sample-major, plan-minor
     accepts = zip(*(masks[j].tolist() for j in busy))  # empty when no plan is busy
-    for i, (v, ei, scale, accepted) in enumerate(zip(rows, e, scales.tolist(), accepts)):
-        scores += _step(values, counts, v, i, accepted, ei, scale)
+    with np.errstate(over="ignore"):  # once per call, not per sample
+        for i, (v, ei, scale, accepted) in enumerate(zip(rows, e, scales.tolist(), accepts)):
+            scores += _step(values, counts, v, i, accepted, ei, scale)
     done = {j: (scores[b::len(busy)], masks[j], _trusted(values[b].copy(), counts[b]))
             for b, j in enumerate(busy)}
     if len(done) < len(plans):  # the idle plans share one scoring

@@ -2,7 +2,7 @@
 
 All energies are linear-scale sums of exponentiated logits, evaluated with a
 max-shift so intermediate values never overflow. Only the global energy G is
-range-checked: a G past float64 range raises EnergyOverflowError instead of
+range-checked: a G past float64 range raises NumericError instead of
 returning Inf. The check returns G's scale exp(max f) too, and doda scores a
 sample with the calibrated energy Σ_j exp(f_j) / (1 + P_j) as that scale times
 Σ_j exp(f_j - max f) / (1 + P_j), unchecked: with P >= 0 each term is at most
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import EnergyOverflowError, InvalidInputError, ShapeError
+from .errors import InvalidInputError, NumericError
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -26,21 +26,21 @@ def _as_logits(x, ndim: int) -> np.ndarray:
     logits per row."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != ndim or a.shape[-1] < 1:
-        raise ShapeError(f"expected a {ndim}-D logit array with k >= 1, got shape {a.shape}")
+        raise InvalidInputError(f"expected a {ndim}-D logit array with k >= 1, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError("logits contain non-finite entries")
     return a
 
 
 def _scaled(m: float, total: float) -> tuple[float, float]:
-    """exp(m) and G = exp(m) * total, raising EnergyOverflowError unless both are
+    """exp(m) and G = exp(m) * total, raising NumericError unless both are
     float64 values. total > 0 here: it holds a term exp(0)."""
     if m >= _LOG_FLOAT_MAX or m + math.log(total) >= _LOG_FLOAT_MAX:
-        raise EnergyOverflowError("global energy exceeds float64 range")
+        raise NumericError("global energy exceeds float64 range")
     scale = math.exp(m)
     value = scale * total
     if not math.isfinite(value):
-        raise EnergyOverflowError("global energy exceeds float64 range")
+        raise NumericError("global energy exceeds float64 range")
     return scale, value
 
 
@@ -55,7 +55,7 @@ def _scaled_rows(m: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndar
         values = scales * totals
     bad = np.flatnonzero(over | ~np.isfinite(values))
     if bad.size:
-        raise EnergyOverflowError(f"sample {bad[0]}: global energy exceeds float64 range")
+        raise NumericError(f"sample {bad[0]}: global energy exceeds float64 range")
     return scales, values
 
 

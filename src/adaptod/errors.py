@@ -1,38 +1,25 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit: one class per exit code of
+the command line, which prints f"{kind} error: {message}" and exits with exit_code."""
 
 
 class AdaptOdError(Exception):
     """Base class for all toolkit errors."""
+    exit_code: int
+    kind: str
 
 
 class InvalidInputError(AdaptOdError):
-    """An argument violates a documented precondition (non-finite values, bad range, ...)."""
+    """A bad argument or setting: out of range, non-finite, misshapen or too few samples."""
+    exit_code, kind = 2, "config"
 
 
-class ShapeError(AdaptOdError):
-    """Dimension mismatch between related inputs."""
+class DataError(AdaptOdError):
+    """A malformed sample-set or checkpoint file, named by path (and line), or data a
+    metric is undefined on, such as scores with no ID sample."""
+    exit_code, kind = 3, "data"
 
 
-class InsufficientDataError(AdaptOdError):
-    """Too few samples to compute the requested quantity."""
-
-
-class EnergyOverflowError(AdaptOdError):
-    """A linear-scale energy value is not representable in float64."""
-
-
-class UndefinedMetricError(AdaptOdError):
-    """A metric is undefined for the given inputs (e.g. no positives)."""
-
-
-class TrainingDivergedError(AdaptOdError):
-    """Training produced a non-finite loss or parameter; the message names the step."""
-
-
-class LogitFileError(AdaptOdError):
-    """Malformed sample-set or checkpoint file; the message names the path and,
-    for a sample-set file, the 1-based line."""
-
-
-class ConfigError(AdaptOdError):
-    """Invalid run configuration."""
+class NumericError(AdaptOdError):
+    """A value past float64 range: an energy, a mean of exp(logit), or a training
+    loss, logit or parameter, whose step the message names."""
+    exit_code, kind = 4, "numeric"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError, UndefinedMetricError
+from .errors import DataError, InvalidInputError
 
 TPR_TARGET = 0.95  # the ID true-positive rate at which fpr_at_95tpr is read
 
@@ -35,12 +35,12 @@ def _check(scores, is_id):
     scores = np.asarray(scores, dtype=np.float64)
     is_id = np.asarray(is_id, dtype=bool)
     if scores.ndim != 1 or is_id.shape != scores.shape:
-        raise ShapeError(f"scores {scores.shape} and is_id {is_id.shape} must be 1-D "
-                         "and of equal length")
+        raise InvalidInputError(f"scores {scores.shape} and is_id {is_id.shape} must be 1-D "
+                                "and of equal length")
     if not np.isfinite(scores).all():
         raise InvalidInputError("scores must be finite")
     if is_id.all() or not is_id.any():
-        raise UndefinedMetricError("metrics need at least one ID and one OOD sample")
+        raise DataError("metrics need at least one ID and one OOD sample")
     return scores, is_id
 
 
@@ -65,10 +65,10 @@ def metric_report(scores, is_id, predicted, true) -> MetricReport:
     scores, is_id = _check(scores, is_id)
     predicted, true = np.asarray(predicted), np.asarray(true)
     if predicted.ndim != 1 or true.shape != predicted.shape:
-        raise ShapeError(f"predicted {predicted.shape} and true {true.shape} must be 1-D "
-                         "and of equal length")
+        raise InvalidInputError(f"predicted {predicted.shape} and true {true.shape} must be 1-D "
+                                "and of equal length")
     if predicted.size == 0:
-        raise UndefinedMetricError("no labeled ID samples")
+        raise DataError("no labeled ID samples")
     id_s, ood_s = scores[is_id], scores[~is_id]
     need = math.ceil(TPR_TARGET * id_s.size - 1e-12)
     return MetricReport(

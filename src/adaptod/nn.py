@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import float_array, json_field, read_json_object
 from .dne import LossBreakdown, ce_and_grad, loss_and_grad
-from .errors import InvalidInputError, ShapeError, TrainingDivergedError
+from .errors import InvalidInputError, NumericError
 
 MAX_PARAMS = 2**24  # most parameters Mlp.init allocates: 128 MB a vector, and training holds 3
 MAX_ACTIVATIONS = 2**25  # most values one forward allocates, rows x summed widths: 256 MB
@@ -46,8 +46,8 @@ class Mlp:
         layers = zip_longest(dims[:-1], dims[1:], self.weights, self.biases)
         for layer, (i, o, w, b) in enumerate(layers):  # a missing array has shape ()
             if (np.shape(w), np.shape(b)) != ((i, o), (o,)):
-                raise ShapeError(f"layer {layer}: expected W {(i, o)} and b {(o,)}, "
-                                 f"got W {np.shape(w)} and b {np.shape(b)}")
+                raise InvalidInputError(f"layer {layer}: expected W {(i, o)} and b {(o,)}, "
+                                        f"got W {np.shape(w)} and b {np.shape(b)}")
         self.offsets = list(accumulate((i * o + o for i, o in zip(dims[:-1], dims[1:])),
                                        initial=0))
         self.params = np.concatenate(
@@ -92,7 +92,8 @@ class Mlp:
         activations would exceed MAX_ACTIVATIONS values raise InvalidInputError."""
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.layer_dims[0]:
-            raise ShapeError(f"inputs have shape {x.shape}, expected (n, {self.layer_dims[0]})")
+            raise InvalidInputError(f"inputs have shape {x.shape}, "
+                                    f"expected (n, {self.layer_dims[0]})")
         widths = self.layer_dims[1:]
         if x.shape[0] * sum(widths) > MAX_ACTIVATIONS:  # before any allocation
             raise InvalidInputError(f"{x.shape[0]} rows through layers of widths {widths} make "
@@ -115,7 +116,7 @@ class Mlp:
         per-layer views (dWs, dbs) of grad, which the next call overwrites."""
         g = np.asarray(upstream_grad, dtype=np.float64)
         if g.shape != activations[-1].shape:
-            raise ShapeError(
+            raise InvalidInputError(
                 f"upstream gradient shape {g.shape} != logits shape {activations[-1].shape}"
             )
         if start not in self.offsets[:-1]:
@@ -172,7 +173,7 @@ def _sgd_step(params, velocity, grad, scratch, lr, momentum, step):
     velocity -= np.multiply(grad, lr, out=scratch)
     params += velocity
     if not np.isfinite(params).all():
-        raise TrainingDivergedError(f"non-finite parameters at step {step}")
+        raise NumericError(f"non-finite parameters at step {step}")
 
 
 def _class_labels(id_y, n: int, k: int) -> np.ndarray:
@@ -196,7 +197,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     training only the output layer: the tail of params from offsets[-2]. The
     log holds one LossBreakdown per epoch (epoch means); stage-1 entries carry
     zero energy terms. A non-finite loss, logit or parameter raises
-    TrainingDivergedError naming the step, and NumPy warns of none of them.
+    NumericError naming the step, and NumPy warns of none of them.
     """
     id_x = np.asarray(id_x, dtype=np.float64)
     outlier_x = np.asarray(outlier_x, dtype=np.float64)
@@ -236,7 +237,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
         try:
             terms, d_logits = loss_and_grad(logits, y)
         except InvalidInputError as exc:  # after train's input checks: non-finite logits
-            raise TrainingDivergedError(f"non-finite logits at step {step}") from exc
+            raise NumericError(f"non-finite logits at step {step}") from exc
         return (terms.total, terms.ce, terms.dne_c, terms.dne_s), acts, d_logits
 
     log: list[LossBreakdown] = []
@@ -257,7 +258,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
                 for s in range(0, ys.size, b_in):
                     loss, acts, d_logits = batch_loss(xs[s:s + b_in], ys[s:s + b_in], step)
                     if not math.isfinite(loss[0]):
-                        raise TrainingDivergedError(f"non-finite loss at step {step}")
+                        raise NumericError(f"non-finite loss at step {step}")
                     model.backward(acts, d_logits, start)
                     _sgd_step(params, velocity, grad, scratch, lrs[step], cfg.momentum, step)
                     step += 1
@@ -281,7 +282,7 @@ def save_checkpoint(path, model: Mlp, seed: int, stage: str) -> None:
 
 
 def load_checkpoint(path) -> tuple[Mlp, int, str]:
-    """Read a save_checkpoint file. LogitFileError names the path and the key
+    """Read a save_checkpoint file. DataError names the path and the key
     that is missing, malformed or does not match layer_dims."""
     payload = read_json_object(path)
     dims = json_field(payload, "layer_dims", path, _layer_dims)

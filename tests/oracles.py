@@ -368,7 +368,7 @@ def line_by_line_read(path, id_set=False):
     """(features, labels) of a sample-set file, read one line at a time the
     way the reader did before it parsed the body in one call. A malformed file
     raises ValueError whose message names the path and the line as that
-    reader's LogitFileError did. Labels keep Python's unbounded ints."""
+    reader's DataError did. Labels keep Python's unbounded ints."""
     def line_error(lineno, message):
         return ValueError(f"{path}: line {lineno}: {message}")
 

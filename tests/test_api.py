@@ -1,7 +1,8 @@
 """No API that only tests use: every public top-level function, class and
 constant of src/adaptod is used in src/adaptod or bench/ outside its own
-definition. Uses are read from the AST, so a docstring or a comment that
-names a function does not keep it alive."""
+definition, and every error class but the base is raised in src/adaptod.
+Uses are read from the AST, so a docstring or a comment that names a
+function does not keep it alive."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,19 @@ def test_every_public_name_is_used_outside_the_tests():
     defined = {(path.stem, name) for path, tree in trees.items() if path.parent.name == PACKAGE
                for stmt in tree.body for name in defined_names(stmt)}
     assert sorted(defined - used) == []
+
+
+def test_every_error_class_is_raised_in_the_package():
+    """An error class that no raise statement names is an exit path no input takes."""
+    files = sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+    modules = {path.stem for path in files}
+    raised = set()
+    for path in files:  # the loads of each file's imports and raise statements alone
+        tree = ast.parse(path.read_text(), str(path))
+        nodes = [n for n in ast.walk(tree) if isinstance(n, (ast.ImportFrom, ast.Raise))]
+        raised |= uses(path, ast.Module(body=nodes, type_ignores=[]), modules)
+    classes = [n for n in ast.parse((ROOT / "src" / PACKAGE / "errors.py").read_text()).body
+               if isinstance(n, ast.ClassDef)]
+    bases = {base.id for n in classes for base in n.bases if isinstance(base, ast.Name)}
+    errors = {("errors", n.name) for n in classes if n.name not in bases}
+    assert sorted(errors - raised) == []

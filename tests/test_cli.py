@@ -21,8 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adaptod import cli, data, doda, energy, metrics, nn
-from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK
-from adaptod.errors import EnergyOverflowError
+from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
+from adaptod.errors import InvalidInputError, NumericError
 
 from oracles import pair_count_auroc
 
@@ -271,7 +271,7 @@ class TestTrain:
             [sys.executable, "-m", "adaptod.cli", "train", "--data", str(data_dir),
              "--out", str(tmp_path / "m"), "--hidden", "8", *argv],
             env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == EXIT_NUMERIC
+        assert proc.returncode == NumericError.exit_code
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert re.fullmatch(r"numeric error: non-finite (loss|logits) at step \d+", lines[0])
@@ -371,6 +371,18 @@ class TestSampleFileContents:
         assert self.adapt_eval(small_run, tmp_path, command) == EXIT_DATA
         assert f"data error: {path}: label 12 is not one of the 10 classes of " \
                f"{data_dir / 'id_train.csv'}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_parse_out_of_memory_exits_data(self, small_run, tmp_path, capsys, monkeypatch):
+        """A MemoryError from the parse of a sample-set file, as a file too
+        large for memory gives, names the file and leaves no traceback."""
+        def loadtxt(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert self.adapt_eval(small_run, tmp_path) == EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"data error: {small_run[0] / 'id_train.csv'}: "
+                        "out of memory while parsing the file")
         assert not (tmp_path / "e").exists()
 
     def test_the_highest_id_train_class_is_a_class(self, small_run, tmp_path):
@@ -486,7 +498,7 @@ class TestAdaptEval:
         (tmp_path / "big.json").write_text(json.dumps(checkpoint))
         rc = run_cli(command, "--data", data_dir, "--model", tmp_path / "big.json",
                      "--out", tmp_path / "e")
-        assert rc == EXIT_NUMERIC
+        assert rc == NumericError.exit_code
         (line,) = capsys.readouterr().err.splitlines()
         assert re.fullmatch(f"numeric error: {message}", line)
         assert not (tmp_path / "e").exists()
@@ -501,9 +513,38 @@ class TestAdaptEval:
                                     provenance=tag)
                 for tag, rows in [(data.ID_TRAIN, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                                   (data.OUTLIER, [[0.0, 0.0], [0.0, 0.0], [800.0, 0.0]])]}
-        with pytest.raises(EnergyOverflowError,
+        with pytest.raises(NumericError,
                            match=r"^outlier sample 2: exp\(logit\) exceeds float64 range$"):
             cli.prepare(Identity(), sets)
+
+    @pytest.mark.parametrize("outlier, true_ood, flags, message", [
+        ([[709.0, 0.0]] * 3, [[0.0, 5.0]] * 2, [],
+         r"outlier mean exp\(logit\) exceeds float64 range"),
+        ([[709.0, 0.0]], [[709.0, 0.0]] * 2, ["--virtual-count", 64],
+         r"sample \d+: mean exp\(logit\) exceeds float64 range"),
+    ], ids=["outlier-mean", "online-update"])
+    def test_overflowing_means_of_finite_logits_exit_numeric(self, tmp_path, capsys, outlier,
+                                                            true_ood, flags, message):
+        """Finite exp(logit) terms whose mean overflows: three outlier rows
+        (709, 0) in P0, or one with a virtual count of 64 that the oracle plan's
+        update of an accepted true-OOD row (709, 0) multiplies. No RuntimeWarning
+        escapes, and one stderr line names the set or the sample."""
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        sets = {data.ID_TRAIN: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                data.ID_TEST: [[0.0, 0.0], [1.0, 0.0]], data.OUTLIER: outlier,
+                data.TRUE_OOD: true_ood}
+        for tag, rows in sets.items():  # labels 0, 1, 0, ...: two classes
+            data.write_sample_set(data_dir / cli.DATASET_FILES[tag], data.SampleSet(
+                np.array(rows), np.arange(len(rows)) % 2, tag))
+        identity = nn.Mlp(layer_dims=[2, 2], weights=[np.eye(2)], biases=[np.zeros(2)])
+        nn.save_checkpoint(tmp_path / "identity.json", identity, 0, "finetune")
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", tmp_path / "identity.json",
+                     "--out", tmp_path / "e", *flags)
+        assert rc == NumericError.exit_code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(f"numeric error: {message}", line)
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("command", ["adapt-eval", "head-tail"])
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
@@ -1081,6 +1122,16 @@ class TestStream:
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
 
+    @pytest.mark.parametrize("fraction, message", [
+        (1.0, "ood_fraction must lie strictly between 0 and 1, got 1.0"),
+        (0.001, "stream would contain no OOD samples: 100 ID samples at ood_fraction 0.001"),
+    ], ids=["fraction", "no-ood"])
+    def test_a_refused_stream_names_the_values(self, fraction, message):
+        id_test = data.SampleSet(np.zeros((100, 2)), np.zeros(100, int), data.ID_TEST)
+        true_ood = data.SampleSet(np.zeros((5, 2)), np.full(5, -1), data.TRUE_OOD)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            cli.build_stream(id_test, true_ood, fraction, seed=0)
+
 
 class TestSeed:
     @pytest.mark.parametrize("command", ["generate", "train", "adapt-eval", "head-tail",
@@ -1190,5 +1241,5 @@ class TestFuzz:
                 rc = run_cli("--config", scratch / "config.json", command, "--data",
                              scratch / "data", "--model", scratch / "checkpoint.json",
                              "--out", scratch / "out")
-        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, NumericError.exit_code)
         assert len(err.getvalue().splitlines()) == (rc != EXIT_OK)

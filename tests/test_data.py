@@ -23,7 +23,7 @@ from adaptod.data import (
     true_ood_center,
     write_sample_set,
 )
-from adaptod.errors import InvalidInputError, LogitFileError
+from adaptod.errors import DataError, InvalidInputError
 
 from oracles import exact_counts, line_by_line_read, per_record_write
 
@@ -241,7 +241,7 @@ class TestLogitFiles:
     def test_empty_body_with_header(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("k=3\n\n")
-        with pytest.raises(LogitFileError, match=f"{path}: sample-set file holds no rows"):
+        with pytest.raises(DataError, match=f"{path}: sample-set file holds no rows"):
             read_sample_set(path, OUTLIER)
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -254,26 +254,26 @@ class TestLogitFiles:
     def test_row_width_mismatch_names_the_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("k=3\n0,1,0.5,0.5,0.5\n1,0,0.1,0.2,0.3,0.4\n")
-        with pytest.raises(LogitFileError, match="line 3"):
+        with pytest.raises(DataError, match="line 3"):
             read_sample_set(path, OUTLIER)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.csv"
         path.write_text("0,1,0.5\n")
-        with pytest.raises(LogitFileError, match="line 1"):
+        with pytest.raises(DataError, match="line 1"):
             read_sample_set(path, OUTLIER)
 
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("k=2\n0,1,0.5,oops\n")
-        with pytest.raises(LogitFileError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             read_sample_set(path, OUTLIER)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
     def test_non_finite_value_names_the_line(self, tmp_path, value):
         path = tmp_path / "inf.csv"
         path.write_text(f"k=2\n0,1,0.5,1.0\n1,1,{value},1.0\n")
-        with pytest.raises(LogitFileError, match="line 3: non-finite value"):
+        with pytest.raises(DataError, match="line 3: non-finite value"):
             read_sample_set(path, OUTLIER)
 
     @pytest.mark.parametrize("text, line, message", [
@@ -290,7 +290,7 @@ class TestLogitFiles:
     def test_every_error_names_the_path_and_the_line(self, tmp_path, text, line, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(LogitFileError) as info:
+        with pytest.raises(DataError) as info:
             read_sample_set(path, OUTLIER)
         assert str(info.value).startswith(f"{path}: line {line}: ")
         assert message in str(info.value)
@@ -299,7 +299,7 @@ class TestLogitFiles:
     def test_negative_label_in_an_id_set(self, tmp_path, provenance):
         path = tmp_path / "id.csv"
         path.write_text("k=1\n0,0,0.5\n1,2,0.5\n2,-3,0.5\n")
-        with pytest.raises(LogitFileError, match=f"{path}: line 4: label -3 in an ID set"):
+        with pytest.raises(DataError, match=f"{path}: line 4: label -3 in an ID set"):
             read_sample_set(path, provenance)
 
     def test_sample_set_round_trip(self, tmp_path):
@@ -319,7 +319,7 @@ def read_both(path, provenance=OUTLIER):
                  lambda: line_by_line_read(path, provenance in (ID_TRAIN, ID_TEST))):
         try:
             got = read()
-        except (LogitFileError, ValueError) as exc:
+        except (DataError, ValueError) as exc:
             outcomes.append(str(exc))
         else:
             features, labels = (got.features, got.labels) if isinstance(got, SampleSet) else got
@@ -421,7 +421,7 @@ class TestOneParseReader:
         path = tmp_path / "bad.csv"
         path.write_text(text + prefix + bad + newline + "3,1,0.5,0.5" + newline, newline="")
         line = 4 + prefix.count("\n")
-        with pytest.raises(LogitFileError) as info:
+        with pytest.raises(DataError) as info:
             read_sample_set(path, ID_TEST)
         assert str(info.value).startswith(f"{path}: line {line}: ")
         assert message in str(info.value)
@@ -442,7 +442,7 @@ class TestOneParseReader:
         path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(LogitFileError, match="sample-set file holds no rows"):
+            with pytest.raises(DataError, match="sample-set file holds no rows"):
                 read_sample_set(path, OUTLIER)
 
     @pytest.mark.parametrize("raw, line", [
@@ -453,14 +453,14 @@ class TestOneParseReader:
     def test_a_non_utf8_byte_names_its_line(self, tmp_path, raw, line):
         path = tmp_path / "latin1.csv"
         path.write_bytes(raw)
-        with pytest.raises(LogitFileError) as info:
+        with pytest.raises(DataError) as info:
             read_sample_set(path, ID_TEST)
         assert str(info.value).startswith(f"{path}: line {line}: ")
 
     def test_a_label_beyond_int64_names_its_line(self, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("k=1\n0,0,0.5\n1,9223372036854775808,0.5\n")
-        with pytest.raises(LogitFileError, match=f"{path}: line 3: .*too large"):
+        with pytest.raises(DataError, match=f"{path}: line 3: .*too large"):
             read_sample_set(path, OUTLIER)
         path.write_text("k=1\n0,0,0.5\n1,9223372036854775807,0.5\n")
         assert read_sample_set(path, OUTLIER).labels.tolist() == [0, 2 ** 63 - 1]
@@ -472,11 +472,11 @@ class TestOneParseReader:
         monkeypatch.setattr(np, "loadtxt", refuse)
         path = tmp_path / "wide.csv"
         path.write_text("k=100000000\n0,1,0.5\n")
-        with pytest.raises(LogitFileError, match="line 2: expected 100000002 comma-separated"):
+        with pytest.raises(DataError, match="line 2: expected 100000002 comma-separated"):
             read_sample_set(path, OUTLIER)
 
     def test_a_digit_header_that_int_rejects_is_malformed(self, tmp_path):
         path = tmp_path / "sup.csv"
         path.write_text("k=\u00b2\n0,1,0.5,0.5\n")
-        with pytest.raises(LogitFileError, match="line 1: missing or malformed"):
+        with pytest.raises(DataError, match="line 1: missing or malformed"):
             read_sample_set(path, OUTLIER)

@@ -20,13 +20,7 @@ from adaptod.doda import (
     run_stream,
     save_state,
 )
-from adaptod.errors import (
-    AdaptOdError,
-    EnergyOverflowError,
-    InsufficientDataError,
-    InvalidInputError,
-    ShapeError,
-)
+from adaptod.errors import AdaptOdError, InvalidInputError, NumericError
 
 from oracles import (calibrated_energy, global_energy, mean_std_threshold, one_plan_stream,
                      prefix_mean_stream, rowwise_exp_mean, rowwise_global_energies,
@@ -70,7 +64,7 @@ class TestFitEnergyStats:
         assert fit_energy_stats(logits, alpha=2.5) == EnergyStats.from_moments(mu, sigma, 2.5)
 
     def test_needs_two_samples(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidInputError, match="need at least 2 samples"):
             fit_energy_stats([logits_with_energy(5)])
 
     @pytest.mark.parametrize("rows", [
@@ -79,7 +73,7 @@ class TestFitEnergyStats:
     ])
     def test_overflowing_moments_raise(self, rows):
         with np.errstate(over="raise"):  # no overflow warning escapes either
-            with pytest.raises(EnergyOverflowError, match="sigma_in=inf"):
+            with pytest.raises(NumericError, match="sigma_in=inf"):
                 fit_energy_stats(rows)
 
     def test_threshold_identity(self):
@@ -135,9 +129,13 @@ class TestInitOutlierDistribution:
         assert np.array_equal(init_outlier_distribution(np.asfortranarray(logits)).values, want)
 
     def test_overflowing_logit_raises(self):
-        with pytest.raises(EnergyOverflowError,
+        with pytest.raises(NumericError,
                            match=r"^sample 1: exp\(logit\) exceeds float64 range$"):
             init_outlier_distribution([[0.0, 0.0], [710.0, 0.0], [800.0, 0.0]])
+
+    def test_overflowing_mean_of_finite_exponentials_raises_unwarned(self):
+        with pytest.raises(NumericError, match=r"^mean exp\(logit\) exceeds float64 range$"):
+            init_outlier_distribution([[709.0, 0.0]] * 3)
 
     def test_a_virtual_count_outside_0_to_2_pow_53_is_refused(self):
         """2**53 is the largest count a float64 holds exactly; a larger one
@@ -159,11 +157,11 @@ class TestInitOutlierDistribution:
                        EnergyStats.from_moments(100.0, 1.0), np.zeros((3, 2)))
 
     def test_rows_without_classes(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="expected a 2-D logit array with k >= 1"):
             init_outlier_distribution(np.empty((3, 0)))
 
     def test_empty_outlier_set(self):
-        with pytest.raises((InsufficientDataError, ShapeError)):
+        with pytest.raises(InvalidInputError, match="need at least one outlier sample"):
             init_outlier_distribution(np.empty((0, 3)))
 
 
@@ -205,9 +203,15 @@ class TestAdaptAndScore:
     def test_overflowing_update_raises_and_names_the_sample(self):
         state = OutlierDistribution(values=np.array([1e308, 1.0]), m=2)
         stats = self.stats_accepting_below(100.0)
-        with np.errstate(over="ignore"), pytest.raises(
-                InvalidInputError, match="^sample 1: values must be finite and non-negative$"):
+        with pytest.raises(NumericError,
+                           match=r"^sample 1: mean exp\(logit\) exceeds float64 range$"):
             run_stream(state, stats, [[50.0, 0.0], [0.0, 0.0]])
+
+    def test_overflowing_online_update_raises_unwarned(self):
+        state = init_outlier_distribution([[709.0, 0.0]], virtual_count=64)
+        with pytest.raises(NumericError,
+                           match=r"^sample 4: mean exp\(logit\) exceeds float64 range$"):
+            adapt_and_score(state, self.stats_accepting_below(1e308), [709.0, 0.0], 4)
 
     def test_tie_at_threshold_rejects(self):
         state = OutlierDistribution(values=np.array([1.0, 1.0]), m=1)
@@ -228,7 +232,7 @@ class TestAdaptAndScore:
     def test_shape_mismatch(self):
         state = OutlierDistribution(values=np.zeros(3), m=0)
         stats = self.stats_accepting_below(10.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="sample has k=2, state has k=3"):
             adapt_and_score(state, stats, [0.0, 0.0])
 
 
@@ -385,18 +389,18 @@ class TestRunStream:
     @pytest.mark.parametrize("container", ["array", "list", "iterator"])
     @pytest.mark.parametrize("record_events", [False, True])
     @pytest.mark.parametrize("mode", ["freeze", "plain", "oracle"])
-    @pytest.mark.parametrize("bad, later, error", [
-        ([np.nan, 0.0], None, InvalidInputError),
-        ([0.0, -np.inf], None, InvalidInputError),
-        ([800.0, 0.0], None, EnergyOverflowError),
-        ([709.5, 709.5], None, EnergyOverflowError),  # G overflows, the damped score does not
-        ([0.0, 0.0, 0.0], None, ShapeError),  # wrong width
-        ([0.0, [0.0, 0.0]], None, ValueError),  # a ragged row
-        (["x", 0.0], None, ValueError),  # a non-numeric row
-        ([800.0, 0.0], [np.nan, 0.0], EnergyOverflowError),  # the first of two faults
+    @pytest.mark.parametrize("bad, later, error, message", [
+        ([np.nan, 0.0], None, InvalidInputError, "logits contain non-finite"),
+        ([0.0, -np.inf], None, InvalidInputError, "logits contain non-finite"),
+        ([800.0, 0.0], None, NumericError, "global energy exceeds"),
+        ([709.5, 709.5], None, NumericError, "global energy exceeds"),  # G, not the damped score
+        ([0.0, 0.0, 0.0], None, InvalidInputError, "sample has k=3"),  # wrong width
+        ([0.0, [0.0, 0.0]], None, ValueError, "setting an array element"),  # a ragged row
+        (["x", 0.0], None, ValueError, "could not convert"),  # a non-numeric row
+        ([800.0, 0.0], [np.nan, 0.0], NumericError, "global energy exceeds"),  # the first fault
     ])
     def test_every_mode_names_the_first_bad_sample(self, mode, record_events, container, bad,
-                                                   later, error):
+                                                   later, error, message):
         state = OutlierDistribution(values=np.ones(2), m=1)
         stats = EnergyStats.from_moments(10.0, 1.0)
         rows = [[0.0, 0.0], [0.5, -0.5], bad, [0.1, 0.2], bad if later is None else later]
@@ -410,7 +414,7 @@ class TestRunStream:
         kwargs = {"freeze": dict(freeze=True), "plain": {},
                   "oracle": dict(oracle_labels=[True] * 5, use_label_probability=1.0,
                                  rng=np.random.default_rng(0))}[mode]
-        with pytest.raises(error) as info:
+        with pytest.raises(error, match=f"^sample 2: {message}") as info:
             run_stream(state, stats, stream, record_events=record_events, **kwargs)
         assert str(info.value).startswith("sample 2: ")
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adaptod import metrics
-from adaptod.errors import InvalidInputError, ShapeError, UndefinedMetricError
+from adaptod.errors import DataError, InvalidInputError
 from adaptod.metrics import metric_report
 
 from oracles import pair_count_auroc, rank_walk_ap, threshold_scan_fpr
@@ -59,7 +59,7 @@ class TestAuroc:
             assert report(*samples).auroc == pair_count_auroc(list(id_s), list(ood_s))
 
     def test_single_class_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(DataError, match="at least one ID and one OOD"):
             report(*make_samples([1.0], []))
 
     def test_symmetry_under_negation_and_flip(self):
@@ -87,7 +87,7 @@ class TestAveragePrecision:
 
     def test_no_positives(self):
         for samples in (make_samples([], [0.5]), make_samples([0.5], [])):
-            with pytest.raises(UndefinedMetricError, match="at least one ID and one OOD"):
+            with pytest.raises(DataError, match="at least one ID and one OOD"):
                 report(*samples)
 
     @pytest.mark.parametrize("side", ["id", "ood"])
@@ -114,7 +114,7 @@ class TestFprAtTpr:
             )
 
     def test_requires_both_classes(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(DataError, match="at least one ID and one OOD"):
             report(*make_samples([], [0.1]))
 
 
@@ -139,11 +139,11 @@ class TestAccuracy:
         assert labelled(preds, trues).acc == (preds == trues).mean()
 
     def test_missing_labels(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="must be 1-D and of equal length"):
             labelled(np.arange(3), np.arange(2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="must be 1-D and of equal length"):
             metric_report(*make_samples([0.9], [0.1]), np.arange(1), np.arange(1)[:, None])
-        with pytest.raises(UndefinedMetricError, match="no labeled ID samples"):
+        with pytest.raises(DataError, match="no labeled ID samples"):
             metric_report(*make_samples([0.9], [0.1]), [], [])
 
 
@@ -222,5 +222,5 @@ class TestArrayProperties:
     def test_mismatched_lengths_raise(self, scores, n_flags):
         assume(n_flags != len(scores))
         is_id = np.arange(n_flags) % 2 == 0
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="must be 1-D and of equal length"):
             report(scores, is_id)

@@ -7,7 +7,7 @@ import pytest
 
 from adaptod import cli, data, nn
 from adaptod.dne import loss_and_grad
-from adaptod.errors import InvalidInputError, LogitFileError, ShapeError, TrainingDivergedError
+from adaptod.errors import DataError, InvalidInputError, NumericError
 from adaptod.nn import (
     Mlp,
     TrainConfig,
@@ -61,7 +61,7 @@ class TestForward:
 
     def test_shape_mismatch(self):
         model = Mlp.init([3, 2], seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="inputs have shape"):
             model.forward(np.ones((4, 5)))
 
     def test_peak_memory_is_one_hidden_activation_plus_the_logits(self):
@@ -99,7 +99,7 @@ class TestLayout:
                      id="extra-weight"),
     ])
     def test_arrays_that_do_not_fit_layer_dims_are_rejected(self, weights, biases, message):
-        with pytest.raises(ShapeError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             Mlp([2, 3, 1], [np.zeros(s) for s in weights], [np.zeros(s) for s in biases])
 
 
@@ -330,7 +330,7 @@ def assert_same_run(trained, log, oracle_run):
 
 class TestDivergence:
     """A diverging run warns nothing (pytest turns warnings into errors) and
-    stops in TrainingDivergedError at the step the per-layer loop stops at."""
+    stops in NumericError at the step the per-layer loop stops at."""
 
     @pytest.mark.parametrize("settings, scale, step, message", [
         pytest.param({"lr_pretrain": 1e300}, 1.0, 1, "non-finite loss", id="stage-1-lr"),
@@ -346,7 +346,7 @@ class TestDivergence:
         model = Mlp.init([4, 8, 2], seed=0)
         model.weights[-1][...] *= scale
         cfg = TrainConfig(seed=0, b_in=32, **settings)
-        with pytest.raises(TrainingDivergedError, match=f"{message} at step {step}$"):
+        with pytest.raises(NumericError, match=f"{message} at step {step}$"):
             train(model, x, y, outliers, cfg)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged) as want:
             per_layer_train(model.weights, model.biases, x, y, outliers, cfg)
@@ -460,7 +460,7 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(LogitFileError, match=f"{path}.*'{key}'"):
+        with pytest.raises(DataError, match=f"{path}.*'{key}'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("text", ["{not json", "[8, 10]", "\xff",
@@ -468,5 +468,5 @@ class TestCheckpoint:
     def test_non_object_checkpoint(self, tmp_path, text):
         path = tmp_path / "ckpt.json"
         path.write_text(text, encoding="latin-1")
-        with pytest.raises(LogitFileError, match=str(path)):
+        with pytest.raises(DataError, match=str(path)):
             load_checkpoint(path)
