@@ -197,28 +197,30 @@ def _line_error(path, lineno: int, message: str) -> DataError:
 
 def read_sample_set(path, provenance: str) -> SampleSet:
     """Read a write_sample_set file in one np.loadtxt parse; where it or an array check
-    fails, _read_lines names the line. A non-UTF-8 byte reads as a non-number."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline()
-        if not header.startswith("k=") or not header[2:].strip().isdecimal():
-            raise _line_error(path, 1, "missing or malformed `k=<int>` header")
-        k = int(header[2:].strip())
-        if k < 1:
-            raise _line_error(path, 1, f"header k={k}: a sample needs at least one value")
-        try:  # a row holds over 2k characters, and loadtxt allocates by k alone
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # input contained no data
-                rows = None if os.fstat(fh.fileno()).st_size <= 2 * k else np.loadtxt(
-                    fh, delimiter=",", comments=None, ndmin=1, dtype=[
-                        ("id", np.int64), ("label", np.int64), ("values", np.float64, (k,))])
-        except (ValueError, OverflowError):
-            rows = None
-        except MemoryError as exc:
-            raise DataError(f"{path}: out of memory while parsing the file") from exc
-    if (rows is not None and rows.size and np.isfinite(rows["values"]).all()
-            and not (provenance in (ID_TRAIN, ID_TEST) and (rows["label"] < 0).any())):
-        return SampleSet(rows["values"].copy(), rows["label"].copy(), provenance)
-    return _read_lines(path, k, provenance)
+    fails, _read_lines names the line. A non-UTF-8 byte reads as a non-number. A
+    MemoryError of either parse is a DataError that names the file."""
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            header = fh.readline()
+            if not header.startswith("k=") or not header[2:].strip().isdecimal():
+                raise _line_error(path, 1, "missing or malformed `k=<int>` header")
+            k = int(header[2:].strip())
+            if k < 1:
+                raise _line_error(path, 1, f"header k={k}: a sample needs at least one value")
+            try:  # a row holds over 2k characters, and loadtxt allocates by k alone
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # input contained no data
+                    rows = None if os.fstat(fh.fileno()).st_size <= 2 * k else np.loadtxt(
+                        fh, delimiter=",", comments=None, ndmin=1, dtype=[
+                            ("id", np.int64), ("label", np.int64), ("values", np.float64, (k,))])
+            except (ValueError, OverflowError):
+                rows = None
+        if (rows is not None and rows.size and np.isfinite(rows["values"]).all()
+                and not (provenance in (ID_TRAIN, ID_TEST) and (rows["label"] < 0).any())):
+            return SampleSet(rows["values"].copy(), rows["label"].copy(), provenance)
+        return _read_lines(path, k, provenance)
+    except MemoryError as exc:
+        raise DataError(f"{path}: out of memory while parsing the file") from exc
 
 
 def _read_lines(path, k: int, provenance: str) -> SampleSet:
@@ -259,6 +261,8 @@ def read_json_object(path) -> dict:
             payload = json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        except MemoryError as exc:
+            raise DataError(f"{path}: out of memory while parsing the file") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object")
     return payload

@@ -123,14 +123,17 @@ def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
 
 
 def _checked_row(logits, k, sample_index):
-    """logits as one finite float64 row v of k logits, its shifted exponentials e,
-    their scale exp(max v) and its G. An error names sample_index."""
+    """logits as one finite float64 row v of k logits, its e = exp(v - max v), their
+    scale exp(max v) and its G, by the float ops of _shifted_exp and _scaled. A row that
+    fails a check goes to _as_logits for the message. An error names sample_index."""
     try:
-        v = _as_logits(logits, 1)
-        if v.shape[0] != k:
+        v = np.asarray(logits, dtype=np.float64)
+        if v.shape != (k,) or not k or not np.isfinite(v).all():
+            v = _as_logits(logits, 1)  # raises unless only k differs
             raise InvalidInputError(f"sample has k={v.shape[0]}, state has k={k}")
-        m, e = _shifted_exp(v)
-        return v, e, *_scaled(m, float(np.add.reduce(e)))
+        m = np.maximum.reduce(v)
+        e = np.exp(v - m)
+        return v, e, *_scaled(float(m), float(np.add.reduce(e)))
     except (AdaptOdError, TypeError, ValueError) as exc:  # a bad row or an overflow
         raise type(exc)(f"sample {sample_index}: {exc}") from exc
 
@@ -142,8 +145,9 @@ def _stream_rows(logit_stream, k):
     stream = logit_stream if isinstance(logit_stream, np.ndarray) else list(logit_stream)
     try:
         rows = np.ascontiguousarray(stream, dtype=np.float64)
-        bad = (np.flatnonzero(~np.isfinite(rows).all(axis=1)) if rows.shape[1:] == (k,)
-               else np.arange(len(rows)))
+        bad = np.arange(len(rows) if rows.shape[1:] != (k,) else 0)
+        if not bad.size and not np.isfinite(rows).all():  # then find the rows at fault
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     except (TypeError, ValueError):  # ragged or non-numeric rows: each row alone
         rows, bad = np.empty((0, k)), np.arange(len(stream))
     n = int(bad[0]) if bad.size else len(stream)
@@ -156,9 +160,9 @@ def _stream_rows(logit_stream, k):
 
 
 def _step(values, counts, v, sample_index, accepted, e, scale):
-    """Sample v, checked, with its e = exp(v - max v) and scale exp(max v), under the plans
-    whose P and count are values[j] and counts[j]: plan j folds exp(v) into its mean,
-    in place, if accepted[j]; then each plan scores scale * Σ e / (1 + P), <= G.
+    """run_plans' step of sample v, checked, with its e = exp(v - max v) and scale exp(max v),
+    under the busy plans whose P and count are values[j] and counts[j]: plan j folds exp(v)
+    into its mean, in place, if accepted[j]; then each plan scores scale * Σ e / (1 + P), <= G.
     The caller ignores overflow warnings: an overflowing mean raises NumericError."""
     if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
         ef = np.exp(v)
@@ -180,15 +184,16 @@ def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, samp
     state, and whether the sample was accepted. A rejected sample returns the
     input state object unchanged. An error names sample_index.
     """
+    if math.isnan(stats.r):
+        raise InvalidInputError("filter threshold r must not be NaN")
     v, e, scale, g = _checked_row(logits, state.k, sample_index)
-    accepted = g < stats.r
-    values, counts = np.array(state.values, ndmin=2), [state.m]
-    if not accepted:
-        (score,) = _step(values, counts, v, sample_index, (False,), e, scale)
-        return state, score, False
-    with np.errstate(over="ignore"):  # only an update can overflow
-        (score,) = _step(values, counts, v, sample_index, (True,), e, scale)
-    return _trusted(values[0], counts[0]), score, True
+    if not g < stats.r:
+        return state, scale * float(np.add.reduce(e / (1.0 + state.values))), False
+    with np.errstate(over="ignore"):  # a mean of finite values can only overflow
+        values = (state.m * state.values + np.exp(v)) / (state.m + 1)
+    if not np.isfinite(values).all():
+        raise NumericError(f"sample {sample_index}: mean exp(logit) exceeds float64 range")
+    return _trusted(values, state.m + 1), scale * float(np.add.reduce(e / (1.0 + values))), True
 
 
 def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):

@@ -46,10 +46,12 @@ def _scaled(m: float, total: float) -> tuple[float, float]:
 
 def _scaled_rows(m: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_scaled of each row; an error names the first row _scaled refuses as a sample.
-    math.log and math.exp, which round differently from np.log and np.exp, keep
-    the guard and the scale exactly those of _scaled."""
-    logs = np.fromiter(map(math.log, totals.tolist()), float, m.size)
-    over = (m >= _LOG_FLOAT_MAX) | (m + logs >= _LOG_FLOAT_MAX)
+    A vectorised np.log screens the rows: only those within 1 of the guard, where
+    np.log and math.log may round apart, take _scaled's math.log guard. The scale
+    keeps math.exp, which rounds differently from np.exp, so it is _scaled's too."""
+    over = np.zeros(m.size, bool)  # log(total) >= 0: a row with m >= the limit is near
+    near = np.flatnonzero(m + np.log(totals) >= _LOG_FLOAT_MAX - 1)
+    over[near] = m[near] + np.fromiter(map(math.log, totals[near].tolist()), float) >= _LOG_FLOAT_MAX
     with np.errstate(over="ignore"):  # math.exp raises where the guard fails: those get exp(0)
         scales = np.fromiter(map(math.exp, np.where(over, 0.0, m).tolist()), float, m.size)
         values = scales * totals

@@ -1,5 +1,5 @@
-"""No API that only tests use: every public top-level function, class and
-constant of src/adaptod is used in src/adaptod or bench/ outside its own
+"""No API that only tests use: every top-level function, class and constant of
+src/adaptod, public or private, is used in src/adaptod or bench/ outside its own
 definition, and every error class but the base is raised in src/adaptod.
 Uses are read from the AST, so a docstring or a comment that names a
 function does not keep it alive."""
@@ -12,7 +12,7 @@ PACKAGE = "adaptod"
 
 
 def defined_names(stmt):
-    """The public names that one top-level statement defines."""
+    """The names, but dunders, that one top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         names = [stmt.name]
     elif isinstance(stmt, ast.Assign):
@@ -21,7 +21,7 @@ def defined_names(stmt):
         names = [stmt.target.id]
     else:
         names = []
-    return {name for name in names if not name.startswith("_")}
+    return {name for name in names if not name.startswith("__")}
 
 
 def package_module(node, in_package):
@@ -66,14 +66,25 @@ def uses(path, tree, modules):
     return found
 
 
-def test_every_public_name_is_used_outside_the_tests():
+def unused_names():
+    """(module, name) of each top-level name of the package that nothing in
+    src/adaptod or bench/ uses outside its own definition."""
     files = sorted([*(ROOT / "src" / PACKAGE).glob("*.py"), *(ROOT / "bench").glob("*.py")])
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
     modules = {path.stem for path in files if path.parent.name == PACKAGE}
     used = set().union(*(uses(path, tree, modules) for path, tree in trees.items()))
     defined = {(path.stem, name) for path, tree in trees.items() if path.parent.name == PACKAGE
                for stmt in tree.body for name in defined_names(stmt)}
-    assert sorted(defined - used) == []
+    return sorted(defined - used)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    assert [(module, name) for module, name in unused_names() if not name.startswith("_")] == []
+
+
+def test_every_private_name_has_a_caller_outside_the_tests():
+    """A helper that a refactor leaves without callers is dead code."""
+    assert [(module, name) for module, name in unused_names() if name.startswith("_")] == []
 
 
 def test_every_error_class_is_raised_in_the_package():

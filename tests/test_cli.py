@@ -385,6 +385,28 @@ class TestSampleFileContents:
                         "out of memory while parsing the file")
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("reader", ["per-line", "checkpoint"])
+    def test_reader_out_of_memory_exits_data(self, small_run, tmp_path, capsys, monkeypatch,
+                                             reader):
+        """A MemoryError of the per-line reader, which runs where the loadtxt parse
+        fails, or of the checkpoint's JSON parse names the file and leaves no traceback."""
+        def fail(error):
+            def call(*args, **kwargs):
+                raise error
+            return call
+
+        if reader == "per-line":
+            monkeypatch.setattr(np, "loadtxt", fail(ValueError))
+            monkeypatch.setattr(data, "_read_lines", fail(MemoryError))
+            path = small_run[0] / "id_train.csv"
+        else:
+            monkeypatch.setattr(json, "load", fail(MemoryError))
+            path = small_run[1] / "checkpoint.json"
+        assert self.adapt_eval(small_run, tmp_path) == EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"data error: {path}: out of memory while parsing the file"
+        assert not (tmp_path / "e").exists()
+
     def test_the_highest_id_train_class_is_a_class(self, small_run, tmp_path):
         data_dir, _ = small_run
         path = data_dir / "id_test.csv"

@@ -235,6 +235,49 @@ class TestAdaptAndScore:
         with pytest.raises(InvalidInputError, match="sample has k=2, state has k=3"):
             adapt_and_score(state, stats, [0.0, 0.0])
 
+    def test_a_state_of_no_classes_refuses_every_row(self):
+        state = OutlierDistribution(values=np.zeros(0), m=0)
+        stats = self.stats_accepting_below(10.0)
+        with pytest.raises(InvalidInputError, match=r"^sample 2: expected a 1-D logit array "
+                                                    r"with k >= 1, got shape \(0,\)$"):
+            adapt_and_score(state, stats, [], 2)
+        with pytest.raises(InvalidInputError, match="^sample 2: sample has k=1, state has k=0$"):
+            adapt_and_score(state, stats, [0.0], 2)
+
+    def test_a_nan_threshold_is_refused_online_as_in_a_stream(self):
+        """Before any row is read: no G is below NaN, so it would reject every sample."""
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        stats = EnergyStats(mu_in=0.0, sigma_in=1.0, alpha=3.0, r=math.nan)
+        messages = []
+        for run in (lambda: run_stream(state, stats, np.zeros((4, 2))),
+                    lambda: adapt_and_score(state, stats, [0.0, 0.0]),
+                    lambda: adapt_and_score(state, stats, [math.nan], 3)):
+            with pytest.raises(InvalidInputError) as info:
+                run()
+            messages.append(str(info.value))
+        assert messages == ["filter threshold r must not be NaN"] * 3
+
+    def test_the_online_step_runs_without_the_batch_step(self, monkeypatch):
+        logits = np.random.default_rng(27).standard_normal((40, 3)) * 3
+        stats = threshold_inside(logits, 0.5)
+        state = OutlierDistribution(values=np.array([0.5, 1.0, 2.0]), m=2)
+        want_scores, want_mask, want_final = run_stream(state, stats, logits)
+
+        def step(*args, **kwargs):
+            raise AssertionError("the online step ran the batch step")
+
+        monkeypatch.setattr(doda, "_step", step)
+        scores, accepts = [], []
+        for i, row in enumerate(logits):
+            new, score, accepted = adapt_and_score(state, stats, row, i)
+            assert (new is state) is not accepted
+            state = new
+            scores.append(score)
+            accepts.append(accepted)
+        assert 0 < sum(accepts) < len(logits)
+        assert scores == want_scores and accepts == want_mask.tolist()
+        assert np.array_equal(state.values, want_final.values) and state.m == want_final.m
+
 
 class TestOracleVariant:
     """Short run_stream passes with oracle labels."""

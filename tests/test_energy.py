@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adaptod.doda import EnergyStats, OutlierDistribution, adapt_and_score, run_plans
-from adaptod.energy import _LOG_FLOAT_MAX, batch_energy_normalize, global_energies
+from adaptod.energy import (_LOG_FLOAT_MAX, _scaled, _scaled_rows, _shifted_exp,
+                            batch_energy_normalize, global_energies)
 from adaptod.errors import InvalidInputError, NumericError
 
 from oracles import calibrated_energy, global_energy, rowwise_global_energies
@@ -88,6 +89,37 @@ def overflow_edge_rows():
             rows.append(np.full(k, _LOG_FLOAT_MAX - math.log(k) + d))
             rows.append(np.r_[_LOG_FLOAT_MAX + d, np.full(k - 1, -30.0)])
     return rows
+
+
+@st.composite
+def near_limit_rows(draw):
+    """Finite logit rows whose log global energy m + log(total) lies within about 2
+    of the float64 limit, on both sides: across the screen of _scaled_rows."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    shape = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-40.0, 0.0)))
+    at = draw(hnp.arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    rows = shape - shape.max(axis=1, keepdims=True)  # each row peaks at 0
+    return rows + (_LOG_FLOAT_MAX + at - np.log(np.exp(rows).sum(axis=1)))[:, None]
+
+
+class TestScaledRows:
+    @settings(max_examples=300, deadline=None)
+    @given(near_limit_rows())
+    def test_equals_scaled_row_by_row_near_the_limit(self, rows):
+        m, e = _shifted_exp(rows)
+        totals = e.sum(axis=1)
+        assert (abs(m + np.log(totals) - _LOG_FLOAT_MAX) <= 2.0 + 1e-9).all()
+        want = []
+        for i, (mi, total) in enumerate(zip(m.tolist(), totals.tolist())):
+            try:
+                want.append(_scaled(mi, total))
+            except NumericError:  # the first row _scaled refuses names the error
+                with pytest.raises(NumericError,
+                                   match=f"^sample {i}: global energy exceeds float64 range$"):
+                    _scaled_rows(m, totals)
+                return
+        scales, values = _scaled_rows(m, totals)
+        assert list(zip(scales.tolist(), values.tolist())) == want
 
 
 class TestGlobalEnergies:
