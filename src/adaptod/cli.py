@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import doda, energy, metrics, nn
+from . import doda, metrics, nn
 from .errors import AdaptOdError, DataError, InvalidInputError, NumericError
 
 EXIT_OK = 0
@@ -246,7 +246,7 @@ def cmd_train(ns) -> int:
 def _write_histograms(out_dir: Path, logit_sets, adapted_scores) -> None:
     """50-bin histograms of global energy of the ID-test, outlier and true-OOD
     logits, by provenance tag, plus calibrated (adapted) scores of the stream."""
-    populations = {tag.replace("-", "_"): energy.global_energies(logit_sets[tag].features)
+    populations = {tag.replace("-", "_"): doda.global_energies(logit_sets[tag].features)
                    for tag in (data_mod.ID_TEST, data_mod.OUTLIER, data_mod.TRUE_OOD)}
     populations["adapted_scores"] = np.asarray(adapted_scores)
     pooled = np.concatenate(list(populations.values()))

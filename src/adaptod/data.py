@@ -12,7 +12,6 @@ grows. The outliers are thus distribution-shifted from the true OOD.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -252,37 +251,3 @@ def _read_lines(path, k: int, provenance: str) -> SampleSet:
     if not rows:
         raise DataError(f"{path}: sample-set file holds no rows")
     return SampleSet(np.array(rows, dtype=np.float64), np.array(labels), provenance)
-
-
-def read_json_object(path) -> dict:
-    """The JSON object stored at path (a checkpoint); DataError if it is not one."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-        except MemoryError as exc:
-            raise DataError(f"{path}: out of memory while parsing the file") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return payload
-
-
-def json_field(payload: dict, key: str, path, convert):
-    """convert(payload[key]); DataError names the path and the key when
-    the key is missing or convert raises TypeError, ValueError, OverflowError
-    or InvalidInputError."""
-    if key not in payload:
-        raise DataError(f"{path}: missing key {key!r}")
-    try:
-        return convert(payload[key])
-    except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
-        raise DataError(f"{path}: bad {key!r}: {exc}") from exc
-
-
-def float_array(value, shape) -> np.ndarray:
-    """value as a finite float64 array of the given shape, else ValueError."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != shape or not np.isfinite(arr).all():
-        raise ValueError(f"expected finite values of shape {shape}, got shape {arr.shape}")
-    return arr

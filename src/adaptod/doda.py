@@ -5,21 +5,30 @@ initialize the outlier distribution from auxiliary outlier logits. Online: for
 each test sample, first adapt the distribution if the filter flags the sample
 as OOD, then score it with the calibrated energy. One pass, label-free, O(k)
 state.
+
+The filter reads each sample's global energy G = Σ_j exp(f_j), a linear-scale
+sum evaluated with a max-shift so intermediate values never overflow. Only G is
+range-checked: a G past float64 range raises NumericError instead of returning
+Inf. The check returns G's scale exp(max f) too, and the calibrated score
+Σ_j exp(f_j) / (1 + P_j) is that scale times Σ_j exp(f_j - max f) / (1 + P_j),
+unchecked: with P >= 0 each term is at most the one of G, so the score is too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _LOG_FLOAT_MAX, _as_logits, _scaled, _scaled_rows, _shifted_exp, global_energies
+from .energy import as_logits
 from .errors import AdaptOdError, InvalidInputError, NumericError
 
 DEFAULT_ALPHA = 3.0
 MAX_VIRTUAL_COUNT = 2**53  # the largest count a float64 holds exactly
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,8 @@ class OutlierDistribution:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise InvalidInputError(f"values must be 1-D, got shape {v.shape}")
+        if v.ndim != 1 or not v.size:
+            raise InvalidInputError(f"values must be 1-D with k >= 1 classes, got shape {v.shape}")
         if not np.isfinite(v).all() or (v < 0).any():
             raise InvalidInputError("values must be finite and non-negative")
         if not 0 <= self.m <= MAX_VIRTUAL_COUNT:
@@ -79,7 +88,7 @@ class AdaptationEvent:
 def fit_energy_stats(train_id_logits, alpha: float = DEFAULT_ALPHA) -> EnergyStats:
     """Mean and sample std (n-1) of global energy over training-ID logits,
     and the filter threshold R = mu - alpha * sigma."""
-    rows = _as_logits(np.atleast_2d(np.asarray(train_id_logits, dtype=np.float64)), 2)
+    rows = as_logits(np.atleast_2d(np.asarray(train_id_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 2:
         raise InvalidInputError("need at least 2 samples to fit energy statistics")
     energies = global_energies(rows)
@@ -100,7 +109,7 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
     """
     if not 0 <= virtual_count <= MAX_VIRTUAL_COUNT:
         raise InvalidInputError(f"virtual_count must lie in [0, 2**53], got {virtual_count}")
-    rows = _as_logits(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)), 2)
+    rows = as_logits(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 1:
         raise InvalidInputError("need at least one outlier sample to initialize")
     over = np.flatnonzero(rows.max(axis=1) >= _LOG_FLOAT_MAX)
@@ -122,14 +131,58 @@ def _trusted(values: np.ndarray, m: int) -> OutlierDistribution:
     return state
 
 
+def _scaled(m: float, total: float) -> tuple[float, float]:
+    """exp(m) and G = exp(m) * total, raising NumericError unless both are
+    float64 values. total > 0 here: it holds a term exp(0)."""
+    if m >= _LOG_FLOAT_MAX or m + math.log(total) >= _LOG_FLOAT_MAX:
+        raise NumericError("global energy exceeds float64 range")
+    scale = math.exp(m)
+    value = scale * total
+    if not math.isfinite(value):
+        raise NumericError("global energy exceeds float64 range")
+    return scale, value
+
+
+def _scaled_rows(m: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_scaled of each row; an error names the first row _scaled refuses as a sample.
+    A vectorised np.log screens the rows: only those within 1 of the guard, where
+    np.log and math.log may round apart, take _scaled's math.log guard. The scale
+    keeps math.exp, which rounds differently from np.exp, so it is _scaled's too."""
+    over = np.zeros(m.size, bool)  # log(total) >= 0: a row with m >= the limit is near
+    near = np.flatnonzero(m + np.log(totals) >= _LOG_FLOAT_MAX - 1)
+    over[near] = m[near] + np.fromiter(map(math.log, totals[near].tolist()), float) >= _LOG_FLOAT_MAX
+    with np.errstate(over="ignore"):  # math.exp raises where the guard fails: those get exp(0)
+        scales = np.fromiter(map(math.exp, np.where(over, 0.0, m).tolist()), float, m.size)
+        values = scales * totals
+    bad = np.flatnonzero(over | ~np.isfinite(values))
+    if bad.size:
+        raise NumericError(f"sample {bad[0]}: global energy exceeds float64 range")
+    return scales, values
+
+
+def _shifted_exp(rows):
+    """The row max m and e = exp(f - m) of a checked C-contiguous logit matrix (its
+    rows then sum as 1-D rows do): every matrix energy here is built on it."""
+    m = np.maximum.reduce(rows, axis=-1)
+    return m, np.exp(rows - m[..., None])
+
+
+def global_energies(rows) -> np.ndarray:
+    """Sum of exponentiated logits, Σ_j exp(f_j), of each row of a logit matrix.
+    Strictly positive; per row the float ops of the one-sample step."""
+    m, e = _shifted_exp(np.ascontiguousarray(as_logits(rows, 2)))
+    return _scaled_rows(m, e.sum(axis=1))[1]
+
+
 def _checked_row(logits, k, sample_index):
     """logits as one finite float64 row v of k logits, its e = exp(v - max v), their
-    scale exp(max v) and its G, by the float ops of _shifted_exp and _scaled. A row that
-    fails a check goes to _as_logits for the message. An error names sample_index."""
+    scale exp(max v) and its G, by the float ops of _shifted_exp and _scaled, inlined
+    for the online step's speed. A row that fails a check goes to as_logits for the
+    message. An error names sample_index."""
     try:
         v = np.asarray(logits, dtype=np.float64)
-        if v.shape != (k,) or not k or not np.isfinite(v).all():
-            v = _as_logits(logits, 1)  # raises unless only k differs
+        if v.shape != (k,) or not np.isfinite(v).all():
+            v = as_logits(logits, 1)  # raises unless only k differs
             raise InvalidInputError(f"sample has k={v.shape[0]}, state has k={k}")
         m = np.maximum.reduce(v)
         e = np.exp(v - m)
@@ -141,21 +194,19 @@ def _checked_row(logits, k, sample_index):
 def _stream_rows(logit_stream, k):
     """logit_stream, read once, as one C-contiguous float64 (n, k) matrix of
     finite logits, its shifted exponentials e, their row scales exp(max f), and the
-    G of every row from those. An error names the first sample whose row or G is bad."""
+    G of every row from those. A stream that is not a clean, finite (n, k) matrix is
+    checked row by row, in order, so an error names the first sample whose row or G
+    is bad, whatever the fault; rows that all pass are stacked into the matrix."""
     stream = logit_stream if isinstance(logit_stream, np.ndarray) else list(logit_stream)
     try:
         rows = np.ascontiguousarray(stream, dtype=np.float64)
-        bad = np.arange(len(rows) if rows.shape[1:] != (k,) else 0)
-        if not bad.size and not np.isfinite(rows).all():  # then find the rows at fault
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    except (TypeError, ValueError):  # ragged or non-numeric rows: each row alone
-        rows, bad = np.empty((0, k)), np.arange(len(stream))
-    n = int(bad[0]) if bad.size else len(stream)
-    rows = rows[:n].reshape(n, k)  # the rows before the first bad one
+        clean = rows.shape[1:] == (k,) and np.isfinite(rows).all()
+    except (TypeError, ValueError):  # ragged or non-numeric rows
+        clean = False
+    if not clean:  # an empty stream is a (0, k) matrix
+        rows = np.array([_checked_row(row, k, i)[0] for i, row in enumerate(stream)]).reshape(-1, k)
     m, e = _shifted_exp(rows)
     scales, energies = _scaled_rows(m, e.sum(axis=1))  # an overflow names its sample
-    for i in bad.tolist():  # the first of these that is bad alone raises
-        _checked_row(stream[i], k, i)
     return rows, e, scales, energies
 
 

@@ -12,9 +12,8 @@ from itertools import accumulate, zip_longest
 
 import numpy as np
 
-from .data import float_array, json_field, read_json_object
 from .dne import LossBreakdown, ce_and_grad, loss_and_grad
-from .errors import InvalidInputError, NumericError
+from .errors import DataError, InvalidInputError, NumericError
 
 MAX_PARAMS = 2**24  # most parameters Mlp.init allocates: 128 MB a vector, and training holds 3
 MAX_ACTIVATIONS = 2**25  # most values one forward allocates, rows x summed widths: 256 MB
@@ -281,15 +280,49 @@ def save_checkpoint(path, model: Mlp, seed: int, stage: str) -> None:
         fh.write("\n")
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object stored at path (a checkpoint); DataError if it is not one."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        except MemoryError as exc:
+            raise DataError(f"{path}: out of memory while parsing the file") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return payload
+
+
+def _json_field(payload: dict, key: str, path, convert):
+    """convert(payload[key]); DataError names the path and the key when
+    the key is missing or convert raises TypeError, ValueError, OverflowError
+    or InvalidInputError."""
+    if key not in payload:
+        raise DataError(f"{path}: missing key {key!r}")
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
+        raise DataError(f"{path}: bad {key!r}: {exc}") from exc
+
+
+def _float_array(value, shape) -> np.ndarray:
+    """value as a finite float64 array of the given shape, else ValueError."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape or not np.isfinite(arr).all():
+        raise ValueError(f"expected finite values of shape {shape}, got shape {arr.shape}")
+    return arr
+
+
 def load_checkpoint(path) -> tuple[Mlp, int, str]:
     """Read a save_checkpoint file. DataError names the path and the key
     that is missing, malformed or does not match layer_dims."""
-    payload = read_json_object(path)
-    dims = json_field(payload, "layer_dims", path, _layer_dims)
+    payload = _read_json_object(path)
+    dims = _json_field(payload, "layer_dims", path, _layer_dims)
     shapes = list(zip(dims[:-1], dims[1:]))
-    weights = json_field(payload, "weights", path, lambda v: [
-        float_array(w, (i * o,)).reshape(i, o) for w, (i, o) in zip(v, shapes, strict=True)])
-    biases = json_field(payload, "biases", path, lambda v: [
-        float_array(b, (o,)) for b, (_, o) in zip(v, shapes, strict=True)])
+    weights = _json_field(payload, "weights", path, lambda v: [
+        _float_array(w, (i * o,)).reshape(i, o) for w, (i, o) in zip(v, shapes, strict=True)])
+    biases = _json_field(payload, "biases", path, lambda v: [
+        _float_array(b, (o,)) for b, (_, o) in zip(v, shapes, strict=True)])
     model = Mlp(layer_dims=dims, weights=weights, biases=biases)
-    return model, json_field(payload, "seed", path, int), json_field(payload, "stage", path, str)
+    return model, _json_field(payload, "seed", path, int), _json_field(payload, "stage", path, str)

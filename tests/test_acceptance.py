@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from adaptod import cli, data, dne, doda, metrics, nn
-from adaptod.energy import batch_energy_normalize, global_energies
+from adaptod.doda import global_energies
+from adaptod.energy import batch_energy_normalize
 
 from oracles import (
     central_difference,

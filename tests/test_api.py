@@ -1,6 +1,7 @@
 """No API that only tests use: every top-level function, class and constant of
 src/adaptod, public or private, is used in src/adaptod or bench/ outside its own
-definition, and every error class but the base is raised in src/adaptod.
+definition, every error class but the base is raised in src/adaptod, and no
+module of src/adaptod uses a private name of another.
 Uses are read from the AST, so a docstring or a comment that names a
 function does not keep it alive."""
 
@@ -85,6 +86,17 @@ def test_every_public_name_is_used_outside_the_tests():
 def test_every_private_name_has_a_caller_outside_the_tests():
     """A helper that a refactor leaves without callers is dead code."""
     assert [(module, name) for module, name in unused_names() if name.startswith("_")] == []
+
+
+def test_no_module_uses_a_private_name_of_another():
+    """A private name is its own module's business: a helper that two modules
+    share is public, so a change to it is seen as a change to an interface."""
+    files = sorted((ROOT / "src" / PACKAGE).glob("*.py"))
+    modules = {path.stem for path in files}
+    found = [(path.stem, module, name) for path in files
+             for module, name in uses(path, ast.parse(path.read_text(), str(path)), modules)
+             if module != path.stem and name.startswith("_")]
+    assert sorted(found) == []
 
 
 def test_every_error_class_is_raised_in_the_package():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adaptod import cli, data, doda, energy, metrics, nn
+from adaptod import cli, data, doda, metrics, nn
 from adaptod.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK
 from adaptod.errors import InvalidInputError, NumericError
 
@@ -968,14 +968,13 @@ class TestEvaluationPlan:
         assert run_cli("generate", "--out", data_dir) == EXIT_OK
         assert run_cli("train", "--data", data_dir, "--out", model_dir, "--hidden", 8,
                        "--epochs-pretrain", 1, "--epochs-finetune", 1) == EXIT_OK
-        rows, shifted_exp = [], energy._shifted_exp
+        rows, shifted_exp = [], doda._shifted_exp
 
         def counting_shifted_exp(logits):
             rows.append(len(logits))
             return shifted_exp(logits)
 
-        for module in (energy, doda):  # doda imports the helper by name
-            monkeypatch.setattr(module, "_shifted_exp", counting_shifted_exp)
+        monkeypatch.setattr(doda, "_shifted_exp", counting_shifted_exp)
         rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
                      "--out", tmp_path / "o", "--events")
         assert rc == EXIT_OK
