@@ -31,17 +31,18 @@ def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     a class index in [0, k): nn.train checks its labels once, up front, so no
     step checks them again."""
     labels = np.asarray(labels, dtype=np.intp)
-    n = logits.shape[0]
+    n, k = logits.shape
     if labels.shape[0] != n:
         raise InvalidInputError("one label per ID row required")
-    rows = np.arange(n)
-    p = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    picked = p[rows, labels]
+    p = logits - np.maximum.reduce(logits.T.copy(), axis=0)[:, None]  # exact in any order
+    flat = p.reshape(-1)  # a view: p is a fresh C-contiguous array
+    at = np.arange(0, n * k, k) + labels  # row * k + label: each row's label entry
+    picked = flat[at]
     np.exp(p, out=p)
     z = np.add.reduce(p, axis=1, keepdims=True)  # p.sum(...) without its Python wrappers
     ce = float(np.add.reduce(np.log(z[:, 0]) - picked) / n)
     p /= z
-    p[rows, labels] -= 1.0
+    flat[at] -= 1.0
     p /= n
     return ce, p
 

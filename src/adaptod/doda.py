@@ -197,6 +197,8 @@ def _stream_rows(logit_stream, k):
     G of every row from those. A stream that is not a clean, finite (n, k) matrix is
     checked row by row, in order, so an error names the first sample whose row or G
     is bad, whatever the fault; rows that all pass are stacked into the matrix."""
+    if getattr(logit_stream, "ndim", 1) == 0 or not hasattr(logit_stream, "__iter__"):
+        raise InvalidInputError(f"logit_stream must hold logit rows, got {logit_stream!r}")
     stream = logit_stream if isinstance(logit_stream, np.ndarray) else list(logit_stream)
     try:
         rows = np.ascontiguousarray(stream, dtype=np.float64)

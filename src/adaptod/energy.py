@@ -29,6 +29,6 @@ def batch_energy_normalize(batch) -> np.ndarray:
     rows = as_logits(batch, 2)
     if rows.shape[0] < 1:
         raise InvalidInputError("empty batch")
-    shifted = rows - rows.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = rows - np.maximum.reduce(rows.T.copy(), axis=1)  # a max is exact in any order
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=0, keepdims=True), out=e)

@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
+from numbers import Integral
 
 import numpy as np
 
@@ -90,20 +91,29 @@ class Mlp:
         """Logits plus the per-layer activations needed by backward. Inputs whose
         activations would exceed MAX_ACTIVATIONS values raise InvalidInputError."""
         x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.layer_dims[0]:
-            raise InvalidInputError(f"inputs have shape {x.shape}, "
+        self._check_step(x.shape)
+        return self._forward(x, [None] * self.n_layers)
+
+    def _check_step(self, shape, start=0):
+        """forward's checks of rows of this shape, backward's of start; before any allocation."""
+        if len(shape) != 2 or shape[1] != self.layer_dims[0]:
+            raise InvalidInputError(f"inputs have shape {shape}, "
                                     f"expected (n, {self.layer_dims[0]})")
         widths = self.layer_dims[1:]
-        if x.shape[0] * sum(widths) > MAX_ACTIVATIONS:  # before any allocation
-            raise InvalidInputError(f"{x.shape[0]} rows through layers of widths {widths} make "
-                                    f"{x.shape[0] * sum(widths)} activation values, more than "
+        if shape[0] * sum(widths) > MAX_ACTIVATIONS:
+            raise InvalidInputError(f"{shape[0]} rows through layers of widths {widths} make "
+                                    f"{shape[0] * sum(widths)} activation values, more than "
                                     f"MAX_ACTIVATIONS={MAX_ACTIVATIONS}")
+        if start not in self.offsets[:-1]:
+            raise InvalidInputError(f"start {start} is not where a layer begins: {self.offsets}")
+
+    def _forward(self, x, outs):
+        """Unchecked forward_cached, layer i written into outs[i] (a new array if None)."""
         activations = [x]
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w
+        for i, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
+            z = np.matmul(activations[-1], w, out=out)
             z += b
-            if i < last:
+            if i < len(outs) - 1:
                 np.maximum(z, 0.0, out=z)
             activations.append(z)
         return activations[-1], activations
@@ -115,17 +125,20 @@ class Mlp:
         per-layer views (dWs, dbs) of grad, which the next call overwrites."""
         g = np.asarray(upstream_grad, dtype=np.float64)
         if g.shape != activations[-1].shape:
-            raise InvalidInputError(
-                f"upstream gradient shape {g.shape} != logits shape {activations[-1].shape}"
-            )
-        if start not in self.offsets[:-1]:
-            raise InvalidInputError(f"start {start} is not where a layer begins: {self.offsets}")
+            raise InvalidInputError(f"upstream gradient shape {g.shape} != logits shape "
+                                    f"{activations[-1].shape}")
+        self._check_step(np.shape(activations[0]), start)
+        return self._backward(activations, g, start, [None] * (self.n_layers - 1))
+
+    def _backward(self, activations, g, start, hidden_grads):
+        """Unchecked backward; hidden_grads[i - 1] gets the gradient into layer i (new if None)."""
         for i in range(self.n_layers - 1, -1, -1):
             np.matmul(activations[i].T, g, out=self._d_weights[i])
             np.add.reduce(g, axis=0, out=self._d_biases[i])
             if self.offsets[i] == start:
                 break
-            g = (g @ self.weights[i].T) * (activations[i] > 0.0)
+            g = np.matmul(g, self.weights[i].T, out=hidden_grads[i - 1])
+            g *= activations[i] > 0.0
         return self._d_weights, self._d_biases
 
 
@@ -152,18 +165,20 @@ class TrainConfig:
     finetune_all_layers: bool = False  # default: only the output layer adapts
 
     def __post_init__(self):
+        for name in ("seed", "epochs_pretrain", "epochs_finetune", "b_in", "b_out"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0 or self.b_in < 1 or self.b_out < 1:
+            raise InvalidInputError(f"seed must be >= 0 and batch sizes >= 1, got "
+                                    f"seed={self.seed}, b_in={self.b_in}, b_out={self.b_out}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidInputError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
             raise InvalidInputError("epoch counts must be non-negative, got "
                                     f"{self.epochs_pretrain} and {self.epochs_finetune}")
         for name in ("lr_pretrain", "lr_finetune"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise InvalidInputError(
-                    f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.b_in < 1 or self.b_out < 1:
-            raise InvalidInputError(
-                f"batch sizes must be >= 1, got b_in={self.b_in}, b_out={self.b_out}")
+            if not (math.isfinite(value := getattr(self, name)) and value > 0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
 
 
 def _sgd_step(params, velocity, grad, scratch, lr, momentum, step):
@@ -171,7 +186,7 @@ def _sgd_step(params, velocity, grad, scratch, lr, momentum, step):
     velocity *= momentum
     velocity -= np.multiply(grad, lr, out=scratch)
     params += velocity
-    if not np.isfinite(params).all():
+    if not np.logical_and.reduce(np.isfinite(params)):  # .all() without its Python wrappers
         raise NumericError(f"non-finite parameters at step {step}")
 
 
@@ -183,8 +198,7 @@ def _class_labels(id_y, n: int, k: int) -> np.ndarray:
         raise InvalidInputError(f"id_x and id_y lengths differ: {n} rows, labels {y.shape}")
     bad = np.flatnonzero(~np.isin(y, np.arange(k)))
     if bad.size:
-        i = bad[0]
-        raise InvalidInputError(f"label {y[i]} at row {i} is not an integer in [0, {k})")
+        raise InvalidInputError(f"label {y[bad[0]]} at row {bad[0]} is not an integer in [0, {k})")
     return y.astype(np.intp)
 
 
@@ -204,13 +218,15 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
         raise InvalidInputError("id_x holds no rows: training needs at least one ID sample")
     k = model.layer_dims[-1]
     id_y = _class_labels(id_y, id_x.shape[0], k)
-    if cfg.epochs_finetune > 0 and outlier_x.shape[0] < 1:
-        raise InvalidInputError("fine-tuning requires outlier data")
-    if cfg.epochs_finetune > 0 and k < 2:
-        raise InvalidInputError(f"fine-tuning needs k >= 2 classes, got k={k}")
-    n, row_shape = id_x.shape[0], id_x.shape[1:]  # a wrong row shape fails in forward
+    n, row_shape = id_x.shape[0], id_x.shape[1:]
+    if cfg.epochs_finetune > 0:
+        if outlier_x.ndim < 1 or outlier_x.shape[1:] != row_shape or len(outlier_x) < 1:
+            raise InvalidInputError(f"fine-tuning needs outlier rows shaped as the ID rows: id_x "
+                                    f"has shape {id_x.shape}, outlier_x {outlier_x.shape}")
+        if k < 2:
+            raise InvalidInputError(f"fine-tuning needs k >= 2 classes, got k={k}")
     b_in = min(cfg.b_in, n)
-    b_out = min(cfg.b_out, outlier_x.shape[0])
+    b_out = min(cfg.b_out, outlier_x.shape[0]) if cfg.epochs_finetune > 0 else 0
     steps_per_epoch = max(1, n // b_in)
     for name in ("epochs_pretrain", "epochs_finetune"):  # before any allocation
         if getattr(cfg, name) * steps_per_epoch > MAX_STEPS:
@@ -223,31 +239,36 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     ys = np.empty(steps_per_epoch * b_in, np.intp)
     stacked = np.empty((b_in + b_out, *row_shape))
 
-    def ce_batch(x, y, step):
-        logits, acts = model.forward_cached(x)
+    def ce_batch(x, y, step, outs):
+        logits, acts = model._forward(x, outs)
         ce, d_logits = ce_and_grad(logits, y)
         return (ce, ce, 0.0, 0.0), acts, d_logits
 
-    def paired_batch(x, y, step):
+    def paired_batch(x, y, step, outs):
         out_idx = rng.choice(outlier_x.shape[0], size=b_out, replace=False)
         stacked[:b_in] = x
         outlier_x.take(out_idx, axis=0, out=stacked[b_in:], mode="clip")
-        logits, acts = model.forward_cached(stacked)
+        logits, acts = model._forward(stacked, outs)
         try:
             terms, d_logits = loss_and_grad(logits, y)
         except InvalidInputError as exc:  # after train's input checks: non-finite logits
             raise NumericError(f"non-finite logits at step {step}") from exc
         return (terms.total, terms.ce, terms.dne_c, terms.dne_s), acts, d_logits
 
-    log: list[LossBreakdown] = []
     tail = 0 if cfg.finetune_all_layers else model.offsets[-2]
-    stages = ((cfg.epochs_pretrain, cfg.lr_pretrain, 0, ce_batch),
-              (cfg.epochs_finetune, cfg.lr_finetune, tail, paired_batch))
+    stages = [stage for stage in ((cfg.epochs_pretrain, cfg.lr_pretrain, 0, b_in, ce_batch), (
+        cfg.epochs_finetune, cfg.lr_finetune, tail, b_in + b_out, paired_batch)) if stage[0]]
+    for _, _, start, rows, _ in stages:  # forward's and backward's checks, once per run
+        model._check_step((rows, *row_shape), start)
+    log: list[LossBreakdown] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for epochs, lr0, start, batch_loss in stages:
-            lrs = cosine_schedule(max(1, epochs * steps_per_epoch), lr0)
+        for epochs, lr0, start, rows, batch_loss in stages:
+            lrs = cosine_schedule(epochs * steps_per_epoch, lr0)
             params, grad = model.params[start:], model.grad[start:]
             velocity, scratch = np.zeros_like(params), np.empty_like(params)
+            outs = [np.empty((rows, width)) for width in model.layer_dims[1:]]  # step buffers
+            hidden_grads = [np.empty_like(out) if at > start else None
+                            for out, at in zip(outs, model.offsets[1:-1])]
             step = 0
             for _ in range(epochs):
                 order = rng.permutation(n)[:xs.shape[0]]
@@ -255,10 +276,10 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
                 id_y.take(order, out=ys, mode="clip")
                 losses = []
                 for s in range(0, ys.size, b_in):
-                    loss, acts, d_logits = batch_loss(xs[s:s + b_in], ys[s:s + b_in], step)
+                    loss, acts, d_logits = batch_loss(xs[s:s + b_in], ys[s:s + b_in], step, outs)
                     if not math.isfinite(loss[0]):
                         raise NumericError(f"non-finite loss at step {step}")
-                    model.backward(acts, d_logits, start)
+                    model._backward(acts, d_logits, start, hidden_grads)
                     _sgd_step(params, velocity, grad, scratch, lrs[step], cfg.momentum, step)
                     step += 1
                     losses.append(loss)
@@ -268,13 +289,9 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
 
 def save_checkpoint(path, model: Mlp, seed: int, stage: str) -> None:
     """Canonical JSON checkpoint; weights stored row-major as decimal text."""
-    payload = {
-        "layer_dims": model.layer_dims,
-        "weights": [[float(v) for v in w.ravel()] for w in model.weights],
-        "biases": [[float(v) for v in b] for b in model.biases],
-        "seed": seed,
-        "stage": stage,
-    }
+    payload = {"layer_dims": model.layer_dims, "seed": seed, "stage": stage,
+               "weights": [[float(v) for v in w.ravel()] for w in model.weights],
+               "biases": [[float(v) for v in b] for b in model.biases]}
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")

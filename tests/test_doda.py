@@ -469,6 +469,14 @@ class TestRunStream:
             run_stream(state, stats, stream, record_events=record_events, **kwargs)
         assert str(info.value).startswith("sample 2: ")
 
+    @pytest.mark.parametrize("scalar", [np.array(1.0), np.float64(1.0), 1.0],
+                             ids=["0-d-array", "float64", "float"])
+    def test_a_scalar_stream_is_refused(self, scalar):
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"logit_stream must hold logit rows, got {scalar!r}")):
+            run_plans(state, scalar, [(0.0, -math.inf), (0.0, 10.0)])
+
     @pytest.mark.parametrize("stream_of", [list, iter, lambda rows: np.empty((0, 2))])
     def test_an_empty_stream_returns_no_scores_and_the_input_state(self, stream_of):
         state = OutlierDistribution(values=np.ones(2), m=1)

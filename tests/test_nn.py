@@ -262,6 +262,23 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match=f"{field}={value}"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs_pretrain", 1.5), ("epochs_finetune", "2"), ("b_in", 2.5), ("b_out", 4.0),
+        ("seed", 1.5), ("seed", None), ("b_in", True)])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
+            TrainConfig(**{field: value})
+
+    def test_a_negative_seed_is_rejected(self):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "seed must be >= 0 and batch sizes >= 1, got seed=-1, b_in=64, b_out=128")):
+            TrainConfig(seed=-1)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TrainConfig(seed=np.int64(2), b_in=np.int32(8), epochs_finetune=np.uint8(0))
+        x, y, outliers = blob_task(0)
+        train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+
     def test_parameters_stay_finite(self):
         x, y, outliers = blob_task(4)
         model = Mlp.init([4, 8, 2], seed=5)
@@ -282,6 +299,7 @@ class TestTrainEqualsPerLayerLoop:
         pytest.param([4, 8, 6, 2], {"finetune_all_layers": True}, id="3-layer-all"),
         pytest.param([4, 8, 6, 2], {"epochs_finetune": 0}, id="ce-only"),
         pytest.param([4, 8, 2], {"b_in": 500, "b_out": 500}, id="batches-above-row-count"),
+        pytest.param([4, 8, 6, 2], {"b_in": 1, "b_out": 3}, id="b_in-1"),
     ])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_bit_identical(self, dims, settings, seed):
@@ -308,6 +326,19 @@ class TestTrainEqualsPerLayerLoop:
         assert len(log) == 40 and x.shape[0] == 745
         assert_same_run(trained, log, per_layer_train(model.weights, model.biases, x, y,
                                                       outliers, cfg))
+
+    def test_runs_in_turn_share_no_buffer_state(self):
+        """One Mlp trained twice, then with other batch sizes, in one process:
+        each run equals the per-layer loop, whatever ran before it."""
+        x, y, outliers = blob_task(1)
+        model = Mlp.init([4, 8, 6, 2], seed=1)
+        for b_in, b_out, all_layers in [(32, 64, False), (32, 64, False), (16, 40, True),
+                                        (24, 8, False)]:
+            cfg = TrainConfig(seed=1, epochs_pretrain=2, epochs_finetune=2, b_in=b_in,
+                              b_out=b_out, lr_finetune=0.05, finetune_all_layers=all_layers)
+            trained, log = train(model, x, y, outliers, cfg)
+            assert_same_run(trained, log, per_layer_train(model.weights, model.biases, x, y,
+                                                          outliers, cfg))
 
     def test_net_without_hidden_layer(self):
         """[4, 2]: the output layer is the whole vector, so stage 2 trains all of it."""
@@ -392,6 +423,40 @@ class TestTrainInputs:
         with pytest.raises(InvalidInputError, match=re.escape(
                 "24 rows through layers of widths [8, 2] make 240 activation values, more than "
                 "MAX_ACTIVATIONS=239")):
+            train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+
+    def test_a_stage_2_batch_over_max_activations_is_refused_before_any_step(
+            self, monkeypatch):
+        x, y, outliers = blob_task(0)
+        monkeypatch.setattr(nn, "MAX_ACTIVATIONS", 239)  # stage 1 needs 80, stage 2 240
+        steps = []
+        monkeypatch.setattr(nn, "_sgd_step", lambda *args: steps.append(args[-1]))
+        cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=1, b_in=8, b_out=16)
+        with pytest.raises(InvalidInputError, match="24 rows through layers of widths"):
+            train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+        assert steps == []
+
+    @pytest.mark.parametrize("outliers", [
+        pytest.param(np.ones((30, 5)), id="wider-rows"),
+        pytest.param(np.ones(30), id="1-D"),
+        pytest.param(np.float64(1.0), id="scalar"),
+        pytest.param(np.ones((0, 4)), id="no-rows"),
+    ])
+    def test_outlier_rows_must_match_the_id_rows_before_any_step(self, monkeypatch, outliers):
+        x, y, _ = blob_task(0)
+        steps = []
+        monkeypatch.setattr(nn, "_sgd_step", lambda *args: steps.append(args[-1]))
+        cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=1, b_in=8, b_out=8)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "fine-tuning needs outlier rows shaped as the ID rows: id_x has shape (120, 4), "
+                f"outlier_x {np.shape(outliers)}")):
+            train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+        assert steps == []
+
+    def test_outliers_go_unread_without_finetuning(self):
+        x, y, _ = blob_task(0)
+        cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=0, b_in=8)
+        for outliers in (np.ones((30, 5)), np.float64(1.0)):
             train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
 
     @pytest.mark.parametrize("stage", ["epochs_pretrain", "epochs_finetune"])
