@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -54,6 +55,14 @@ class EnergyStats:
         return cls(mu_in=mu_in, sigma_in=sigma_in, alpha=alpha, r=r)
 
 
+def _check_count(count, name: str) -> None:
+    """InvalidInputError unless count is an integer in [0, MAX_VIRTUAL_COUNT]."""
+    if isinstance(count, bool) or not isinstance(count, Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {count!r}")
+    if not 0 <= count <= MAX_VIRTUAL_COUNT:
+        raise InvalidInputError(f"{name} must lie in [0, 2**53], got {count}")
+
+
 @dataclass(frozen=True)
 class OutlierDistribution:
     """Per-class mean exponentiated logits of accepted OOD evidence, plus its count."""
@@ -67,8 +76,7 @@ class OutlierDistribution:
             raise InvalidInputError(f"values must be 1-D with k >= 1 classes, got shape {v.shape}")
         if not np.isfinite(v).all() or (v < 0).any():
             raise InvalidInputError("values must be finite and non-negative")
-        if not 0 <= self.m <= MAX_VIRTUAL_COUNT:
-            raise InvalidInputError(f"count m must lie in [0, 2**53], got {self.m}")
+        _check_count(self.m, "count m")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -107,8 +115,7 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
     virtual_count is the pseudo-observation weight the initialization carries in
     later updates; 0 means the first accepted test sample replaces it outright.
     """
-    if not 0 <= virtual_count <= MAX_VIRTUAL_COUNT:
-        raise InvalidInputError(f"virtual_count must lie in [0, 2**53], got {virtual_count}")
+    _check_count(virtual_count, "virtual_count")
     rows = as_logits(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 1:
         raise InvalidInputError("need at least one outlier sample to initialize")

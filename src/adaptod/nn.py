@@ -9,7 +9,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -23,8 +23,11 @@ MAX_STEPS = 2**22  # most steps of one training stage: its schedule is a 128 MB 
 
 def _layer_dims(layer_dims) -> list[int]:
     """layer_dims as ints; InvalidInputError unless it holds at least input and
-    output sizes, all >= 1."""
-    dims = [int(d) for d in layer_dims]
+    output sizes, all integers >= 1."""
+    dims = list(layer_dims)
+    if any(isinstance(d, bool) or not isinstance(d, Integral) for d in dims):
+        raise InvalidInputError(f"layer_dims must hold integers, got {dims}")
+    dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise InvalidInputError(f"layer_dims needs input and output sizes, all >= 1, got {dims}")
     return dims
@@ -35,7 +38,7 @@ class Mlp:
     """Fully connected net, ReLU hidden activations, identity output. The arrays
     are packed into one vector, params, layer by layer (W row-major, then b), so
     the output layer is its tail; weights and biases become views into it, layer
-    i begins at offsets[i], and backward fills grad, laid out the same way."""
+    i begins at offsets[i], and _backward fills grad, laid out the same way."""
 
     layer_dims: list[int]
     weights: list[np.ndarray]
@@ -69,6 +72,8 @@ class Mlp:
         n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         if n > MAX_PARAMS:  # before any allocation
             raise InvalidInputError(f"{n} parameters in {dims} exceed MAX_PARAMS={MAX_PARAMS}")
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -77,25 +82,18 @@ class Mlp:
             biases.append(rng.uniform(-bound, bound, size=fan_out))
         return cls(layer_dims=dims, weights=weights, biases=biases)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
     def copy(self) -> "Mlp":
         return Mlp(list(self.layer_dims), self.weights, self.biases)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward_cached(inputs)[0]
-
-    def forward_cached(self, inputs: np.ndarray):
-        """Logits plus the per-layer activations needed by backward. Inputs whose
-        activations would exceed MAX_ACTIVATIONS values raise InvalidInputError."""
+        """Logits of the rows of inputs. Inputs whose activations would exceed
+        MAX_ACTIVATIONS values raise InvalidInputError."""
         x = np.asarray(inputs, dtype=np.float64)
-        self._check_step(x.shape)
-        return self._forward(x, [None] * self.n_layers)
+        self._check_rows(x.shape)
+        return self._forward(x, [None] * len(self.weights))[0]
 
-    def _check_step(self, shape, start=0):
-        """forward's checks of rows of this shape, backward's of start; before any allocation."""
+    def _check_rows(self, shape):
+        """forward's checks of rows of this shape, before any allocation."""
         if len(shape) != 2 or shape[1] != self.layer_dims[0]:
             raise InvalidInputError(f"inputs have shape {shape}, "
                                     f"expected (n, {self.layer_dims[0]})")
@@ -104,11 +102,9 @@ class Mlp:
             raise InvalidInputError(f"{shape[0]} rows through layers of widths {widths} make "
                                     f"{shape[0] * sum(widths)} activation values, more than "
                                     f"MAX_ACTIVATIONS={MAX_ACTIVATIONS}")
-        if start not in self.offsets[:-1]:
-            raise InvalidInputError(f"start {start} is not where a layer begins: {self.offsets}")
 
     def _forward(self, x, outs):
-        """Unchecked forward_cached, layer i written into outs[i] (a new array if None)."""
+        """Unchecked forward to (logits, activations); layer i goes into outs[i] (new if None)."""
         activations = [x]
         for i, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
             z = np.matmul(activations[-1], w, out=out)
@@ -118,28 +114,18 @@ class Mlp:
             activations.append(z)
         return activations[-1], activations
 
-    def backward(self, activations, upstream_grad: np.ndarray, start: int = 0):
-        """Parameter gradients for an upstream dL/dlogits, written into grad from
-        its tail down to start, which must be one of offsets: the layers below
-        start are not backpropagated into and keep their entries. Returns the
-        per-layer views (dWs, dbs) of grad, which the next call overwrites."""
-        g = np.asarray(upstream_grad, dtype=np.float64)
-        if g.shape != activations[-1].shape:
-            raise InvalidInputError(f"upstream gradient shape {g.shape} != logits shape "
-                                    f"{activations[-1].shape}")
-        self._check_step(np.shape(activations[0]), start)
-        return self._backward(activations, g, start, [None] * (self.n_layers - 1))
-
     def _backward(self, activations, g, start, hidden_grads):
-        """Unchecked backward; hidden_grads[i - 1] gets the gradient into layer i (new if None)."""
-        for i in range(self.n_layers - 1, -1, -1):
+        """Unchecked parameter gradients for an upstream dL/dlogits g, written into
+        grad from its tail down to start, which must be one of offsets: the layers
+        below start are not backpropagated into and keep their entries.
+        hidden_grads[i - 1] gets the gradient into layer i (a new array if None)."""
+        for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(activations[i].T, g, out=self._d_weights[i])
             np.add.reduce(g, axis=0, out=self._d_biases[i])
             if self.offsets[i] == start:
                 break
             g = np.matmul(g, self.weights[i].T, out=hidden_grads[i - 1])
             g *= activations[i] > 0.0
-        return self._d_weights, self._d_biases
 
 
 def cosine_schedule(total_steps: int, lr0: float) -> list[float]:
@@ -168,6 +154,9 @@ class TrainConfig:
         for name in ("seed", "epochs_pretrain", "epochs_finetune", "b_in", "b_out"):
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, Integral):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr_pretrain", "lr_finetune", "momentum"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
         if self.seed < 0 or self.b_in < 1 or self.b_out < 1:
             raise InvalidInputError(f"seed must be >= 0 and batch sizes >= 1, got "
                                     f"seed={self.seed}, b_in={self.b_in}, b_out={self.b_out}")
@@ -213,6 +202,8 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     NumericError naming the step, and NumPy warns of none of them.
     """
     id_x = np.asarray(id_x, dtype=np.float64)
+    if id_x.ndim < 1:
+        raise InvalidInputError(f"id_x has shape {id_x.shape}: training needs rows of samples")
     outlier_x = np.asarray(outlier_x, dtype=np.float64)
     if id_x.shape[0] < 1:
         raise InvalidInputError("id_x holds no rows: training needs at least one ID sample")
@@ -258,8 +249,8 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     tail = 0 if cfg.finetune_all_layers else model.offsets[-2]
     stages = [stage for stage in ((cfg.epochs_pretrain, cfg.lr_pretrain, 0, b_in, ce_batch), (
         cfg.epochs_finetune, cfg.lr_finetune, tail, b_in + b_out, paired_batch)) if stage[0]]
-    for _, _, start, rows, _ in stages:  # forward's and backward's checks, once per run
-        model._check_step((rows, *row_shape), start)
+    for *_, rows, _ in stages:  # forward's checks, once per run
+        model._check_rows((rows, *row_shape))
     log: list[LossBreakdown] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epochs, lr0, start, rows, batch_loss in stages:

@@ -77,7 +77,7 @@ def _kink_distance(model, id_x, out_x):
     act = x
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = act @ w + b
-        if i < model.n_layers - 1:
+        if i < len(model.weights) - 1:
             dist = min(dist, float(np.abs(z).min()))
             act = np.maximum(z, 0.0)
         else:
@@ -126,11 +126,11 @@ def test_loss_gradients_match_finite_differences():
                 batch = np.vstack([m.forward(id_x), m.forward(out_x)])
                 return dne.loss_and_grad(batch, labels)[0].total
 
-            logits, acts = model.forward_cached(np.vstack([id_x, out_x]))
+            logits, acts = model._forward(np.vstack([id_x, out_x]), [None] * len(dims[1:]))
             upstream = dne.loss_and_grad(logits, labels)[1]
-            d_ws, d_bs = model.backward(acts, upstream)
-            analytic = np.concatenate([g.ravel() for g in d_ws]
-                                      + [g.ravel() for g in d_bs])
+            model._backward(acts, upstream, 0, [None] * len(dims[1:-1]))
+            analytic = np.concatenate([g.ravel() for g in model._d_weights]
+                                      + [g.ravel() for g in model._d_biases])
             numeric = central_difference(loss_of, _flatten(model))
             err = max_relative_error(analytic, numeric, floor=1e-4)
             worst = max(worst, err)

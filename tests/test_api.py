@@ -1,7 +1,8 @@
 """No API that only tests use: every top-level function, class and constant of
 src/adaptod, public or private, is used in src/adaptod or bench/ outside its own
-definition, every error class but the base is raised in src/adaptod, and no
-module of src/adaptod uses a private name of another.
+definition, and so is every method and property of its classes; every error
+class but the base is raised in src/adaptod, and no module of src/adaptod uses a
+private name of another.
 Uses are read from the AST, so a docstring or a comment that names a
 function does not keep it alive."""
 
@@ -67,16 +68,46 @@ def uses(path, tree, modules):
     return found
 
 
+def source_trees():
+    """The AST of every file of src/adaptod and bench/, by path."""
+    files = sorted([*(ROOT / "src" / PACKAGE).glob("*.py"), *(ROOT / "bench").glob("*.py")])
+    return {path: ast.parse(path.read_text(), str(path)) for path in files}
+
+
 def unused_names():
     """(module, name) of each top-level name of the package that nothing in
     src/adaptod or bench/ uses outside its own definition."""
-    files = sorted([*(ROOT / "src" / PACKAGE).glob("*.py"), *(ROOT / "bench").glob("*.py")])
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    modules = {path.stem for path in files if path.parent.name == PACKAGE}
+    trees = source_trees()
+    modules = {path.stem for path in trees if path.parent.name == PACKAGE}
     used = set().union(*(uses(path, tree, modules) for path, tree in trees.items()))
     defined = {(path.stem, name) for path, tree in trees.items() if path.parent.name == PACKAGE
                for stmt in tree.body for name in defined_names(stmt)}
     return sorted(defined - used)
+
+
+def unread_members():
+    """(module, class, name) of each method or property, but dunders, defined in
+    a class body of the package that no attribute read in src/adaptod or bench/
+    names outside its own body. A read is matched by name, whatever object it
+    reads from, so a member whose name is read off another object passes."""
+    trees = source_trees()
+    reads = {}  # attribute name -> the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != PACKAGE:
+            continue
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not fn.name.startswith("__"):
+                    own = set(map(id, ast.walk(fn)))
+                    if all(id(node) in own for node in reads.get(fn.name, ())):
+                        unread.append((path.stem, cls.name, fn.name))
+    return sorted(unread)
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -86,6 +117,12 @@ def test_every_public_name_is_used_outside_the_tests():
 def test_every_private_name_has_a_caller_outside_the_tests():
     """A helper that a refactor leaves without callers is dead code."""
     assert [(module, name) for module, name in unused_names() if name.startswith("_")] == []
+
+
+def test_every_method_and_property_is_read_outside_the_tests():
+    """A method that only tests call is API that only tests use, and one that
+    only its own body calls is dead code."""
+    assert unread_members() == []
 
 
 def test_no_module_uses_a_private_name_of_another():

@@ -151,6 +151,20 @@ class TestInitOutlierDistribution:
             with pytest.raises(InvalidInputError, match=message):
                 init_outlier_distribution([[0.0, 0.0]], virtual_count=count)
 
+    @pytest.mark.parametrize("count", [1.5, 1.0, "1", True, None])
+    def test_a_count_that_is_not_an_integer_is_refused(self, count):
+        """1.5 was once taken as is, and one accepted sample made it 2.5."""
+        with pytest.raises(InvalidInputError,
+                           match=f"^virtual_count must be an integer, got {re.escape(repr(count))}$"):
+            init_outlier_distribution([[0.0, 0.0]], virtual_count=count)
+        with pytest.raises(InvalidInputError,
+                           match=f"^count m must be an integer, got {re.escape(repr(count))}$"):
+            OutlierDistribution(values=np.ones(2), m=count)
+
+    def test_numpy_integer_counts_are_integers(self):
+        assert init_outlier_distribution([[0.0, 0.0]], virtual_count=np.int64(3)).m == 3
+        assert OutlierDistribution(values=np.ones(2), m=np.uint8(2)).m == 2
+
     @pytest.mark.parametrize("m", [-1, 2**53 + 1, 10**400], ids=["-1", "2**53+1", "10**400"])
     def test_a_count_outside_0_to_2_pow_53_is_refused(self, m):
         """A count of 10**400 once passed here and escaped run_stream as a bare

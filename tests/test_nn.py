@@ -102,38 +102,82 @@ class TestLayout:
         with pytest.raises(InvalidInputError, match=message):
             Mlp([2, 3, 1], [np.zeros(s) for s in weights], [np.zeros(s) for s in biases])
 
+    @pytest.mark.parametrize("dims", [[3.5, 2], [True, 2], [3, "2"], [3, np.float64(2.0)]],
+                             ids=["float", "bool", "str", "numpy-float"])
+    def test_layer_sizes_must_be_integers(self, dims):
+        """They were once truncated: [3.5, 2] built a [3, 2] net, [True, 2] a [1, 2] one."""
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"layer_dims must hold integers, got {dims}")):
+            Mlp.init(dims, seed=0)
+
+    def test_numpy_integer_sizes_are_integers(self):
+        assert Mlp.init([np.int64(3), np.uint8(2)], seed=0).layer_dims == [3, 2]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, seed):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            Mlp.init([3, 2], seed)
+
 
 class TestBackward:
+    """The kernels train runs: _forward to logits and activations, then
+    _backward of an upstream gradient into grad, here with fresh arrays (None)."""
+
     def test_zero_upstream_gives_zero_grads(self):
         model = Mlp.init([4, 5, 3], seed=3)
-        _, acts = model.forward_cached(np.ones((6, 4)))
-        d_ws, d_bs = model.backward(acts, np.zeros((6, 3)))
-        assert all(np.all(g == 0) for g in d_ws)
-        assert all(np.all(g == 0) for g in d_bs)
+        _, acts = model._forward(np.ones((6, 4)), [None] * 2)
+        model._backward(acts, np.zeros((6, 3)), 0, [None])
+        assert all(np.all(g == 0) for g in model._d_weights)
+        assert all(np.all(g == 0) for g in model._d_biases)
 
     def test_linear_layer_sum_loss(self):
         # L = sum of logits for a single linear layer: dL/dW[i][j] = sum_n x[n][i]
         model = Mlp.init([3, 2], seed=4)
         x = np.random.default_rng(5).standard_normal((7, 3))
-        _, acts = model.forward_cached(x)
-        d_ws, d_bs = model.backward(acts, np.ones((7, 2)))
+        _, acts = model._forward(x, [None])
+        model._backward(acts, np.ones((7, 2)), 0, [])
         expected_w = np.tile(x.sum(axis=0)[:, None], (1, 2))
-        np.testing.assert_allclose(d_ws[0], expected_w, rtol=1e-12)
-        np.testing.assert_allclose(d_bs[0], np.full(2, 7.0), rtol=1e-12)
+        np.testing.assert_allclose(model._d_weights[0], expected_w, rtol=1e-12)
+        np.testing.assert_allclose(model._d_biases[0], np.full(2, 7.0), rtol=1e-12)
 
     @pytest.mark.parametrize("dims", [[4, 3], [4, 16, 3], [4, 32, 32, 3], [5, 8, 7, 6, 2]])
     def test_tail_backward_equals_full_on_the_tail(self, dims):
         rng = np.random.default_rng(len(dims))
         model = Mlp.init(dims, seed=9)
-        _, acts = model.forward_cached(rng.standard_normal((11, dims[0])))
+        hidden = [None] * (len(dims) - 2)
+        _, acts = model._forward(rng.standard_normal((11, dims[0])), [None] * (len(dims) - 1))
         upstream = rng.standard_normal((11, dims[-1]))
-        model.backward(acts, upstream)
+        model._backward(acts, upstream, 0, hidden)
         full = model.grad.copy()
         for start in model.offsets[:-1]:
             model.grad[:] = np.nan
-            model.backward(acts, upstream, start)
+            model._backward(acts, upstream, start, hidden)
             assert np.array_equal(model.grad[start:], full[start:])
             assert np.isnan(model.grad[:start]).all()
+
+    @pytest.mark.parametrize("dims", [[4, 16, 3], [5, 8, 7, 6, 2]])
+    def test_reused_step_buffers_give_the_bits_of_fresh_arrays(self, dims):
+        """train's path: activations and hidden gradients allocated once, then
+        written by every step. A second batch through them gives the logits and
+        the gradient of a fresh call, bit for bit, from either start train uses."""
+        rng = np.random.default_rng(7)
+        model = Mlp.init(dims, seed=7)
+        rows = 9
+        for start in (0, model.offsets[-2]):
+            outs = [np.empty((rows, width)) for width in dims[1:]]
+            hidden_grads = [np.empty_like(out) if at > start else None
+                            for out, at in zip(outs, model.offsets[1:-1])]
+            for _ in range(2):
+                x = rng.standard_normal((rows, dims[0]))
+                upstream = rng.standard_normal((rows, dims[-1]))
+                logits, acts = model._forward(x, outs)
+                model._backward(acts, upstream, start, hidden_grads)
+                reused = logits.copy(), model.grad[start:].copy()
+            fresh, acts = model._forward(x, [None] * len(outs))
+            model._backward(acts, upstream, start, [None] * len(hidden_grads))
+            assert reused[0].tobytes() == fresh.tobytes()
+            assert reused[1].tobytes() == model.grad[start:].tobytes()
 
     def test_layers_are_views_of_one_vector_with_the_output_layer_last(self):
         model = Mlp.init([5, 8, 7, 3], seed=2)
@@ -147,13 +191,6 @@ class TestBackward:
         copy.params[:] = 1.0
         assert not model.params.any()
 
-    @pytest.mark.parametrize("start", [1, 47, 135])
-    def test_tail_must_start_at_a_layer(self, start):
-        model = Mlp.init([5, 8, 7, 3], seed=2)
-        _, acts = model.forward_cached(np.ones((2, 5)))
-        with pytest.raises(InvalidInputError, match=f"start {start} is not where a layer begins"):
-            model.backward(acts, np.ones((2, 3)), start)
-
     @pytest.mark.parametrize("dims", [[4, 3], [4, 16, 3], [4, 32, 32, 3]])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_end_to_end_gradient_vs_finite_differences(self, dims, seed):
@@ -164,12 +201,13 @@ class TestBackward:
         x = rng.standard_normal((b_in + b_out, dims[0]))
         labels = rng.integers(0, k, b_in)
 
-        logits, acts = model.forward_cached(x)
+        logits, acts = model._forward(x, [None] * (len(dims) - 1))
         upstream = loss_and_grad(logits, labels)[1]
-        d_ws, d_bs = model.backward(acts, upstream)
+        model._backward(acts, upstream, 0, [None] * (len(dims) - 2))
 
-        for layer in range(model.n_layers):
-            for params, grads in ((model.weights, d_ws), (model.biases, d_bs)):
+        for layer in range(len(model.weights)):
+            for params, grads in ((model.weights, model._d_weights),
+                                  (model.biases, model._d_biases)):
                 base = params[layer].copy()
 
                 def f(flat, layer=layer, params=params, base=base):
@@ -267,6 +305,13 @@ class TestTrain:
         ("seed", 1.5), ("seed", None), ("b_in", True)])
     def test_counts_and_seed_must_be_integers(self, field, value):
         with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got "):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lr_pretrain", "lr_finetune", "momentum"])
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_rates_and_momentum_must_be_real_numbers(self, field, value):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must be a real number, got {value!r}$"):
             TrainConfig(**{field: value})
 
     def test_a_negative_seed_is_rejected(self):
@@ -402,6 +447,14 @@ class TestTrainInputs:
         with pytest.raises(InvalidInputError, match="id_x and id_y lengths differ"):
             train(Mlp.init([4, 8, 2], seed=0), x, y[:-1], outliers, TrainConfig())
 
+    @pytest.mark.parametrize("id_x", [np.float64(1.0), 1.0, np.array(2.0)],
+                             ids=["numpy-scalar", "float", "0-d"])
+    def test_a_scalar_id_x_is_rejected_before_training(self, id_x):
+        with pytest.raises(InvalidInputError,
+                           match=r"^id_x has shape \(\): training needs rows of samples$"):
+            train(Mlp.init([4, 8, 2], 0), id_x, [0], np.ones((5, 4)),
+                  TrainConfig(epochs_pretrain=1, epochs_finetune=0))
+
     def test_no_id_rows_is_rejected_before_training(self):
         with pytest.raises(InvalidInputError, match="id_x holds no rows"):
             train(Mlp.init([4, 8, 2], 0), np.empty((0, 4)), [], np.ones((5, 4)), TrainConfig())
@@ -511,6 +564,11 @@ class TestCheckpoint:
                      id="no-sizes"),
         pytest.param(lambda c: c.update(layer_dims=[3, 0, 2], weights=[[], []],
                                         biases=[[], [0.0, 0.0]]), "layer_dims", id="zero-width"),
+        pytest.param(lambda c: c.update(layer_dims=[3.5, 4, 2]), "layer_dims",
+                     id="fractional-size"),  # once loaded as [3, 4, 2]
+        pytest.param(lambda c: c.update(layer_dims=[3, 4, True], weights=[[0.0] * 12, [0.0] * 4],
+                                        biases=[[0.0] * 4, [0.0]]), "layer_dims",
+                     id="bool-size"),  # once loaded as [3, 4, 1]
         pytest.param(lambda c: c.update(layer_dims=[3, 5, 2]), "weights", id="wider-dims"),
         pytest.param(lambda c: c["weights"].pop(), "weights", id="missing-layer"),
         pytest.param(lambda c: c["biases"][1].append(0.0), "biases", id="long-bias"),
