@@ -219,23 +219,6 @@ def _stream_rows(logit_stream, k):
     return rows, e, scales, energies
 
 
-def _step(values, counts, v, sample_index, accepted, e, scale):
-    """run_plans' step of sample v, checked, with its e = exp(v - max v) and scale exp(max v),
-    under the busy plans whose P and count are values[j] and counts[j]: plan j folds exp(v)
-    into its mean, in place, if accepted[j]; then each plan scores scale * Σ e / (1 + P), <= G.
-    The caller ignores overflow warnings: an overflowing mean raises NumericError."""
-    if True in accepted:  # exp(f) is finite: G is, and G >= exp(max f)
-        ef = np.exp(v)
-        for j, acc in enumerate(accepted):
-            if acc:
-                values[j] = (counts[j] * values[j] + ef) / (counts[j] + 1)
-                counts[j] += 1
-        if not np.isfinite(values).all():  # a mean of finite values can only overflow
-            raise NumericError(f"sample {sample_index}: mean exp(logit) exceeds float64 range")
-    totals = np.add.reduce(e / (1.0 + values), axis=1).tolist()  # rows sum as 1-D arrays
-    return [scale * t for t in totals]
-
-
 def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, sample_index: int = 0,
                     ) -> tuple[OutlierDistribution, float, bool]:
     """One inference step: update the distribution if G(x) < R, then score.
@@ -264,7 +247,8 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
     G < r_j), u = rng.random(n) drawn only if some f > 0: each result equals
     that plan alone with an rng of the same seed. (0.0, -inf) is the frozen
     plan. Plans with all-False masks keep P0 and share one result object from
-    one matrix pass; the others share one _step per sample."""
+    one matrix pass; the others share one pass over the samples, in which the
+    rows any of them accepts are exponentiated in one call."""
     plans = list(plans)
     for f, r in plans:
         if not 0.0 <= f <= 1.0:
@@ -284,12 +268,25 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
     masks = [np.where(u < f, labels, energies < r) for f, r in plans]
     busy = [j for j, mask in enumerate(masks) if mask.any()]
     values, counts = np.tile(state.values, (len(busy), 1)), [state.m] * len(busy)
-    scores = []  # sample-major, plan-minor
-    accepts = zip(*(masks[j].tolist() for j in busy))  # empty when no plan is busy
-    with np.errstate(over="ignore"):  # once per call, not per sample
-        for i, (v, ei, scale, accepted) in enumerate(zip(rows, e, scales.tolist(), accepts)):
-            scores += _step(values, counts, v, i, accepted, ei, scale)
-    done = {j: (scores[b::len(busy)], masks[j], _trusted(values[b].copy(), counts[b]))
+    totals = np.empty((n, len(busy)))  # sample i's Σ e / (1 + P) of busy plan b, then its score
+    if busy:
+        hits = np.logical_or.reduce([masks[j] for j in busy])  # accepted by any busy plan
+        samples = zip(e, hits.tolist(), zip(*(masks[j].tolist() for j in busy)))
+        with np.errstate(over="ignore"):  # once per call: an overflowing mean raises below
+            efs, denom = iter(np.exp(rows[hits])), 1.0 + values  # exp(f) is finite: G is
+            for i, (ei, hit, accepted) in enumerate(samples):
+                if hit:  # plan b folds exp(f) into its mean, in place, if it accepts
+                    ef = next(efs)
+                    for b, acc in enumerate(accepted):
+                        if acc:
+                            values[b] = (counts[b] * values[b] + ef) / (counts[b] + 1)
+                            counts[b] += 1
+                    if not np.logical_and.reduce(np.isfinite(values), axis=None):
+                        raise NumericError(f"sample {i}: mean exp(logit) exceeds float64 range")
+                    denom = 1.0 + values
+                np.add.reduce(ei / denom, axis=1, out=totals[i])  # rows sum as 1-D arrays
+        totals *= scales[:, None]  # each score is scale * Σ e / (1 + P), <= G
+    done = {j: (totals[:, b].tolist(), masks[j], _trusted(values[b].copy(), counts[b]))
             for b, j in enumerate(busy)}
     if len(done) < len(plans):  # the idle plans share one scoring
         idle_scores = scales * (e / (1.0 + state.values)).sum(axis=1)

@@ -24,13 +24,31 @@ MAX_STEPS = 2**22  # most steps of one training stage: its schedule is a 128 MB 
 def _layer_dims(layer_dims) -> list[int]:
     """layer_dims as ints; InvalidInputError unless it holds at least input and
     output sizes, all integers >= 1."""
-    dims = list(layer_dims)
+    try:
+        dims = list(layer_dims)
+    except TypeError as exc:
+        raise InvalidInputError(f"layer_dims must be a sequence of integers, "
+                                f"got {layer_dims!r}") from exc
     if any(isinstance(d, bool) or not isinstance(d, Integral) for d in dims):
         raise InvalidInputError(f"layer_dims must hold integers, got {dims}")
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise InvalidInputError(f"layer_dims needs input and output sizes, all >= 1, got {dims}")
     return dims
+
+
+def _seed(seed) -> int:
+    """seed as an int; InvalidInputError unless it is an integer >= 0 (a bool is not)."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
+def _stage(stage) -> str:
+    """stage if it is one of the two that save_checkpoint writes; ValueError otherwise."""
+    if stage not in ("pretrain", "finetune"):  # CE alone, or DNE fine-tuning after it
+        raise ValueError(f"stage must be 'pretrain' or 'finetune', got {stage!r}")
+    return stage
 
 
 @dataclass
@@ -72,9 +90,7 @@ class Mlp:
         n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         if n > MAX_PARAMS:  # before any allocation
             raise InvalidInputError(f"{n} parameters in {dims} exceed MAX_PARAMS={MAX_PARAMS}")
-        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed(seed))
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = 1.0 / np.sqrt(fan_in)
@@ -88,7 +104,10 @@ class Mlp:
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Logits of the rows of inputs. Inputs whose activations would exceed
         MAX_ACTIVATIONS values raise InvalidInputError."""
-        x = np.asarray(inputs, dtype=np.float64)
+        try:
+            x = np.asarray(inputs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"inputs do not convert to a float matrix: {exc}") from exc
         self._check_rows(x.shape)
         return self._forward(x, [None] * len(self.weights))[0]
 
@@ -157,6 +176,9 @@ class TrainConfig:
         for name in ("lr_pretrain", "lr_finetune", "momentum"):
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
                 raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.finetune_all_layers, (bool, np.bool_)):
+            raise InvalidInputError(f"finetune_all_layers must be a bool, "
+                                    f"got {self.finetune_all_layers!r}")
         if self.seed < 0 or self.b_in < 1 or self.b_out < 1:
             raise InvalidInputError(f"seed must be >= 0 and batch sizes >= 1, got "
                                     f"seed={self.seed}, b_in={self.b_in}, b_out={self.b_out}")
@@ -333,4 +355,5 @@ def load_checkpoint(path) -> tuple[Mlp, int, str]:
     biases = _json_field(payload, "biases", path, lambda v: [
         _float_array(b, (o,)) for b, (_, o) in zip(v, shapes, strict=True)])
     model = Mlp(layer_dims=dims, weights=weights, biases=biases)
-    return model, _json_field(payload, "seed", path, int), _json_field(payload, "stage", path, str)
+    return (model, _json_field(payload, "seed", path, _seed),
+            _json_field(payload, "stage", path, _stage))

@@ -985,18 +985,26 @@ class TestEvaluationPlan:
     def test_adapt_eval_steps_each_stream_sample_once(self, small_run, tmp_path, monkeypatch,
                                                       fractions):
         data_dir, model_dir = small_run
-        samples, step = [], doda._step
+        passes, exps, run_plans, exp = [], [], doda.run_plans, np.exp
 
-        def counting_step(values, counts, logits, sample_index, *args):
-            samples.append(sample_index)
-            return step(values, counts, logits, sample_index, *args)
+        def counting_run_plans(state, logit_stream, plans, **kwargs):
+            exps.clear()
+            result = run_plans(state, logit_stream, plans, **kwargs)
+            passes.append((len(logit_stream), len(exps)))
+            return result
 
-        monkeypatch.setattr(doda, "_step", counting_step)
+        def counting_exp(*args, **kwargs):
+            exps.append(None)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(doda, "run_plans", counting_run_plans)
+        monkeypatch.setattr(np, "exp", counting_exp)
         rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
                      "--out", tmp_path / "o", "--events", "--oracle-fractions", fractions)
         assert rc == EXIT_OK
         n = len((tmp_path / "o" / "events.csv").read_text().splitlines()) - 1
-        assert n > 0 and samples == list(range(n))
+        # one pass over the n samples for every plan: one exp for G, one for the accepted rows
+        assert n > 0 and passes == [(n, 2)]
         # one sweep_<f> key per value: 0 and -0 are one
         reported = json.loads((tmp_path / "o" / "metrics.json").read_text())
         sweeps = [mode for mode in reported if mode.startswith("sweep_")]

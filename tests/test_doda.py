@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -284,10 +285,10 @@ class TestAdaptAndScore:
         state = OutlierDistribution(values=np.array([0.5, 1.0, 2.0]), m=2)
         want_scores, want_mask, want_final = run_stream(state, stats, logits)
 
-        def step(*args, **kwargs):
-            raise AssertionError("the online step ran the batch step")
+        def batch(*args, **kwargs):
+            raise AssertionError("the online step ran the batch pass")
 
-        monkeypatch.setattr(doda, "_step", step)
+        monkeypatch.setattr(doda, "run_plans", batch)
         scores, accepts = [], []
         for i, row in enumerate(logits):
             new, score, accepted = adapt_and_score(state, stats, row, i)
@@ -367,32 +368,25 @@ class TestRunStream:
         assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] is state
 
     def test_plain_pass_accepting_nothing_takes_no_per_sample_step(self, monkeypatch):
-        def step(*args, **kwargs):
-            raise AssertionError("per-sample step called")
-
-        monkeypatch.setattr(doda, "_step", step)
         state = OutlierDistribution(values=np.ones(3), m=1)
         stats = EnergyStats.from_moments(0.0, 1.0)  # R < 0 < G: nothing is accepted
         logits = np.random.default_rng(13).standard_normal((30, 3))
+        calls = self.count_exp(monkeypatch)
         scores, mask, final = run_stream(state, stats, logits)
+        assert len(calls) == 1  # the matrix pass alone: no busy pass exponentiates its accepts
         assert final is state and not mask.any()
         assert scores == [calibrated_energy(row, state.values) for row in logits]
 
     @pytest.mark.parametrize("r", [0.0, 1e9])
     def test_plain_pass_of_an_iterator_runs_the_per_sample_step(self, monkeypatch, r):
-        calls, real_step = [], doda._step
-
-        def step(*args, **kwargs):
-            calls.append(args[3])
-            return real_step(*args, **kwargs)
-
         state = OutlierDistribution(values=np.ones(3), m=1)
         stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
         logits = np.random.default_rng(14).standard_normal((30, 3))
         want = run_stream(state, stats, logits)
-        monkeypatch.setattr(doda, "_step", step)
+        calls = self.count_exp(monkeypatch)
         got = run_stream(state, stats, iter(logits))
-        assert calls == ([] if r == 0.0 else list(range(30)))  # R < G accepts nothing: idle
+        # R < G accepts nothing: idle; G < R accepts all 30, exponentiated in one busy call
+        assert len(calls) == (1 if r == 0.0 else 2) and got[1].sum() == (0 if r == 0.0 else 30)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
         assert np.array_equal(got[2].values, want[2].values) and got[2].m == want[2].m
 
@@ -540,8 +534,8 @@ class TestRunStream:
         assert accepted == (r > 0.0) and len(calls) == 1 + accepted
 
     @pytest.mark.parametrize("freeze", [True, False])
-    def test_a_stream_exponentiates_once_plus_once_per_accepted_sample(self, monkeypatch,
-                                                                       freeze):
+    def test_a_stream_exponentiates_once_plus_once_for_its_accepted_rows(self, monkeypatch,
+                                                                         freeze):
         logits = np.random.default_rng(16).standard_normal((200, 4))
         r = float(np.median(rowwise_global_energies(logits)))
         state = OutlierDistribution(values=np.ones(4), m=1)
@@ -549,7 +543,7 @@ class TestRunStream:
         calls = self.count_exp(monkeypatch)
         _, mask, _ = run_stream(state, stats, logits, freeze=freeze)
         assert mask.sum() == (0 if freeze else 100)
-        assert len(calls) == 1 + mask.sum()  # the matrix pass, then one exp(f) per accept
+        assert len(calls) == 1 + mask.any()  # the matrix pass, then one exp(f) of all accepts
 
     @pytest.mark.parametrize("labels", [
         [True] * 4,  # shorter than the stream
@@ -557,16 +551,14 @@ class TestRunStream:
         np.ones((5, 1), dtype=bool),  # not 1-D
     ])
     def test_oracle_labels_must_match_the_stream(self, monkeypatch, labels):
-        def step(*args, **kwargs):
-            raise AssertionError("a sample was scored")
-
-        monkeypatch.setattr(doda, "_step", step)
         state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)
+        stats = EnergyStats.from_moments(10.0, 1.0)  # G = 2 < R = 7: every sample is accepted
         shape = re.escape(str(np.shape(labels)))
+        calls = self.count_exp(monkeypatch)
         with pytest.raises(InvalidInputError, match=rf"shape \(5,\), got {shape}"):
             run_stream(state, stats, np.zeros((5, 2)), oracle_labels=labels,
                        use_label_probability=0.5, rng=np.random.default_rng(0))
+        assert len(calls) == 1  # G's matrix pass; no accepted row was exponentiated or scored
 
     def test_frozen_mode_never_adapts(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
@@ -836,6 +828,28 @@ class TestPlans:
                   plans_of([0.0, 0.0], threshold_inside(logits, 0.5)),
                   oracle_labels=np.ones(20, dtype=bool), rng=rng)
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("plans, at", [
+        ([(0.0, 1.3e308), (0.0, 10.0), (1.0, -math.inf)], 2),  # the last plan overflows first
+        ([(1.0, -math.inf), (0.0, 1.3e308)], 2),
+        ([(0.0, 10.0), (0.0, 1.3e308)], 4),  # no oracle plan: the filter's overflow is first
+        ([(0.0, 1.3e308), (0.0, math.inf)], 2),  # R = inf accepts every row
+    ])
+    def test_busy_plans_overflow_at_the_earliest_sample_unwarned(self, plans, at):
+        """P0 holds 1e308, so a plan that accepts a row of G about 1e308 overflows
+        its mean there: row 2 (G 1.6e308) reaches the oracle plan and the filter at
+        R = inf, row 4 (G 1.1e308) the filters at R = 1.3e308 and inf, and rows of
+        G 2 every filter. The one check of all busy plans names the earliest row."""
+        logits = np.zeros((6, 2))
+        logits[2, 0], logits[4, 0] = math.log(1.6e308), math.log(1.1e308)
+        labels = np.isin(np.arange(6), [0, 2])
+        state = OutlierDistribution(values=np.array([1e308, 1.0]), m=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=rf"^sample {at}: mean exp\(logit\) exceeds float64 range$"):
+                run_plans(state, logits, plans, oracle_labels=labels,
+                          rng=np.random.default_rng(0))
 
 
 class TestSnapshot:

@@ -110,6 +110,16 @@ class TestLayout:
                 f"layer_dims must hold integers, got {dims}")):
             Mlp.init(dims, seed=0)
 
+    def test_layer_dims_that_are_not_a_sequence_are_refused(self):
+        with pytest.raises(InvalidInputError,
+                           match="^layer_dims must be a sequence of integers, got 5$"):
+            Mlp.init(5, seed=0)
+
+    @pytest.mark.parametrize("inputs", ["x", [[1.0, "a", 2.0]], [[1.0, 2.0], [3.0]], {"a": 1.0}])
+    def test_forward_refuses_input_that_is_not_a_float_matrix(self, inputs):
+        with pytest.raises(InvalidInputError, match="^inputs do not convert to a float matrix"):
+            Mlp.init([3, 2], seed=0).forward(inputs)
+
     def test_numpy_integer_sizes_are_integers(self):
         assert Mlp.init([np.int64(3), np.uint8(2)], seed=0).layer_dims == [3, 2]
 
@@ -313,6 +323,13 @@ class TestTrain:
         with pytest.raises(InvalidInputError,
                            match=f"^{field} must be a real number, got {value!r}$"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["no", None, 1])
+    def test_finetune_all_layers_must_be_a_bool(self, value):
+        """train reads the flag by truth: 'no' once fine-tuned every layer."""
+        with pytest.raises(InvalidInputError,
+                           match=f"^finetune_all_layers must be a bool, got {value!r}$"):
+            TrainConfig(finetune_all_layers=value)
 
     def test_a_negative_seed_is_rejected(self):
         with pytest.raises(InvalidInputError, match=re.escape(
@@ -556,6 +573,7 @@ class TestCheckpoint:
         pytest.param(lambda c: c.pop("weights"), "weights", id="missing-weights"),
         pytest.param(lambda c: c.pop("seed"), "seed", id="missing-seed"),
         pytest.param(lambda c: c.update(layer_dims="x"), "layer_dims", id="bad-dims"),
+        pytest.param(lambda c: c.update(layer_dims=5), "layer_dims", id="scalar-dims"),
         pytest.param(lambda c: c.update(layer_dims=[3]), "layer_dims", id="too-few-dims"),
         # the rule of Mlp.init, with arrays that match the sizes
         pytest.param(lambda c: c.update(layer_dims=[3], weights=[], biases=[]), "layer_dims",
@@ -574,6 +592,15 @@ class TestCheckpoint:
         pytest.param(lambda c: c["biases"][1].append(0.0), "biases", id="long-bias"),
         pytest.param(lambda c: c["weights"][0].__setitem__(0, None), "weights", id="null-weight"),
         pytest.param(lambda c: c.update(seed="six"), "seed", id="bad-seed"),
+        # the seed rule of Mlp.init: these once loaded as 3, 1 and 12, and -4 as -4
+        pytest.param(lambda c: c.update(seed=3.7), "seed", id="bad-seed-fractional"),
+        pytest.param(lambda c: c.update(seed=True), "seed", id="bad-seed-bool"),
+        pytest.param(lambda c: c.update(seed="12"), "seed", id="bad-seed-text"),
+        pytest.param(lambda c: c.update(seed=-4), "seed", id="bad-seed-negative"),
+        # only the stages save_checkpoint writes: these once loaded as '123', 'None' and 'train'
+        pytest.param(lambda c: c.update(stage=123), "stage", id="bad-stage-number"),
+        pytest.param(lambda c: c.update(stage=None), "stage", id="bad-stage-null"),
+        pytest.param(lambda c: c.update(stage="train"), "stage", id="bad-stage-unknown"),
         pytest.param(lambda c: c["biases"][0].__setitem__(0, 10**400), "biases",
                      id="bias-beyond-float64"),  # escaped as a bare OverflowError
     ])
