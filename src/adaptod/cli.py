@@ -136,14 +136,9 @@ def evaluate_plans(p0, stream, plans, *, seed=0):
                    "final_state": res[2]} for name, res in passes.items()}
 
 
-# head-tail --mode -> mode_plans key
-HEAD_TAIL_MODES = {"doda": "doda", "frozen": "no_tta", "uncalibrated": "uncalibrated",
-                   "oracle": "oracle"}
-
-
 def head_tail_reports(stats, p0, logit_sets, *, ood_fraction=0.5, seed=0, mode="doda"):
-    """Evaluate one mode twice over prepare's logit sets, with ID restricted to
-    the head half, then the tail half.
+    """Evaluate one mode, a key of mode_plans, twice over prepare's logit sets,
+    with ID restricted to the head half, then the tail half.
 
     Returns {"head": MetricReport, "tail": MetricReport}. Classes are ordered
     by training frequency, so the head half is the first half of class indices.
@@ -154,7 +149,7 @@ def head_tail_reports(stats, p0, logit_sets, *, ood_fraction=0.5, seed=0, mode="
     for name, mask in halves.items():  # both, before either is scored
         if not mask.any():
             raise DataError(f"no ID samples left in the {name} subset")
-    plans, reports = {mode: mode_plans(stats.r)[HEAD_TAIL_MODES[mode]]}, {}
+    plans, reports = {mode: mode_plans(stats.r)[mode]}, {}
     for name, mask in halves.items():
         half = replace(id_test, features=id_test.features[mask], labels=id_test.labels[mask])
         stream = build_stream(half, logit_sets[data_mod.TRUE_OOD], ood_fraction, seed)
@@ -353,10 +348,7 @@ def _add_field_flags(p, settings_class) -> None:
     """One flag per field of a settings dataclass, with the field's default."""
     for f in fields(settings_class):
         flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p.add_argument(flag, action="store_true")
-        else:
-            p.add_argument(flag, type=type(f.default), default=f.default)
+        p.add_argument(flag, type=type(f.default), default=f.default)
 
 
 def _add_eval_args(p):
@@ -394,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("head-tail", help="evaluate against head and tail classes separately")
     _add_eval_args(p)
     p.add_argument("--alpha", type=float, default=doda.DEFAULT_ALPHA)
-    p.add_argument("--mode", choices=list(HEAD_TAIL_MODES), default="doda")
+    p.add_argument("--mode", choices=list(mode_plans(0.0)), default="doda")
     p.set_defaults(func=cmd_headtail)
 
     p = sub.add_parser("alpha-sweep", help="AUROC across the Z-score alpha grid")

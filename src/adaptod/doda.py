@@ -85,7 +85,7 @@ class OutlierDistribution:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdaptationEvent:
     sample_index: int
     accepted: bool

@@ -45,10 +45,17 @@ def _seed(seed) -> int:
 
 
 def _stage(stage) -> str:
-    """stage if it is one of the two that save_checkpoint writes; ValueError otherwise."""
+    """stage if it is one of the two that save_checkpoint writes; InvalidInputError otherwise."""
     if stage not in ("pretrain", "finetune"):  # CE alone, or DNE fine-tuning after it
-        raise ValueError(f"stage must be 'pretrain' or 'finetune', got {stage!r}")
+        raise InvalidInputError(f"stage must be 'pretrain' or 'finetune', got {stage!r}")
     return stage
+
+
+def _check_finite(x: np.ndarray, name: str) -> None:
+    """InvalidInputError naming the first row of x that holds a non-finite value."""
+    if not np.isfinite(x).all():
+        row = np.flatnonzero(~np.isfinite(x).reshape(len(x), -1).all(axis=1))[0]
+        raise InvalidInputError(f"{name} row {row} holds a non-finite value")
 
 
 @dataclass
@@ -103,12 +110,13 @@ class Mlp:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Logits of the rows of inputs. Inputs whose activations would exceed
-        MAX_ACTIVATIONS values raise InvalidInputError."""
+        MAX_ACTIVATIONS values or that hold a non-finite value raise InvalidInputError."""
         try:
             x = np.asarray(inputs, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"inputs do not convert to a float matrix: {exc}") from exc
         self._check_rows(x.shape)
+        _check_finite(x, "inputs")
         return self._forward(x, [None] * len(self.weights))[0]
 
     def _check_rows(self, shape):
@@ -167,7 +175,6 @@ class TrainConfig:
     b_in: int = 64
     b_out: int = 128
     momentum: float = 0.9
-    finetune_all_layers: bool = False  # default: only the output layer adapts
 
     def __post_init__(self):
         for name in ("seed", "epochs_pretrain", "epochs_finetune", "b_in", "b_out"):
@@ -176,9 +183,6 @@ class TrainConfig:
         for name in ("lr_pretrain", "lr_finetune", "momentum"):
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
                 raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-        if not isinstance(self.finetune_all_layers, (bool, np.bool_)):
-            raise InvalidInputError(f"finetune_all_layers must be a bool, "
-                                    f"got {self.finetune_all_layers!r}")
         if self.seed < 0 or self.b_in < 1 or self.b_out < 1:
             raise InvalidInputError(f"seed must be >= 0 and batch sizes >= 1, got "
                                     f"seed={self.seed}, b_in={self.b_in}, b_out={self.b_out}")
@@ -217,11 +221,12 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     """Two-stage training. Returns (trained model, per-epoch loss log).
 
     Stage 1 minimizes cross-entropy on ID batches, training every layer. Stage
-    2 minimizes the total objective on paired ID/outlier batches, by default
-    training only the output layer: the tail of params from offsets[-2]. The
-    log holds one LossBreakdown per epoch (epoch means); stage-1 entries carry
-    zero energy terms. A non-finite loss, logit or parameter raises
-    NumericError naming the step, and NumPy warns of none of them.
+    2 minimizes the total objective on paired ID/outlier batches, training
+    only the output layer: the tail of params from offsets[-2]. The log holds
+    one LossBreakdown per epoch (epoch means); stage-1 entries carry zero
+    energy terms. A non-finite input value raises InvalidInputError naming the
+    set and the row, before any step. A non-finite loss, logit or parameter
+    raises NumericError naming the step, and NumPy warns of none of them.
     """
     id_x = np.asarray(id_x, dtype=np.float64)
     if id_x.ndim < 1:
@@ -229,6 +234,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     outlier_x = np.asarray(outlier_x, dtype=np.float64)
     if id_x.shape[0] < 1:
         raise InvalidInputError("id_x holds no rows: training needs at least one ID sample")
+    _check_finite(id_x, "id_x")
     k = model.layer_dims[-1]
     id_y = _class_labels(id_y, id_x.shape[0], k)
     n, row_shape = id_x.shape[0], id_x.shape[1:]
@@ -236,6 +242,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
         if outlier_x.ndim < 1 or outlier_x.shape[1:] != row_shape or len(outlier_x) < 1:
             raise InvalidInputError(f"fine-tuning needs outlier rows shaped as the ID rows: id_x "
                                     f"has shape {id_x.shape}, outlier_x {outlier_x.shape}")
+        _check_finite(outlier_x, "outlier_x")
         if k < 2:
             raise InvalidInputError(f"fine-tuning needs k >= 2 classes, got k={k}")
     b_in = min(cfg.b_in, n)
@@ -268,7 +275,7 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
             raise NumericError(f"non-finite logits at step {step}") from exc
         return (terms.total, terms.ce, terms.dne_c, terms.dne_s), acts, d_logits
 
-    tail = 0 if cfg.finetune_all_layers else model.offsets[-2]
+    tail = model.offsets[-2]
     stages = [stage for stage in ((cfg.epochs_pretrain, cfg.lr_pretrain, 0, b_in, ce_batch), (
         cfg.epochs_finetune, cfg.lr_finetune, tail, b_in + b_out, paired_batch)) if stage[0]]
     for *_, rows, _ in stages:  # forward's checks, once per run
@@ -301,8 +308,10 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
 
 
 def save_checkpoint(path, model: Mlp, seed: int, stage: str) -> None:
-    """Canonical JSON checkpoint; weights stored row-major as decimal text."""
-    payload = {"layer_dims": model.layer_dims, "seed": seed, "stage": stage,
+    """Canonical JSON checkpoint; weights stored row-major as decimal text. A
+    seed or stage that load_checkpoint would refuse raises InvalidInputError
+    before the file is opened."""
+    payload = {"layer_dims": model.layer_dims, "seed": _seed(seed), "stage": _stage(stage),
                "weights": [[float(v) for v in w.ravel()] for w in model.weights],
                "biases": [[float(v) for v in b] for b in model.biases]}
     with open(path, "w") as fh:

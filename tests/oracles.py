@@ -323,7 +323,7 @@ def per_layer_train(weights, biases, id_x, id_y, outlier_x, cfg):
         b_out = min(cfg.b_out, outlier_x.shape[0])
         total_steps = cfg.epochs_finetune * steps_per_epoch
         vel_w, vel_b = [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
-        first = 0 if cfg.finetune_all_layers else n_layers - 1
+        first = n_layers - 1
         step = 0
         for _ in range(cfg.epochs_finetune):
             order = rng.permutation(n)

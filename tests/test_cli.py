@@ -43,11 +43,16 @@ def bench_constant(name, owner=None):
     return eval(compile(ast.Expression(node), str(path), "eval"), {"dict": dict})
 
 
-def flag_dests(command):
-    """The dests of a subcommand's flags but --out: the keys of its manifest params."""
+def command_actions(command):
+    """The argparse actions of a subcommand, by dest."""
     subcommands = next(a for a in cli.build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in subcommands.choices[command]._actions} - {"help", "out"}
+    return {a.dest: a for a in subcommands.choices[command]._actions}
+
+
+def flag_dests(command):
+    """The dests of a subcommand's flags but --out: the keys of its manifest params."""
+    return set(command_actions(command)) - {"help", "out"}
 
 
 @pytest.fixture()
@@ -666,7 +671,25 @@ class TestHeadTail:
                      "--mode", "sideways")
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("mode", list(cli.HEAD_TAIL_MODES))
+    def test_the_modes_are_the_plan_names_of_metrics_json(self):
+        """--mode takes the keys of mode_plans, which name the plans in
+        metrics.json, and no alias of them."""
+        assert command_actions("head-tail")["mode"].choices == list(cli.mode_plans(0.0)) == [
+            "uncalibrated", "no_tta", "doda", "oracle"]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["head-tail", "--data", "d", "--model", "c.json", "--mode", "frozen"],
+                     id="head-tail-frozen"),
+        pytest.param(["train", "--data", "d", "--finetune-all-layers"],
+                     id="train-finetune-all-layers"),
+    ])
+    def test_removed_names_exit_config(self, tmp_path, argv):
+        """The alias frozen of no_tta and the switch that fine-tuned every layer
+        are gone: argparse refuses them before any file is read."""
+        assert run_cli(*argv, "--out", tmp_path / "out") == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", list(cli.mode_plans(0.0)))
     def test_every_mode_exits_ok(self, small_run, tmp_path, mode):
         data_dir, model_dir = small_run
         out = tmp_path / "ht"
@@ -1099,7 +1122,8 @@ class TestConfigFile:
         ("generate", "out", {"a": 1}),
         ("train", "hidden", 8),
         ("train", "hidden", ["x"]),
-        ("train", "finetune_all_layers", "yes"),
+        ("train", "b_in", "many"),
+        ("adapt-eval", "events", "yes"),
         ("head-tail", "mode", "sideways"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key, value):
@@ -1107,6 +1131,8 @@ class TestConfigFile:
         cfg.write_text(json.dumps({key: value}))
         argv = {"generate": ["--out", tmp_path / "d"],
                 "train": ["--data", tmp_path / "d", "--out", tmp_path / "m"],
+                "adapt-eval": ["--data", tmp_path / "d", "--model", tmp_path / "c.json",
+                               "--out", tmp_path / "a"],
                 "head-tail": ["--data", tmp_path / "d", "--model", tmp_path / "c.json",
                               "--out", tmp_path / "h"]}[command]
         assert run_cli("--config", cfg, command, *argv) == EXIT_CONFIG

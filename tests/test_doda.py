@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -412,6 +413,21 @@ class TestRunStream:
         assert 0 < mask.sum() < 100
         assert events == list(map(AdaptationEvent, range(100), mask.tolist(),
                                   rowwise_global_energies(logits).tolist(), want_scores))
+
+    def test_an_event_is_slotted_with_the_fields_of_a_frozen_dataclass(self):
+        """The benchmark builds tens of thousands of events: each holds its four
+        fields in slots, with no per-instance dict, and compares, prints and
+        converts as a plain frozen dataclass does."""
+        event = AdaptationEvent(3, True, -1.5, 0.25)
+        assert not hasattr(event, "__dict__")
+        assert event == AdaptationEvent(3, True, -1.5, 0.25)
+        assert event != AdaptationEvent(3, False, -1.5, 0.25)
+        assert repr(event) == ("AdaptationEvent(sample_index=3, accepted=True, "
+                               "global_energy=-1.5, calibrated_score=0.25)")
+        assert dataclasses.asdict(event) == {"sample_index": 3, "accepted": True,
+                                             "global_energy": -1.5, "calibrated_score": 0.25}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.accepted = False
 
     def test_events_off_by_default(self):
         """Without record_events the accept mask takes the events' place."""

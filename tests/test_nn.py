@@ -120,6 +120,17 @@ class TestLayout:
         with pytest.raises(InvalidInputError, match="^inputs do not convert to a float matrix"):
             Mlp.init([3, 2], seed=0).forward(inputs)
 
+    @pytest.mark.parametrize("inputs, row", [
+        pytest.param([[1.0, None, 2.0]], 0, id="none"),  # once the logits [[nan nan]]
+        pytest.param([[np.inf, 0.0, 0.0]], 0, id="inf"),  # once the logits [[inf -inf]]
+        pytest.param([[0.0, 0.0, 0.0], [1.0, 2.0, np.nan], [-np.inf, 0.0, 0.0]], 1,
+                     id="first-of-two"),
+    ])
+    def test_forward_refuses_a_non_finite_input_naming_its_row(self, inputs, row):
+        with pytest.raises(InvalidInputError,
+                           match=f"^inputs row {row} holds a non-finite value$"):
+            Mlp.init([3, 2], seed=0).forward(inputs)
+
     def test_numpy_integer_sizes_are_integers(self):
         assert Mlp.init([np.int64(3), np.uint8(2)], seed=0).layer_dims == [3, 2]
 
@@ -296,15 +307,6 @@ class TestTrain:
         assert np.array_equal(model.weights[0], trained.weights[0])
         assert not np.array_equal(model.weights[1], trained.weights[1])
 
-    def test_finetune_all_layers_touches_every_layer(self):
-        x, y, outliers = blob_task(3)
-        model = Mlp.init([4, 8, 2], seed=4)
-        cfg = TrainConfig(seed=4, epochs_pretrain=0, epochs_finetune=2, b_in=32, b_out=64,
-                          finetune_all_layers=True)
-        trained, _ = train(model, x, y, outliers, cfg)
-        for before, after in zip(model.weights, trained.weights):
-            assert not np.array_equal(before, after)
-
     @pytest.mark.parametrize("field, value", [("b_in", 0), ("b_in", -3), ("b_out", 0)])
     def test_batch_sizes_below_one_are_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=f"{field}={value}"):
@@ -323,13 +325,6 @@ class TestTrain:
         with pytest.raises(InvalidInputError,
                            match=f"^{field} must be a real number, got {value!r}$"):
             TrainConfig(**{field: value})
-
-    @pytest.mark.parametrize("value", ["no", None, 1])
-    def test_finetune_all_layers_must_be_a_bool(self, value):
-        """train reads the flag by truth: 'no' once fine-tuned every layer."""
-        with pytest.raises(InvalidInputError,
-                           match=f"^finetune_all_layers must be a bool, got {value!r}$"):
-            TrainConfig(finetune_all_layers=value)
 
     def test_a_negative_seed_is_rejected(self):
         with pytest.raises(InvalidInputError, match=re.escape(
@@ -357,8 +352,6 @@ class TestTrainEqualsPerLayerLoop:
     @pytest.mark.parametrize("dims, settings", [
         pytest.param([4, 8, 2], {}, id="2-layer"),
         pytest.param([4, 8, 6, 2], {}, id="3-layer"),
-        pytest.param([4, 8, 2], {"finetune_all_layers": True}, id="2-layer-all"),
-        pytest.param([4, 8, 6, 2], {"finetune_all_layers": True}, id="3-layer-all"),
         pytest.param([4, 8, 6, 2], {"epochs_finetune": 0}, id="ce-only"),
         pytest.param([4, 8, 2], {"b_in": 500, "b_out": 500}, id="batches-above-row-count"),
         pytest.param([4, 8, 6, 2], {"b_in": 1, "b_out": 3}, id="b_in-1"),
@@ -394,10 +387,9 @@ class TestTrainEqualsPerLayerLoop:
         each run equals the per-layer loop, whatever ran before it."""
         x, y, outliers = blob_task(1)
         model = Mlp.init([4, 8, 6, 2], seed=1)
-        for b_in, b_out, all_layers in [(32, 64, False), (32, 64, False), (16, 40, True),
-                                        (24, 8, False)]:
+        for b_in, b_out in [(32, 64), (32, 64), (16, 40), (24, 8)]:
             cfg = TrainConfig(seed=1, epochs_pretrain=2, epochs_finetune=2, b_in=b_in,
-                              b_out=b_out, lr_finetune=0.05, finetune_all_layers=all_layers)
+                              b_out=b_out, lr_finetune=0.05)
             trained, log = train(model, x, y, outliers, cfg)
             assert_same_run(trained, log, per_layer_train(model.weights, model.biases, x, y,
                                                           outliers, cfg))
@@ -429,8 +421,6 @@ class TestDivergence:
         pytest.param({"lr_pretrain": 1e300}, 1.0, 1, "non-finite loss", id="stage-1-lr"),
         pytest.param({"epochs_pretrain": 2, "lr_finetune": 1e308}, 1.0, 1, "non-finite logits",
                      id="stage-2-lr"),
-        pytest.param({"epochs_pretrain": 2, "lr_finetune": 1e300, "finetune_all_layers": True},
-                     1.0, 1, "non-finite logits", id="stage-2-lr-all-layers"),
         pytest.param({"epochs_pretrain": 0}, 1e307, 0, "non-finite loss",
                      id="stage-2-output-near-float-max"),
     ])
@@ -523,10 +513,29 @@ class TestTrainInputs:
             train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
         assert steps == []
 
+    @pytest.mark.parametrize("where, value", [
+        pytest.param("id_x", np.nan, id="id-nan"),
+        pytest.param("id_x", -np.inf, id="id-inf"),
+        pytest.param("outlier_x", np.nan, id="outlier-nan"),
+        pytest.param("outlier_x", np.inf, id="outlier-inf"),
+    ])
+    def test_a_non_finite_input_names_its_set_and_row_before_any_step(
+            self, monkeypatch, where, value):
+        """These once ran until the first step's loss or logits turned
+        non-finite and ended in NumericError, the class of a diverged run."""
+        x, y, outliers = blob_task(0)
+        sets = {"id_x": x, "outlier_x": outliers}
+        sets[where][7, 2] = value
+        steps = []
+        monkeypatch.setattr(nn, "_sgd_step", lambda *args: steps.append(args[-1]))
+        with pytest.raises(InvalidInputError, match=f"^{where} row 7 holds a non-finite value$"):
+            train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, TrainConfig(b_in=8, b_out=8))
+        assert steps == []
+
     def test_outliers_go_unread_without_finetuning(self):
         x, y, _ = blob_task(0)
         cfg = TrainConfig(epochs_pretrain=1, epochs_finetune=0, b_in=8)
-        for outliers in (np.ones((30, 5)), np.float64(1.0)):
+        for outliers in (np.ones((30, 5)), np.float64(1.0), np.full((30, 4), np.nan)):
             train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
 
     @pytest.mark.parametrize("stage", ["epochs_pretrain", "epochs_finetune"])
@@ -612,6 +621,23 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=f"{path}.*'{key}'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("seed, stage", [
+        pytest.param(3.7, "finetune", id="bad-seed-fractional"),
+        pytest.param(True, "finetune", id="bad-seed-bool"),
+        pytest.param("12", "finetune", id="bad-seed-text"),
+        pytest.param(-4, "finetune", id="bad-seed-negative"),
+        pytest.param(7, 123, id="bad-stage-number"),
+        pytest.param(7, None, id="bad-stage-null"),
+        pytest.param(7, "train", id="bad-stage-unknown"),
+    ])
+    def test_save_refuses_what_load_would_refuse_and_writes_nothing(self, tmp_path, seed,
+                                                                    stage):
+        """save_checkpoint once wrote these, and load_checkpoint then refused the file."""
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(InvalidInputError, match="^(seed|stage) must be "):
+            save_checkpoint(path, Mlp.init([3, 4, 2], seed=7), seed=seed, stage=stage)
+        assert not path.exists()
 
     @pytest.mark.parametrize("text", ["{not json", "[8, 10]", "\xff",
                                       pytest.param("[" * 1000, id="nested-too-deep")])
