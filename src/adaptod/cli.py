@@ -17,6 +17,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +70,13 @@ def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
     count is chosen to hit ood_fraction given all ID samples, capped by what is
     available.
     """
+    if isinstance(ood_fraction, bool) or not isinstance(ood_fraction, Real):
+        raise InvalidInputError(f"ood_fraction must be a real number, got {ood_fraction!r}")
     if not 0.0 < ood_fraction < 1.0:
         raise InvalidInputError("ood_fraction must lie strictly between 0 and 1, "
                                 f"got {ood_fraction}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     n_id = id_test.n
     n_ood = min(true_ood.n, round(n_id * ood_fraction / (1.0 - ood_fraction)))
     if n_ood < 1:
@@ -298,7 +303,10 @@ def cmd_adapt_eval(ns) -> int:
                 for i, (acc, g, score) in enumerate(zip(run["accepted"], energies, run["scores"])):
                     fh.write(f"{i},{int(acc)},{g!r},{score!r}\n")
         _write_histograms(out_dir, logit_sets, results["doda"]["scores"])
-        doda.save_state(out_dir / "adapter_state.json", results["doda"]["final_state"], stats)
+        state = results["doda"]["final_state"]  # canonical JSON for inspection; nothing reads it
+        (out_dir / "adapter_state.json").write_text(json.dumps(
+            {"k": state.k, "m": state.m, "values": state.values.tolist(), "mu_in": stats.mu_in,
+             "sigma_in": stats.sigma_in, "alpha": stats.alpha}, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -317,7 +325,7 @@ def cmd_alpha_sweep(ns) -> int:
         raise InvalidInputError("alpha grid is empty")
     fitted, p0, logit_sets = _prepare_run(ns, alphas[0])
     # mu_in and sigma_in do not depend on alpha; only the threshold R does.
-    grid = [doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, a) for a in alphas]
+    grid = [doda.EnergyStats(fitted.mu_in, fitted.sigma_in, a) for a in alphas]
     stream = build_stream(logit_sets[data_mod.ID_TEST], logit_sets[data_mod.TRUE_OOD],
                           ns.ood_fraction, ns.seed)
     results = evaluate_plans(p0, stream, {i: (0.0, stats.r) for i, stats in enumerate(grid)},

@@ -16,6 +16,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -52,6 +53,14 @@ class BenchmarkSpec:
     head_tilt: float = 0.7
 
     def __post_init__(self):
+        for name in ("k", "n_max", "d", "seed", "n_test_per_class", "n_out", "n_ood"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        for name in ("rho", "class_scale", "shift", "head_tilt"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+        if self.seed < 0:  # it seeds NumPy generators
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.k < 2:
             raise InvalidInputError(f"k must be >= 2, got {self.k}")
         for name in ("n_max", "d", "n_test_per_class", "n_out", "n_ood"):

@@ -16,11 +16,10 @@ unchecked: with P >= 0 each term is at most the one of G, so the score is too.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass
-from numbers import Integral
+from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,15 +33,18 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class EnergyStats:
-    """Training-ID global-energy statistics and the derived filter threshold."""
+    """Training-ID global-energy statistics and the threshold R they give, checked."""
 
     mu_in: float
     sigma_in: float
-    alpha: float
-    r: float
+    alpha: float = DEFAULT_ALPHA
+    r: float = field(init=False)
 
-    @classmethod
-    def from_moments(cls, mu_in: float, sigma_in: float, alpha: float = DEFAULT_ALPHA):
+    def __post_init__(self):
+        mu_in, sigma_in, alpha = self.mu_in, self.sigma_in, self.alpha
+        for name in ("mu_in", "sigma_in", "alpha"):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(mu_in) and math.isfinite(sigma_in) and sigma_in >= 0):
             raise InvalidInputError("mu_in and sigma_in must be finite and sigma_in must be "
                                     f"non-negative, got {mu_in}, {sigma_in}")
@@ -52,7 +54,7 @@ class EnergyStats:
         if not math.isfinite(r):
             raise InvalidInputError(f"threshold R = mu_in - alpha * sigma_in is not finite "
                                     f"(alpha={alpha}, mu_in={mu_in}, sigma_in={sigma_in})")
-        return cls(mu_in=mu_in, sigma_in=sigma_in, alpha=alpha, r=r)
+        object.__setattr__(self, "r", r)
 
 
 def _check_count(count, name: str) -> None:
@@ -106,7 +108,7 @@ def fit_energy_stats(train_id_logits, alpha: float = DEFAULT_ALPHA) -> EnergySta
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         raise NumericError(
             f"energy statistics exceed float64 range (mu_in={mu}, sigma_in={sigma})")
-    return EnergyStats.from_moments(mu, sigma, alpha)
+    return EnergyStats(mu, sigma, alpha)
 
 
 def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> OutlierDistribution:
@@ -227,8 +229,6 @@ def adapt_and_score(state: OutlierDistribution, stats: EnergyStats, logits, samp
     state, and whether the sample was accepted. A rejected sample returns the
     input state object unchanged. An error names sample_index.
     """
-    if math.isnan(stats.r):
-        raise InvalidInputError("filter threshold r must not be NaN")
     v, e, scale, g = _checked_row(logits, state.k, sample_index)
     if not g < stats.r:
         return state, scale * float(np.add.reduce(e / (1.0 + state.values))), False
@@ -250,9 +250,18 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
     one matrix pass; the others share one pass over the samples, in which the
     rows any of them accepts are exponentiated in one call."""
     plans = list(plans)
-    for f, r in plans:
+    for plan in plans:
+        try:
+            f, r = plan
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"a plan must be a pair (use_label_probability, r), "
+                                    f"got {plan!r}") from exc
+        if isinstance(f, bool) or not isinstance(f, Real):
+            raise InvalidInputError(f"use_label_probability must be a real number, got {f!r}")
         if not 0.0 <= f <= 1.0:
             raise InvalidInputError(f"use_label_probability must lie in [0, 1], got {f}")
+        if isinstance(r, bool) or not isinstance(r, Real):
+            raise InvalidInputError(f"filter threshold r must be a real number, got {r!r}")
         if math.isnan(r):
             raise InvalidInputError("filter threshold r must not be NaN")
     draw = max((f for f, _ in plans), default=0.0) > 0.0
@@ -314,18 +323,3 @@ def run_stream(state: OutlierDistribution, stats: EnergyStats, logit_stream, *,
                         scores))
     return scores, mask, final
 
-
-def save_state(path, state: OutlierDistribution, stats: EnergyStats) -> None:
-    """Write the adapter state for inspection as canonical JSON (decimal text
-    round-trips exactly). No program path reads it back."""
-    payload = {
-        "k": state.k,
-        "m": state.m,
-        "values": [float(v) for v in state.values],
-        "mu_in": stats.mu_in,
-        "sigma_in": stats.sigma_in,
-        "alpha": stats.alpha,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")

@@ -181,7 +181,7 @@ def test_streaming_update_matches_closed_form():
         energies = global_energies(stream)
         # put the threshold mid-distribution so both branches are exercised
         mu = float(np.median(energies))
-        stats = doda.EnergyStats.from_moments(mu, abs(mu) * 0.1 + 0.1, alpha=1.0)
+        stats = doda.EnergyStats(mu, abs(mu) * 0.1 + 0.1, alpha=1.0)
 
         scores, events, final_state = doda.run_stream(
             state0, stats, stream, record_events=True)
@@ -214,7 +214,7 @@ def test_zero_calibration_reduces_to_global_energy():
     _, ((scores, _, _),) = doda.run_plans(zeros, logits, [(0.0, -np.inf)])
     cal = np.asarray(scores)
     assert (np.abs(cal - raw) / np.abs(raw)).max() <= 1e-12
-    rejecting = doda.EnergyStats(mu_in=0.0, sigma_in=0.0, alpha=3.0, r=-np.inf)
+    rejecting = doda.EnergyStats(0.0, 0.0)  # R = 0 and every G > 0: nothing is accepted
     one_row = [doda.adapt_and_score(zeros, rejecting, row, i)[1] for i, row in enumerate(logits)]
     assert one_row == scores
 

@@ -1,8 +1,8 @@
 """No API that only tests use: every top-level function, class and constant of
 src/adaptod, public or private, is used in src/adaptod or bench/ outside its own
 definition, and so is every method and property of its classes; every error
-class but the base is raised in src/adaptod, and no module of src/adaptod uses a
-private name of another.
+class but the base is raised in src/adaptod, no module of src/adaptod uses a
+private name of another, and only cli, nn and data touch files.
 Uses are read from the AST, so a docstring or a comment that names a
 function does not keep it alive."""
 
@@ -150,3 +150,27 @@ def test_every_error_class_is_raised_in_the_package():
     bases = {base.id for n in classes for base in n.bases if isinstance(base, ast.Name)}
     errors = {("errors", n.name) for n in classes if n.name not in bases}
     assert sorted(errors - raised) == []
+
+
+FILE_MODULES = {"cli", "nn", "data"}  # the run directory, checkpoints, sample sets
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_cli_nn_and_data_touch_files():
+    """The numeric modules take and return values: none opens a file or
+    imports json, so every file a run writes is written where it is named."""
+    found = []
+    for path in sorted((ROOT / "src" / PACKAGE).glob("*.py")):
+        if path.stem in FILE_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FILE_CALLS:
+                    found.append((path.stem, name))
+            elif isinstance(node, ast.Import):
+                found += [(path.stem, a.name) for a in node.names if a.name == "json"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append((path.stem, "json"))
+    assert found == []

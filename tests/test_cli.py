@@ -460,6 +460,28 @@ class TestAdaptEval:
                 in enumerate(zip(mask, doda.global_energies(logits).tolist(), scores))]
         assert (out / "events.csv").read_text().splitlines()[1:] == want
 
+    def test_adapter_state_round_trips(self, small_run, tmp_path):
+        """adapter_state.json gives back plain DODA's final state, and the
+        stats it was fitted with, from which EnergyStats derives R again."""
+        data_dir, model_dir = small_run
+        out = tmp_path / "eval"
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", out, "--alpha", 0.01, "--virtual-count", 2)
+        assert rc == EXIT_OK
+        datasets = cli.load_datasets(data_dir)
+        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        stats, p0, _ = cli.prepare(model, datasets, alpha=0.01, virtual_count=2)
+        logits = model.forward(cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
+                                                0.5, 0)[0])
+        _, mask, state = doda.run_stream(p0, stats, logits)
+        assert mask.any()  # the state moved from P0
+        payload = json.loads((out / "adapter_state.json").read_text())
+        assert payload["k"] == state.k
+        assert np.array_equal(payload["values"], state.values)
+        assert payload["m"] == state.m
+        assert doda.EnergyStats(payload["mu_in"], payload["sigma_in"],
+                                payload["alpha"]) == stats
+
     def test_repeat_runs_are_byte_identical(self, small_run, tmp_path):
         data_dir, model_dir = small_run
         outs = []
@@ -732,7 +754,7 @@ class TestAlphaSweep:
         logits = model.forward(feats)
         accepted = []
         for alpha, (alpha_text, auroc_text) in zip(alphas, rows, strict=True):
-            stats = doda.EnergyStats.from_moments(fitted.mu_in, fitted.sigma_in, alpha)
+            stats = doda.EnergyStats(fitted.mu_in, fitted.sigma_in, alpha)
             scores, mask, _ = doda.run_stream(p0, stats, logits)
             accepted.append(int(mask.sum()))
             assert float(alpha_text) == alpha
@@ -855,14 +877,14 @@ class TestRunDirectory:
 
     def test_failure_after_the_first_write_leaves_no_out(self, small_run, tmp_path, monkeypatch,
                                                          capsys):
-        def failing_save_state(path, *args):
-            raise OSError(f"cannot write {path.name}")
+        def failing_write_histograms(out_dir, *args):
+            raise OSError("cannot write energy_hist.csv")
 
-        monkeypatch.setattr(doda, "save_state", failing_save_state)
+        monkeypatch.setattr(cli, "_write_histograms", failing_write_histograms)
         out = tmp_path / "eval"
         argv = self.argv("adapt-eval", small_run, out)
         assert run_cli("adapt-eval", *argv, "--events") == EXIT_DATA
-        assert "data error: cannot write adapter_state.json" in capsys.readouterr().err
+        assert "data error: cannot write energy_hist.csv" in capsys.readouterr().err
         assert not out.exists()
         assert not list(tmp_path.glob(".eval.*"))
 
@@ -1066,7 +1088,7 @@ class TestEvaluationPlan:
                                             "--out", "o"])
         train_logits = model.forward(datasets[data.ID_TRAIN].features)
         for alpha in cli._parse_grid(ns.alphas):
-            assert doda.EnergyStats.from_moments(stats.mu_in, stats.sigma_in, alpha) \
+            assert doda.EnergyStats(stats.mu_in, stats.sigma_in, alpha) \
                 == doda.fit_energy_stats(train_logits, alpha)
 
 
@@ -1177,15 +1199,21 @@ class TestStream:
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
 
-    @pytest.mark.parametrize("fraction, message", [
-        (1.0, "ood_fraction must lie strictly between 0 and 1, got 1.0"),
-        (0.001, "stream would contain no OOD samples: 100 ID samples at ood_fraction 0.001"),
-    ], ids=["fraction", "no-ood"])
-    def test_a_refused_stream_names_the_values(self, fraction, message):
+    @pytest.mark.parametrize("fraction, seed, message", [
+        (1.0, 0, "ood_fraction must lie strictly between 0 and 1, got 1.0"),
+        (0.001, 0, "stream would contain no OOD samples: 100 ID samples at ood_fraction 0.001"),
+        ("0.5", 0, "ood_fraction must be a real number, got '0.5'"),
+        (True, 0, "ood_fraction must be a real number, got True"),
+        (0.5, -1, "seed must be an integer >= 0, got -1"),
+        (0.5, 1.0, "seed must be an integer >= 0, got 1.0"),
+        (0.5, False, "seed must be an integer >= 0, got False"),
+    ], ids=["fraction", "no-ood", "fraction-text", "fraction-bool", "seed-negative",
+            "seed-float", "seed-bool"])
+    def test_a_refused_stream_names_the_values(self, fraction, seed, message):
         id_test = data.SampleSet(np.zeros((100, 2)), np.zeros(100, int), data.ID_TEST)
         true_ood = data.SampleSet(np.zeros((5, 2)), np.full(5, -1), data.TRUE_OOD)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            cli.build_stream(id_test, true_ood, fraction, seed=0)
+            cli.build_stream(id_test, true_ood, fraction, seed=seed)
 
 
 class TestSeed:

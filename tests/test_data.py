@@ -67,11 +67,23 @@ class TestSpecChecks:
         ("k", 17, "at most 2*d=16 classes, got k=17"),
         ("class_scale", 0.0, "class_scale must be finite and positive, got 0.0"),
         ("head_tilt", 1.5, "head_tilt must lie in [0, 1], got 1.5"),
+        ("k", 3.5, "k must be an integer, got 3.5"),
+        ("d", True, "d must be an integer, got True"),
+        ("n_ood", "600", "n_ood must be an integer, got '600'"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("seed", -3, "seed must be >= 0, got -3"),
+        ("rho", "x", "rho must be a real number, got 'x'"),
+        ("shift", None, "shift must be a real number, got None"),
+        ("head_tilt", False, "head_tilt must be a real number, got False"),
     ])
     def test_bad_setting_is_rejected_and_named(self, name, value, message):
         with pytest.raises(InvalidInputError) as info:
             default_spec(**{"n_max": 50, name: value})
         assert message in str(info.value)
+
+    def test_numpy_integers_and_integral_reals_are_accepted(self):
+        spec = default_spec(k=np.int64(4), d=np.int32(2), seed=np.uint8(3), rho=10, shift=2)
+        assert spec.class_counts() == default_spec(k=4, d=2, seed=3, rho=10.0).class_counts()
 
 
 class TestGenerators:

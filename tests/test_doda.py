@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import re
 import warnings
@@ -25,7 +24,6 @@ from adaptod.doda import (
     init_outlier_distribution,
     run_plans,
     run_stream,
-    save_state,
 )
 from adaptod.errors import AdaptOdError, InvalidInputError, NumericError
 
@@ -68,7 +66,7 @@ class TestFitEnergyStats:
         energies = rowwise_global_energies(logits)
         mu = float(energies.mean())
         sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / (energies.size - 1))
-        assert fit_energy_stats(logits, alpha=2.5) == EnergyStats.from_moments(mu, sigma, 2.5)
+        assert fit_energy_stats(logits, alpha=2.5) == EnergyStats(mu, sigma, 2.5)
 
     def test_needs_two_samples(self):
         with pytest.raises(InvalidInputError, match="need at least 2 samples"):
@@ -84,13 +82,34 @@ class TestFitEnergyStats:
                 fit_energy_stats(rows)
 
     def test_threshold_identity(self):
-        stats = EnergyStats.from_moments(5.0, 2.0, alpha=2.5)
+        stats = EnergyStats(5.0, 2.0, alpha=2.5)
         assert stats.r == 5.0 - 2.5 * 2.0
+
+    @pytest.mark.parametrize("mu, sigma, alpha", [(5.0, 2.0, 2.5), (0.1, 0.7, 3.0),
+                                                  (-1e6, 3.3, 0.3), (1e300, 1e299, 7.0),
+                                                  (np.float64(5.0), 2, np.float32(0.5))])
+    def test_r_is_derived_bit_for_bit_and_again_by_replace(self, mu, sigma, alpha):
+        stats = EnergyStats(mu, sigma, alpha)
+        assert stats.r.hex() == (mu - alpha * sigma).hex()
+        for a in (0.5, 2.0, 4.0):
+            assert dataclasses.replace(stats, alpha=a).r.hex() == (mu - a * sigma).hex()
+
+    @pytest.mark.parametrize("mu, sigma, alpha, message", [
+        (0.0, 1.0, "3", "alpha must be a real number, got '3'"),
+        (0.0, 1.0, True, "alpha must be a real number, got True"),
+        ("0", 1.0, 3.0, "mu_in must be a real number, got '0'"),
+        (False, 1.0, 3.0, "mu_in must be a real number, got False"),
+        (0.0, None, 3.0, "sigma_in must be a real number, got None"),
+        (0.0, 1j, 3.0, "sigma_in must be a real number, got 1j"),
+    ])
+    def test_values_must_be_real_numbers(self, mu, sigma, alpha, message):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message) + "$"):
+            EnergyStats(mu, sigma, alpha)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(InvalidInputError, match=f"alpha must be finite and positive, got {alpha}"):
-            EnergyStats.from_moments(5.0, 2.0, alpha)
+            EnergyStats(5.0, 2.0, alpha)
 
     @pytest.mark.parametrize("mu, sigma, alpha", [
         (5.0, 2.0, 1e308),  # alpha * sigma overflows: R was -inf and accepted nothing
@@ -100,14 +119,14 @@ class TestFitEnergyStats:
         with pytest.raises(InvalidInputError, match="^" + re.escape(
                 "threshold R = mu_in - alpha * sigma_in is not finite "
                 f"(alpha={alpha}, mu_in={mu}, sigma_in={sigma})") + "$"):
-            EnergyStats.from_moments(mu, sigma, alpha)
+            EnergyStats(mu, sigma, alpha)
 
     @pytest.mark.parametrize("mu, sigma", [
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
     ])
     def test_moments_must_be_finite(self, mu, sigma):
         with pytest.raises(InvalidInputError, match="must be finite"):
-            EnergyStats.from_moments(mu, sigma, 3.0)
+            EnergyStats(mu, sigma, 3.0)
 
 
 class TestInitOutlierDistribution:
@@ -175,7 +194,7 @@ class TestInitOutlierDistribution:
         with pytest.raises(InvalidInputError,
                            match=rf"^count m must lie in \[0, 2\*\*53\], got {m}$"):
             run_stream(OutlierDistribution(values=np.ones(2), m=m),
-                       EnergyStats.from_moments(100.0, 1.0), np.zeros((3, 2)))
+                       EnergyStats(100.0, 1.0), np.zeros((3, 2)))
 
     def test_rows_without_classes(self):
         with pytest.raises(InvalidInputError, match="expected a 2-D logit array with k >= 1"):
@@ -188,7 +207,7 @@ class TestInitOutlierDistribution:
 
 class TestAdaptAndScore:
     def stats_accepting_below(self, r):
-        return EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+        return EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0)
 
     def test_first_accept_with_zero_count_replaces_values(self):
         state = OutlierDistribution(values=np.array([9.0, 9.0]), m=0)
@@ -267,19 +286,6 @@ class TestAdaptAndScore:
         with pytest.raises(InvalidInputError, match=r"^values must be 1-D with k >= 1 classes"):
             OutlierDistribution(values=np.zeros((1, 2)), m=0)
 
-    def test_a_nan_threshold_is_refused_online_as_in_a_stream(self):
-        """Before any row is read: no G is below NaN, so it would reject every sample."""
-        state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats(mu_in=0.0, sigma_in=1.0, alpha=3.0, r=math.nan)
-        messages = []
-        for run in (lambda: run_stream(state, stats, np.zeros((4, 2))),
-                    lambda: adapt_and_score(state, stats, [0.0, 0.0]),
-                    lambda: adapt_and_score(state, stats, [math.nan], 3)):
-            with pytest.raises(InvalidInputError) as info:
-                run()
-            messages.append(str(info.value))
-        assert messages == ["filter threshold r must not be NaN"] * 3
-
     def test_the_online_step_runs_without_the_batch_step(self, monkeypatch):
         logits = np.random.default_rng(27).standard_normal((40, 3)) * 3
         stats = threshold_inside(logits, 0.5)
@@ -312,7 +318,7 @@ class TestOracleVariant:
 
     def test_zero_probability_degenerates(self):
         rng = np.random.default_rng(1)
-        stats = EnergyStats.from_moments(50.0, 10.0)
+        stats = EnergyStats(50.0, 10.0)
         state = OutlierDistribution(values=np.ones(3), m=1)
         logits = rng.standard_normal((30, 3))
         scores_a, mask_a, state_a = run_stream(state, stats, logits)
@@ -321,14 +327,14 @@ class TestOracleVariant:
         assert np.array_equal(state_a.values, state_b.values)
 
     def test_full_oracle_rejects_id(self):
-        stats = EnergyStats.from_moments(1e9, 0.0)  # filter alone would accept everything
+        stats = EnergyStats(1e9, 0.0)  # filter alone would accept everything
         state = OutlierDistribution(values=np.ones(2), m=1)
         _, mask, final = self.oracle_pass(state, stats, [[0.0, 0.0]], [False], 1.0, seed=2)
         assert mask.tolist() == [False]
         assert final is state
 
     def test_full_oracle_accepts_ood(self):
-        stats = EnergyStats.from_moments(-1e9, 0.0)  # filter alone would reject everything
+        stats = EnergyStats(-1e9, 0.0)  # filter alone would reject everything
         state = OutlierDistribution(values=np.ones(2), m=1)
         _, mask, final = self.oracle_pass(state, stats, [[0.0, 0.0]], [True], 1.0, seed=3)
         assert mask.tolist() == [True]
@@ -339,13 +345,13 @@ class TestOracleVariant:
     def test_probability_outside_the_unit_interval_is_rejected(self, probability):
         # a NaN or negative value once ran as plain DODA: every sample of
         # this stream passed the filter and m ended at 5
-        stats = EnergyStats.from_moments(1e9, 0.0)
+        stats = EnergyStats(1e9, 0.0)
         state = OutlierDistribution(values=np.ones(2), m=1)
         with pytest.raises(InvalidInputError, match="use_label_probability"):
             self.oracle_pass(state, stats, np.zeros((4, 2)), [True] * 4, probability)
 
     def test_probability_is_checked_without_oracle_labels(self):
-        stats = EnergyStats.from_moments(1e9, 0.0)
+        stats = EnergyStats(1e9, 0.0)
         state = OutlierDistribution(values=np.ones(2), m=1)
         with pytest.raises(InvalidInputError, match="use_label_probability"):
             run_stream(state, stats, np.zeros((4, 2)), use_label_probability=math.nan)
@@ -355,14 +361,14 @@ class TestRunStream:
     @pytest.mark.parametrize("freeze", [False, True])
     def test_empty_stream(self, freeze):
         state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)
+        stats = EnergyStats(10.0, 1.0)
         scores, mask, final = run_stream(state, stats, [], freeze=freeze)
         assert scores == [] and mask.shape == (0,) and mask.dtype == bool
         assert final is state
 
     def test_frozen_pass_of_an_iterator_equals_that_of_the_matrix(self):
         state = OutlierDistribution(values=np.ones(3), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)
+        stats = EnergyStats(10.0, 1.0)
         logits = np.random.default_rng(12).standard_normal((30, 3))
         want = run_stream(state, stats, logits, freeze=True)
         got = run_stream(state, stats, iter(logits), freeze=True)
@@ -370,7 +376,7 @@ class TestRunStream:
 
     def test_plain_pass_accepting_nothing_takes_no_per_sample_step(self, monkeypatch):
         state = OutlierDistribution(values=np.ones(3), m=1)
-        stats = EnergyStats.from_moments(0.0, 1.0)  # R < 0 < G: nothing is accepted
+        stats = EnergyStats(0.0, 1.0)  # R < 0 < G: nothing is accepted
         logits = np.random.default_rng(13).standard_normal((30, 3))
         calls = self.count_exp(monkeypatch)
         scores, mask, final = run_stream(state, stats, logits)
@@ -381,7 +387,7 @@ class TestRunStream:
     @pytest.mark.parametrize("r", [0.0, 1e9])
     def test_plain_pass_of_an_iterator_runs_the_per_sample_step(self, monkeypatch, r):
         state = OutlierDistribution(values=np.ones(3), m=1)
-        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0)
         logits = np.random.default_rng(14).standard_normal((30, 3))
         want = run_stream(state, stats, logits)
         calls = self.count_exp(monkeypatch)
@@ -393,7 +399,7 @@ class TestRunStream:
 
     def test_single_sample_matches_direct_call(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)
+        stats = EnergyStats(10.0, 1.0)
         logits = np.array([[0.1, -0.2]])
         scores, mask, final = run_stream(state, stats, logits)
         direct_state, direct_score, direct_accepted = adapt_and_score(state, stats, logits[0])
@@ -407,7 +413,7 @@ class TestRunStream:
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((100, 4))
         state = init_outlier_distribution(rng.standard_normal((10, 4)))
-        stats = EnergyStats.from_moments(float(np.median(rowwise_global_energies(logits))), 0.0)
+        stats = EnergyStats(float(np.median(rowwise_global_energies(logits))), 0.0)
         scores, events, _ = run_stream(state, stats, logits, record_events=True)
         want_scores, mask, _ = run_stream(state, stats, logits)
         assert 0 < mask.sum() < 100
@@ -432,7 +438,7 @@ class TestRunStream:
     def test_events_off_by_default(self):
         """Without record_events the accept mask takes the events' place."""
         state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)
+        stats = EnergyStats(10.0, 1.0)
         scores, mask, _ = run_stream(state, stats, np.zeros((5, 2)))
         assert mask.tolist() == [True] * 5 and len(scores) == 5
 
@@ -443,7 +449,7 @@ class TestRunStream:
             v0 = rng.uniform(0.1, 2.0, k)
             m0 = int(rng.integers(0, 4))
             state = OutlierDistribution(values=v0, m=m0)
-            stats = EnergyStats.from_moments(float(rng.uniform(2, 8)), 0.0)
+            stats = EnergyStats(float(rng.uniform(2, 8)), 0.0)
             logits = rng.standard_normal((60, k))
             _, mask, final = run_stream(state, stats, logits)
             accepted = list(np.exp(logits[mask]))
@@ -455,7 +461,7 @@ class TestRunStream:
 
     def test_error_carries_sample_index(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)
+        stats = EnergyStats(10.0, 1.0)
         stream = [np.zeros(2), np.array([np.nan, 0.0])]
         with pytest.raises(InvalidInputError, match="sample 1"):
             run_stream(state, stats, stream)
@@ -477,7 +483,7 @@ class TestRunStream:
     def test_every_mode_names_the_first_bad_sample(self, mode, record_events, container, bad,
                                                    later, error, message):
         state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)
+        stats = EnergyStats(10.0, 1.0)
         rows = [[0.0, 0.0], [0.5, -0.5], bad, [0.1, 0.2], bad if later is None else later]
         if container == "array":  # rows that no float matrix holds make an object array
             try:
@@ -522,7 +528,7 @@ class TestRunStream:
         rng = np.random.default_rng(15)
         logits = rng.standard_normal((1000, 4))
         state = OutlierDistribution(values=np.ones(4), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)
+        stats = EnergyStats(10.0, 1.0)
         _, mask, final = run_stream(state, stats, logits, oracle_labels=rng.random(1000) < 0.5,
                                     use_label_probability=1.0, rng=rng)
         assert mask.shape == (1000,) and final.m == 1 + mask.sum() > 1
@@ -544,7 +550,7 @@ class TestRunStream:
     @pytest.mark.parametrize("r", [0.0, 1e9])
     def test_one_sample_exponentiates_once_plus_once_if_accepted(self, monkeypatch, r):
         state = OutlierDistribution(values=np.ones(3), m=1)
-        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)  # R < G or G < R
+        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0)  # R < G or G < R
         calls = self.count_exp(monkeypatch)
         _, _, accepted = adapt_and_score(state, stats, [0.5, -1.0, 2.0])
         assert accepted == (r > 0.0) and len(calls) == 1 + accepted
@@ -555,7 +561,7 @@ class TestRunStream:
         logits = np.random.default_rng(16).standard_normal((200, 4))
         r = float(np.median(rowwise_global_energies(logits)))
         state = OutlierDistribution(values=np.ones(4), m=1)
-        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0)
         calls = self.count_exp(monkeypatch)
         _, mask, _ = run_stream(state, stats, logits, freeze=freeze)
         assert mask.sum() == (0 if freeze else 100)
@@ -568,7 +574,7 @@ class TestRunStream:
     ])
     def test_oracle_labels_must_match_the_stream(self, monkeypatch, labels):
         state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats.from_moments(10.0, 1.0)  # G = 2 < R = 7: every sample is accepted
+        stats = EnergyStats(10.0, 1.0)  # G = 2 < R = 7: every sample is accepted
         shape = re.escape(str(np.shape(labels)))
         calls = self.count_exp(monkeypatch)
         with pytest.raises(InvalidInputError, match=rf"shape \(5,\), got {shape}"):
@@ -578,7 +584,7 @@ class TestRunStream:
 
     def test_frozen_mode_never_adapts(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
-        stats = EnergyStats.from_moments(1e9, 0.0)  # everything below threshold
+        stats = EnergyStats(1e9, 0.0)  # everything below threshold
         logits = np.random.default_rng(6).standard_normal((20, 2))
         scores, mask, final = run_stream(state, stats, logits, freeze=True)
         assert final is state
@@ -589,14 +595,14 @@ class TestRunStream:
     def test_positivity_preserved(self):
         rng = np.random.default_rng(7)
         state = init_outlier_distribution(rng.standard_normal((5, 3)))
-        stats = EnergyStats.from_moments(10.0, 2.0)
+        stats = EnergyStats(10.0, 2.0)
         _, _, final = run_stream(state, stats, rng.standard_normal((200, 3)))
         assert (final.values >= 0).all()
 
     def test_frozen_scoring_is_deterministic(self):
         rng = np.random.default_rng(8)
         state = init_outlier_distribution(rng.standard_normal((5, 3)))
-        stats = EnergyStats.from_moments(10.0, 2.0)
+        stats = EnergyStats(10.0, 2.0)
         logits = rng.standard_normal((50, 3))
         s1, _, _ = run_stream(state, stats, logits, freeze=True)
         s2, _, _ = run_stream(state, stats, logits, freeze=True)
@@ -626,7 +632,7 @@ class TestStreamProperties:
     def test_oracle_stream_equals_the_prefix_mean_closed_form(self, case):
         logits, mask, p0, m0 = case
         state = OutlierDistribution(values=p0, m=m0)
-        scores, _, final = run_stream(state, EnergyStats.from_moments(10.0, 1.0), logits,
+        scores, _, final = run_stream(state, EnergyStats(10.0, 1.0), logits,
                                       oracle_labels=mask, use_label_probability=1.0,
                                       rng=np.random.default_rng(0))
         want_scores, want_p = prefix_mean_stream(np.exp(logits), mask, p0, m0)
@@ -654,7 +660,7 @@ class TestStreamProperties:
         energies = sorted(global_energy(row) for row in logits) or [1.0]
         r = {"below": 0.0, "inside": energies[int(at * (len(energies) - 1))],
              "above": math.nextafter(energies[-1], math.inf)}[where]
-        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+        stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0)
         scores, mask, final = run_stream(state, stats, logits)
         want_state, want_scores, want_accepted = state, [], []
         for i, row in enumerate(logits):
@@ -677,7 +683,7 @@ def threshold_inside(logits, at):
     that plain acceptance takes some samples and not others."""
     energies = sorted(global_energy(row) for row in logits) or [1.0]
     r = energies[int(at * (len(energies) - 1))]
-    return EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+    return EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0)
 
 
 def assert_same_run(got, want, state):
@@ -746,7 +752,8 @@ class TestPlans:
         idle = []
         for (f, where), (_, r), res in zip(places, plans, got):
             assert res[1].dtype == bool and res[1].shape == (len(logits),)
-            stats = EnergyStats(mu_in=r, sigma_in=0.0, alpha=3.0, r=r)
+            # R = 0 accepts no G, as -inf does, and an EnergyStats R is finite
+            stats = EnergyStats(mu_in=max(r, 0.0), sigma_in=0.0, alpha=3.0)
             assert_same_run(res, self.alone(state, stats, logits, mask, f, seed), state)
             if f == 0.0 and where in ("-inf", "below"):
                 assert not res[1].any()
@@ -785,6 +792,18 @@ class TestPlans:
         assert vector.random(n).tolist() == [scalar.random() for _ in range(n)]
         assert vector.bit_generator.state == scalar.bit_generator.state
 
+    @pytest.mark.parametrize("plan, message", [
+        (("x", 0.0), "use_label_probability must be a real number, got 'x'"),
+        ((0.0, "x"), "filter threshold r must be a real number, got 'x'"),
+        ((True, 0.0), "use_label_probability must be a real number, got True"),
+        ((0.0, 0.0, 1), "a plan must be a pair (use_label_probability, r), got (0.0, 0.0, 1)"),
+        (0.5, "a plan must be a pair (use_label_probability, r), got 0.5"),
+    ])
+    def test_a_plan_must_be_a_pair_of_real_numbers(self, plan, message):
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message) + "$"):
+            run_plans(state, np.zeros((4, 2)), [(0.0, 1.0), plan])
+
     def test_a_nan_threshold_is_rejected(self):
         state = OutlierDistribution(values=np.ones(2), m=1)
         with pytest.raises(InvalidInputError, match="threshold r must not be NaN"):
@@ -799,7 +818,7 @@ class TestPlans:
         mask = rng.random(60) < 0.5
         state = OutlierDistribution(values=rng.uniform(0.1, 2.0, 4), m=m0)
         fractions = [0.0, 1.0, 0.5, 0.5, 0.0, 1.0, 0.3]
-        for stats in (threshold_inside(logits, 0.4), EnergyStats.from_moments(0.0, 1.0)):
+        for stats in (threshold_inside(logits, 0.4), EnergyStats(0.0, 1.0)):
             _, got = run_plans(state, stream_of(logits), plans_of(fractions, stats),
                                oracle_labels=mask, rng=np.random.default_rng(5))
             for fraction, res in zip(fractions, got):
@@ -809,7 +828,7 @@ class TestPlans:
     def test_a_plan_that_accepts_nothing_returns_the_input_state(self):
         logits = np.random.default_rng(22).normal(0.0, 2.0, (40, 3))
         state = OutlierDistribution(values=np.ones(3), m=1)
-        stats = EnergyStats.from_moments(0.0, 1.0)  # R < 0 < G: the filter accepts nothing
+        stats = EnergyStats(0.0, 1.0)  # R < 0 < G: the filter accepts nothing
         none_ood = np.zeros(40, dtype=bool)
         for stream_of in (np.asarray, iter):
             _, got = run_plans(state, stream_of(logits), plans_of([0.0, 0.5, 1.0], stats),
@@ -868,21 +887,6 @@ class TestPlans:
                           rng=np.random.default_rng(0))
 
 
-class TestSnapshot:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        state = init_outlier_distribution(rng.standard_normal((20, 6)), virtual_count=2)
-        stats = fit_energy_stats(rng.standard_normal((30, 6)), alpha=2.5)
-        path = tmp_path / "state.json"
-        save_state(path, state, stats)
-        payload = json.loads(path.read_text())
-        assert payload["k"] == state.k
-        assert np.array_equal(payload["values"], state.values)
-        assert payload["m"] == state.m
-        assert EnergyStats.from_moments(payload["mu_in"], payload["sigma_in"],
-                                        payload["alpha"]) == stats
-
-
 # frozen from a 40-digit mpmath evaluation of e^1 + e^2
 E1_PLUS_E2 = 10.10733792738969546259071493192767031094
 # frozen from a 40-digit mpmath evaluation of (e + e^2 + e^3) / 1.5
@@ -894,8 +898,8 @@ def one_global_energy(logits):
     return float(global_energies([logits])[0])
 
 
-# no G lies below -inf: a sample is scored under P as given, and never accepted
-REJECT_ALL = EnergyStats(mu_in=0.0, sigma_in=0.0, alpha=3.0, r=-math.inf)
+# R = 0 and every G > 0: a sample is scored under P as given, and never accepted
+REJECT_ALL = EnergyStats(0.0, 0.0)
 
 
 def frozen_scores(rows, p_out):
