@@ -17,14 +17,14 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, fields, replace
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
 from . import doda, metrics, nn
-from .errors import AdaptOdError, DataError, InvalidInputError, NumericError
+from .errors import AdaptOdError, DataError, InvalidInputError, NumericError, check_real
 
 EXIT_OK = 0
 EXIT_CONFIG = InvalidInputError.exit_code
@@ -70,8 +70,7 @@ def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
     count is chosen to hit ood_fraction given all ID samples, capped by what is
     available.
     """
-    if isinstance(ood_fraction, bool) or not isinstance(ood_fraction, Real):
-        raise InvalidInputError(f"ood_fraction must be a real number, got {ood_fraction!r}")
+    check_real(ood_fraction, "ood_fraction")
     if not 0.0 < ood_fraction < 1.0:
         raise InvalidInputError("ood_fraction must lie strictly between 0 and 1, "
                                 f"got {ood_fraction}")

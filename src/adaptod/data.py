@@ -16,11 +16,11 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DataError, InvalidInputError
+from .errors import DataError, InvalidInputError, check_real
 
 # provenance tags
 ID_TRAIN = "id-train"
@@ -57,8 +57,7 @@ class BenchmarkSpec:
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, Integral):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         for name in ("rho", "class_scale", "shift", "head_tilt"):
-            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
-                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+            check_real(getattr(self, name), name)
         if self.seed < 0:  # it seeds NumPy generators
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.k < 2:

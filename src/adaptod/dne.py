@@ -25,21 +25,42 @@ class LossBreakdown:
     dne_s: float
 
 
-def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+class StepBuffers:
+    """Arrays that ce_and_grad and loss_and_grad write into, allocated once for
+    logits of shape (rows, k) whose first b_in rows are ID rows (ce holds
+    ce_and_grad's for those rows). A call returns its gradient in grad, which
+    the next call overwrites."""
+
+    def __init__(self, rows: int, k: int, b_in: int | None = None):
+        self.shape = (rows, k)
+        self.grad, self.norm, self.prod = np.empty((3, rows, k))
+        self.cols = np.empty((k, rows))  # the logits transposed, for row maxima
+        self.row_a, self.row_b = np.empty((2, rows))  # per-row scratch
+        self.z = np.empty((rows, 1))
+        self.at = np.arange(0, rows * k, k)  # row * k: each row's first entry in flat grad
+        self.label_at = np.empty(rows, np.intp)
+        self.ce = None if b_in in (None, rows) else StepBuffers(b_in, k)
+
+
+def ce_and_grad(logits: np.ndarray, labels, bufs: StepBuffers | None = None):
     """Mean softmax cross-entropy over the rows and its gradient w.r.t. the
-    logits, (softmax - onehot) / n, from one exponentiation. Each label must be
-    a class index in [0, k): nn.train checks its labels once, up front, so no
-    step checks them again."""
+    logits, (softmax - onehot) / n, from one exponentiation, written into bufs
+    (fresh buffers if None). Each label must be a class index in [0, k):
+    nn.train checks its labels once, up front, so no step checks them again."""
     labels = np.asarray(labels, dtype=np.intp)
     n, k = logits.shape
     if labels.shape[0] != n:
         raise InvalidInputError("one label per ID row required")
-    p = logits - np.maximum.reduce(logits.T.copy(), axis=0)[:, None]  # exact in any order
-    flat = p.reshape(-1)  # a view: p is a fresh C-contiguous array
-    at = np.arange(0, n * k, k) + labels  # row * k + label: each row's label entry
+    b = StepBuffers(n, k) if bufs is None else bufs
+    if b.shape != logits.shape:
+        raise InvalidInputError(f"buffers of shape {b.shape} do not fit logits of shape {(n, k)}")
+    b.cols[...] = logits.T  # row maxima from a contiguous copy: a max is exact in any order
+    p = np.subtract(logits, np.maximum.reduce(b.cols, axis=0, out=b.row_a)[:, None], out=b.grad)
+    flat = p.reshape(-1)  # a view: grad is C-contiguous
+    at = np.add(b.at, labels, out=b.label_at)  # row * k + label: each row's label entry
     picked = flat[at]
     np.exp(p, out=p)
-    z = np.add.reduce(p, axis=1, keepdims=True)  # p.sum(...) without its Python wrappers
+    z = np.add.reduce(p, axis=1, keepdims=True, out=b.z)  # p.sum(...) without its wrappers
     ce = float(np.add.reduce(np.log(z[:, 0]) - picked) / n)
     p /= z
     flat[at] -= 1.0
@@ -47,9 +68,10 @@ def ce_and_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return ce, p
 
 
-def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
-    """Cross-entropy on the ID rows plus the dual energy terms, and their
-    gradient w.r.t. every logit.
+def loss_and_grad(logits, id_labels, bufs: StepBuffers | None = None):
+    """Cross-entropy on the ID rows plus the dual energy terms, as a
+    LossBreakdown, and their gradient w.r.t. every logit, written into bufs
+    (fresh buffers if None).
 
     logits stacks one ID row per label above the outlier rows, shape
     (b_in + b_out, k). One batch normalization and one softmax serve the loss
@@ -61,11 +83,13 @@ def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
     dL/df[i,j] = F[i,j] * (G[i,j] - sum_a G[a,j] * F[a,j]).
     """
     logits = np.asarray(logits, dtype=np.float64)
-    norm = batch_energy_normalize(logits)  # the one check of the logits
+    # the one check of the logits, and of the buffers' shape
+    norm = batch_energy_normalize(logits, None if bufs is None else bufs.norm)
     b_in = len(id_labels)
     b_out, k = logits.shape[0] - b_in, logits.shape[1]
+    b = StepBuffers(*logits.shape, b_in) if bufs is None else bufs  # shape checked with norm
     if b_in:  # a label count error comes first; an empty label list has none
-        ce, d_ce = ce_and_grad(logits[:b_in], id_labels)
+        ce, d_ce = ce_and_grad(logits[:b_in], id_labels, b.ce)
     if k < 2 or b_in < 1 or b_out < 1:
         raise InvalidInputError(
             f"need k >= 2, b_in >= 1, b_out >= 1, got k={k}, b_in={b_in}, b_out={b_out}")
@@ -74,19 +98,19 @@ def loss_and_grad(logits, id_labels) -> tuple[LossBreakdown, np.ndarray]:
     # masses themselves. h_s holds the hinge of every row, ID rows first.
     h_c_in = np.maximum(0.0, 1.0 - np.add.reduce(norm[:b_in], axis=0))
     h_c_out = np.add.reduce(norm[b_in:], axis=0)
-    h_s = np.add.reduce(norm, axis=1)
+    h_s = np.add.reduce(norm, axis=1, out=b.row_a)
     np.maximum(0.0, np.subtract(k / b_in, h_s[:b_in], out=h_s[:b_in]), out=h_s[:b_in])
-    sq_s = h_s**2
+    sq_s = np.square(h_s, out=b.row_b)
     dne_c = float(np.add.reduce(h_c_in**2) + np.add.reduce(h_c_out**2))
     dne_s = float(np.add.reduce(sq_s[:b_in]) / b_in + np.add.reduce(sq_s[b_in:]) / b_out)
 
     # dL/dF: the class term along each column plus the sample term along each
     # row. Every hinge is >= +0, and 0.0 - x turns an ID entry of -0.0 into
     # +0.0, as the sum from zeros did.
-    grad = np.empty_like(norm)
+    grad = b.grad
     np.subtract(0.0, 2.0 * h_c_in + (2.0 / b_in) * h_s[:b_in, None], out=grad[:b_in])
     np.add(2.0 * h_c_out, (2.0 / b_out) * h_s[b_in:, None], out=grad[b_in:])
-    grad -= np.add.reduce(grad * norm, axis=0, keepdims=True)
+    grad -= np.add.reduce(np.multiply(grad, norm, out=b.prod), axis=0, keepdims=True)
     grad *= norm
     grad[:b_in] += d_ce
     return LossBreakdown(total=ce + dne_c + dne_s, ce=ce, dne_c=dne_c, dne_s=dne_s), grad

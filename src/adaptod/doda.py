@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from .energy import as_logits
-from .errors import AdaptOdError, InvalidInputError, NumericError
+from .errors import AdaptOdError, InvalidInputError, NumericError, check_real
 
 DEFAULT_ALPHA = 3.0
 MAX_VIRTUAL_COUNT = 2**53  # the largest count a float64 holds exactly
@@ -43,8 +43,7 @@ class EnergyStats:
     def __post_init__(self):
         mu_in, sigma_in, alpha = self.mu_in, self.sigma_in, self.alpha
         for name in ("mu_in", "sigma_in", "alpha"):
-            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
-                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+            check_real(getattr(self, name), name)
         if not (math.isfinite(mu_in) and math.isfinite(sigma_in) and sigma_in >= 0):
             raise InvalidInputError("mu_in and sigma_in must be finite and sigma_in must be "
                                     f"non-negative, got {mu_in}, {sigma_in}")
@@ -256,12 +255,10 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"a plan must be a pair (use_label_probability, r), "
                                     f"got {plan!r}") from exc
-        if isinstance(f, bool) or not isinstance(f, Real):
-            raise InvalidInputError(f"use_label_probability must be a real number, got {f!r}")
+        check_real(f, "use_label_probability")
         if not 0.0 <= f <= 1.0:
             raise InvalidInputError(f"use_label_probability must lie in [0, 1], got {f}")
-        if isinstance(r, bool) or not isinstance(r, Real):
-            raise InvalidInputError(f"filter threshold r must be a real number, got {r!r}")
+        check_real(r, "filter threshold r")
         if math.isnan(r):
             raise InvalidInputError("filter threshold r must not be NaN")
     draw = max((f for f, _ in plans), default=0.0) > 0.0

@@ -19,16 +19,21 @@ def as_logits(x, ndim: int) -> np.ndarray:
     return a
 
 
-def batch_energy_normalize(batch) -> np.ndarray:
+def batch_energy_normalize(batch, out=None) -> np.ndarray:
     """Per-class normalization of exponentiated logits across a logit matrix
     (ID rows and outlier rows stacked in one batch).
 
     Entry (i, j) is exp(f_j(x_i)) / Σ_i' exp(f_j(x_i')), the denominator running
-    over every row (ID and outlier together). Each column sums to 1.
+    over every row (ID and outlier together). Each column sums to 1. The result
+    is written into out, a float64 array shaped as the batch (new if None).
     """
     rows = as_logits(batch, 2)
     if rows.shape[0] < 1:
         raise InvalidInputError("empty batch")
-    e = rows - np.maximum.reduce(rows.T.copy(), axis=1)  # a max is exact in any order
+    e = np.empty(rows.shape) if out is None else out
+    if e.shape != rows.shape:
+        raise InvalidInputError(f"buffers of shape {e.shape} do not fit logits of shape "
+                                f"{rows.shape}")
+    np.subtract(rows, np.maximum.reduce(rows.T.copy(), axis=1), out=e)  # exact in any order
     np.exp(e, out=e)
     return np.divide(e, np.add.reduce(e, axis=0, keepdims=True), out=e)

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the toolkit: one class per exit code of
-the command line, which prints f"{kind} error: {message}" and exits with exit_code."""
+the command line, which prints f"{kind} error: {message}" and exits with exit_code.
+Also check_real, the one check of a setting that must be a real number."""
+
+from numbers import Real
 
 
 class AdaptOdError(Exception):
@@ -23,3 +26,14 @@ class NumericError(AdaptOdError):
     """A value past float64 range: an energy, a mean of exp(logit), or a training
     loss, logit or parameter, whose step the message names."""
     exit_code, kind = 4, "numeric"
+
+
+def check_real(value, name: str) -> None:
+    """InvalidInputError naming name unless value is a real number (a bool is
+    not) that converts to a float, so that math.isfinite takes it."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} is too large for a float") from None

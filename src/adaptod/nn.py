@@ -9,12 +9,12 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .dne import LossBreakdown, ce_and_grad, loss_and_grad
-from .errors import DataError, InvalidInputError, NumericError
+from .dne import LossBreakdown, StepBuffers, ce_and_grad, loss_and_grad
+from .errors import DataError, InvalidInputError, NumericError, check_real
 
 MAX_PARAMS = 2**24  # most parameters Mlp.init allocates: 128 MB a vector, and training holds 3
 MAX_ACTIVATIONS = 2**25  # most values one forward allocates, rows x summed widths: 256 MB
@@ -134,7 +134,7 @@ class Mlp:
         """Unchecked forward to (logits, activations); layer i goes into outs[i] (new if None)."""
         activations = [x]
         for i, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
-            z = np.matmul(activations[-1], w, out=out)
+            z = np.dot(activations[-1], w, out=out)
             z += b
             if i < len(outs) - 1:
                 np.maximum(z, 0.0, out=z)
@@ -147,11 +147,11 @@ class Mlp:
         below start are not backpropagated into and keep their entries.
         hidden_grads[i - 1] gets the gradient into layer i (a new array if None)."""
         for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(activations[i].T, g, out=self._d_weights[i])
+            np.dot(activations[i].T, g, out=self._d_weights[i])
             np.add.reduce(g, axis=0, out=self._d_biases[i])
             if self.offsets[i] == start:
                 break
-            g = np.matmul(g, self.weights[i].T, out=hidden_grads[i - 1])
+            g = np.dot(g, self.weights[i].T, out=hidden_grads[i - 1])
             g *= activations[i] > 0.0
 
 
@@ -181,8 +181,7 @@ class TrainConfig:
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, Integral):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         for name in ("lr_pretrain", "lr_finetune", "momentum"):
-            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
-                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+            check_real(getattr(self, name), name)
         if self.seed < 0 or self.b_in < 1 or self.b_out < 1:
             raise InvalidInputError(f"seed must be >= 0 and batch sizes >= 1, got "
                                     f"seed={self.seed}, b_in={self.b_in}, b_out={self.b_out}")
@@ -196,12 +195,13 @@ class TrainConfig:
                 raise InvalidInputError(f"{name} must be finite and positive, got {value}")
 
 
-def _sgd_step(params, velocity, grad, scratch, lr, momentum, step):
-    """One momentum update, in place, of a run of the parameter vector."""
+def _sgd_step(params, velocity, grad, scratch, zeros, lr, momentum, step):
+    """One momentum update, in place, of a run of the parameter vector. Its
+    dot product with zeros is 0 unless a parameter is not finite (inf * 0 is NaN)."""
     velocity *= momentum
     velocity -= np.multiply(grad, lr, out=scratch)
     params += velocity
-    if not np.logical_and.reduce(np.isfinite(params)):  # .all() without its Python wrappers
+    if not math.isfinite(np.dot(params, zeros)):
         raise NumericError(f"non-finite parameters at step {step}")
 
 
@@ -259,18 +259,18 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     ys = np.empty(steps_per_epoch * b_in, np.intp)
     stacked = np.empty((b_in + b_out, *row_shape))
 
-    def ce_batch(x, y, step, outs):
+    def ce_batch(x, y, step, outs, bufs):
         logits, acts = model._forward(x, outs)
-        ce, d_logits = ce_and_grad(logits, y)
+        ce, d_logits = ce_and_grad(logits, y, bufs)
         return (ce, ce, 0.0, 0.0), acts, d_logits
 
-    def paired_batch(x, y, step, outs):
+    def paired_batch(x, y, step, outs, bufs):
         out_idx = rng.choice(outlier_x.shape[0], size=b_out, replace=False)
         stacked[:b_in] = x
         outlier_x.take(out_idx, axis=0, out=stacked[b_in:], mode="clip")
         logits, acts = model._forward(stacked, outs)
         try:
-            terms, d_logits = loss_and_grad(logits, y)
+            terms, d_logits = loss_and_grad(logits, y, bufs)
         except InvalidInputError as exc:  # after train's input checks: non-finite logits
             raise NumericError(f"non-finite logits at step {step}") from exc
         return (terms.total, terms.ce, terms.dne_c, terms.dne_s), acts, d_logits
@@ -281,29 +281,32 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     for *_, rows, _ in stages:  # forward's checks, once per run
         model._check_rows((rows, *row_shape))
     log: list[LossBreakdown] = []
+    losses = np.empty((4, steps_per_epoch))  # each step's loss terms, for the epoch means
     with np.errstate(over="ignore", invalid="ignore"):
         for epochs, lr0, start, rows, batch_loss in stages:
             lrs = cosine_schedule(epochs * steps_per_epoch, lr0)
             params, grad = model.params[start:], model.grad[start:]
-            velocity, scratch = np.zeros_like(params), np.empty_like(params)
+            (velocity, zeros), scratch = np.zeros((2, len(params))), np.empty_like(params)
             outs = [np.empty((rows, width)) for width in model.layer_dims[1:]]  # step buffers
             hidden_grads = [np.empty_like(out) if at > start else None
                             for out, at in zip(outs, model.offsets[1:-1])]
+            bufs = StepBuffers(rows, k, b_in)
             step = 0
             for _ in range(epochs):
                 order = rng.permutation(n)[:xs.shape[0]]
                 id_x.take(order, axis=0, out=xs, mode="clip")
                 id_y.take(order, out=ys, mode="clip")
-                losses = []
-                for s in range(0, ys.size, b_in):
-                    loss, acts, d_logits = batch_loss(xs[s:s + b_in], ys[s:s + b_in], step, outs)
+                for i, s in enumerate(range(0, ys.size, b_in)):
+                    loss, acts, d_logits = batch_loss(xs[s:s + b_in], ys[s:s + b_in], step, outs,
+                                                      bufs)
                     if not math.isfinite(loss[0]):
                         raise NumericError(f"non-finite loss at step {step}")
                     model._backward(acts, d_logits, start, hidden_grads)
-                    _sgd_step(params, velocity, grad, scratch, lrs[step], cfg.momentum, step)
+                    _sgd_step(params, velocity, grad, scratch, zeros, lrs[step], cfg.momentum,
+                              step)
                     step += 1
-                    losses.append(loss)
-                log.append(LossBreakdown(*(float(np.mean(term)) for term in zip(*losses))))
+                    losses[:, i] = loss
+                log.append(LossBreakdown(*losses.mean(axis=1).tolist()))
     return model, log
 
 

@@ -1204,11 +1204,12 @@ class TestStream:
         (0.001, 0, "stream would contain no OOD samples: 100 ID samples at ood_fraction 0.001"),
         ("0.5", 0, "ood_fraction must be a real number, got '0.5'"),
         (True, 0, "ood_fraction must be a real number, got True"),
+        (10**400, 0, "ood_fraction is too large for a float"),
         (0.5, -1, "seed must be an integer >= 0, got -1"),
         (0.5, 1.0, "seed must be an integer >= 0, got 1.0"),
         (0.5, False, "seed must be an integer >= 0, got False"),
-    ], ids=["fraction", "no-ood", "fraction-text", "fraction-bool", "seed-negative",
-            "seed-float", "seed-bool"])
+    ], ids=["fraction", "no-ood", "fraction-text", "fraction-bool", "fraction-huge",
+            "seed-negative", "seed-float", "seed-bool"])
     def test_a_refused_stream_names_the_values(self, fraction, seed, message):
         id_test = data.SampleSet(np.zeros((100, 2)), np.zeros(100, int), data.ID_TEST)
         true_ood = data.SampleSet(np.zeros((5, 2)), np.full(5, -1), data.TRUE_OOD)

@@ -75,6 +75,9 @@ class TestSpecChecks:
         ("rho", "x", "rho must be a real number, got 'x'"),
         ("shift", None, "shift must be a real number, got None"),
         ("head_tilt", False, "head_tilt must be a real number, got False"),
+        ("rho", 10**400, "rho is too large for a float"),
+        ("class_scale", 10**400, "class_scale is too large for a float"),
+        ("shift", -10**400, "shift is too large for a float"),
     ])
     def test_bad_setting_is_rejected_and_named(self, name, value, message):
         with pytest.raises(InvalidInputError) as info:

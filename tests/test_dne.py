@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from adaptod.dne import LossBreakdown, ce_and_grad, loss_and_grad
+from adaptod.dne import LossBreakdown, StepBuffers, ce_and_grad, loss_and_grad
 from adaptod.errors import InvalidInputError
 
 from oracles import (
@@ -238,6 +239,22 @@ class TestFusedStep:
             assert breakdown == want
             assert np.array_equal(grad, want_grad)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_three_pass_reference_at_the_benchmark_batch_shape(self, seed):
+        """The training batch of `adaptod train` and the benchmark, b_in=64 ID
+        rows above b_out=128 outlier rows, at k=10 and at widths up to 32,
+        where NumPy's pairwise row sums take their unrolled path (k >= 8)."""
+        rng = np.random.default_rng(320 + seed)
+        for k in (10, 8, 9, 16, 17, 31, 32, *rng.integers(2, 33, 68)):  # 75 batches
+            id_rows = rng.standard_normal((64, k)) * 3.0
+            out_rows = rng.standard_normal((128, k)) * 3.0 - rng.uniform(0, 4)
+            labels = rng.integers(0, k, 64)
+            breakdown, grad = loss_and_grad(np.vstack([id_rows, out_rows]), labels)
+            want, want_grad = margin_oracle(np.vstack([id_rows, out_rows]), labels,
+                                            default_margins(k, 64))
+            assert breakdown == want
+            assert np.array_equal(grad, want_grad)
+
     def test_ce_and_grad_equals_stage_one_reference(self):
         rng = np.random.default_rng(310)
         for n, k in ((1, 2), (7, 3), (64, 10), (33, 5)):
@@ -273,3 +290,35 @@ class TestFusedStep:
         # both wrong: the label count is reported first
         with pytest.raises(InvalidInputError, match="one label per ID row required"):
             loss_and_grad(np.zeros((2, 1)), [0, 0, 0])
+
+
+class TestStepBuffers:
+    """nn.train's path: one StepBuffers per stage, written by every step."""
+
+    def test_reused_buffers_give_the_bits_of_fresh_arrays(self):
+        rng = np.random.default_rng(330)
+        ce_bufs, dne_bufs = StepBuffers(64, 10), StepBuffers(192, 10, 64)
+        for _ in range(2):
+            batch, labels = random_batch(rng, 10, 64, 128) * 3.0, rng.integers(0, 10, 64)
+            ce, grad = ce_and_grad(batch[:64], labels, ce_bufs)
+            want_ce, want_grad = ce_and_grad(batch[:64], labels)
+            assert ce == want_ce and grad.tobytes() == want_grad.tobytes()
+            assert grad is ce_bufs.grad
+            terms, grad = loss_and_grad(batch, labels, dne_bufs)
+            want_terms, want_grad = loss_and_grad(batch, labels)
+            assert terms == want_terms and grad.tobytes() == want_grad.tobytes()
+            assert grad is dne_bufs.grad
+
+    @pytest.mark.parametrize("call, rows, bufs, message", [
+        pytest.param(ce_and_grad, 64, StepBuffers(63, 10),
+                     "buffers of shape (63, 10) do not fit logits of shape (64, 10)", id="ce rows"),
+        pytest.param(ce_and_grad, 64, StepBuffers(64, 9),
+                     "buffers of shape (64, 9) do not fit logits of shape (64, 10)", id="ce width"),
+        pytest.param(loss_and_grad, 192, StepBuffers(191, 10, 64),
+                     "buffers of shape (191, 10) do not fit logits of shape (192, 10)", id="rows"),
+        pytest.param(loss_and_grad, 192, StepBuffers(192, 10, 32),
+                     "buffers of shape (32, 10) do not fit logits of shape (64, 10)", id="ID rows"),
+    ])
+    def test_buffers_of_another_shape_are_refused(self, call, rows, bufs, message):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message) + "$"):
+            call(np.zeros((rows, 10)), np.zeros(64, int), bufs)

@@ -101,6 +101,9 @@ class TestFitEnergyStats:
         (False, 1.0, 3.0, "mu_in must be a real number, got False"),
         (0.0, None, 3.0, "sigma_in must be a real number, got None"),
         (0.0, 1j, 3.0, "sigma_in must be a real number, got 1j"),
+        (10**400, 1.0, 3.0, "mu_in is too large for a float"),
+        (0.0, 10**400, 3.0, "sigma_in is too large for a float"),
+        (0.0, 1.0, 10**400, "alpha is too large for a float"),
     ])
     def test_values_must_be_real_numbers(self, mu, sigma, alpha, message):
         with pytest.raises(InvalidInputError, match="^" + re.escape(message) + "$"):
@@ -796,6 +799,8 @@ class TestPlans:
         (("x", 0.0), "use_label_probability must be a real number, got 'x'"),
         ((0.0, "x"), "filter threshold r must be a real number, got 'x'"),
         ((True, 0.0), "use_label_probability must be a real number, got True"),
+        ((0.0, 10**400), "filter threshold r is too large for a float"),
+        ((0.0, -10**400), "filter threshold r is too large for a float"),
         ((0.0, 0.0, 1), "a plan must be a pair (use_label_probability, r), got (0.0, 0.0, 1)"),
         (0.5, "a plan must be a pair (use_label_probability, r), got 0.5"),
     ])

@@ -1,8 +1,16 @@
-"""The pipeline's artifacts equal the recorded golden digests byte for byte."""
+"""The pipeline's artifacts and the desk benchmark's outputs equal the
+recorded golden digests."""
 
 import json
 
-from golden_digests import GOLDEN, SEEDS, differences, environment, pipeline_digests
+from golden_digests import (
+    GOLDEN,
+    SEEDS,
+    desk_digest,
+    differences,
+    environment,
+    pipeline_digests,
+)
 
 
 def test_pipeline_artifacts_match_the_golden_digests(tmp_path):
@@ -13,6 +21,15 @@ def test_pipeline_artifacts_match_the_golden_digests(tmp_path):
     assert not mismatches, (
         "artifacts differ from tests/golden_digests.json (recorded under "
         f"{golden['environment']}, running under {environment()}):\n" + "\n".join(mismatches))
+
+
+def test_desk_benchmark_matches_its_golden_digest():
+    golden = json.loads(GOLDEN.read_text())
+    got = desk_digest()
+    assert got == golden["desk_benchmark"], (
+        f"the six-seed desk benchmark digest is {got}, not {golden['desk_benchmark']} as in "
+        f"tests/golden_digests.json (recorded under {golden['environment']}, running under "
+        f"{environment()})")
 
 
 def test_differences_name_each_changed_new_and_missing_entry():

@@ -307,6 +307,27 @@ class TestTrain:
         assert np.array_equal(model.weights[0], trained.weights[0])
         assert not np.array_equal(model.weights[1], trained.weights[1])
 
+    def test_each_stage_2_step_calls_nn_loss_and_grad_once_with_the_stage_buffers(
+            self, monkeypatch):
+        """train looks the loss up as nn.loss_and_grad at each step, so a stand-in
+        that ignores the buffers and returns a gradient of its own trains the
+        same bits."""
+        x, y, outliers = blob_task(0)
+        cfg = TrainConfig(seed=0, epochs_pretrain=1, epochs_finetune=2, b_in=32, b_out=64)
+        want_model, want_log = train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+        calls = []
+
+        def stand_in(logits, labels, bufs):
+            calls.append(bufs)
+            terms, grad = loss_and_grad(logits, labels)
+            return terms, grad.copy()
+
+        monkeypatch.setattr(nn, "loss_and_grad", stand_in)
+        model, log = train(Mlp.init([4, 8, 2], seed=0), x, y, outliers, cfg)
+        assert model.params.tobytes() == want_model.params.tobytes() and log == want_log
+        assert len(calls) == 2 * (len(x) // 32)
+        assert all(bufs is calls[0] for bufs in calls) and calls[0].shape == (96, 2)
+
     @pytest.mark.parametrize("field, value", [("b_in", 0), ("b_in", -3), ("b_out", 0)])
     def test_batch_sizes_below_one_are_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=f"{field}={value}"):
@@ -325,6 +346,11 @@ class TestTrain:
         with pytest.raises(InvalidInputError,
                            match=f"^{field} must be a real number, got {value!r}$"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lr_pretrain", "lr_finetune", "momentum"])
+    def test_rates_and_momentum_must_fit_a_float(self, field):
+        with pytest.raises(InvalidInputError, match=f"^{field} is too large for a float$"):
+            TrainConfig(**{field: 10**400})
 
     def test_a_negative_seed_is_rejected(self):
         with pytest.raises(InvalidInputError, match=re.escape(
@@ -423,6 +449,10 @@ class TestDivergence:
                      id="stage-2-lr"),
         pytest.param({"epochs_pretrain": 0}, 1e307, 0, "non-finite loss",
                      id="stage-2-output-near-float-max"),
+        pytest.param({"lr_pretrain": 1e308}, 1.0, 0, "non-finite parameters",
+                     id="stage-1-parameters"),
+        pytest.param({"epochs_pretrain": 0, "lr_finetune": 1e308}, 1e3, 0,
+                     "non-finite parameters", id="stage-2-parameters"),
     ])
     def test_stops_at_the_step_of_the_per_layer_loop(self, settings, scale, step, message):
         x, y, outliers = blob_task(0)
