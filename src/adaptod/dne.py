@@ -10,10 +10,11 @@ ID rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .energy import batch_energy_normalize
+from .energy import batch_energy_normalize, column_sums
 from .errors import InvalidInputError
 
 
@@ -27,19 +28,26 @@ class LossBreakdown:
 
 class StepBuffers:
     """Arrays that ce_and_grad and loss_and_grad write into, allocated once for
-    logits of shape (rows, k) whose first b_in rows are ID rows (ce holds
-    ce_and_grad's for those rows). A call returns its gradient in grad, which
-    the next call overwrites."""
+    logits of shape (rows, k), with the views of them that every call uses. If
+    b_in of the rows are ID rows, ce holds ce_and_grad's buffers for them and
+    parts the views on the ID rows and on the outlier rows. A call returns its
+    gradient in grad, which the next call overwrites."""
 
     def __init__(self, rows: int, k: int, b_in: int | None = None):
         self.shape = (rows, k)
         self.grad, self.norm, self.prod = np.empty((3, rows, k))
+        self.flat = self.grad.reshape(-1)  # a view: grad is C-contiguous
         self.cols = np.empty((k, rows))  # the logits transposed, for row maxima
-        self.row_a, self.row_b = np.empty((2, rows))  # per-row scratch
-        self.z = np.empty((rows, 1))
+        self.row_a, self.row_b, self.z = np.empty((3, rows))  # per-row scratch
+        self.row_max, self.z_col = self.row_a[:, None], self.z[:, None]
         self.at = np.arange(0, rows * k, k)  # row * k: each row's first entry in flat grad
         self.label_at = np.empty(rows, np.intp)
         self.ce = None if b_in in (None, rows) else StepBuffers(b_in, k)
+        if self.ce is not None:
+            self.h_c = np.empty((2, k))  # the class hinges of the ID and of the outlier rows
+            self.parts = [SimpleNamespace(grad=self.grad[at], h_s=self.row_a[at], r=self.row_b[at],
+                                          r_col=self.row_b[at, None], h_c=h_c)
+                          for at, h_c in zip((slice(b_in), slice(b_in, None)), self.h_c)]
 
 
 def ce_and_grad(logits: np.ndarray, labels, bufs: StepBuffers | None = None):
@@ -55,14 +63,14 @@ def ce_and_grad(logits: np.ndarray, labels, bufs: StepBuffers | None = None):
     if b.shape != logits.shape:
         raise InvalidInputError(f"buffers of shape {b.shape} do not fit logits of shape {(n, k)}")
     b.cols[...] = logits.T  # row maxima from a contiguous copy: a max is exact in any order
-    p = np.subtract(logits, np.maximum.reduce(b.cols, axis=0, out=b.row_a)[:, None], out=b.grad)
-    flat = p.reshape(-1)  # a view: grad is C-contiguous
+    np.maximum.reduce(b.cols, axis=0, out=b.row_a)
+    p, flat = np.subtract(logits, b.row_max, out=b.grad), b.flat
     at = np.add(b.at, labels, out=b.label_at)  # row * k + label: each row's label entry
     picked = flat[at]
     np.exp(p, out=p)
-    z = np.add.reduce(p, axis=1, keepdims=True, out=b.z)  # p.sum(...) without its wrappers
-    ce = float(np.add.reduce(np.log(z[:, 0]) - picked) / n)
-    p /= z
+    np.add.reduce(p, axis=1, keepdims=True, out=b.z_col)  # p.sum(...) without its wrappers
+    ce = float(np.add.reduce(np.log(b.z) - picked) / n)
+    p /= b.z_col
     flat[at] -= 1.0
     p /= n
     return ce, p
@@ -96,21 +104,27 @@ def loss_and_grad(logits, id_labels, bufs: StepBuffers | None = None):
     # Margins: class mass 1 (ID) and 0 (outliers), row mass k / b_in (ID) and
     # 0 (outliers). A mass is never negative, so the outlier hinges are the
     # masses themselves. h_s holds the hinge of every row, ID rows first.
-    h_c_in = np.maximum(0.0, 1.0 - np.add.reduce(norm[:b_in], axis=0))
-    h_c_out = np.add.reduce(norm[b_in:], axis=0)
+    ids, outs = b.parts
+    column_sums(norm[:b_in], out=ids.h_c)  # no entry of norm is -0.0
+    column_sums(norm[b_in:], out=outs.h_c)
+    np.maximum(0.0, np.subtract(1.0, ids.h_c, out=ids.h_c), out=ids.h_c)
     h_s = np.add.reduce(norm, axis=1, out=b.row_a)
-    np.maximum(0.0, np.subtract(k / b_in, h_s[:b_in], out=h_s[:b_in]), out=h_s[:b_in])
-    sq_s = np.square(h_s, out=b.row_b)
-    dne_c = float(np.add.reduce(h_c_in**2) + np.add.reduce(h_c_out**2))
-    dne_s = float(np.add.reduce(sq_s[:b_in]) / b_in + np.add.reduce(sq_s[b_in:]) / b_out)
+    np.maximum(0.0, np.subtract(k / b_in, ids.h_s, out=ids.h_s), out=ids.h_s)
+    sq_c = np.add.reduce(np.square(b.h_c), axis=1)
+    np.square(h_s, out=b.row_b)
+    dne_c = float(sq_c[0] + sq_c[1])
+    dne_s = float(np.add.reduce(ids.r) / b_in + np.add.reduce(outs.r) / b_out)
 
-    # dL/dF: the class term along each column plus the sample term along each
+    # dL/dF: the class term along each column plus the sample term r along each
     # row. Every hinge is >= +0, and 0.0 - x turns an ID entry of -0.0 into
     # +0.0, as the sum from zeros did.
     grad = b.grad
-    np.subtract(0.0, 2.0 * h_c_in + (2.0 / b_in) * h_s[:b_in, None], out=grad[:b_in])
-    np.add(2.0 * h_c_out, (2.0 / b_out) * h_s[b_in:, None], out=grad[b_in:])
-    grad -= np.add.reduce(np.multiply(grad, norm, out=b.prod), axis=0, keepdims=True)
+    b.h_c *= 2.0
+    np.multiply(ids.h_s, 2.0 / b_in, out=ids.r)
+    np.multiply(outs.h_s, 2.0 / b_out, out=outs.r)
+    np.subtract(0.0, np.add(ids.h_c, ids.r_col, out=ids.grad), out=ids.grad)
+    np.add(outs.h_c, outs.r_col, out=outs.grad)
+    grad -= column_sums(np.multiply(grad, norm, out=b.prod))  # an outlier entry is >= +0
     grad *= norm
-    grad[:b_in] += d_ce
+    ids.grad += d_ce
     return LossBreakdown(total=ce + dne_c + dne_s, ce=ce, dne_c=dne_c, dne_s=dne_s), grad

@@ -36,4 +36,14 @@ def batch_energy_normalize(batch, out=None) -> np.ndarray:
                                 f"{rows.shape}")
     np.subtract(rows, np.maximum.reduce(rows.T.copy(), axis=1), out=e)  # exact in any order
     np.exp(e, out=e)
-    return np.divide(e, np.add.reduce(e, axis=0, keepdims=True), out=e)
+    return np.divide(e, column_sums(e), out=e)
+
+
+def column_sums(a, out=None) -> np.ndarray:
+    """np.add.reduce(a, axis=0) of a C-contiguous matrix with no column of -0.0
+    entries alone, at half its cost for the 192-row training batch: einsum adds
+    the rows in the same order, from +0.0. It sums a single column in another
+    order, so that one is reduced."""
+    if a.shape[1] < 2:
+        return np.add.reduce(a, axis=0, out=out)
+    return np.einsum("ij->j", a, out=out)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from adaptod.energy import batch_energy_normalize
+from adaptod.energy import batch_energy_normalize, column_sums
 from adaptod.errors import InvalidInputError
 
 
@@ -68,3 +68,17 @@ class TestBatchEnergyNormalize:
         m, c = case
         np.testing.assert_allclose(batch_energy_normalize(m + c[None, :]),
                                    batch_energy_normalize(m), rtol=0, atol=1e-12)
+
+
+class TestColumnSums:
+    def test_bits_of_the_row_by_row_sum(self):
+        """The sums of np.add.reduce(a, axis=0), bit for bit, at the training
+        batch shapes and at one column, for entries that are never -0.0."""
+        rng = np.random.default_rng(40)
+        for rows, k in ((192, 10), (64, 10), (128, 10), (7, 1), (300, 1), (1, 5), (50, 33)):
+            a = np.exp(rng.standard_normal((rows, k)) * 20.0)
+            a[rng.random(a.shape) < 0.1] = 0.0
+            assert column_sums(a).tobytes() == np.add.reduce(a, axis=0).tobytes()
+            out = np.empty(k)
+            assert column_sums(a, out=out) is out
+            assert out.tobytes() == np.add.reduce(a, axis=0).tobytes()
