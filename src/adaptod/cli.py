@@ -17,18 +17,19 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, fields, replace
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
 from . import doda, metrics, nn
-from .errors import AdaptOdError, DataError, InvalidInputError, NumericError, check_real
+from .errors import (UNIT, AdaptOdError, DataError, InvalidInputError, NumericError, check_int,
+                     check_real)
 
 EXIT_OK = 0
 EXIT_CONFIG = InvalidInputError.exit_code
 EXIT_DATA = DataError.exit_code
+OOD_FRACTION = (lambda v: 0.0 < v < 1.0, "lie strictly between 0 and 1")  # rule of --ood-fraction
 
 DATASET_FILES = {
     data_mod.ID_TRAIN: "id_train.csv",
@@ -70,12 +71,8 @@ def build_stream(id_test: data_mod.SampleSet, true_ood: data_mod.SampleSet,
     count is chosen to hit ood_fraction given all ID samples, capped by what is
     available.
     """
-    check_real(ood_fraction, "ood_fraction")
-    if not 0.0 < ood_fraction < 1.0:
-        raise InvalidInputError("ood_fraction must lie strictly between 0 and 1, "
-                                f"got {ood_fraction}")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    check_real(ood_fraction, "ood_fraction", OOD_FRACTION)
+    check_int(seed, "seed", 0)
     n_id = id_test.n
     n_ood = min(true_ood.n, round(n_id * ood_fraction / (1.0 - ood_fraction)))
     if n_ood < 1:
@@ -263,11 +260,8 @@ def _prepare_run(ns, alpha):
     """The preamble of every evaluating command: --ood-fraction and
     --virtual-count checked before any file is read, then prepare of the data
     and of a model that fits it."""
-    if not 0.0 < ns.ood_fraction < 1.0:
-        raise InvalidInputError("ood_fraction must lie strictly between 0 and 1, "
-                                f"got {ns.ood_fraction}")
-    if not 0 <= ns.virtual_count <= doda.MAX_VIRTUAL_COUNT:
-        raise InvalidInputError(f"virtual_count must lie in [0, 2**53], got {ns.virtual_count}")
+    check_real(ns.ood_fraction, "ood_fraction", OOD_FRACTION)
+    check_int(ns.virtual_count, "virtual_count", 0, doda.MAX_VIRTUAL_COUNT)
     datasets = load_datasets(ns.data)
     model, _, _ = nn.load_checkpoint(ns.model)
     k_data = int(datasets[data_mod.ID_TRAIN].labels.max()) + 1
@@ -283,8 +277,7 @@ def cmd_adapt_eval(ns) -> int:
     fractions = [f + 0.0 for f in _parse_grid(ns.oracle_fractions)]  # -0 + 0.0 is 0.0
     named = {}
     for f in fractions:
-        if not 0.0 <= f <= 1.0:
-            raise InvalidInputError(f"oracle fraction {f:g} must lie in [0, 1]")
+        check_real(f, "oracle fraction", UNIT)
         if named.setdefault(f"{f:g}", f) != f:  # one sweep_<f> key per value
             raise InvalidInputError(f"oracle fractions {named[f'{f:g}']!r} and {f!r} would both "
                                     f"be reported as sweep_{f:g}")
@@ -455,8 +448,7 @@ def main(argv=None) -> int:
         if args.config:
             _set_config_defaults(parser, args.command, args.config)
             args = parser.parse_args(argv)
-        if args.seed < 0:  # every subcommand seeds a NumPy generator with it
-            raise InvalidInputError(f"seed must be non-negative, got {args.seed}")
+        check_int(args.seed, "seed", 0)  # every subcommand seeds a NumPy generator with it
         out = Path(args.out)  # refused, not replaced: it may hold files no flag names
         if out.exists() and not (out.is_dir() and not any(out.iterdir())):
             raise InvalidInputError(f"--out {out} exists and is not an empty directory")

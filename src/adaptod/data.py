@@ -16,11 +16,10 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DataError, InvalidInputError, check_real
+from .errors import POSITIVE, UNIT, DataError, InvalidInputError, check_int, check_real
 
 # provenance tags
 ID_TRAIN = "id-train"
@@ -33,6 +32,7 @@ SHELL_GAP = 2.0  # the outlier shell starts this far beyond the class means
 SHELL_WIDTH = 3.0  # and is this thick
 MAX_COSINE = 0.6  # outlier directions keep a cosine below this to the novel direction
 MAX_SET_VALUES = 2**25  # most values (rows x d) of a generated sample set: 256 MB of float64
+AT_LEAST_ONE = (lambda v: 1.0 <= v < math.inf, "be finite and >= 1")  # the imbalance ratio rho
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,11 @@ class BenchmarkSpec:
     head_tilt: float = 0.7
 
     def __post_init__(self):
-        for name in ("k", "n_max", "d", "seed", "n_test_per_class", "n_out", "n_ood"):
-            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        for name in ("rho", "class_scale", "shift", "head_tilt"):
-            check_real(getattr(self, name), name)
-        if self.seed < 0:  # it seeds NumPy generators
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if self.k < 2:
-            raise InvalidInputError(f"k must be >= 2, got {self.k}")
-        for name in ("n_max", "d", "n_test_per_class", "n_out", "n_ood"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, rule in (("k", 2), ("n_max", 1), ("rho", AT_LEAST_ONE), ("d", 1), ("seed", 0),
+                           ("class_scale", POSITIVE), ("n_test_per_class", 1), ("n_out", 1),
+                           ("n_ood", 1), ("shift", POSITIVE), ("head_tilt", UNIT)):
+            check = check_int if isinstance(rule, int) else check_real  # an int rule is lo
+            object.__setattr__(self, name, check(getattr(self, name), name, rule))  # ints as int
         if self.k > 2 * self.d:
             raise InvalidInputError(f"the axis-aligned layout holds at most 2*d={2 * self.d} "
                                     f"classes, got k={self.k}")
@@ -75,14 +68,6 @@ class BenchmarkSpec:
                 raise InvalidInputError(
                     f"{name}={getattr(self, name)} makes a set of up to {rows} rows of "
                     f"d={self.d} values, more than MAX_SET_VALUES={MAX_SET_VALUES}")
-        if not (math.isfinite(self.rho) and self.rho >= 1.0):
-            raise InvalidInputError(f"imbalance ratio rho must be finite and >= 1, got {self.rho}")
-        for name in ("class_scale", "shift"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise InvalidInputError(
-                    f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not 0.0 <= self.head_tilt <= 1.0:
-            raise InvalidInputError(f"head_tilt must lie in [0, 1], got {self.head_tilt}")
         for j, n_j in enumerate(self.class_counts()):
             if n_j < 1:
                 raise InvalidInputError(

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .energy import as_logits
-from .errors import AdaptOdError, InvalidInputError, NumericError, check_real
+from .errors import (FINITE, POSITIVE, UNIT, AdaptOdError, InvalidInputError, NumericError,
+                     check_int, check_real)
 
 DEFAULT_ALPHA = 3.0
 MAX_VIRTUAL_COUNT = 2**53  # the largest count a float64 holds exactly
@@ -42,26 +42,14 @@ class EnergyStats:
 
     def __post_init__(self):
         mu_in, sigma_in, alpha = self.mu_in, self.sigma_in, self.alpha
-        for name in ("mu_in", "sigma_in", "alpha"):
-            check_real(getattr(self, name), name)
-        if not (math.isfinite(mu_in) and math.isfinite(sigma_in) and sigma_in >= 0):
-            raise InvalidInputError("mu_in and sigma_in must be finite and sigma_in must be "
-                                    f"non-negative, got {mu_in}, {sigma_in}")
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise InvalidInputError(f"alpha must be finite and positive, got {alpha}")
+        non_negative = (lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+        for name, rule in (("mu_in", FINITE), ("sigma_in", non_negative), ("alpha", POSITIVE)):
+            check_real(getattr(self, name), name, rule)
         r = mu_in - alpha * sigma_in
         if not math.isfinite(r):
             raise InvalidInputError(f"threshold R = mu_in - alpha * sigma_in is not finite "
                                     f"(alpha={alpha}, mu_in={mu_in}, sigma_in={sigma_in})")
         object.__setattr__(self, "r", r)
-
-
-def _check_count(count, name: str) -> None:
-    """InvalidInputError unless count is an integer in [0, MAX_VIRTUAL_COUNT]."""
-    if isinstance(count, bool) or not isinstance(count, Integral):
-        raise InvalidInputError(f"{name} must be an integer, got {count!r}")
-    if not 0 <= count <= MAX_VIRTUAL_COUNT:
-        raise InvalidInputError(f"{name} must lie in [0, 2**53], got {count}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +65,7 @@ class OutlierDistribution:
             raise InvalidInputError(f"values must be 1-D with k >= 1 classes, got shape {v.shape}")
         if not np.isfinite(v).all() or (v < 0).any():
             raise InvalidInputError("values must be finite and non-negative")
-        _check_count(self.m, "count m")
+        object.__setattr__(self, "m", check_int(self.m, "count m", 0, MAX_VIRTUAL_COUNT))
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -116,7 +104,7 @@ def init_outlier_distribution(outlier_logits, virtual_count: int = 1) -> Outlier
     virtual_count is the pseudo-observation weight the initialization carries in
     later updates; 0 means the first accepted test sample replaces it outright.
     """
-    _check_count(virtual_count, "virtual_count")
+    check_int(virtual_count, "virtual_count", 0, MAX_VIRTUAL_COUNT)
     rows = as_logits(np.atleast_2d(np.asarray(outlier_logits, dtype=np.float64)), 2)
     if rows.shape[0] < 1:
         raise InvalidInputError("need at least one outlier sample to initialize")
@@ -255,12 +243,8 @@ def run_plans(state, logit_stream, plans, *, oracle_labels=None, rng=None):
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"a plan must be a pair (use_label_probability, r), "
                                     f"got {plan!r}") from exc
-        check_real(f, "use_label_probability")
-        if not 0.0 <= f <= 1.0:
-            raise InvalidInputError(f"use_label_probability must lie in [0, 1], got {f}")
-        check_real(r, "filter threshold r")
-        if math.isnan(r):
-            raise InvalidInputError("filter threshold r must not be NaN")
+        check_real(f, "use_label_probability", UNIT)
+        check_real(r, "filter threshold r", (lambda v: not math.isnan(v), "not be NaN"))
     draw = max((f for f, _ in plans), default=0.0) > 0.0
     if draw and (oracle_labels is None or rng is None):
         raise InvalidInputError("use_label_probability > 0 requires oracle_labels and an rng")

@@ -9,12 +9,11 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
-from numbers import Integral
 
 import numpy as np
 
 from .dne import LossBreakdown, StepBuffers, ce_and_grad, loss_and_grad
-from .errors import DataError, InvalidInputError, NumericError, check_real
+from .errors import POSITIVE, DataError, InvalidInputError, NumericError, check_int, check_real
 
 MAX_PARAMS = 2**24  # most parameters Mlp.init allocates: 128 MB a vector, and training holds 3
 MAX_ACTIVATIONS = 2**25  # most values one forward allocates, rows x summed widths: 256 MB
@@ -29,19 +28,9 @@ def _layer_dims(layer_dims) -> list[int]:
     except TypeError as exc:
         raise InvalidInputError(f"layer_dims must be a sequence of integers, "
                                 f"got {layer_dims!r}") from exc
-    if any(isinstance(d, bool) or not isinstance(d, Integral) for d in dims):
-        raise InvalidInputError(f"layer_dims must hold integers, got {dims}")
-    dims = [int(d) for d in dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise InvalidInputError(f"layer_dims needs input and output sizes, all >= 1, got {dims}")
-    return dims
-
-
-def _seed(seed) -> int:
-    """seed as an int; InvalidInputError unless it is an integer >= 0 (a bool is not)."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
+    if len(dims) < 2:
+        raise InvalidInputError(f"layer_dims needs input and output sizes, got {dims}")
+    return [check_int(d, f"layer_dims[{i}]", 1) for i, d in enumerate(dims)]
 
 
 def _stage(stage) -> str:
@@ -97,7 +86,7 @@ class Mlp:
         n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         if n > MAX_PARAMS:  # before any allocation
             raise InvalidInputError(f"{n} parameters in {dims} exceed MAX_PARAMS={MAX_PARAMS}")
-        rng = np.random.default_rng(_seed(seed))
+        rng = np.random.default_rng(check_int(seed, "seed", 0))
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = 1.0 / np.sqrt(fan_in)
@@ -177,22 +166,11 @@ class TrainConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        for name in ("seed", "epochs_pretrain", "epochs_finetune", "b_in", "b_out"):
-            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        for name in ("lr_pretrain", "lr_finetune", "momentum"):
-            check_real(getattr(self, name), name)
-        if self.seed < 0 or self.b_in < 1 or self.b_out < 1:
-            raise InvalidInputError(f"seed must be >= 0 and batch sizes >= 1, got "
-                                    f"seed={self.seed}, b_in={self.b_in}, b_out={self.b_out}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidInputError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.epochs_pretrain < 0 or self.epochs_finetune < 0:
-            raise InvalidInputError("epoch counts must be non-negative, got "
-                                    f"{self.epochs_pretrain} and {self.epochs_finetune}")
-        for name in ("lr_pretrain", "lr_finetune"):
-            if not (math.isfinite(value := getattr(self, name)) and value > 0):
-                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+        for name, rule in (("seed", 0), ("epochs_pretrain", 0), ("epochs_finetune", 0),
+                           ("lr_pretrain", POSITIVE), ("lr_finetune", POSITIVE), ("b_in", 1),
+                           ("b_out", 1), ("momentum", (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"))):
+            check = check_int if isinstance(rule, int) else check_real  # an int rule is lo
+            object.__setattr__(self, name, check(getattr(self, name), name, rule))  # ints as int
 
 
 def _sgd_step(params, velocity, grad, scratch, zeros, lr, momentum, step):
@@ -314,7 +292,8 @@ def save_checkpoint(path, model: Mlp, seed: int, stage: str) -> None:
     """Canonical JSON checkpoint; weights stored row-major as decimal text. A
     seed or stage that load_checkpoint would refuse raises InvalidInputError
     before the file is opened."""
-    payload = {"layer_dims": model.layer_dims, "seed": _seed(seed), "stage": _stage(stage),
+    payload = {"layer_dims": model.layer_dims, "seed": check_int(seed, "seed", 0),
+               "stage": _stage(stage),
                "weights": [[float(v) for v in w.ravel()] for w in model.weights],
                "biases": [[float(v) for v in b] for b in model.biases]}
     with open(path, "w") as fh:
@@ -367,5 +346,5 @@ def load_checkpoint(path) -> tuple[Mlp, int, str]:
     biases = _json_field(payload, "biases", path, lambda v: [
         _float_array(b, (o,)) for b, (_, o) in zip(v, shapes, strict=True)])
     model = Mlp(layer_dims=dims, weights=weights, biases=biases)
-    return (model, _json_field(payload, "seed", path, _seed),
+    return (model, _json_field(payload, "seed", path, lambda v: check_int(v, "seed", 0)),
             _json_field(payload, "stage", path, _stage))

@@ -2,7 +2,8 @@
 src/adaptod, public or private, is used in src/adaptod or bench/ outside its own
 definition, and so is every method and property of its classes; every error
 class but the base is raised in src/adaptod, no module of src/adaptod uses a
-private name of another, and only cli, nn and data touch files.
+private name of another, only cli, nn and data touch files, and only errors
+names the number types of the numbers module.
 Uses are read from the AST, so a docstring or a comment that names a
 function does not keep it alive."""
 
@@ -173,4 +174,23 @@ def test_only_cli_nn_and_data_touch_files():
                 found += [(path.stem, a.name) for a in node.names if a.name == "json"]
             elif isinstance(node, ast.ImportFrom) and node.module == "json":
                 found.append((path.stem, "json"))
+    assert found == []
+
+
+def test_only_errors_names_the_number_types():
+    """errors.check_int and errors.check_real are the one check of a setting
+    that must be a number: no other module imports numbers or names its
+    Integral or Real, so no hand-written type check grows back beside them."""
+    found = []
+    for path in sorted((ROOT / "src" / PACKAGE).glob("*.py")):
+        if path.stem == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name) for a in node.names if a.name == "numbers"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                found.append((path.stem, "numbers"))
+            elif name in ("Integral", "Real"):
+                found.append((path.stem, name))
     assert found == []

@@ -12,7 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,11 +242,11 @@ class TestTrain:
         assert nn.TrainConfig(seed=0, **train_config) == nn.TrainConfig(seed=0)
 
     @pytest.mark.parametrize("argv, message", [
-        (["--b-in", "0"], "b_in=0"),
-        (["--b-in", "-3", "--epochs-finetune", "0"], "b_in=-3"),
-        (["--b-out", "0"], "b_out=0"),
+        (["--b-in", "0"], "b_in must be >= 1, got 0"),
+        (["--b-in", "-3", "--epochs-finetune", "0"], "b_in must be >= 1, got -3"),
+        (["--b-out", "0"], "b_out must be >= 1, got 0"),
         (["--momentum", "nan"], "momentum must lie in [0, 1), got nan"),
-        (["--epochs-pretrain", "-1"], "got -1 and 10"),
+        (["--epochs-pretrain", "-1"], "epochs_pretrain must be >= 0, got -1"),
         (["--lr-pretrain", "nan"], "lr_pretrain must be finite and positive, got nan"),
         (["--lr-pretrain", "-1"], "lr_pretrain must be finite and positive, got -1.0"),
         (["--lr-pretrain", "0"], "lr_pretrain must be finite and positive, got 0.0"),
@@ -482,6 +482,30 @@ class TestAdaptEval:
         assert doda.EnergyStats(payload["mu_in"], payload["sigma_in"],
                                 payload["alpha"]) == stats
 
+    def test_adapted_scores_histogram_bins_the_doda_scores(self, small_run, tmp_path):
+        """energy_hist.csv's adapted_scores column counts plain DODA's scores over
+        the file's edges; in a run whose filter accepts samples, those differ from
+        the no-TTA scores, and so does their binning."""
+        data_dir, model_dir = small_run
+        out = tmp_path / "eval"
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
+                     "--out", out, "--alpha", 0.01, "--virtual-count", 2)
+        assert rc == EXIT_OK
+        datasets = cli.load_datasets(data_dir)
+        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        stats, p0, _ = cli.prepare(model, datasets, alpha=0.01, virtual_count=2)
+        logits = model.forward(cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
+                                                0.5, 0)[0])
+        doda_scores, mask, _ = doda.run_stream(p0, stats, logits)
+        no_tta_scores, _, _ = doda.run_stream(p0, stats, logits, freeze=True)
+        assert mask.any()
+        header, *rows = (out / "energy_hist.csv").read_text().splitlines()
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        edges = np.append(table[:, 0], table[-1, 1])
+        column = table[:, header.split(",").index("adapted_scores")]
+        assert np.array_equal(column, np.histogram(doda_scores, bins=edges)[0])
+        assert not np.array_equal(column, np.histogram(no_tta_scores, bins=edges)[0])
+
     def test_repeat_runs_are_byte_identical(self, small_run, tmp_path):
         data_dir, model_dir = small_run
         outs = []
@@ -625,7 +649,7 @@ class TestAdaptEval:
         rc = run_cli("adapt-eval", "--data", data_dir, "--model", model_dir / "checkpoint.json",
                      "--out", tmp_path / "e", "--oracle-fractions", fractions)
         assert rc == EXIT_CONFIG
-        assert f"oracle fraction {bad} must lie in [0, 1]" in capsys.readouterr().err
+        assert f"oracle fraction must lie in [0, 1], got {bad}" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
@@ -698,6 +722,24 @@ class TestHeadTail:
         metrics.json, and no alias of them."""
         assert command_actions("head-tail")["mode"].choices == list(cli.mode_plans(0.0)) == [
             "uncalibrated", "no_tta", "doda", "oracle"]
+
+    def test_the_default_mode_is_doda(self):
+        assert command_actions("head-tail")["mode"].default == "doda"
+
+    def test_the_head_half_is_the_first_half_of_the_class_indices(self, small_run):
+        """The head report is evaluate_plans' report of the ID-test rows whose
+        label is below k // 2, against the true OOD; the tail report is of the rest."""
+        data_dir, model_dir = small_run
+        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        stats, p0, logit_sets = cli.prepare(model, cli.load_datasets(data_dir))
+        reports = cli.head_tail_reports(stats, p0, logit_sets)
+        id_test, k = logit_sets[data.ID_TEST], model.layer_dims[-1]
+        is_head = id_test.labels < k // 2
+        for name, mask in (("head", is_head), ("tail", ~is_head)):
+            half = replace(id_test, features=id_test.features[mask], labels=id_test.labels[mask])
+            stream = cli.build_stream(half, logit_sets[data.TRUE_OOD], 0.5, 0)
+            plans = {"doda": (0.0, stats.r)}
+            assert reports[name] == cli.evaluate_plans(p0, stream, plans)["doda"]["report"]
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["head-tail", "--data", "d", "--model", "c.json", "--mode", "frozen"],
@@ -1205,9 +1247,9 @@ class TestStream:
         ("0.5", 0, "ood_fraction must be a real number, got '0.5'"),
         (True, 0, "ood_fraction must be a real number, got True"),
         (10**400, 0, "ood_fraction is too large for a float"),
-        (0.5, -1, "seed must be an integer >= 0, got -1"),
-        (0.5, 1.0, "seed must be an integer >= 0, got 1.0"),
-        (0.5, False, "seed must be an integer >= 0, got False"),
+        (0.5, -1, "seed must be >= 0, got -1"),
+        (0.5, 1.0, "seed must be an integer, got 1.0"),
+        (0.5, False, "seed must be an integer, got False"),
     ], ids=["fraction", "no-ood", "fraction-text", "fraction-bool", "fraction-huge",
             "seed-negative", "seed-float", "seed-bool"])
     def test_a_refused_stream_names_the_values(self, fraction, seed, message):
@@ -1226,7 +1268,7 @@ class TestSeed:
             command, ["--data", tmp_path / "d", "--model", tmp_path / "c.json",
                       "--out", tmp_path / "e"])
         assert run_cli(command, *argv, "--seed", -1) == EXIT_CONFIG
-        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

@@ -84,9 +84,19 @@ class TestSpecChecks:
             default_spec(**{"n_max": 50, name: value})
         assert message in str(info.value)
 
+    def test_each_field_is_checked_whole_in_field_order(self):
+        """A setting's type and range are checked together, field by field, so
+        the first bad field is named whatever its fault: k's range before d's type."""
+        with pytest.raises(InvalidInputError, match="^k must be >= 2, got 1$"):
+            default_spec(k=1, d="8")
+
     def test_numpy_integers_and_integral_reals_are_accepted(self):
         spec = default_spec(k=np.int64(4), d=np.int32(2), seed=np.uint8(3), rho=10, shift=2)
         assert spec.class_counts() == default_spec(k=4, d=2, seed=3, rho=10.0).class_counts()
+        spec = default_spec(n_max=50, seed=np.uint8(255))  # stored as an int: seed + 1 is 256
+        assert type(spec.seed) is int
+        assert np.array_equal(generate_long_tailed(spec)[0].features,
+                              generate_long_tailed(default_spec(n_max=50, seed=255))[0].features)
 
 
 class TestGenerators:
@@ -145,6 +155,15 @@ class TestGenerators:
             ).mean()
             mean_dists.append(d)
         assert mean_dists[0] < mean_dists[1] < mean_dists[2]
+
+    @pytest.mark.parametrize("class_scale", [0.3, 1.5])
+    def test_true_ood_spread_is_the_class_scale(self, class_scale):
+        """Each axis of the true-OOD cloud has std class_scale about true_ood_center,
+        within 5 standard errors of a sample std, class_scale / sqrt(2 (n - 1))."""
+        spec = default_spec(n_max=50, n_ood=4000, class_scale=class_scale)
+        spread = (generate_true_ood(spec).features - true_ood_center(spec)).std(axis=0, ddof=1)
+        bound = 5 * class_scale / np.sqrt(2 * (spec.n_ood - 1))
+        assert np.abs(spread - class_scale).max() < bound
 
     def test_true_ood_provenance(self):
         ood = generate_true_ood(default_spec(n_max=50, n_ood=5, shift=1.0))

@@ -124,11 +124,16 @@ class TestFitEnergyStats:
                 f"(alpha={alpha}, mu_in={mu}, sigma_in={sigma})") + "$"):
             EnergyStats(mu, sigma, alpha)
 
-    @pytest.mark.parametrize("mu, sigma", [
-        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+    @pytest.mark.parametrize("mu, sigma, message", [
+        (math.nan, 1.0, "mu_in must be finite, got nan"),
+        (math.inf, 1.0, "mu_in must be finite, got inf"),
+        (-math.inf, 1.0, "mu_in must be finite, got -inf"),
+        (1.0, math.nan, "sigma_in must be finite and >= 0, got nan"),
+        (1.0, math.inf, "sigma_in must be finite and >= 0, got inf"),
+        (1.0, -1.0, "sigma_in must be finite and >= 0, got -1.0"),
     ])
-    def test_moments_must_be_finite(self, mu, sigma):
-        with pytest.raises(InvalidInputError, match="must be finite"):
+    def test_moments_must_be_finite(self, mu, sigma, message):
+        with pytest.raises(InvalidInputError, match="^" + re.escape(message) + "$"):
             EnergyStats(mu, sigma, 3.0)
 
 
@@ -171,7 +176,7 @@ class TestInitOutlierDistribution:
         rounds in the running-mean update, and a huge one overflows it."""
         assert init_outlier_distribution([[0.0, 0.0]], virtual_count=2**53).m == 2**53
         for count in (-1, 2**53 + 1, 10**400):
-            message = rf"^virtual_count must lie in \[0, 2\*\*53\], got {count}$"
+            message = rf"^virtual_count must lie in \[0, {2**53}\], got {count}$"
             with pytest.raises(InvalidInputError, match=message):
                 init_outlier_distribution([[0.0, 0.0]], virtual_count=count)
 
@@ -188,6 +193,8 @@ class TestInitOutlierDistribution:
     def test_numpy_integer_counts_are_integers(self):
         assert init_outlier_distribution([[0.0, 0.0]], virtual_count=np.int64(3)).m == 3
         assert OutlierDistribution(values=np.ones(2), m=np.uint8(2)).m == 2
+        state = OutlierDistribution(values=np.ones(2), m=np.uint8(255))  # stored as an int,
+        assert adapt_and_score(state, EnergyStats(100.0, 1.0), [0.0, 0.0])[0].m == 256  # not 0
 
     @pytest.mark.parametrize("m", [-1, 2**53 + 1, 10**400], ids=["-1", "2**53+1", "10**400"])
     def test_a_count_outside_0_to_2_pow_53_is_refused(self, m):
@@ -195,7 +202,7 @@ class TestInitOutlierDistribution:
         OverflowError from the running-mean update."""
         assert OutlierDistribution(values=np.ones(2), m=2**53).m == 2**53
         with pytest.raises(InvalidInputError,
-                           match=rf"^count m must lie in \[0, 2\*\*53\], got {m}$"):
+                           match=rf"^count m must lie in \[0, {2**53}\], got {m}$"):
             run_stream(OutlierDistribution(values=np.ones(2), m=m),
                        EnergyStats(100.0, 1.0), np.zeros((3, 2)))
 
