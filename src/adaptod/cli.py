@@ -230,8 +230,7 @@ def cmd_train(ns) -> int:
     datasets = load_datasets(ns.data, (data_mod.ID_TRAIN, data_mod.OUTLIER))
     model, log = train_models(datasets, cfg, ns.hidden)
     with _run_dir(ns) as out_dir:
-        stage = "finetune" if cfg.epochs_finetune else "pretrain"
-        nn.save_checkpoint(out_dir / "checkpoint.json", model, cfg.seed, stage)
+        nn.save_checkpoint(out_dir / "checkpoint.json", model)
         with open(out_dir / "loss_log.csv", "w") as fh:
             fh.write("epoch,total,ce,dne_c,dne_s\n")
             for i, row in enumerate(log):
@@ -263,7 +262,7 @@ def _prepare_run(ns, alpha):
     check_real(ns.ood_fraction, "ood_fraction", OOD_FRACTION)
     check_int(ns.virtual_count, "virtual_count", 0, doda.MAX_VIRTUAL_COUNT)
     datasets = load_datasets(ns.data)
-    model, _, _ = nn.load_checkpoint(ns.model)
+    model = nn.load_checkpoint(ns.model)
     k_data = int(datasets[data_mod.ID_TRAIN].labels.max()) + 1
     if model.layer_dims[-1] != k_data:
         raise InvalidInputError(f"checkpoint k={model.layer_dims[-1]} does not match "

@@ -110,7 +110,6 @@ class BenchmarkSpec:
 class SampleSet:
     features: np.ndarray
     labels: np.ndarray  # -1 for outlier / true-OOD samples
-    provenance: str
 
     @property
     def n(self) -> int:
@@ -123,12 +122,11 @@ def generate_long_tailed(spec: BenchmarkSpec):
     means = spec.class_means
     rng = np.random.default_rng(spec.seed + 1)
     sets = []
-    for counts, provenance in ((spec.class_counts(), ID_TRAIN),
-                               ([spec.n_test_per_class] * spec.k, ID_TEST)):
+    for counts in (spec.class_counts(), [spec.n_test_per_class] * spec.k):
         feats = [means[j] + spec.class_scale * rng.standard_normal((n_j, spec.d))
                  for j, n_j in enumerate(counts)]
         labels = [np.full(n_j, j) for j, n_j in enumerate(counts)]
-        sets.append(SampleSet(np.vstack(feats), np.concatenate(labels), provenance))
+        sets.append(SampleSet(np.vstack(feats), np.concatenate(labels)))
     return tuple(sets)
 
 
@@ -150,7 +148,7 @@ def generate_outliers(spec: BenchmarkSpec) -> SampleSet:
         n_kept += cand.shape[0]
     dirs = np.vstack(kept)[:spec.n_out]
     radius = CLASS_RADIUS + SHELL_GAP + rng.uniform(0.0, SHELL_WIDTH, size=spec.n_out)
-    return SampleSet(dirs * radius[:, None], np.full(spec.n_out, -1), OUTLIER)
+    return SampleSet(dirs * radius[:, None], np.full(spec.n_out, -1))
 
 
 def true_ood_center(spec: BenchmarkSpec) -> np.ndarray:
@@ -165,7 +163,7 @@ def generate_true_ood(spec: BenchmarkSpec) -> SampleSet:
     feats = np.random.default_rng(spec.seed + 4).standard_normal((spec.n_ood, spec.d))
     feats *= spec.class_scale  # in place: one array of n_ood rows at a time
     feats += true_ood_center(spec)
-    return SampleSet(feats, np.full(spec.n_ood, -1), TRUE_OOD)
+    return SampleSet(feats, np.full(spec.n_ood, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +187,10 @@ def _line_error(path, lineno: int, message: str) -> DataError:
 
 def read_sample_set(path, provenance: str) -> SampleSet:
     """Read a write_sample_set file in one np.loadtxt parse; where it or an array check
-    fails, _read_lines names the line. A non-UTF-8 byte reads as a non-number. A
-    MemoryError of either parse is a DataError that names the file."""
+    fails, _read_lines names the line. An ID set's provenance tag refuses negative
+    labels. A non-UTF-8 byte reads as a non-number. A MemoryError of either parse
+    is a DataError that names the file."""
+    id_set = provenance in (ID_TRAIN, ID_TEST)
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             header = fh.readline()
@@ -208,17 +208,16 @@ def read_sample_set(path, provenance: str) -> SampleSet:
             except (ValueError, OverflowError):
                 rows = None
         if (rows is not None and rows.size and np.isfinite(rows["values"]).all()
-                and not (provenance in (ID_TRAIN, ID_TEST) and (rows["label"] < 0).any())):
-            return SampleSet(rows["values"].copy(), rows["label"].copy(), provenance)
-        return _read_lines(path, k, provenance)
+                and not (id_set and (rows["label"] < 0).any())):
+            return SampleSet(rows["values"].copy(), rows["label"].copy())
+        return _read_lines(path, k, id_set)
     except MemoryError as exc:
         raise DataError(f"{path}: out of memory while parsing the file") from exc
 
 
-def _read_lines(path, k: int, provenance: str) -> SampleSet:
+def _read_lines(path, k: int, id_set: bool) -> SampleSet:
     """Name the line of a bad field count, int, float, non-finite value, label beyond
     int64 or negative ID-set label; or read whitespace-only lines loadtxt rejects."""
-    id_set = provenance in (ID_TRAIN, ID_TEST)
     labels, rows = [], []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         fh.readline()  # the header, checked by read_sample_set
@@ -243,4 +242,4 @@ def _read_lines(path, k: int, provenance: str) -> SampleSet:
             rows.append(values)
     if not rows:
         raise DataError(f"{path}: sample-set file holds no rows")
-    return SampleSet(np.array(rows, dtype=np.float64), np.array(labels), provenance)
+    return SampleSet(np.array(rows, dtype=np.float64), np.array(labels))

@@ -165,7 +165,8 @@ def _shifted_exp(rows):
 
 def global_energies(rows) -> np.ndarray:
     """Sum of exponentiated logits, Σ_j exp(f_j), of each row of a logit matrix.
-    Strictly positive; per row the float ops of the one-sample step."""
+    Never negative, and 0.0 where exp(max f) underflows (every logit of the row
+    below about -745); per row the float ops of the one-sample step."""
     m, e = _shifted_exp(np.ascontiguousarray(as_logits(rows, 2)))
     return _scaled_rows(m, e.sum(axis=1))[1]
 

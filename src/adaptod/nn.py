@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,13 +33,6 @@ def _layer_dims(layer_dims) -> list[int]:
     return [check_int(d, f"layer_dims[{i}]", 1) for i, d in enumerate(dims)]
 
 
-def _stage(stage) -> str:
-    """stage if it is one of the two that save_checkpoint writes; InvalidInputError otherwise."""
-    if stage not in ("pretrain", "finetune"):  # CE alone, or DNE fine-tuning after it
-        raise InvalidInputError(f"stage must be 'pretrain' or 'finetune', got {stage!r}")
-    return stage
-
-
 def _check_finite(x: np.ndarray, name: str) -> None:
     """InvalidInputError naming the first row of x that holds a non-finite value."""
     if not np.isfinite(x).all():
@@ -49,27 +42,24 @@ def _check_finite(x: np.ndarray, name: str) -> None:
 
 @dataclass
 class Mlp:
-    """Fully connected net, ReLU hidden activations, identity output. The arrays
-    are packed into one vector, params, layer by layer (W row-major, then b), so
-    the output layer is its tail; weights and biases become views into it, layer
-    i begins at offsets[i], and _backward fills grad, laid out the same way."""
+    """Fully connected net, ReLU hidden activations, identity output. Its
+    parameters are one float64 vector, params, laid out layer by layer (W
+    row-major, then b), so the output layer is its tail; weights and biases are
+    views into it, layer i begins at offsets[i], and _backward fills grad, laid
+    out the same way. A params whose length does not fit layer_dims raises
+    InvalidInputError."""
 
     layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
 
     def __post_init__(self):
         dims = self.layer_dims
-        layers = zip_longest(dims[:-1], dims[1:], self.weights, self.biases)
-        for layer, (i, o, w, b) in enumerate(layers):  # a missing array has shape ()
-            if (np.shape(w), np.shape(b)) != ((i, o), (o,)):
-                raise InvalidInputError(f"layer {layer}: expected W {(i, o)} and b {(o,)}, "
-                                        f"got W {np.shape(w)} and b {np.shape(b)}")
         self.offsets = list(accumulate((i * o + o for i, o in zip(dims[:-1], dims[1:])),
                                        initial=0))
-        self.params = np.concatenate(
-            [np.ravel(a) for w, b in zip(self.weights, self.biases) for a in (w, b)],
-            dtype=np.float64)
+        self.params = np.array(self.params, dtype=np.float64)
+        if self.params.shape != (self.offsets[-1],):
+            raise InvalidInputError(f"layer_dims {dims} need {self.offsets[-1]} parameters, "
+                                    f"got params of shape {self.params.shape}")
         self.grad = np.zeros_like(self.params)
         self.weights, self.biases = self._layer_views(self.params)
         self._d_weights, self._d_biases = self._layer_views(self.grad)
@@ -83,19 +73,16 @@ class Mlp:
     @classmethod
     def init(cls, layer_dims, seed: int) -> "Mlp":
         dims = _layer_dims(layer_dims)
-        n = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+        layers = list(zip(dims[:-1], dims[1:]))
+        n = sum(i * o + o for i, o in layers)
         if n > MAX_PARAMS:  # before any allocation
             raise InvalidInputError(f"{n} parameters in {dims} exceed MAX_PARAMS={MAX_PARAMS}")
         rng = np.random.default_rng(check_int(seed, "seed", 0))
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(layer_dims=dims, weights=weights, biases=biases)
+        return cls(dims, np.concatenate([  # each layer's W row-major, then b, in one draw
+            rng.uniform(-1.0 / np.sqrt(i), 1.0 / np.sqrt(i), size=i * o + o) for i, o in layers]))
 
     def copy(self) -> "Mlp":
-        return Mlp(list(self.layer_dims), self.weights, self.biases)
+        return Mlp(list(self.layer_dims), self.params)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Logits of the rows of inputs. Inputs whose activations would exceed
@@ -288,16 +275,11 @@ def train(model: Mlp, id_x, id_y, outlier_x, cfg: TrainConfig):
     return model, log
 
 
-def save_checkpoint(path, model: Mlp, seed: int, stage: str) -> None:
-    """Canonical JSON checkpoint; weights stored row-major as decimal text. A
-    seed or stage that load_checkpoint would refuse raises InvalidInputError
-    before the file is opened."""
-    payload = {"layer_dims": model.layer_dims, "seed": check_int(seed, "seed", 0),
-               "stage": _stage(stage),
-               "weights": [[float(v) for v in w.ravel()] for w in model.weights],
-               "biases": [[float(v) for v in b] for b in model.biases]}
+def save_checkpoint(path, model: Mlp) -> None:
+    """Canonical JSON checkpoint of exactly layer_dims and params, as decimal text."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        json.dump({"layer_dims": model.layer_dims, "params": model.params.tolist()}, fh,
+                  sort_keys=True)
         fh.write("\n")
 
 
@@ -327,24 +309,12 @@ def _json_field(payload: dict, key: str, path, convert):
         raise DataError(f"{path}: bad {key!r}: {exc}") from exc
 
 
-def _float_array(value, shape) -> np.ndarray:
-    """value as a finite float64 array of the given shape, else ValueError."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != shape or not np.isfinite(arr).all():
-        raise ValueError(f"expected finite values of shape {shape}, got shape {arr.shape}")
-    return arr
-
-
-def load_checkpoint(path) -> tuple[Mlp, int, str]:
+def load_checkpoint(path) -> Mlp:
     """Read a save_checkpoint file. DataError names the path and the key
-    that is missing, malformed or does not match layer_dims."""
+    that is missing or malformed, or params that are not finite or do not fit layer_dims."""
     payload = _read_json_object(path)
     dims = _json_field(payload, "layer_dims", path, _layer_dims)
-    shapes = list(zip(dims[:-1], dims[1:]))
-    weights = _json_field(payload, "weights", path, lambda v: [
-        _float_array(w, (i * o,)).reshape(i, o) for w, (i, o) in zip(v, shapes, strict=True)])
-    biases = _json_field(payload, "biases", path, lambda v: [
-        _float_array(b, (o,)) for b, (_, o) in zip(v, shapes, strict=True)])
-    model = Mlp(layer_dims=dims, weights=weights, biases=biases)
-    return (model, _json_field(payload, "seed", path, lambda v: check_int(v, "seed", 0)),
-            _json_field(payload, "stage", path, _stage))
+    model = _json_field(payload, "params", path, lambda v: Mlp(dims, v))
+    if not np.isfinite(model.params).all():  # json reads NaN and Infinity
+        raise DataError(f"{path}: bad 'params': a parameter is not finite")
+    return model

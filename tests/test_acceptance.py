@@ -52,22 +52,6 @@ def test_normalization_invariants_over_random_batches():
         assert abs(norm.sum() - k) < 1e-9
 
 
-def _flatten(model):
-    return np.concatenate([w.ravel() for w in model.weights]
-                          + [b.ravel() for b in model.biases])
-
-
-def _rebuild(model, flat):
-    ws, bs, pos = [], [], 0
-    for w in model.weights:
-        ws.append(flat[pos:pos + w.size].reshape(w.shape))
-        pos += w.size
-    for b in model.biases:
-        bs.append(flat[pos:pos + b.size].reshape(b.shape))
-        pos += b.size
-    return nn.Mlp(list(model.layer_dims), ws, bs)
-
-
 def _kink_distance(model, id_x, out_x):
     """Distance of the case from the nearest non-smooth point: the smallest
     absolute hidden pre-activation and the smallest hinge slack. Finite
@@ -121,18 +105,16 @@ def test_loss_gradients_match_finite_differences():
             if _kink_distance(model, id_x, out_x) < 1e-2:
                 continue
 
-            def loss_of(flat):
-                m = _rebuild(model, flat)
+            def loss_of(params):
+                m = nn.Mlp(list(model.layer_dims), params)
                 batch = np.vstack([m.forward(id_x), m.forward(out_x)])
                 return dne.loss_and_grad(batch, labels)[0].total
 
             logits, acts = model._forward(np.vstack([id_x, out_x]), [None] * len(dims[1:]))
             upstream = dne.loss_and_grad(logits, labels)[1]
             model._backward(acts, upstream, 0, [None] * len(dims[1:-1]))
-            analytic = np.concatenate([g.ravel() for g in model._d_weights]
-                                      + [g.ravel() for g in model._d_biases])
-            numeric = central_difference(loss_of, _flatten(model))
-            err = max_relative_error(analytic, numeric, floor=1e-4)
+            numeric = central_difference(loss_of, model.params)
+            err = max_relative_error(model.grad, numeric, floor=1e-4)
             worst = max(worst, err)
             case += 1
             done += 1
@@ -337,8 +319,7 @@ def test_pipeline_determinism_and_lossless_round_trips(tmp_path):
     from adaptod.data import OUTLIER, SampleSet, read_sample_set, write_sample_set
     rng = np.random.default_rng(5)
     records = [(int(rng.integers(-1, 10)), rng.normal(0, 50, 6)) for _ in range(40)]
-    samples = SampleSet(np.array([r[1] for r in records]), np.array([r[0] for r in records]),
-                        OUTLIER)
+    samples = SampleSet(np.array([r[1] for r in records]), np.array([r[0] for r in records]))
     path = tmp_path / "logits.csv"
     write_sample_set(path, samples)
     back = read_sample_set(path, OUTLIER)
@@ -348,7 +329,7 @@ def test_pipeline_determinism_and_lossless_round_trips(tmp_path):
     assert np.array_equal(back.features, samples.features)
 
     # checkpoints restore the exact parameters
-    model, seed, stage = nn.load_checkpoint(model_dirs[0] / "checkpoint.json")
+    model = nn.load_checkpoint(model_dirs[0] / "checkpoint.json")
     path2 = tmp_path / "ckpt2.json"
-    nn.save_checkpoint(path2, model, seed, stage)
+    nn.save_checkpoint(path2, model)
     assert path2.read_bytes() == (model_dirs[0] / "checkpoint.json").read_bytes()

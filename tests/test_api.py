@@ -3,7 +3,8 @@ src/adaptod, public or private, is used in src/adaptod or bench/ outside its own
 definition, and so is every method and property of its classes; every error
 class but the base is raised in src/adaptod, no module of src/adaptod uses a
 private name of another, only cli, nn and data touch files, and only errors
-names the number types of the numbers module.
+names the number types of the numbers module; and the package stays within
+its line budget.
 Uses are read from the AST, so a docstring or a comment that names a
 function does not keep it alive."""
 
@@ -194,3 +195,14 @@ def test_only_errors_names_the_number_types():
             elif name in ("Integral", "Real"):
                 found.append((path.stem, name))
     assert found == []
+
+
+SRC_LINE_BUDGET = 1668  # wc -l src/adaptod/*.py; a change that must grow it raises this and says why
+
+
+def test_source_stays_within_its_line_budget():
+    """The package shrinks or holds: its summed line count, as wc -l counts
+    (newlines), is at most SRC_LINE_BUDGET."""
+    lines = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((ROOT / "src" / PACKAGE).glob("*.py"))}
+    assert sum(lines.values()) <= SRC_LINE_BUDGET, lines

@@ -174,9 +174,7 @@ class TestBenchmarkContract:
 class TestTrain:
     def test_checkpoint_and_loss_log(self, small_run):
         _, model_dir = small_run
-        model, seed, stage = nn.load_checkpoint(model_dir / "checkpoint.json")
-        assert seed == 3
-        assert stage == "finetune"
+        model = nn.load_checkpoint(model_dir / "checkpoint.json")
         assert model.layer_dims == [8, 8, 10]
         lines = (model_dir / "loss_log.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,total,ce,dne_c,dne_s"
@@ -212,8 +210,7 @@ class TestTrain:
         out = tmp_path / "ce"
         assert run_cli("train", "--data", data_dir, "--out", out, "--seed", 3, "--hidden", 8,
                        "--epochs-pretrain", 2, "--epochs-finetune", 0) == EXIT_OK
-        _, _, stage = nn.load_checkpoint(out / "checkpoint.json")
-        assert stage == "pretrain"
+        assert nn.load_checkpoint(out / "checkpoint.json").layer_dims == [8, 8, 10]
         assert len((out / "loss_log.csv").read_text().splitlines()) == 1 + 2
         params = json.loads((out / "manifest.json").read_text())["params"]
         assert params["epochs_finetune"] == 0
@@ -232,7 +229,7 @@ class TestTrain:
         init = nn.Mlp.init([id_train.features.shape[1], 32, 10], 4)
         model, _ = nn.train(init, id_train.features, id_train.labels,
                             sets[data.OUTLIER].features, nn.TrainConfig(seed=4))
-        nn.save_checkpoint(tmp_path / "want.json", model, 4, "finetune")
+        nn.save_checkpoint(tmp_path / "want.json", model)
         assert (out / "checkpoint.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_benchmark_train_config_is_the_default(self):
@@ -450,7 +447,7 @@ class TestAdaptEval:
                      "--out", out, "--events", "--alpha", 0.01, "--virtual-count", 2)
         assert rc == EXIT_OK
         datasets = cli.load_datasets(data_dir)
-        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        model = nn.load_checkpoint(model_dir / "checkpoint.json")
         stats, p0, _ = cli.prepare(model, datasets, alpha=0.01, virtual_count=2)
         logits = model.forward(cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
                                                 0.5, 0)[0])
@@ -469,7 +466,7 @@ class TestAdaptEval:
                      "--out", out, "--alpha", 0.01, "--virtual-count", 2)
         assert rc == EXIT_OK
         datasets = cli.load_datasets(data_dir)
-        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        model = nn.load_checkpoint(model_dir / "checkpoint.json")
         stats, p0, _ = cli.prepare(model, datasets, alpha=0.01, virtual_count=2)
         logits = model.forward(cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
                                                 0.5, 0)[0])
@@ -492,7 +489,7 @@ class TestAdaptEval:
                      "--out", out, "--alpha", 0.01, "--virtual-count", 2)
         assert rc == EXIT_OK
         datasets = cli.load_datasets(data_dir)
-        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        model = nn.load_checkpoint(model_dir / "checkpoint.json")
         stats, p0, _ = cli.prepare(model, datasets, alpha=0.01, virtual_count=2)
         logits = model.forward(cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
                                                 0.5, 0)[0])
@@ -521,25 +518,26 @@ class TestAdaptEval:
     def test_mismatched_checkpoint_exits_config(self, small_run, tmp_path):
         data_dir, _ = small_run
         bad = nn.Mlp.init([8, 4, 3], 0)  # wrong output width for k=10 data
-        nn.save_checkpoint(tmp_path / "bad.json", bad, 0, "pretrain")
+        nn.save_checkpoint(tmp_path / "bad.json", bad)
         rc = run_cli("adapt-eval", "--data", data_dir, "--model",
                      tmp_path / "bad.json", "--out", tmp_path / "e")
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("text, key", [
         ("{not json", "not valid JSON"),
-        ('{"layer_dims": [8, 10]}', "'weights'"),
-        pytest.param('{"layer_dims": [8, 10], "weights": [[' + ", ".join(["0"] * 80)
-                     + ']], "biases": [[1' + "0" * 400 + ", 0" * 9 + "]]}", "bad 'biases'",
-                     id="bias-beyond-float64"),  # escaped main as a bare OverflowError
+        ('{"layer_dims": [8, 10]}', "missing key 'params'"),
+        pytest.param('{"layer_dims": [8, 10], "params": [' + "0, " * 89 + "1" + "0" * 400
+                     + "]}", "bad 'params'",
+                     id="param-beyond-float64"),  # escaped main as a bare OverflowError
+        pytest.param('{"layer_dims": [8, 10], "params": [' + "0, " * 89 + "NaN]}",
+                     "bad 'params'", id="nan-param"),
+        pytest.param('{"layer_dims": [8, 10], "params": [' + "0, " * 88 + "0]}",
+                     "bad 'params'", id="short-params"),
         pytest.param("[" * 1000, "not valid JSON", id="nested-too-deep"),
-        # sizes that Mlp.init refuses, with arrays that match them
-        pytest.param('{"layer_dims": [8], "weights": [], "biases": []}', "bad 'layer_dims'",
-                     id="one-size"),
-        pytest.param('{"layer_dims": [], "weights": [], "biases": []}', "bad 'layer_dims'",
-                     id="no-sizes"),
-        pytest.param('{"layer_dims": [8, 0, 10], "weights": [[], []], "biases": [[], ['
-                     + ", ".join(["0"] * 10) + ']], "seed": 0, "stage": "finetune"}',
+        # sizes that Mlp.init refuses, with parameters that match them
+        pytest.param('{"layer_dims": [8], "params": []}', "bad 'layer_dims'", id="one-size"),
+        pytest.param('{"layer_dims": [], "params": []}', "bad 'layer_dims'", id="no-sizes"),
+        pytest.param('{"layer_dims": [8, 0, 10], "params": [' + ", ".join(["0"] * 10) + "]}",
                      "bad 'layer_dims'", id="zero-width"),
     ])
     def test_malformed_checkpoint_exits_data(self, small_run, tmp_path, capsys, text, key):
@@ -551,6 +549,20 @@ class TestAdaptEval:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert str(tmp_path / "bad.json") in err and key in err
+
+    def test_a_per_layer_checkpoint_exits_data_naming_the_missing_params(self, small_run,
+                                                                         tmp_path, capsys):
+        """The format before one parameter vector: weights and biases per layer, seed, stage."""
+        data_dir, model_dir = small_run
+        model = nn.load_checkpoint(model_dir / "checkpoint.json")
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "biases": [b.tolist() for b in model.biases], "layer_dims": model.layer_dims,
+            "seed": 3, "stage": "finetune", "weights": [w.ravel().tolist() for w in model.weights]}))
+        rc = run_cli("adapt-eval", "--data", data_dir, "--model", old, "--out", tmp_path / "e")
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {old}: missing key 'params'\n"
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("command", ["adapt-eval", "head-tail", "alpha-sweep"])
     @pytest.mark.parametrize("weight, message", [
@@ -567,7 +579,7 @@ class TestAdaptEval:
         are not finite."""
         data_dir, model_dir = small_run
         checkpoint = json.loads((model_dir / "checkpoint.json").read_text())
-        checkpoint["weights"][0][0] = weight
+        checkpoint["params"][0] = weight  # the first entry of the first W
         (tmp_path / "big.json").write_text(json.dumps(checkpoint))
         rc = run_cli(command, "--data", data_dir, "--model", tmp_path / "big.json",
                      "--out", tmp_path / "e")
@@ -582,8 +594,7 @@ class TestAdaptEval:
             def forward(self, features):
                 return features
 
-        sets = {tag: data.SampleSet(features=np.array(rows), labels=np.zeros(3, int),
-                                    provenance=tag)
+        sets = {tag: data.SampleSet(features=np.array(rows), labels=np.zeros(3, int))
                 for tag, rows in [(data.ID_TRAIN, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                                   (data.OUTLIER, [[0.0, 0.0], [0.0, 0.0], [800.0, 0.0]])]}
         with pytest.raises(NumericError,
@@ -609,9 +620,9 @@ class TestAdaptEval:
                 data.TRUE_OOD: true_ood}
         for tag, rows in sets.items():  # labels 0, 1, 0, ...: two classes
             data.write_sample_set(data_dir / cli.DATASET_FILES[tag], data.SampleSet(
-                np.array(rows), np.arange(len(rows)) % 2, tag))
-        identity = nn.Mlp(layer_dims=[2, 2], weights=[np.eye(2)], biases=[np.zeros(2)])
-        nn.save_checkpoint(tmp_path / "identity.json", identity, 0, "finetune")
+                np.array(rows), np.arange(len(rows)) % 2))
+        identity = nn.Mlp([2, 2], [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])  # W = I, then b = 0
+        nn.save_checkpoint(tmp_path / "identity.json", identity)
         rc = run_cli("adapt-eval", "--data", data_dir, "--model", tmp_path / "identity.json",
                      "--out", tmp_path / "e", *flags)
         assert rc == NumericError.exit_code
@@ -730,7 +741,7 @@ class TestHeadTail:
         """The head report is evaluate_plans' report of the ID-test rows whose
         label is below k // 2, against the true OOD; the tail report is of the rest."""
         data_dir, model_dir = small_run
-        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        model = nn.load_checkpoint(model_dir / "checkpoint.json")
         stats, p0, logit_sets = cli.prepare(model, cli.load_datasets(data_dir))
         reports = cli.head_tail_reports(stats, p0, logit_sets)
         id_test, k = logit_sets[data.ID_TEST], model.layer_dims[-1]
@@ -789,7 +800,7 @@ class TestAlphaSweep:
         assert rc == EXIT_OK
         rows = [line.split(",") for line in (out / "alpha_sweep.csv").read_text().splitlines()[1:]]
         datasets = cli.load_datasets(data_dir)
-        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        model = nn.load_checkpoint(model_dir / "checkpoint.json")
         fitted, p0, _ = cli.prepare(model, datasets, virtual_count=2)
         feats, is_ood, _ = cli.build_stream(datasets[data.ID_TEST], datasets[data.TRUE_OOD],
                                             0.5, 0)
@@ -1101,7 +1112,7 @@ class TestEvaluationPlan:
     def prepared(self, small_run):
         data_dir, model_dir = small_run
         datasets = cli.load_datasets(data_dir)
-        model, _, _ = nn.load_checkpoint(model_dir / "checkpoint.json")
+        model = nn.load_checkpoint(model_dir / "checkpoint.json")
         stats, p0, _ = cli.prepare(model, datasets, virtual_count=2)
         feats, is_ood, labels = cli.build_stream(datasets[data.ID_TEST],
                                                  datasets[data.TRUE_OOD], 0.5, seed=5)
@@ -1253,8 +1264,8 @@ class TestStream:
     ], ids=["fraction", "no-ood", "fraction-text", "fraction-bool", "fraction-huge",
             "seed-negative", "seed-float", "seed-bool"])
     def test_a_refused_stream_names_the_values(self, fraction, seed, message):
-        id_test = data.SampleSet(np.zeros((100, 2)), np.zeros(100, int), data.ID_TEST)
-        true_ood = data.SampleSet(np.zeros((5, 2)), np.full(5, -1), data.TRUE_OOD)
+        id_test = data.SampleSet(np.zeros((100, 2)), np.zeros(100, int))
+        true_ood = data.SampleSet(np.zeros((5, 2)), np.full(5, -1))
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             cli.build_stream(id_test, true_ood, fraction, seed=seed)
 

@@ -13,7 +13,6 @@ from adaptod.data import (
     OUTLIER,
     SHELL_GAP,
     SHELL_WIDTH,
-    TRUE_OOD,
     BenchmarkSpec,
     SampleSet,
     generate_long_tailed,
@@ -106,13 +105,11 @@ class TestGenerators:
         counts = spec.class_counts()
         for j in range(spec.k):
             assert (train.labels == j).sum() == counts[j]
-        assert train.provenance == ID_TRAIN
 
     def test_test_set_is_balanced(self):
         _, test = generate_long_tailed(default_spec(n_max=100, n_test_per_class=7))
         for j in range(10):
             assert (test.labels == j).sum() == 7
-        assert test.provenance == ID_TEST
 
     def test_determinism(self):
         spec = default_spec(n_max=50, n_out=40)
@@ -127,7 +124,6 @@ class TestGenerators:
         out = generate_outliers(default_spec(n_max=50, n_out=33))
         assert out.n == 33
         assert (out.labels == -1).all()
-        assert out.provenance == OUTLIER
 
     def test_n_out_must_be_positive(self):
         with pytest.raises(InvalidInputError, match="n_out must be >= 1, got 0"):
@@ -165,9 +161,8 @@ class TestGenerators:
         bound = 5 * class_scale / np.sqrt(2 * (spec.n_ood - 1))
         assert np.abs(spread - class_scale).max() < bound
 
-    def test_true_ood_provenance(self):
+    def test_true_ood_labels(self):
         ood = generate_true_ood(default_spec(n_max=50, n_ood=5, shift=1.0))
-        assert ood.provenance == TRUE_OOD
         assert (ood.labels == -1).all()
 
 
@@ -231,8 +226,8 @@ class TestFixedGeometry:
         assert np.array_equal(a.features, b.features)
 
 
-def sample_set(features, labels, provenance=OUTLIER):
-    return SampleSet(np.asarray(features, dtype=np.float64), np.asarray(labels), provenance)
+def sample_set(features, labels):
+    return SampleSet(np.asarray(features, dtype=np.float64), np.asarray(labels))
 
 
 def edge_case_set(rng, n, k):
@@ -372,8 +367,7 @@ def sample_sets(draw):
     n, k = draw(st.integers(1, 12)), draw(st.integers(1, 5))
     features = draw(st.lists(st.lists(FINITE, min_size=k, max_size=k), min_size=n, max_size=n))
     labels = draw(st.lists(st.integers(-1, 2 ** 62), min_size=n, max_size=n))
-    return SampleSet(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64),
-                     OUTLIER)
+    return SampleSet(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64))
 
 
 class TestOneParseReader:

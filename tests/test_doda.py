@@ -270,6 +270,19 @@ class TestAdaptAndScore:
         assert accepted is False
         assert new_state is state
 
+    def test_a_row_whose_exp_underflows_has_g_zero(self):
+        """exp(max f) underflows below about -745, so G is 0.0, not strictly positive:
+        stats of such rows are all 0, and R = 0 rejects the row where R = 1 accepts it."""
+        row = [-800.0, -800.0]
+        assert global_energies([row]).tolist() == [0.0]
+        stats = fit_energy_stats([row, row])
+        assert (stats.mu_in, stats.sigma_in, stats.r) == (0.0, 0.0, 0.0)
+        state = OutlierDistribution(values=np.ones(2), m=1)
+        new_state, _, accepted = adapt_and_score(state, stats, row)
+        assert new_state is state and accepted is False
+        new_state, score, accepted = adapt_and_score(state, self.stats_accepting_below(1.0), row)
+        assert accepted is True and new_state.m == 2 and score == 0.0
+
     def test_score_uses_post_update_distribution(self):
         state = OutlierDistribution(values=np.array([0.0, 0.0]), m=0)
         stats = self.stats_accepting_below(100.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 
@@ -82,26 +83,37 @@ class TestForward:
 
 
 class TestLayout:
-    @pytest.mark.parametrize("weights, biases, message", [
-        pytest.param([(3, 2), (3, 1)], [(3,), (1,)],
-                     r"layer 0: expected W \(2, 3\) and b \(3,\), got W \(3, 2\) and b \(3,\)",
-                     id="transposed-weight"),
-        pytest.param([(2, 3), (3, 1)], [(4,), (1,)],
-                     r"layer 0: expected W \(2, 3\) and b \(3,\), got W \(2, 3\) and b \(4,\)",
-                     id="long-bias"),
-        pytest.param([(2, 3), (3, 1)], [(3,), (2,)],
-                     r"layer 1: expected W \(3, 1\) and b \(1,\), got W \(3, 1\) and b \(2,\)",
-                     id="long-output-bias"),
-        pytest.param([(2, 3)], [(3,)],
-                     r"layer 1: expected W \(3, 1\) and b \(1,\), got W \(\) and b \(\)",
-                     id="missing-layer"),
-        pytest.param([(2, 3), (3, 1), (1, 1)], [(3,), (1,)],
-                     r"layer 2: expected W \(None, None\) and b \(None,\), got W \(1, 1\)",
-                     id="extra-weight"),
+    @pytest.mark.parametrize("params", [
+        pytest.param(np.zeros(12), id="short"),
+        pytest.param(np.zeros(14), id="long"),
+        pytest.param(np.zeros((1, 13)), id="matrix"),
+        pytest.param(np.float64(0.0), id="scalar"),
+        pytest.param([], id="empty"),
     ])
-    def test_arrays_that_do_not_fit_layer_dims_are_rejected(self, weights, biases, message):
-        with pytest.raises(InvalidInputError, match=message):
-            Mlp([2, 3, 1], [np.zeros(s) for s in weights], [np.zeros(s) for s in biases])
+    def test_params_that_do_not_fit_layer_dims_are_rejected(self, params):
+        """[2, 3, 1] needs 2*3 + 3 + 3*1 + 1 = 13 parameters, in one vector."""
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"layer_dims [2, 3, 1] need 13 parameters, got params of shape "
+                f"{np.shape(params)}")):
+            Mlp([2, 3, 1], params)
+
+    def test_the_constructor_copies_params_as_float64(self):
+        params = np.arange(9, dtype=np.int64)
+        model = Mlp([2, 3], params)
+        model.params[:] = -1.0
+        assert model.params.dtype == np.float64 and params.tolist() == list(range(9))
+
+    @pytest.mark.parametrize("dims", [[8, 32, 10], [3, 5, 4, 2]])
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_init_draws_the_per_layer_values_in_their_order(self, dims, seed):
+        """One draw per layer into the vector equals a draw of W, then of b, per layer."""
+        rng = np.random.default_rng(seed)
+        want = []
+        for i, o in zip(dims[:-1], dims[1:]):
+            bound = 1.0 / np.sqrt(i)
+            want += [rng.uniform(-bound, bound, size=(i, o)).ravel(),
+                     rng.uniform(-bound, bound, size=o)]
+        assert Mlp.init(dims, seed).params.tobytes() == np.concatenate(want).tobytes()
 
     @pytest.mark.parametrize("dims, at", [([3.5, 2], 0), ([True, 2], 0), ([3, "2"], 1),
                                           ([3, np.float64(2.0)], 1)],
@@ -600,80 +612,64 @@ class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         model = Mlp.init([5, 9, 3], seed=6)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model, seed=6, stage="pretrain")
-        loaded, seed, stage = load_checkpoint(path)
-        assert (seed, stage) == (6, "pretrain")
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path)
         assert loaded.layer_dims == model.layer_dims
-        for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
-            assert np.array_equal(a, b)
+        assert loaded.params.tobytes() == model.params.tobytes()
+
+    def test_the_file_holds_exactly_layer_dims_and_params_in_the_vector_layout(self, tmp_path):
+        model = Mlp.init([3, 4, 2], seed=7)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model)
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["layer_dims", "params"]
+        assert payload["layer_dims"] == [3, 4, 2]
+        layers = [a.ravel() for w, b in zip(model.weights, model.biases) for a in (w, b)]
+        assert payload["params"] == np.concatenate(layers).tolist()  # each W row-major, then b
 
     def test_byte_identical_rewrites(self, tmp_path):
         model = Mlp.init([3, 4, 2], seed=7)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(p1, model, seed=7, stage="finetune")
-        save_checkpoint(p2, model, seed=7, stage="finetune")
+        save_checkpoint(p1, model)
+        save_checkpoint(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("edit, key", [
-        pytest.param(lambda c: c.pop("weights"), "weights", id="missing-weights"),
-        pytest.param(lambda c: c.pop("seed"), "seed", id="missing-seed"),
+        pytest.param(lambda c: c.pop("params"), "params", id="missing-params"),
         pytest.param(lambda c: c.update(layer_dims="x"), "layer_dims", id="bad-dims"),
         pytest.param(lambda c: c.update(layer_dims=5), "layer_dims", id="scalar-dims"),
         pytest.param(lambda c: c.update(layer_dims=[3]), "layer_dims", id="too-few-dims"),
-        # the rule of Mlp.init, with arrays that match the sizes
-        pytest.param(lambda c: c.update(layer_dims=[3], weights=[], biases=[]), "layer_dims",
+        # the rule of Mlp.init, with parameters that match the sizes
+        pytest.param(lambda c: c.update(layer_dims=[3], params=[]), "layer_dims",
                      id="one-size-no-layers"),
-        pytest.param(lambda c: c.update(layer_dims=[], weights=[], biases=[]), "layer_dims",
-                     id="no-sizes"),
-        pytest.param(lambda c: c.update(layer_dims=[3, 0, 2], weights=[[], []],
-                                        biases=[[], [0.0, 0.0]]), "layer_dims", id="zero-width"),
+        pytest.param(lambda c: c.update(layer_dims=[], params=[]), "layer_dims", id="no-sizes"),
+        pytest.param(lambda c: c.update(layer_dims=[3, 0, 2], params=[0.0, 0.0]), "layer_dims",
+                     id="zero-width"),
         pytest.param(lambda c: c.update(layer_dims=[3.5, 4, 2]), "layer_dims",
                      id="fractional-size"),  # once loaded as [3, 4, 2]
-        pytest.param(lambda c: c.update(layer_dims=[3, 4, True], weights=[[0.0] * 12, [0.0] * 4],
-                                        biases=[[0.0] * 4, [0.0]]), "layer_dims",
-                     id="bool-size"),  # once loaded as [3, 4, 1]
-        pytest.param(lambda c: c.update(layer_dims=[3, 5, 2]), "weights", id="wider-dims"),
-        pytest.param(lambda c: c["weights"].pop(), "weights", id="missing-layer"),
-        pytest.param(lambda c: c["biases"][1].append(0.0), "biases", id="long-bias"),
-        pytest.param(lambda c: c["weights"][0].__setitem__(0, None), "weights", id="null-weight"),
-        pytest.param(lambda c: c.update(seed="six"), "seed", id="bad-seed"),
-        # the seed rule of Mlp.init: these once loaded as 3, 1 and 12, and -4 as -4
-        pytest.param(lambda c: c.update(seed=3.7), "seed", id="bad-seed-fractional"),
-        pytest.param(lambda c: c.update(seed=True), "seed", id="bad-seed-bool"),
-        pytest.param(lambda c: c.update(seed="12"), "seed", id="bad-seed-text"),
-        pytest.param(lambda c: c.update(seed=-4), "seed", id="bad-seed-negative"),
-        # only the stages save_checkpoint writes: these once loaded as '123', 'None' and 'train'
-        pytest.param(lambda c: c.update(stage=123), "stage", id="bad-stage-number"),
-        pytest.param(lambda c: c.update(stage=None), "stage", id="bad-stage-null"),
-        pytest.param(lambda c: c.update(stage="train"), "stage", id="bad-stage-unknown"),
-        pytest.param(lambda c: c["biases"][0].__setitem__(0, 10**400), "biases",
-                     id="bias-beyond-float64"),  # escaped as a bare OverflowError
+        pytest.param(lambda c: c.update(layer_dims=[3, 4, True], params=[0.0] * 21),
+                     "layer_dims", id="bool-size"),  # once loaded as [3, 4, 1]
+        pytest.param(lambda c: c.update(layer_dims=[3, 5, 2]), "params", id="wider-dims"),
+        pytest.param(lambda c: c["params"].pop(), "params", id="short-params"),
+        pytest.param(lambda c: c["params"].append(0.0), "params", id="long-params"),
+        pytest.param(lambda c: c.update(params=[c["params"]]), "params", id="nested-params"),
+        pytest.param(lambda c: c.update(params="x"), "params", id="text-params"),
+        pytest.param(lambda c: c.update(params={"a": 1.0}), "params", id="object-params"),
+        pytest.param(lambda c: c["params"].__setitem__(0, None), "params", id="null-param"),
+        pytest.param(lambda c: c["params"].__setitem__(3, math.nan), "params", id="nan-param"),
+        pytest.param(lambda c: c["params"].__setitem__(-1, -math.inf), "params",
+                     id="inf-param"),
+        pytest.param(lambda c: c["params"].__setitem__(-1, 10**400), "params",
+                     id="param-beyond-float64"),  # escaped as a bare OverflowError
     ])
     def test_malformed_checkpoint_names_path_and_key(self, tmp_path, edit, key):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, Mlp.init([3, 4, 2], seed=7), seed=7, stage="finetune")
+        save_checkpoint(path, Mlp.init([3, 4, 2], seed=7))
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=f"{path}.*'{key}'"):
             load_checkpoint(path)
-
-    @pytest.mark.parametrize("seed, stage", [
-        pytest.param(3.7, "finetune", id="bad-seed-fractional"),
-        pytest.param(True, "finetune", id="bad-seed-bool"),
-        pytest.param("12", "finetune", id="bad-seed-text"),
-        pytest.param(-4, "finetune", id="bad-seed-negative"),
-        pytest.param(7, 123, id="bad-stage-number"),
-        pytest.param(7, None, id="bad-stage-null"),
-        pytest.param(7, "train", id="bad-stage-unknown"),
-    ])
-    def test_save_refuses_what_load_would_refuse_and_writes_nothing(self, tmp_path, seed,
-                                                                    stage):
-        """save_checkpoint once wrote these, and load_checkpoint then refused the file."""
-        path = tmp_path / "ckpt.json"
-        with pytest.raises(InvalidInputError, match="^(seed|stage) must be "):
-            save_checkpoint(path, Mlp.init([3, 4, 2], seed=7), seed=seed, stage=stage)
-        assert not path.exists()
 
     @pytest.mark.parametrize("text", ["{not json", "[8, 10]", "\xff",
                                       pytest.param("[" * 1000, id="nested-too-deep")])
